@@ -133,28 +133,6 @@ def fd_gradient_guarded(f, pts, h, signed_distance, value_shape=()):
     return out
 
 
-def smooth_step(t):
-    """C-infinity transition: 0 for t <= 0, 1 for t >= 1, with all derivatives flat."""
-    t = np.asarray(t, dtype=float)
-    g0 = _exp_bump_arg(t)
-    g1 = _exp_bump_arg(1.0 - t)
-    return g0 / (g0 + g1)
-
-
-def smooth_step_d1(t, eps=1e-6):
-    """First derivative of smooth_step by central differences (test helper)."""
-    return (smooth_step(t + eps) - smooth_step(t - eps)) / (2 * eps)
-
-
-def _exp_bump_arg(t):
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    m = t > 0
-    with np.errstate(over='ignore'):
-        out[m] = np.exp(-1.0 / t[m])
-    return out
-
-
 def fibonacci_sphere(n):
     """n quasi-uniform (theta, phi) points on the unit sphere (golden spiral)."""
     i = np.arange(n) + 0.5

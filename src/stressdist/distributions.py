@@ -19,10 +19,11 @@ from typing import Optional
 import numpy as np
 
 from . import _tensor as T
+from ._memo import LruMemo
 from .errors import ConfigError, RankMismatchError, StressDistError
 from .fields import SurfaceField, surface_divergence
 from .geometry import (DEFAULT_SURFACE_LEVEL, DEFAULT_VOLUME_LEVEL,
-                       support_volume_quad)
+                       support_key, support_volume_quad)
 
 ABS_TOL = 1e-7
 REL_TOL = 1e-5
@@ -30,6 +31,7 @@ REL_TOL = 1e-5
 # extra refinement applied on top of the per-path defaults (CLI --refine)
 LEVEL_BOOST = 0
 ADAPTED_LEVEL = 1          # support-clipped quadratures resolve locally
+VALUE_MEMO_SIZE = 8        # density values kept per distribution
 
 
 def _lv(level, adapted):
@@ -64,20 +66,26 @@ def _test_breaks(test):
 
 
 def _volume_quad(dist, lv, support, test=None):
-    """Support-adapted volume quadrature, falling back to the cached grid."""
+    """Support-adapted volume quadrature, falling back to the cached grid.
+
+    Returns the rule and the value key of a full-domain grid, or None for
+    support-clipped rules, whose bulk values are not kept (they are large
+    and rarely reused).
+    """
     if support is not None:
         q = support_volume_quad(dist.interface, support[0], support[1], lv)
         if q is not None:
-            return q, False
+            return q, None
         return (dist.domain.volume_quadrature(dist.interface, lv,
-                                              support=support), False)
+                                              support=support), None)
     breaks = _test_breaks(test) if test is not None else None
     if breaks:
         # the graded radial breaks already resolve the profile layers, so a
         # coarser tensor level suffices
         return dist.domain.volume_quadrature(
-            dist.interface, max(lv - 1, 0), extra_breaks=(breaks, (), ())), True
-    return dist.domain.volume_quadrature(dist.interface, lv), True
+            dist.interface, max(lv - 1, 0),
+            extra_breaks=(breaks, (), ())), (lv, breaks)
+    return dist.domain.volume_quadrature(dist.interface, lv), (lv, None)
 
 
 @dataclass(frozen=True)
@@ -148,55 +156,54 @@ class BDist:
         self.interface = interface
         self.field = field
         self.rank = field.rank
-        self._cache = {}
+        self._memo = LruMemo(VALUE_MEMO_SIZE)
 
-    def _values(self, quad, cache):
-        if not cache:
-            return np.asarray(self.field.value(quad.points))
-        key = id(quad)
-        if key not in self._cache:
-            self._cache[key] = np.asarray(self.field.value(quad.points))
-        return self._cache[key]
-
-    def _div_values(self, quad, cache):
-        if not cache:
-            return np.asarray(self.field.divergence(quad.points))
-        key = ('div', id(quad))
-        if key not in self._cache:
-            self._cache[key] = np.asarray(self.field.divergence(quad.points))
-        return self._cache[key]
+    def _values(self, quad, key, method='value'):
+        """Field values (or ``method='divergence'``) on a rule from
+        ``_volume_quad``, kept per value key when the rule has one."""
+        def compute():
+            return np.asarray(getattr(self.field, method)(quad.points))
+        if key is None:
+            return compute()
+        return self._memo.get((method,) + key, compute)
 
     def pair(self, test, level=None):
         support = _test_support(test)
 
         def run(lv):
-            q, cached = _volume_quad(self, lv, support, test)
+            q, key = _volume_quad(self, lv, support, test)
             if len(q) == 0:
                 return 0.0
             return float(np.dot(q.weights,
-                                _contract(self._values(q, cached),
+                                _contract(self._values(q, key),
                                           test.value(q.points))))
         return _two_level(run, _lv(level, support is not None))
 
 
-class CDist:
-    """Surface-concentrated distribution on the interface."""
-
-    family = 'C'
+class _SurfaceDist:
+    """Density on the interface, evaluated once per quadrature batch."""
 
     def __init__(self, interface, surface_field):
         self.interface = interface
         self.density = surface_field
         self.rank = surface_field.rank
-        self._cache = {}
+        self._memo = LruMemo(VALUE_MEMO_SIZE)
 
-    def _values(self, batch, cache=True):
-        if not cache:
-            return np.asarray(self.density.value(batch))
-        key = id(batch)
-        if key not in self._cache:
-            self._cache[key] = np.asarray(self.density.value(batch))
-        return self._cache[key]
+    def _values(self, batch, level, support=None):
+        """Density values on ``interface.surface_quadrature(level, support)``.
+
+        Kept per (level, support) value key, so pairings that revisit a
+        batch (both levels of several tests sharing one support) evaluate
+        the density once.
+        """
+        return self._memo.get((level, support_key(support)),
+                              lambda: np.asarray(self.density.value(batch)))
+
+
+class CDist(_SurfaceDist):
+    """Surface-concentrated distribution on the interface."""
+
+    family = 'C'
 
     def pair(self, test, level=None):
         support = _test_support(test)
@@ -206,29 +213,15 @@ class CDist:
             if len(b) == 0:
                 return 0.0
             return float(np.dot(b.weights,
-                                _contract(self._values(b, support is None),
+                                _contract(self._values(b, lv, support),
                                           test.value(b.points))))
         return _two_level(run, _lv(level, support is not None))
 
 
-class FDist:
+class FDist(_SurfaceDist):
     """Surface dipole distribution: pairs with normal derivatives of tests."""
 
     family = 'F'
-
-    def __init__(self, interface, surface_field):
-        self.interface = interface
-        self.density = surface_field
-        self.rank = surface_field.rank
-        self._cache = {}
-
-    def _values(self, batch, cache=True):
-        if not cache:
-            return np.asarray(self.density.value(batch))
-        key = id(batch)
-        if key not in self._cache:
-            self._cache[key] = np.asarray(self.density.value(batch))
-        return self._cache[key]
 
     def pair(self, test, level=None):
         support = _test_support(test)
@@ -240,7 +233,7 @@ class FDist:
             dpsi_dn = np.einsum('n...j,nj->n...', test.gradient(b.points),
                                 b.normals)
             return float(np.dot(b.weights,
-                                _contract(self._values(b, support is None),
+                                _contract(self._values(b, lv, support),
                                           dpsi_dn)))
         return _two_level(run, _lv(level, support is not None))
 
@@ -389,11 +382,11 @@ def identity1_rhs(dist, test, level=None):
 
     if isinstance(dist, BDist):
         def run_vol(lv):
-            q, cached = _volume_quad(dist, lv, support, test)
+            q, key = _volume_quad(dist, lv, support, test)
             if len(q) == 0:
                 return 0.0
             return float(np.dot(q.weights,
-                                _contract(dist._div_values(q, cached),
+                                _contract(dist._values(q, key, 'divergence'),
                                           test.value(q.points))))
 
         out = _two_level(run_vol, _lv(level, support is not None))
@@ -415,7 +408,7 @@ def identity1_rhs(dist, test, level=None):
             b = dist.interface.surface_quadrature(lv, support=support)
             if len(b) == 0:
                 return 0.0
-            c = dist._values(b, support is None)
+            c = dist._values(b, lv, support)
             div_c = surface_divergence(dist.density, b)
             cn = _density_dot_normal(c, b.normals, rank)
             coeff = div_c - b.kappa[..., None] * cn if rank == 2 \
@@ -437,7 +430,7 @@ def identity1_rhs(dist, test, level=None):
             b = dist.interface.surface_quadrature(lv, support=support)
             if len(b) == 0:
                 return 0.0
-            f = dist._values(b, support is None)
+            f = dist._values(b, lv, support)
             fn = _density_dot_normal(f, b.normals, rank)
             div_f = surface_divergence(dist.density, b)
             div_shaped = surface_divergence(shaped, b)
@@ -496,9 +489,9 @@ def identity2_rhs(dist, gfield, level=None):
         vlevel = _lv(level, False)
 
         def run_vol(lv):
-            q, _ = _volume_quad(dist, lv, None, gfield)
+            q, key = _volume_quad(dist, lv, None, gfield)
             return -float(np.dot(q.weights,
-                                 _contract(dist._div_values(q, True),
+                                 _contract(dist._values(q, key, 'divergence'),
                                            gfield.u(q.points))))
 
         out = _two_level(run_vol, vlevel)
@@ -527,7 +520,7 @@ def identity2_rhs(dist, gfield, level=None):
     if isinstance(dist, CDist):
         def run(lv):
             b = interface.surface_quadrature(lv)
-            c = dist._values(b)
+            c = dist._values(b, lv)
             div_c = surface_divergence(dist.density, b)
             cn = np.einsum('nij,nj->ni', c, b.normals)
             coeff = div_c - b.kappa[:, None] * cn
@@ -553,7 +546,7 @@ def identity2_rhs(dist, gfield, level=None):
 
         def run(lv):
             b = interface.surface_quadrature(lv)
-            f = dist._values(b)
+            f = dist._values(b, lv)
             fn = np.einsum('nij,nj->ni', f, b.normals)
             div_f = surface_divergence(dist.density, b)
             div_shaped = surface_divergence(shaped, b)

@@ -637,12 +637,18 @@ def dual_tangents(batch):
     return gu, gv
 
 
+def tangential_gradient(fu, fv, dual):
+    """grad_S from chart partials (fu, fv) and the dual tangents (gu, gv)."""
+    gu, gv = dual
+    shape = (len(fu),) + (1,) * (fu.ndim - 1) + (3,)
+    return (fu[..., None] * gu.reshape(shape)
+            + fv[..., None] * gv.reshape(shape))
+
+
 def surface_gradient(field, batch):
     """grad_S f: tangential derivative of a surface field, (N, ..., 3)."""
     fu, fv = chart_derivatives(field, batch)
-    gu, gv = dual_tangents(batch)
-    return (fu[..., None] * gu[:, None, ...].reshape((len(batch),) + (1,) * (fu.ndim - 1) + (3,))
-            + fv[..., None] * gv.reshape((len(batch),) + (1,) * (fu.ndim - 1) + (3,)))
+    return tangential_gradient(fu, fv, dual_tangents(batch))
 
 
 def surface_divergence(field, batch):
@@ -693,9 +699,6 @@ class _BumpBase:
         beta, b1, b2 = _bump_radial(q)
         hq = 2.0 / self.radius ** 2            # hessian of q is (2/r^2) I
         return pts, beta, b1, b2, dq, hq
-
-    def support_in(self, domain):
-        return domain.contains_ball(self.center, self.radius)
 
 
 class BumpScalar(_BumpBase):

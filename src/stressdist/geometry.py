@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._memo import LruMemo
 from ._tensor import I3, fibonacci_sphere, halton
 from .errors import EvaluationError, GeometryError
 
@@ -34,6 +35,32 @@ ON_SURFACE_TOL = 1e-8
 # grading depth added to the refinement level for support-clipped cells
 VOLUME_GRADE_OFFSET = 4
 SURFACE_GRADE_OFFSET = 8
+
+# entries kept by the support-quadrature memos: fiber rules are shared by
+# all interfaces and also capped in total nodes (40 bytes each; a refined
+# rule holds up to 1.2M), which bounds what one scenario leaves resident for
+# the next; support batches are kept per interface
+FIBER_MEMO_SIZE = 17
+FIBER_MEMO_NODES = 1_000_000
+SUPPORT_BATCH_MEMO_SIZE = 4
+
+
+def support_key(support):
+    """Value key of a test support ``(center, radius)``, or None."""
+    if support is None:
+        return None
+    return (np.asarray(support[0], dtype=float).tobytes(), float(support[1]))
+
+
+def interface_key(interface):
+    """Value key of an interface: its kind and sorted parameters.
+
+    The catalog constructors put everything that fixes the surface inside
+    its domain into ``params``.  None for no interface.
+    """
+    if interface is None:
+        return None
+    return (interface.kind, tuple(sorted(interface.params.items())))
 
 
 @dataclass(frozen=True)
@@ -182,16 +209,6 @@ class SurfacePatch:
         su = self.u_range[1] - self.u_range[0]
         sv = self.v_range[1] - self.v_range[0]
         return 5e-4 * su, 5e-4 * sv
-
-    def clamp_chart(self, U, V):
-        """Map chart coords into the valid window, wrapping periodic axes."""
-        U = np.clip(U, self.u_range[0], self.u_range[1])
-        if self.periodic_v:
-            V = self.v_range[0] + np.mod(V - self.v_range[0],
-                                         self.v_range[1] - self.v_range[0])
-        else:
-            V = np.clip(V, self.v_range[0], self.v_range[1])
-        return U, V
 
 
 def _frame_for_axis(axis):
@@ -373,11 +390,6 @@ class CylinderPatch(SurfacePatch):
         proj = proj.copy()
         proj[..., 2, 2] -= 1.0
         return (self.orientation / self.radius) * proj
-
-    def clamp_chart(self, U, V):
-        U = np.mod(U, 2.0 * np.pi)
-        V = np.clip(V, self.v_range[0], self.v_range[1])
-        return U, V
 
     def base_breaks(self):
         v0, v1 = self.v_range
@@ -634,7 +646,7 @@ def _tensor_surface_batch(patch, u_breaks, v_breaks, level):
     return batch
 
 
-_FIBER_CACHE = {}
+_FIBER_CACHE = LruMemo(FIBER_MEMO_SIZE, budget=FIBER_MEMO_NODES)
 
 
 def support_volume_quad(interface, center, radius, level):
@@ -644,18 +656,13 @@ def support_volume_quad(interface, center, radius, level):
     Fibers start at the support center; each fiber's radial cells conform
     to the interface crossings and are edge-graded toward the support
     boundary, so neither the jump nor the bump layer is ever straddled.
-    Returns None when the interface kind has no fiber rule.
+    Returns None when the interface kind has no fiber rule.  Recent rules
+    are kept by (interface kind and parameters, center, radius, level).
     """
     center = np.asarray(center, dtype=float)
-    key = (id(interface), center.tobytes(), float(radius), level)
-    if key in _FIBER_CACHE:
-        return _FIBER_CACHE[key]
-    quad = _build_fiber_quad(interface, center, radius, level)
-    if quad is not None:
-        if len(_FIBER_CACHE) > 16:
-            _FIBER_CACHE.clear()
-        _FIBER_CACHE[key] = quad
-    return quad
+    key = (interface_key(interface), center.tobytes(), float(radius), level)
+    return _FIBER_CACHE.get(
+        key, lambda: _build_fiber_quad(interface, center, radius, level))
 
 
 def _build_fiber_quad(interface, center, radius, level):
@@ -772,7 +779,8 @@ class Interface:
 
     Either closed, or with every boundary curve lying on a boundary
     component of the domain (partial surfaces crossing the interior are
-    out of scope).
+    out of scope).  ``kind`` and ``params`` must fix the surface within its
+    domain: quadrature memos key interfaces by them (``interface_key``).
     """
 
     def __init__(self, kind, patch, closed, signed_distance, chart_coords,
@@ -786,6 +794,7 @@ class Interface:
         self.feature_size = float(feature_size)
         self.params = dict(params or {})
         self._quad_cache = {}
+        self._support_batches = LruMemo(SUPPORT_BATCH_MEMO_SIZE)
         if self.closed and self.boundary_curves:
             raise GeometryError("closed interface cannot carry boundary curves")
 
@@ -805,13 +814,20 @@ class Interface:
 
         ``support = (center, radius)`` clips and refines the chart cells to
         the part of the surface a compactly supported integrand can see;
-        an empty intersection yields a zero-node batch.
+        an empty intersection yields a zero-node batch.  Full batches are
+        kept per level, and the last few support batches per (level,
+        center, radius).  Batches are shared and must not be modified.
         """
         if support is None:
             key = ('quad', level)
             if key not in self._quad_cache:
                 self._quad_cache[key] = self._build_surface_quad(level, None)
             return self._quad_cache[key]
+        return self._support_batches.get(
+            (level, support_key(support)),
+            lambda: self._build_support_quad(level, support))
+
+    def _build_support_quad(self, level, support):
         center = np.asarray(support[0], dtype=float)
         radius = float(support[1])
         aligned = _aligned_support_batch(self.patch, center, radius, level)
@@ -881,10 +897,6 @@ class Interface:
     def curve_components(self):
         return [comp for comp, _ in self.boundary_curves]
 
-    def clearance(self, domain):
-        """Minimal distance from the interface to the domain boundary."""
-        return domain.interface_clearance(self)
-
     def project_batch(self, pts):
         """Closest-point surface batch for off-surface points (mollifiers)."""
         U, V = self.chart_coords(pts)
@@ -922,7 +934,7 @@ def sphere_interface(radius, orientation=1.0):
 
     return Interface('sphere', patch, closed=True, signed_distance=sdist,
                      chart_coords=chart, feature_size=radius,
-                     params={'radius': radius})
+                     params={'radius': radius, 'orientation': orientation})
 
 
 def plane_disk_interface(domain, z=0.0):
@@ -1005,7 +1017,8 @@ def cylinder_patch_interface(domain, radius):
     ]
     return Interface('cylinder-patch', patch, closed=False,
                      signed_distance=sdist, chart_coords=chart,
-                     boundary_curves=curves, feature_size=radius)
+                     boundary_curves=curves, feature_size=radius,
+                     params={'radius': radius})
 
 
 # ---------------------------------------------------------------------------
@@ -1066,9 +1079,6 @@ class Domain:
     def cross_section_radius(self, z):
         raise GeometryError(f"{self.kind} has no plane-disk cross sections")
 
-    def interface_clearance(self, interface):
-        raise NotImplementedError
-
     def volume_quadrature(self, interface=None, level=DEFAULT_VOLUME_LEVEL,
                           extra_breaks=None, support=None):
         """Conforming tensor-product quadrature over the domain.
@@ -1082,7 +1092,7 @@ class Domain:
                                            float(support[1]))
             return self._build_volume_quad(interface, level, extra_breaks,
                                            windows)
-        key = (id(interface), level,
+        key = (interface_key(interface), level,
                tuple(map(tuple, extra_breaks)) if extra_breaks else None)
         cache = getattr(self, '_vq_cache', None)
         if cache is None:
@@ -1187,13 +1197,6 @@ class Ball(Domain):
             raise GeometryError("plane does not intersect the ball")
         return float(np.sqrt(self.radius ** 2 - z ** 2))
 
-    def interface_clearance(self, interface):
-        if interface.kind == 'sphere':
-            return self.radius - interface.params['radius']
-        if interface.kind == 'plane-disk':
-            return 0.0
-        raise GeometryError(f"unsupported interface {interface.kind!r} in ball")
-
     def support_windows(self, center, radius):
         return _spherical_support_windows(center, radius, 0.0, self.radius)
 
@@ -1256,14 +1259,6 @@ class SphericalShell(Domain):
     def bounding_box(self):
         r = self.outer_radius
         return np.array([-r, -r, -r]), np.array([r, r, r])
-
-    def interface_clearance(self, interface):
-        if interface.kind == 'sphere':
-            a = interface.params['radius']
-            return min(a - self.inner_radius, self.outer_radius - a)
-        if interface.kind == 'equatorial-annulus':
-            return 0.0
-        raise GeometryError(f"unsupported interface {interface.kind!r} in shell")
 
     def support_windows(self, center, radius):
         return _spherical_support_windows(center, radius, self.inner_radius,
@@ -1330,9 +1325,6 @@ class Box(Domain):
 
     def bounding_box(self):
         return -self.half_widths, self.half_widths
-
-    def interface_clearance(self, interface):
-        return 0.0
 
     def support_windows(self, center, radius):
         c = np.asarray(center, dtype=float)
@@ -1436,9 +1428,6 @@ class CylinderAnnulus(Domain):
         r = self.outer_radius
         return (np.array([-r, -r, self.z_range[0]]),
                 np.array([r, r, self.z_range[1]]))
-
-    def interface_clearance(self, interface):
-        return 0.0
 
     def support_windows(self, center, radius):
         c = np.asarray(center, dtype=float)

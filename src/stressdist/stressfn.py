@@ -20,7 +20,8 @@ from .distributions import BDist, CDist, CompositeDist, FDist, pair
 from .equilibrium import EquilibriumScenario, Tolerances
 from .errors import ConfigError, FieldError, StressDistError
 from .fields import (PiecewiseField, PolyField, SurfaceField,
-                     make_gradient_test_field, surface_divergence)
+                     chart_derivatives, dual_tangents,
+                     make_gradient_test_field, tangential_gradient)
 from .geometry import DEFAULT_SURFACE_LEVEL
 
 LEMMA2_TOL = 1e-6
@@ -145,20 +146,18 @@ def surface_curl(a, batch):
     """Surface curl of a rank-2 surface field.
 
     Defined row by row through the relation: row_i equals the surface
-    divergence of the field (a x e_i), rows crossed on the right.
+    divergence of the field (a x e_i), rows crossed on the right.  Crossing
+    with a fixed e_i only permutes and negates entries, so it commutes
+    exactly with chart differentiation: the chart derivatives of ``a`` are
+    taken once and crossed per row.
     """
+    fu, fv = chart_derivatives(a, batch)
+    dual = dual_tangents(batch)
     rows = []
-    for i in range(3):
-        d = np.zeros(3)
-        d[i] = 1.0
-        dchart = None
-        if getattr(a, 'dchart', None) is not None:
-            def dchart(b, axis, dd=d):
-                return T.row_cross(a.dchart(b, axis), dd)
-        crossed = SurfaceField(
-            lambda b, dd=d: T.row_cross(a.value(b), dd), 2, a.interface,
-            dchart=dchart)
-        rows.append(surface_divergence(crossed, batch))
+    for e in T.I3:
+        grad = tangential_gradient(T.row_cross(fu, e), T.row_cross(fv, e),
+                                   dual)
+        rows.append(np.einsum('nijj->ni', grad))
     return np.stack(rows, axis=1)
 
 
@@ -202,16 +201,33 @@ def extract_densities(potential, interface):
 
     analytic = all(hasattr(potential._side(s), 'gradient') for s in (1, -1))
 
+    # One-entry memo of the jump and its gradient on the latest batch object:
+    # sigma1, sigma2 and both chart axes of their derivatives share them.
+    latest = [(None, None)]
+
+    def _on_batch(batch, name, compute):
+        held, values = latest[0]
+        if held is not batch:
+            values = {}
+            latest[0] = (batch, values)
+        if name not in values:
+            values[name] = compute(batch.points)
+        return values[name]
+
+    def _jump(batch):
+        return _on_batch(batch, 'jump', potential.jump)
+
     def _chart_pieces(batch, axis):
         xu, xv = batch.patch.tangents(batch.U, batch.V)
         t = xu if axis == 0 else xv
-        dj = np.einsum('nijk,nk->nij', potential.jump_gradient(batch.points), t)
+        jg = _on_batch(batch, 'jump_gradient', potential.jump_gradient)
+        dj = np.einsum('nijk,nk->nij', jg, t)
         dn = np.einsum('nij,nj->ni', batch.shape_ops, t)
         return dj, dn
 
     def sigma2_ev(batch):
         N = T.cross_matrix(batch.normals)
-        j = potential.jump(batch)
+        j = _jump(batch)
         return -np.einsum('nla,nlm,nmd->nad', N, j, N)
 
     sigma2_dchart = None
@@ -219,7 +235,7 @@ def extract_densities(potential, interface):
     if analytic:
         def sigma2_dchart(batch, axis):
             N = T.cross_matrix(batch.normals)
-            j = potential.jump(batch)
+            j = _jump(batch)
             dj, dn = _chart_pieces(batch, axis)
             dN = T.cross_matrix(dn)
             return -(np.einsum('nla,nlm,nmd->nad', dN, j, N)
@@ -230,12 +246,12 @@ def extract_densities(potential, interface):
             dj, dn = _chart_pieces(batch, axis)
             return np.swapaxes(
                 T.row_cross(dj, batch.normals)
-                + T.row_cross(potential.jump(batch), dn), -1, -2)
+                + T.row_cross(_jump(batch), dn), -1, -2)
 
     sigma2 = SurfaceField(sigma2_ev, 2, interface, dchart=sigma2_dchart)
 
     jump_cross = SurfaceField(
-        lambda b: np.swapaxes(T.row_cross(potential.jump(b), b.normals), -1, -2),
+        lambda b: np.swapaxes(T.row_cross(_jump(b), b.normals), -1, -2),
         2, interface, dchart=jump_cross_dchart)
 
     def sigma1_ev(batch):
@@ -254,6 +270,32 @@ def extract_densities(potential, interface):
 # necessary conditions: pairings with curl-free tests, global conditions
 
 
+# For each q, eps_ipq x_p a_i = x_p1 a_i1 - x_p2 a_i2, where (p1, i1) and
+# (p2, i2) index the +1 and the -1 entry of the Levi-Civita symbol.
+_EPS_TERMS = (((2, 1), (1, 2)), ((0, 2), (2, 0)), ((1, 0), (0, 1)))
+
+
+def _eps_x(pts, psi):
+    """out[n, j, q, ...] = eps_ipq x_p psi[n, i, j, ...], componentwise.
+
+    Forms the same two products and one difference per entry as the
+    einsum over EPS, so the result is bit-identical to it; the final
+    ``+= 0.0`` reproduces the einsum's zero-initialised accumulator (it
+    turns -0.0 into +0.0).  The memory layout is the einsum's too (q
+    fastest), so later reductions over trailing axes sum in the same order.
+    """
+    n = len(pts)
+    lead = (n,) + (1,) * (psi.ndim - 2)
+    out = np.moveaxis(np.empty((n, psi.shape[2]) + psi.shape[3:] + (3,)),
+                      -1, 2)
+    for q, ((p1, i1), (p2, i2)) in enumerate(_EPS_TERMS):
+        col = out[:, :, q]
+        np.multiply(pts[:, p1].reshape(lead), psi[:, i1], out=col)
+        col -= pts[:, p2].reshape(lead) * psi[:, i2]
+    out += 0.0
+    return out
+
+
 class MomentTest:
     """x-weighted pairing partner implementing the moment distribution.
 
@@ -268,14 +310,16 @@ class MomentTest:
 
     def value(self, pts):
         pts = np.asarray(pts, dtype=float)
-        return np.einsum('ipq,np,nij->njq', T.EPS, pts, self.base.value(pts))
+        return _eps_x(pts, np.asarray(self.base.value(pts)))
 
     def gradient(self, pts):
+        """d_k value[j,q] = eps_ikq psi_ij + eps_ipq x_p d_k psi_ij."""
         pts = np.asarray(pts, dtype=float)
-        v = self.base.value(pts)
-        g = self.base.gradient(pts)
-        out = np.einsum('ikq,nij->njqk', T.EPS, v)
-        out += np.einsum('ipq,np,nijk->njqk', T.EPS, pts, g)
+        v = np.asarray(self.base.value(pts))
+        out = _eps_x(pts, np.asarray(self.base.gradient(pts)))
+        for q, ((p1, i1), (p2, i2)) in enumerate(_EPS_TERMS):
+            out[:, :, q, p1] += v[:, i1]
+            out[:, :, q, p2] -= v[:, i2]
         return out
 
 

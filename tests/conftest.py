@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -59,3 +61,25 @@ def ball_disk(ball):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def _snapshot(directory):
+    return {p.relative_to(directory).as_posix(): p.read_bytes()
+            for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+@pytest.fixture(scope="session", autouse=True)
+def scenarios_untouched():
+    """Fail the run if any test adds, removes or rewrites a file under
+    scenarios/: tests write their reports into temporary directories."""
+    before = _snapshot(SCENARIO_DIR) if SCENARIO_DIR.is_dir() else {}
+    yield
+    after = _snapshot(SCENARIO_DIR) if SCENARIO_DIR.is_dir() else {}
+    changed = sorted(name for name in before.keys() | after.keys()
+                     if before.get(name) != after.get(name))
+    if changed:
+        pytest.fail("tests changed files under scenarios/: "
+                    + ", ".join(changed))

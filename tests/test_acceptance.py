@@ -6,6 +6,7 @@ them on success).
 
 import json
 import os
+import shutil
 import time
 
 import numpy as np
@@ -255,10 +256,16 @@ def test_criterion_8_cauchy_flux_dichotomy(big_ball, unit_sphere, rng):
 
 
 def test_criterion_9_cli_golden_suite(tmp_path):
-    code, results = batch(SCENARIO_DIR, out=str(tmp_path / "summary.csv"))
+    # batch writes each report next to its scenario: run on a copy
+    suite = tmp_path / "scenarios"
+    suite.mkdir()
+    for name in os.listdir(SCENARIO_DIR):
+        if name.endswith(".json") and not name.endswith(".report.json"):
+            shutil.copy(os.path.join(SCENARIO_DIR, name), suite / name)
+    code, results = batch(str(suite), out=str(tmp_path / "summary.csv"))
     golden_ok = code == 0 and len(results) >= 12
 
-    soap = os.path.join(SCENARIO_DIR, "soap-film-sphere.json")
+    soap = str(suite / "soap-film-sphere.json")
     o1, o2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     run(soap, out=o1)
     run(soap, out=o2)

@@ -141,6 +141,36 @@ class TestPairingBasics:
             pair(bd, psi)
 
 
+class TestDensityMemo:
+    """Surface pairings evaluate their density once per distinct batch."""
+
+    @pytest.mark.parametrize("family", [CDist, FDist])
+    def test_supported_tests_share_batches(self, family, ball, sphere_half,
+                                           rng):
+        field = surface_polynomial(rng, 2, sphere_half, degree=2)
+        batches = []
+
+        def counted(batch):
+            batches.append(batch)
+            return field.value(batch)
+
+        dist = family(sphere_half, SurfaceField(counted, 2, sphere_half))
+        plain = family(sphere_half, field)
+        center, radius = np.array([0.45, 0.05, 0.1]), 0.2
+        tests = [make_bump(ball, center, radius, rank=2, rng=rng)
+                 for _ in range(3)]
+        for t in tests:
+            assert pair(dist, t) == pair(plain, t)
+        assert len(batches) == 2                 # one per level
+        other = make_bump(ball, [0.1, 0.45, -0.1], radius, rank=2, rng=rng)
+        assert pair(dist, other) == pair(plain, other)
+        assert len(batches) == 4
+        # a support given by equal values hits the same entries
+        again = make_bump(ball, list(center), radius, rank=2, rng=rng)
+        assert pair(dist, again) == pair(plain, again)
+        assert len(batches) == 4
+
+
 class TestDivergenceIdentity1:
     def test_identity_field_divergence(self, ball, rng):
         # density b = x: -B(grad psi) equals 3 * integral of psi

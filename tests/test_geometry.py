@@ -1,9 +1,13 @@
 """Quadrature exactness, differential geometry, and boundary integrals."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy import integrate
 
+from stressdist._memo import LruMemo
 from stressdist.errors import GeometryError
 from stressdist.fields import KelvinStressField, PiecewiseField
 from stressdist.geometry import (Ball, Box, CylinderAnnulus, SphericalShell,
@@ -286,6 +290,82 @@ class TestSupportQuadrature:
     def test_disjoint_support_empty(self, unit_sphere):
         b = unit_sphere.surface_quadrature(1, support=(np.zeros(3), 0.3))
         assert len(b) == 0
+
+
+class TestQuadratureMemos:
+    def test_lru_memo_evicts_least_recently_used(self):
+        memo = LruMemo(2)
+        calls = []
+
+        def make(v):
+            def compute():
+                calls.append(v)
+                return v
+            return compute
+
+        assert memo.get('a', make(1)) == 1
+        assert memo.get('b', make(2)) == 2
+        assert memo.get('a', make(-1)) == 1      # hit; 'a' becomes recent
+        memo.get('c', make(3))
+        assert 'a' in memo and 'c' in memo and 'b' not in memo
+        assert memo.get('x', lambda: None) is None and 'x' not in memo
+        assert calls == [1, 2, 3] and len(memo) == 2
+
+    def test_lru_memo_node_budget(self):
+        memo = LruMemo(5, budget=10)
+        memo.get('a', lambda: [0] * 4)
+        memo.get('b', lambda: [0] * 4)
+        memo.get('c', lambda: [0] * 4)            # 12 > 10: drops 'a'
+        assert 'a' not in memo and len(memo) == 2
+        memo.get('d', lambda: [0] * 20)           # the two newest stay
+        assert len(memo) == 2 and 'c' in memo and 'd' in memo
+        memo.get('e', lambda: [0])
+        assert len(memo) == 2 and 'c' not in memo
+
+    def test_lru_memo_concurrent_gets(self):
+        memo = LruMemo(3, budget=7)
+        wrong = []
+
+        def work(seed):
+            r = np.random.default_rng(seed)
+            for _ in range(3000):
+                k = int(r.integers(8))
+                v = memo.get(k, lambda: [k] * (k % 3 + 1))
+                if v[0] != k:
+                    wrong.append((k, v))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(s,))
+                       for s in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong
+        kept = [memo.get(k, lambda: None) for k in range(8) if k in memo]
+        assert 1 <= len(kept) <= 3 and sum(map(len, kept)) <= 7
+
+    def test_fiber_rules_keyed_by_interface_value(self):
+        center = np.array([0.45, 0.1, 0.0])
+        q = support_volume_quad(sphere_interface(0.5), center, 0.2, 0)
+        assert support_volume_quad(sphere_interface(0.5), center.copy(),
+                                   0.2, 0) is q
+        flipped = support_volume_quad(sphere_interface(0.5, orientation=-1.0),
+                                      center, 0.2, 0)
+        assert flipped is not q
+        assert np.array_equal(flipped.sides, -q.sides)
+
+    def test_support_batches_reused_by_value(self):
+        itf = sphere_interface(0.5)
+        center = np.array([0.45, 0.1, 0.0])
+        b = itf.surface_quadrature(1, support=(center, 0.2))
+        assert itf.surface_quadrature(1, support=(list(center), 0.2)) is b
+        assert itf.surface_quadrature(0, support=(center, 0.2)) is not b
 
 
 class TestDomainValidation:

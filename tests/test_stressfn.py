@@ -1,16 +1,23 @@
 """Double-curl stresses, density extraction, and the existence conditions."""
 
+import gc
+import json
+import os
+
 import numpy as np
 import pytest
 import sympy as sp
 
+from stressdist import _tensor as T
 from stressdist.catalog import kelvin_scenario, random_stress_function
+from stressdist.cli import run_scenario
 from stressdist.distributions import BDist, CompositeDist, pair
 from stressdist.equilibrium import bulk_residual, interface_residuals, \
     make_test_suite
 from stressdist.errors import FieldError, StressDistError
 from stressdist.fields import (CallableField, PiecewiseField, Poly3, PolyField,
-                               SurfaceField, surface_polynomial)
+                               SurfaceField, chart_derivatives,
+                               surface_polynomial)
 from stressdist.geometry import make_surface_batch, sphere_interface
 from stressdist.stressfn import (DensityTriple, MomentTest, StressFunction,
                                  check_lemma2_conditions, curl_curl,
@@ -159,6 +166,20 @@ class TestSurfaceCurl:
                    + np.einsum('nij,nj->ni', fv, gv))
             assert np.max(np.abs(got[:, i, :] - div)) < 1e-6
 
+    def test_chart_derivatives_taken_once(self, unit_sphere, rng):
+        a = surface_polynomial(rng, 2, unit_sphere, degree=2, symmetric=False)
+        axes = []
+
+        def dchart(batch, axis):
+            axes.append(axis)
+            return chart_derivatives(a, batch)[axis]
+
+        counted = SurfaceField(a.evaluator, 2, unit_sphere, dchart=dchart)
+        batch = unit_sphere.samples(30)
+        got = surface_curl(counted, batch)
+        assert sorted(axes) == [0, 1]
+        assert np.array_equal(got, surface_curl(a, batch))
+
 
 class TestExtraction:
     def test_smooth_potential_no_surface_densities(self, ball, sphere_half,
@@ -220,6 +241,26 @@ class TestExtraction:
         bk, _ = bulk_residual(scn, n=300)
         assert bk < 1e-10
         assert rb < 1e-6 and rc < 1e-7 and rd < 1e-10
+
+    def test_jump_gradient_once_per_batch(self, ball, sphere_half, rng):
+        phi = random_stress_function(rng, sphere_half, ball, degree=3,
+                                     scale=0.2)
+        batches = []
+        jump_gradient = phi.jump_gradient
+
+        def counted(pts):
+            batches.append(pts)
+            return jump_gradient(pts)
+
+        phi.jump_gradient = counted
+        triple = extract_densities(phi, sphere_half)
+        batch = sphere_half.surface_quadrature(1)
+        triple.sigma1.value(batch)
+        triple.sigma2.dchart(batch, 0)
+        triple.sigma2.dchart(batch, 1)
+        assert len(batches) == 1
+        triple.sigma1.value(sphere_half.surface_quadrature(0))
+        assert len(batches) == 2
 
     def test_sigma2_kills_normal(self, ball, sphere_half, rng):
         phi = random_stress_function(rng, sphere_half, ball, degree=4)
@@ -330,6 +371,49 @@ class TestLemma2AndGlobal:
         inner_moment = gc.components[1]["moment"]
         got = np.array([gm[f"component1-e{d}"] for d in range(3)])
         assert np.linalg.norm(got - inner_moment) < 1e-6
+
+
+class TestMomentTest:
+    @pytest.mark.parametrize("n", [1, 2000])
+    def test_matches_eps_einsum_bit_for_bit(self, rng, n):
+        x = rng.normal(size=(n, 3))
+        psi = rng.normal(size=(n, 3, 3))
+        dpsi = rng.normal(size=(n, 3, 3, 3))
+        for a in (x, psi, dpsi):          # exact zeros of both signs
+            a[rng.random(a.shape) < 0.1] = 0.0
+            a[rng.random(a.shape) < 0.1] = -0.0
+
+        class Base:
+            def value(self, pts):
+                return psi
+
+            def gradient(self, pts):
+                return dpsi
+
+        m = MomentTest(Base())
+        want_value = np.einsum('ipq,np,nij->njq', T.EPS, x, psi)
+        want_grad = np.einsum('ikq,nij->njqk', T.EPS, psi)
+        want_grad += np.einsum('ipq,np,nijk->njqk', T.EPS, x, dpsi)
+        for got, want in ((m.value(x), want_value),
+                          (m.gradient(x), want_grad)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            # same layout, so reductions over trailing axes sum alike
+            assert got.strides == want.strides
+
+
+def test_stress_function_run_leaves_no_reference_cycles():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
+                        "stress-function-ball.json")
+    with open(path, encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    gc.collect()
+    gc.disable()
+    try:
+        run_scenario(cfg)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestAlgebraicIdentities:
