@@ -362,14 +362,10 @@ def run_scenario(cfg, refine=0, seed_override=None):
         cfg = dict(cfg)
         cfg["seed"] = int(seed_override)
     t0 = time.time()
-    old_boost = distributions.LEVEL_BOOST
-    distributions.LEVEL_BOOST = int(refine)
-    try:
+    with distributions.refinement(refine):
         domain, interface = _build_geometry(cfg)
         rng = np.random.default_rng(int(cfg.get("seed", 0)))
         checks, tables = _DRIVERS[cfg["operation"]](cfg, domain, interface, rng)
-    finally:
-        distributions.LEVEL_BOOST = old_boost
     passed = all(c.passed for c in checks)
     report = {
         "schema_version": SCHEMA_VERSION,

@@ -13,6 +13,8 @@ estimate.  Comparisons downstream use max(abs_tol, rel_tol * scale).
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,16 +30,28 @@ from .geometry import (DEFAULT_SURFACE_LEVEL, DEFAULT_VOLUME_LEVEL,
 ABS_TOL = 1e-7
 REL_TOL = 1e-5
 
-# extra refinement applied on top of the per-path defaults (CLI --refine)
-LEVEL_BOOST = 0
+# extra refinement on top of the per-path defaults (CLI --refine); each
+# thread or context sees only the value its own refinement() block set
+_LEVEL_BOOST = contextvars.ContextVar("stressdist_level_boost", default=0)
 ADAPTED_LEVEL = 1          # support-clipped quadratures resolve locally
 VALUE_MEMO_SIZE = 8        # density values kept per distribution
+
+
+@contextlib.contextmanager
+def refinement(boost):
+    """Raise every default quadrature level by ``boost`` inside the block,
+    for the calling thread only."""
+    token = _LEVEL_BOOST.set(int(boost))
+    try:
+        yield
+    finally:
+        _LEVEL_BOOST.reset(token)
 
 
 def _lv(level, adapted):
     if level is not None:
         return level
-    return (ADAPTED_LEVEL if adapted else DEFAULT_VOLUME_LEVEL) + LEVEL_BOOST
+    return (ADAPTED_LEVEL if adapted else DEFAULT_VOLUME_LEVEL) + _LEVEL_BOOST.get()
 
 
 def _test_support(test):

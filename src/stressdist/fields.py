@@ -8,6 +8,9 @@ fields are differentiated in-chart (4th order, one-sided near chart edges).
 
 from __future__ import annotations
 
+import copy
+import math
+
 import numpy as np
 
 from . import _tensor as T
@@ -21,15 +24,61 @@ SIDE_GUARD_FACTOR = 5.0     # one-sided stencils within this many steps of S
 # ---------------------------------------------------------------------------
 # trivariate polynomials with exact derivatives
 
+_UNIT = np.eye(3, dtype=int)
+
+
+def _divisors(terms):
+    """Every exponent dividing one of terms, in lexicographic order, so each
+    exponent comes after the one with its last nonzero entry lowered."""
+    seen = set(terms) | {(0, 0, 0)}
+    todo = list(seen)
+    while todo:
+        i, j, k = todo.pop()
+        for d in ((i - 1, j, k), (i, j - 1, k), (i, j, k - 1)):
+            if -1 not in d and d not in seen:
+                seen.add(d)
+                todo.append(d)
+    return sorted(seen)
+
 
 class Poly3:
-    """Trivariate polynomial sum c_m * x^i y^j z^k."""
+    """Trivariate polynomials sum_m c[..., m] x^i y^j z^k over one exponent table.
+
+    ``exps`` is an (M, 3) table, duplicate rows allowed; ``coefs`` is (M,) for
+    one polynomial or (..., M) for stacked rows sharing the table, and
+    ``value`` returns (N,) + coefs.shape[:-1].  The constructor compiles the
+    table once: the coefficients are summed onto the monomials dividing a
+    term, and ``value`` builds each of those from its parent with one
+    multiply per point, then applies one matrix product for all rows.
+    """
 
     def __init__(self, exps, coefs):
-        self.exps = np.atleast_2d(np.asarray(exps, dtype=int))
-        self.coefs = np.asarray(coefs, dtype=float).ravel()
-        if self.exps.shape[0] != self.coefs.shape[0]:
+        self.exps = np.asarray(exps, dtype=int).reshape(-1, 3)
+        if np.any(self.exps < 0):
+            raise FieldError("negative polynomial exponent")
+        terms = list(map(tuple, self.exps.tolist()))
+        self._basis = _divisors(terms)
+        index = {e: m for m, e in enumerate(self._basis)}
+        self._steps = []            # (parent, axis): mono = parent * x_axis
+        for e in self._basis[1:]:
+            a = 2 if e[2] else (1 if e[1] else 0)
+            self._steps.append((index[e[:a] + (e[a] - 1,) + e[a + 1:]], a))
+        self._where = np.array([index[e] for e in terms], dtype=int)
+        self._set_coefs(coefs)
+
+    def _set_coefs(self, coefs):
+        self.coefs = np.atleast_1d(np.asarray(coefs, dtype=float))
+        if self.coefs.shape[-1] != len(self.exps):
             raise FieldError("polynomial term/coefficient mismatch")
+        rows = self.coefs.reshape(math.prod(self.coefs.shape[:-1]), -1)
+        self._matrix = np.zeros((len(self._basis), len(rows)))   # (K, rows)
+        np.add.at(self._matrix, self._where, rows.T)
+
+    def with_coefs(self, coefs):
+        """Polynomials with other coefficient rows over the same table."""
+        out = copy.copy(self)
+        out._set_coefs(coefs)
+        return out
 
     @classmethod
     def constant(cls, c):
@@ -44,39 +93,27 @@ class Poly3:
 
     def value(self, pts):
         pts = np.asarray(pts, dtype=float)
-        n = pts.shape[0]
-        mono = np.ones((self.exps.shape[0], n))
-        for ax in range(3):
-            dmax = int(self.exps[:, ax].max(initial=0))
-            if dmax == 0:
-                continue
-            pows = np.empty((dmax + 1, n))
-            pows[0] = 1.0
-            for k in range(1, dmax + 1):
-                pows[k] = pows[k - 1] * pts[:, ax]
-            mono *= pows[self.exps[:, ax]]
-        return self.coefs @ mono
+        n = len(pts)
+        cols = np.ascontiguousarray(pts.T)
+        mono = np.empty((len(self._basis), n))
+        mono[0] = 1.0
+        for m, (parent, axis) in enumerate(self._steps, 1):
+            np.multiply(mono[parent], cols[axis], out=mono[m])
+        return (mono.T @ self._matrix).reshape((n,) + self.coefs.shape[:-1])
 
     def derivative(self, axis):
-        e = self.exps.copy()
-        c = self.coefs * e[:, axis]
-        keep = e[:, axis] > 0
-        e = e[keep]
-        c = c[keep]
-        e[:, axis] -= 1
-        if len(c) == 0:
-            return Poly3.constant(0.0)
-        return Poly3(e, c)
+        return Poly3(np.maximum(self.exps - _UNIT[axis], 0),
+                     self.coefs * self.exps[:, axis])
 
     def gradient_polys(self):
         return [self.derivative(a) for a in range(3)]
 
     def __add__(self, other):
         return Poly3(np.vstack([self.exps, other.exps]),
-                     np.concatenate([self.coefs, other.coefs]))
+                     np.concatenate([self.coefs, other.coefs], axis=-1))
 
     def __neg__(self):
-        return Poly3(self.exps, -self.coefs)
+        return self.with_coefs(-self.coefs)
 
     def times_coordinate(self, axis):
         e = self.exps.copy()
@@ -84,19 +121,57 @@ class Poly3:
         return Poly3(e, self.coefs.copy())
 
     def scaled(self, a):
-        return Poly3(self.exps, a * self.coefs)
+        return self.with_coefs(a * self.coefs)
+
+
+def _compiled(exps, coefs):
+    """Poly3 with the rows coefs (..., M) over exps summed onto a table
+    closed under differentiation: every exponent dividing a nonzero term."""
+    live = np.any(coefs != 0, axis=tuple(range(coefs.ndim - 1)))
+    raw = Poly3(exps[live], coefs[..., live])
+    return Poly3(raw._basis, raw._matrix.T.reshape(coefs.shape[:-1] + (-1,)))
+
+
+def _stacked(polys, shape):
+    """Closed-table Poly3 with the scalar Poly3s ``polys`` as rows (*shape, K)."""
+    sizes = [len(p.exps) for p in polys]
+    coefs = np.zeros((len(polys), sum(sizes)))
+    coefs[np.repeat(np.arange(len(polys)), sizes), np.arange(sum(sizes))] = \
+        np.concatenate([p.coefs for p in polys])
+    return _compiled(np.vstack([p.exps for p in polys]),
+                     coefs.reshape(shape + (-1,)))
+
+
+def _derivative_rows(table, coefs):
+    """(..., 3, K): d/dx_a of the rows coefs (..., K) over a closed table."""
+    index = {e: m for m, e in enumerate(map(tuple, table.tolist()))}
+    out = np.zeros(coefs.shape[:-1] + (3, len(table)))
+    for a in range(3):
+        src = np.nonzero(table[:, a])[0]
+        dst = [index[tuple(e)] for e in (table[src] - _UNIT[a]).tolist()]
+        out[..., a, dst] = coefs[..., src] * table[src, a]
+    return out
 
 
 class PolyField:
     """Smooth field whose components are Poly3, with exact derivatives.
 
     rank 0: scalar; rank 1: components (3,); rank 2: components (3, 3).
+    The constructor compiles the components onto one closed exponent table;
+    value, gradient and divergence are coefficient rows over it, one
+    ``Poly3.value`` call each.  The derived curl, transpose and double-curl
+    fields are built on first use and kept.
     """
 
     def __init__(self, components, rank):
         self.rank = rank
         self.components = components
-        self._grads = None
+        self._value = _stacked(np.asarray(components, dtype=object).ravel(),
+                               (3,) * rank)
+        grads = _derivative_rows(self._value.exps, self._value.coefs)
+        self._gradient = self._value.with_coefs(grads)
+        self._divergence = (self._value.with_coefs(np.trace(grads, 0, -3, -2))
+                            if rank else None)
 
     @classmethod
     def random_symmetric(cls, rng, degree=3, scale=1.0):
@@ -113,103 +188,19 @@ class PolyField:
         return cls(np.array([Poly3.random(rng, degree, scale)
                              for _ in range(3)], dtype=object), rank=1)
 
-    def _flat_components(self):
-        if self.rank == 0:
-            return [self.components]
-        if self.rank == 1:
-            return list(self.components)
-        return [self.components[i, j] for i in range(3) for j in range(3)]
-
     def value(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        comps = self._flat_components()
-        vals = self._values_shared(comps, pts)
-        if self.rank == 0:
-            return vals[0]
-        if self.rank == 1:
-            return np.stack(vals, axis=-1)
-        out = np.empty((len(pts), 3, 3))
-        for k in range(9):
-            out[:, k // 3, k % 3] = vals[k]
-        return out
-
-    def _values_shared(self, comps, pts):
-        """Evaluate every component through one shared monomial table
-        (components are mapped onto the union exponent basis once)."""
-        if not hasattr(self, '_shared_basis'):
-            rows = {}
-            for c in comps:
-                for e in map(tuple, c.exps):
-                    rows.setdefault(e, len(rows))
-            exps = np.array(sorted(rows, key=rows.get), dtype=int)
-            index = {tuple(e): i for i, e in enumerate(exps)}
-            coef = np.zeros((len(comps), len(exps)))
-            for k, c in enumerate(comps):
-                for e, a in zip(map(tuple, c.exps), c.coefs):
-                    coef[k, index[e]] += a
-            self._shared_basis = (exps, coef)
-        exps, coef = self._shared_basis
-        n = pts.shape[0]
-        mono = np.ones((exps.shape[0], n))
-        for ax in range(3):
-            dmax = int(exps[:, ax].max(initial=0))
-            if dmax == 0:
-                continue
-            pows = np.empty((dmax + 1, n))
-            pows[0] = 1.0
-            for k in range(1, dmax + 1):
-                pows[k] = pows[k - 1] * pts[:, ax]
-            mono *= pows[exps[:, ax]]
-        return list(coef @ mono)
+        return self._value.value(pts)
 
     def __call__(self, pts):
         return self.value(pts)
 
-    def _grad_polys(self):
-        if self._grads is None:
-            if self.rank == 0:
-                self._grads = self.components.gradient_polys()
-            elif self.rank == 1:
-                self._grads = [p.gradient_polys() for p in self.components]
-            else:
-                self._grads = [[self.components[i, j].gradient_polys()
-                                for j in range(3)] for i in range(3)]
-        return self._grads
-
     def gradient(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        g = self._grad_polys()
-        if self.rank == 0:
-            return np.stack([p.value(pts) for p in g], axis=-1)
-        if self.rank == 1:
-            return np.stack([np.stack([gg.value(pts) for gg in g[i]], axis=-1)
-                             for i in range(3)], axis=1)
-        out = np.empty((len(pts), 3, 3, 3))
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    out[:, i, j, k] = g[i][j][k].value(pts)
-        return out
+        return self._gradient.value(pts)
 
     def divergence(self, pts):
-        if not hasattr(self, '_div_polys'):
-            if self.rank == 1:
-                acc = Poly3.constant(0.0)
-                for i in range(3):
-                    acc = acc + self.components[i].derivative(i)
-                self._div_polys = acc
-            elif self.rank == 2:
-                self._div_polys = []
-                for i in range(3):
-                    acc = Poly3.constant(0.0)
-                    for j in range(3):
-                        acc = acc + self.components[i, j].derivative(j)
-                    self._div_polys.append(acc)
-            else:
-                raise RankMismatchError("divergence needs a vector or tensor field")
-        if self.rank == 1:
-            return self._div_polys.value(pts)
-        return np.stack([p.value(pts) for p in self._div_polys], axis=-1)
+        if self._divergence is None:
+            raise RankMismatchError("divergence needs a vector or tensor field")
+        return self._divergence.value(pts)
 
     def curl_rows(self, pts):
         """Row-wise curl; exact (rank 2) or vector curl (rank 1)."""
@@ -218,34 +209,38 @@ class PolyField:
             return T.curl_from_gradient(grad)
         return T.tensor_curl_rows_from_gradient(grad)
 
+    def _kept(self, name, build):
+        # Write-once: a concurrent first use may build twice; one copy is kept.
+        field = self.__dict__.get(name)
+        if field is None:
+            field = self.__dict__.setdefault(name, build())
+        return field
+
     def transpose(self):
         if self.rank != 2:
             raise RankMismatchError("transpose needs a rank-2 field")
-        comp = np.empty((3, 3), dtype=object)
-        for i in range(3):
-            for j in range(3):
-                comp[i, j] = self.components[j, i]
-        return PolyField(comp, rank=2)
+        return self._kept('_transpose', lambda: _tensor_field(
+            self._value.exps, self._value.coefs.swapaxes(0, 1)))
 
     def curl_rows_field(self):
         """Row-wise curl as an exact polynomial field (rank 2 only)."""
         if self.rank != 2:
             raise RankMismatchError("curl field needs a rank-2 field")
-        comp = np.empty((3, 3), dtype=object)
-        for i in range(3):
-            for j in range(3):
-                acc = Poly3.constant(0.0)
-                for k in range(3):
-                    for l in range(3):
-                        e = T.EPS[j, k, l]
-                        if e != 0.0:
-                            acc = acc + self.components[i, l].derivative(k).scaled(e)
-                comp[i, j] = acc
-        return PolyField(comp, rank=2)
+        return self._kept('_curl', lambda: _tensor_field(
+            self._value.exps,
+            np.einsum('jkl,ilkm->ijm', T.EPS, self._gradient.coefs)))
 
     def inc_field(self):
         """curl((curl A)^T): the double-curl stress of a polynomial potential."""
         return self.curl_rows_field().transpose().curl_rows_field()
+
+
+def _tensor_field(exps, coefs):
+    """Rank-2 PolyField with the coefficient rows coefs (3, 3, M) over exps."""
+    comp = np.empty((3, 3), dtype=object)
+    for i, j in np.ndindex(3, 3):
+        comp[i, j] = Poly3(exps, coefs[i, j])
+    return PolyField(comp, rank=2)
 
 
 class CallableField:
@@ -588,9 +583,6 @@ def _chart_partial(field, batch, axis):
         dv = offsets_scaled if axis == 1 else 0.0
         return field.value(_shifted_batch(batch, du, dv))
 
-    n = len(batch)
-    shape = np.asarray(field.value(batch)).shape[1:]
-    out = np.zeros((n,) + shape)
     if periodic:
         acc = 0.0
         for off, w in zip(T.CENTRAL_OFFSETS, T.CENTRAL_WEIGHTS):
@@ -601,11 +593,13 @@ def _chart_partial(field, batch, axis):
     near_hi = coord + 2 * h > hi
     central = ~(near_lo | near_hi)
     direction = np.where(near_lo, 1.0, -1.0)
+    out = None              # shaped by the first stencil evaluation
     if np.any(central):
         acc = 0.0
         for off, w in zip(T.CENTRAL_OFFSETS, T.CENTRAL_WEIGHTS):
             du = np.where(central, off * h, 0.0)
             acc = acc + w * val_at(du)
+        out = np.zeros_like(acc)
         out[central] = (acc / h)[central]
     onesided = ~central
     if np.any(onesided):
@@ -613,9 +607,11 @@ def _chart_partial(field, batch, axis):
         for off, w in zip(T.ONESIDED_OFFSETS, T.ONESIDED_WEIGHTS):
             du = np.where(onesided, direction * off * h, 0.0)
             acc = acc + w * val_at(du)
-        d = direction.reshape((-1,) + (1,) * len(shape))
+        if out is None:
+            out = np.zeros_like(acc)
+        d = direction.reshape((-1,) + (1,) * (acc.ndim - 1))
         out[onesided] = (acc / (d * h))[onesided]
-    return out
+    return out if out is not None else np.asarray(field.value(batch))
 
 
 def chart_derivatives(field, batch):
@@ -680,85 +676,82 @@ def _bump_radial(q):
     return beta, b1, b2
 
 
-class _BumpBase:
-    """Shared radial machinery: q = |x-c|^2 / r^2."""
+class _ComponentBump:
+    """Radial bump beta(|x-c|^2/r^2) times one polynomial per component.
 
-    def __init__(self, center, radius):
+    The constructor compiles the distinct polynomials onto one closed
+    exponent table, as rows for P, for P and dP, and for P, dP and ddP; each
+    value, gradient or hessian call then costs one radial factor and one
+    ``Poly3.value`` call, and ``_pick`` maps the distinct rows onto the
+    components.
+    """
+
+    def __init__(self, center, radius, polys, shape):
         self.center = np.asarray(center, dtype=float)
         self.radius = float(radius)
+        self.polys = polys
+        self.shape = shape
+        # list.index matches Poly3s by identity: shared entries compile once
+        distinct = [p for i, p in enumerate(polys) if polys.index(p) == i]
+        pick = [distinct.index(p) for p in polys]
+        self._pick = None if pick == list(range(len(pick))) else np.array(pick)
+        self._value = _stacked(distinct, (len(distinct),))
+        P = self._value.coefs
+        G = _derivative_rows(self._value.exps, P).reshape(-1, P.shape[1])
+        H = _derivative_rows(self._value.exps, G).reshape(-1, P.shape[1])
+        self._gradient = self._value.with_coefs(np.concatenate([P, G]))
+        self._hessian = self._value.with_coefs(np.concatenate([P, G, H]))
 
-    def _q(self, pts):
-        d = pts - self.center
+    def _radial(self, pts):
+        """beta, d beta/dq, d2 beta/dq2 and grad q; hess q is (2/r^2) I."""
+        d = np.asarray(pts, dtype=float) - self.center
         q = np.einsum('ni,ni->n', d, d) / self.radius ** 2
-        dq = 2.0 * d / self.radius ** 2
-        return q, dq
+        return _bump_radial(q) + (2.0 * d / self.radius ** 2,)
 
-    def _parts(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        q, dq = self._q(pts)
-        beta, b1, b2 = _bump_radial(q)
-        hq = 2.0 / self.radius ** 2            # hessian of q is (2/r^2) I
-        return pts, beta, b1, b2, dq, hq
+    def _components(self, rows):
+        """(N, distinct, ...) rows -> (N,) + shape + (...)."""
+        if self._pick is not None:
+            rows = rows[:, self._pick]
+        return rows.reshape((len(rows),) + self.shape + rows.shape[2:])
+
+    def value(self, pts):
+        beta = self._radial(pts)[0]
+        return self._components(self._value.value(pts) * beta[:, None])
+
+    def gradient(self, pts):
+        beta, b1, _, dq = self._radial(pts)
+        rows = self._gradient.value(pts)
+        u = rows.shape[1] // 4
+        P = rows[:, :u]
+        gP = rows[:, u:].reshape(-1, u, 3)
+        out = beta[:, None, None] * gP
+        out += (P * b1[:, None])[:, :, None] * dq[:, None, :]
+        return self._components(out)
+
+    def hessian(self, pts):
+        beta, b1, b2, dq = self._radial(pts)
+        hq = 2.0 / self.radius ** 2
+        rows = self._hessian.value(pts)
+        u = rows.shape[1] // 13
+        P = rows[:, :u, None, None]
+        gP = rows[:, u:4 * u].reshape(-1, u, 3)
+        out = beta[:, None, None, None] * rows[:, 4 * u:].reshape(-1, u, 3, 3)
+        dq = dq[:, None, :]
+        out += b1[:, None, None, None] * (gP[..., :, None] * dq[..., None, :]
+                                          + dq[..., :, None] * gP[..., None, :])
+        out += (P * b2[:, None, None, None]) * dq[..., :, None] * dq[..., None, :]
+        out += (P * b1[:, None, None, None]) * hq * T.I3
+        return self._components(out)
 
 
-class BumpScalar(_BumpBase):
+class BumpScalar(_ComponentBump):
     """psi(x) = P(x) * exp(1 - 1/(1 - |x-c|^2/r^2)) inside the support ball."""
 
     rank = 0
 
     def __init__(self, center, radius, poly=None):
-        super().__init__(center, radius)
         self.poly = poly if poly is not None else Poly3.constant(1.0)
-        self._gp = self.poly.gradient_polys()
-        self._hp = [[self._gp[a].derivative(b) for b in range(3)] for a in range(3)]
-
-    def value(self, pts):
-        pts, beta, _, _, _, _ = self._parts(pts)
-        return self.poly.value(pts) * beta
-
-    def gradient(self, pts):
-        pts, beta, b1, _, dq, _ = self._parts(pts)
-        P = self.poly.value(pts)
-        gP = np.stack([g.value(pts) for g in self._gp], axis=-1)
-        return beta[:, None] * gP + (P * b1)[:, None] * dq
-
-    def hessian(self, pts):
-        pts, beta, b1, b2, dq, hq = self._parts(pts)
-        P = self.poly.value(pts)
-        gP = np.stack([g.value(pts) for g in self._gp], axis=-1)
-        hP = np.empty((len(pts), 3, 3))
-        for a in range(3):
-            for b in range(3):
-                hP[:, a, b] = self._hp[a][b].value(pts)
-        out = beta[:, None, None] * hP
-        out += b1[:, None, None] * (gP[:, :, None] * dq[:, None, :]
-                                    + dq[:, :, None] * gP[:, None, :])
-        out += (P * b2)[:, None, None] * dq[:, :, None] * dq[:, None, :]
-        out += (P * b1)[:, None, None] * hq * T.I3
-        return out
-
-
-class _ComponentBump(_BumpBase):
-    """Vector/tensor bump assembled from per-component polynomials."""
-
-    def __init__(self, center, radius, polys, shape):
-        super().__init__(center, radius)
-        self.polys = polys
-        self.shape = shape
-        self._scalars = [BumpScalar(center, radius, p) for p in polys]
-
-    def value(self, pts):
-        vals = [s.value(pts) for s in self._scalars]
-        return np.stack(vals, axis=-1).reshape((len(np.asarray(pts)),) + self.shape)
-
-    def gradient(self, pts):
-        g = [s.gradient(pts) for s in self._scalars]
-        return np.stack(g, axis=1).reshape((len(np.asarray(pts)),) + self.shape + (3,))
-
-    def hessian(self, pts):
-        h = [s.hessian(pts) for s in self._scalars]
-        return np.stack(h, axis=1).reshape(
-            (len(np.asarray(pts)),) + self.shape + (3, 3))
+        super().__init__(center, radius, [self.poly], ())
 
 
 class BumpVector(_ComponentBump):

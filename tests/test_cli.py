@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -155,6 +156,50 @@ class TestBatch:
     def test_main_entrypoint(self, tmp_path):
         path = _write(tmp_path, "soap.json", SOAP)
         assert main(["run", path, "--out", str(tmp_path / "r.json")]) == 0
+
+    def test_refinement_is_per_scenario_across_threads(self, monkeypatch):
+        # B runs at refine=0 and finishes while A, at refine=1, is still
+        # inside its operation: A must still see its own level afterwards.
+        from stressdist import cli, distributions
+        from stressdist.geometry import DEFAULT_VOLUME_LEVEL
+        barrier = threading.Barrier(2, timeout=30)
+        seen = {}
+
+        # Barrier phases: 1) B is inside its operation and A starts; 2) both
+        # are inside their operations; 3) B has returned from run_scenario.
+        def operation(cfg, domain, interface, rng):
+            barrier.wait()                  # B: phase 1, A: phase 2
+            barrier.wait()                  # B: phase 2, A: phase 3
+            seen[threading.current_thread().name] = distributions._lv(
+                None, adapted=False)
+            return [], {}
+
+        monkeypatch.setitem(cli._DRIVERS, SOAP["operation"], operation)
+        errors = []
+
+        def run_b():
+            try:
+                run_scenario(SOAP, refine=0)
+                barrier.wait()
+            except Exception as exc:        # surfaced by the assert below
+                errors.append(exc)
+
+        def run_a():
+            try:
+                barrier.wait()
+                run_scenario(SOAP, refine=1)
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run_b, name="B"),
+                   threading.Thread(target=run_a, name="A")]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert seen == {"A": DEFAULT_VOLUME_LEVEL + 1, "B": DEFAULT_VOLUME_LEVEL}
 
 
 class TestIdentityScenario:

@@ -1,20 +1,26 @@
 """Field evaluators, analytic derivatives, jumps, and surface operators."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import sympy as sp
 from scipy import integrate
 
+from stressdist import _tensor as T
 from stressdist._tensor import fd_gradient
+from stressdist.catalog import _poly_times, _radial_pressure_field
 from stressdist.errors import FieldError
 from stressdist.fields import (BumpScalar, BumpSymTensor, BumpVector,
                                ConstantField, ModulatedTest, PiecewiseField,
                                PlateauFactor, Poly3, PolyField,
                                SmoothStepProfile, SquaredDistanceFactor,
-                               SurfaceField, jump, make_bump,
+                               SurfaceField, _chart_partial, jump, make_bump,
                                make_gradient_test_field, surface_divergence,
                                surface_gradient)
-from stressdist.geometry import cylinder_patch_interface, integrate_volume
+from stressdist.geometry import (cylinder_patch_interface, integrate_volume,
+                                 make_surface_batch)
 
 
 def _rand_points(rng, n, scale=0.4, center=(0, 0, 0)):
@@ -38,6 +44,180 @@ class TestPoly3:
         q = p.times_coordinate(1)
         pts = _rand_points(rng, 20)
         assert np.allclose(q.value(pts), pts[:, 1] * p.value(pts), atol=1e-14)
+
+
+def _per_term(exps, coefs, pts):
+    """Reference evaluator: powers per axis, one gathered monomial per term,
+    then coefs @ mono.  Returns the values and sum_m |c_m mono_m|, both
+    shaped (N,) + coefs.shape[:-1]."""
+    exps = np.asarray(exps, dtype=int).reshape(-1, 3)
+    mono = np.ones((len(exps), len(pts)))
+    for ax in range(3):
+        dmax = int(exps[:, ax].max(initial=0))
+        pows = np.empty((dmax + 1, len(pts)))
+        pows[0] = 1.0
+        for k in range(1, dmax + 1):
+            pows[k] = pows[k - 1] * pts[:, ax]
+        mono *= pows[exps[:, ax]]
+    coefs = np.asarray(coefs, dtype=float)
+    return (np.moveaxis(coefs @ mono, -1, 0),
+            np.moveaxis(np.abs(coefs) @ np.abs(mono), -1, 0))
+
+
+def _assert_matches_per_term(p, pts):
+    want, scale = _per_term(p.exps, p.coefs, pts)
+    got = p.value(pts)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+class TestPolyKernel:
+    """Poly3.value against the per-term loop, |delta| <= 1e-13 sum|c mono|."""
+
+    def test_duplicate_exponents(self, rng):
+        pts = _rand_points(rng, 300, scale=1.5)
+        prod = _poly_times(Poly3.random(rng, 3), Poly3.random(rng, 2))
+        assert len(np.unique(prod.exps, axis=0)) < len(prod.exps)
+        _assert_matches_per_term(prod, pts)
+        pressure = _radial_pressure_field([1.0, -0.5, 0.25, 0.125])
+        p00 = pressure.components[0, 0]
+        assert len(np.unique(p00.exps, axis=0)) < len(p00.exps)
+        _assert_matches_per_term(p00, pts)
+        want, scale = _per_term(p00.exps, p00.coefs, pts)
+        got = pressure.value(pts)
+        assert np.all(np.abs(got[:, 1, 1] - want) <= 1e-13 * scale)
+        assert np.all(got[:, 0, 1] == 0.0)
+
+    def test_constant_and_zero(self, rng):
+        pts = _rand_points(rng, 50)
+        for p in (Poly3.constant(2.5), Poly3.constant(0.0),
+                  Poly3(np.zeros((0, 3), dtype=int), np.zeros(0)),
+                  Poly3([[2, 0, 1], [0, 3, 0]], [0.0, 0.0])):
+            _assert_matches_per_term(p, pts)
+        assert np.all(Poly3.constant(2.5).value(pts) == 2.5)
+        assert np.all(Poly3.constant(0.0).derivative(1).value(pts) == 0.0)
+
+    def test_degree_six_and_sparse_terms(self, rng):
+        pts = _rand_points(rng, 400, scale=1.3)
+        _assert_matches_per_term(Poly3.random(rng, 6), pts)
+        _assert_matches_per_term(
+            Poly3([[0, 0, 6], [6, 0, 0], [2, 2, 2], [0, 5, 1]],
+                  rng.uniform(-1, 1, 4)), pts)
+
+    def test_stacked_rows(self, rng):
+        pts = _rand_points(rng, 200, scale=1.2)
+        base = Poly3.random(rng, 4)
+        coefs = rng.uniform(-1, 1, (2, 3, len(base.exps)))
+        stacked = base.with_coefs(coefs)
+        assert stacked.value(pts).shape == (200, 2, 3)
+        _assert_matches_per_term(stacked, pts)
+        dup = Poly3([[1, 0, 0], [1, 0, 0], [0, 2, 1]],
+                    rng.uniform(-1, 1, (4, 3)))
+        _assert_matches_per_term(dup, pts)
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(FieldError):
+            Poly3([[0, -1, 0]], [1.0])
+
+
+class TestPolyFieldKernel:
+    def test_divergence_is_trace_of_gradient(self, rng):
+        pts = _rand_points(rng, 200, scale=1.2)
+        vec = PolyField.random_vector(rng, 4)
+        ten = PolyField(np.array([[Poly3.random(rng, 3) for _ in range(3)]
+                                  for _ in range(3)], dtype=object), rank=2)
+        for f, sub in ((vec, 'nii->n'), (ten, 'nijj->ni')):
+            want = np.einsum(sub, f.gradient(pts))
+            scale = np.max(np.abs(f.gradient(pts)))
+            assert np.max(np.abs(f.divergence(pts) - want)) <= 1e-13 * scale
+
+    def test_gradient_matches_component_derivatives(self, rng):
+        pts = _rand_points(rng, 150, scale=1.2)
+        f = PolyField.random_symmetric(rng, 4)
+        g = f.gradient(pts)
+        for i in range(3):
+            for j in range(3):
+                for k in range(3):
+                    d = f.components[i, j].derivative(k)
+                    want, scale = _per_term(d.exps, d.coefs, pts)
+                    assert np.all(np.abs(g[:, i, j, k] - want) <= 1e-13 * scale)
+
+    def test_derived_fields_are_kept(self, rng):
+        f = PolyField.random_symmetric(rng, 3)
+        assert f.curl_rows_field() is f.curl_rows_field()
+        assert f.transpose() is f.transpose()
+        assert f.inc_field() is f.inc_field()
+
+    def test_concurrent_first_use_keeps_one_derived_field(self, rng):
+        # more threads than cores race on the first inc_field(): every
+        # caller must get the one field that is kept
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                f = PolyField.random_symmetric(rng, 4)
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    got = list(pool.map(lambda _: f.inc_field(), range(16),
+                                        timeout=60))
+                assert all(g is f.inc_field() for g in got)
+        finally:
+            sys.setswitchinterval(old)
+
+
+def _radial_parts(center, radius, pts):
+    d = pts - center
+    q = np.einsum('ni,ni->n', d, d) / radius ** 2
+    om = np.where(q < 1.0, 1.0 - q, 1.0)
+    beta = np.where(q < 1.0, np.exp(1.0 - 1.0 / om), 0.0)
+    b1 = -beta / om ** 2
+    b2 = beta * (1.0 / om ** 4 - 2.0 / om ** 3)
+    return beta, b1, b2, 2.0 * d / radius ** 2, 2.0 / radius ** 2
+
+
+def _product_rule(poly, center, radius, pts):
+    """psi = P beta(q): value, gradient and Hessian of one component."""
+    beta, b1, b2, dq, hq = _radial_parts(center, radius, pts)
+    P = poly.value(pts)
+    gP = np.stack([poly.derivative(a).value(pts) for a in range(3)], axis=-1)
+    hP = np.stack([np.stack([poly.derivative(a).derivative(b).value(pts)
+                             for b in range(3)], axis=-1)
+                   for a in range(3)], axis=-2)
+    val = P * beta
+    grad = beta[:, None] * gP + (P * b1)[:, None] * dq
+    hess = (beta[:, None, None] * hP
+            + b1[:, None, None] * (gP[:, :, None] * dq[:, None, :]
+                                   + dq[:, :, None] * gP[:, None, :])
+            + (P * b2)[:, None, None] * dq[:, :, None] * dq[:, None, :]
+            + (P * b1)[:, None, None] * hq * np.eye(3))
+    return val, grad, hess
+
+
+class TestBumpKernel:
+    def test_components_follow_the_product_rule(self, rng):
+        c, r = np.array([0.1, -0.05, 0.2]), 0.6
+        pts = _rand_points(rng, 300, scale=0.55, center=c)
+        polys = [Poly3.random(rng, 3) for _ in range(6)]
+        sym = np.empty((3, 3), dtype=object)
+        for (i, j), p in zip(zip(*np.triu_indices(3)), polys):
+            sym[i, j] = sym[j, i] = p
+        cases = [(BumpScalar(c, r, polys[0]), [polys[0]], ()),
+                 (BumpVector(c, r, polys[:3]), polys[:3], (3,)),
+                 (BumpSymTensor(c, r, polys), list(sym.ravel()), (3, 3))]
+        for bump, comps, shape in cases:
+            got = (bump.value(pts), bump.gradient(pts), bump.hessian(pts))
+            parts = [_product_rule(p, c, r, pts) for p in comps]
+            for k, tail in enumerate(((), (3,), (3, 3))):
+                want = np.stack([pt[k] for pt in parts], axis=1).reshape(
+                    (len(pts),) + shape + tail)
+                assert got[k].shape == want.shape
+                tol = 1e-12 * (np.max(np.abs(want)) + 1.0)
+                assert np.max(np.abs(got[k] - want)) <= tol
+
+    def test_shared_polynomials_compile_once(self, ball, rng):
+        t = make_bump(ball, [0.0, 0.0, 0.0], 0.5, rank=2, rng=rng)
+        assert t._value.coefs.shape[0] == 6      # one row per distinct poly
+        tv = t.value(_rand_points(rng, 40, scale=0.45))
+        assert np.array_equal(tv, np.swapaxes(tv, -1, -2))
 
 
 class TestBumps:
@@ -289,3 +469,26 @@ class TestSurfaceOperators:
         d1 = surface_divergence(with_grad, batch)
         d2 = surface_divergence(plain, batch)
         assert np.max(np.abs(d1 - d2)) < 1e-7
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_chart_partial_evaluates_only_stencil_points(self, unit_sphere,
+                                                         axis):
+        # sphere chart: u (polar angle) is bounded, v (azimuth) is periodic;
+        # u = 1e-3 lies within two steps of the pole, so axis 0 needs both
+        # the central and the one-sided stencil
+        batch = make_surface_batch(unit_sphere.patch,
+                                   [1e-3, 0.5, 1.5, 2.9], [0.2, 1.0, 2.0, 6.0])
+        calls = []
+
+        def ev(b):
+            calls.append(len(b))
+            return b.points[:, 0] * b.points[:, 2] + b.points[:, 1]
+
+        got = _chart_partial(SurfaceField(ev, 0, unit_sphere), batch, axis)
+        periodic = axis == 1
+        assert unit_sphere.patch.periodic_v and not getattr(
+            unit_sphere.patch, 'periodic_u', False)
+        want = (len(T.CENTRAL_OFFSETS) if periodic
+                else len(T.CENTRAL_OFFSETS) + len(T.ONESIDED_OFFSETS))
+        assert len(calls) == want
+        assert got.shape == (4,)
