@@ -25,7 +25,7 @@ from ._memo import LruMemo
 from .errors import ConfigError, RankMismatchError, StressDistError
 from .fields import SurfaceField, surface_divergence
 from .geometry import (DEFAULT_SURFACE_LEVEL, DEFAULT_VOLUME_LEVEL,
-                       support_key, support_volume_quad)
+                       blocked_sum, support_key, support_volume_quad)
 
 ABS_TOL = 1e-7
 REL_TOL = 1e-5
@@ -172,25 +172,31 @@ class BDist:
         self.rank = field.rank
         self._memo = LruMemo(VALUE_MEMO_SIZE)
 
-    def _values(self, quad, key, method='value'):
-        """Field values (or ``method='divergence'``) on a rule from
-        ``_volume_quad``, kept per value key when the rule has one."""
-        def compute():
-            return np.asarray(getattr(self.field, method)(quad.points))
+    def _pair_sum(self, quad, key, method, test_value):
+        """Streamed quadrature of ``field.<method> : test_value`` over a rule
+        from ``_volume_quad``.
+
+        Field values are kept whole per value key when the rule has one and
+        sliced per block; on other rules both sides are evaluated one block
+        at a time.
+        """
+        evaluate = getattr(self.field, method)
         if key is None:
-            return compute()
-        return self._memo.get((method,) + key, compute)
+            return blocked_sum(quad.weights,
+                               lambda x: _contract(evaluate(x), test_value(x)),
+                               quad.points)
+        vals = self._memo.get((method,) + key,
+                              lambda: np.asarray(evaluate(quad.points)))
+        return blocked_sum(quad.weights,
+                           lambda x, v: _contract(v, test_value(x)),
+                           quad.points, vals)
 
     def pair(self, test, level=None):
         support = _test_support(test)
 
         def run(lv):
             q, key = _volume_quad(self, lv, support, test)
-            if len(q) == 0:
-                return 0.0
-            return float(np.dot(q.weights,
-                                _contract(self._values(q, key),
-                                          test.value(q.points))))
+            return self._pair_sum(q, key, 'value', test.value)
         return _two_level(run, _lv(level, support is not None))
 
 
@@ -226,9 +232,9 @@ class CDist(_SurfaceDist):
             b = self.interface.surface_quadrature(lv, support=support)
             if len(b) == 0:
                 return 0.0
-            return float(np.dot(b.weights,
-                                _contract(self._values(b, lv, support),
-                                          test.value(b.points))))
+            return blocked_sum(b.weights, None,
+                               _contract(self._values(b, lv, support),
+                                         test.value(b.points)))
         return _two_level(run, _lv(level, support is not None))
 
 
@@ -246,9 +252,9 @@ class FDist(_SurfaceDist):
                 return 0.0
             dpsi_dn = np.einsum('n...j,nj->n...', test.gradient(b.points),
                                 b.normals)
-            return float(np.dot(b.weights,
-                                _contract(self._values(b, lv, support),
-                                          dpsi_dn)))
+            return blocked_sum(b.weights, None,
+                               _contract(self._values(b, lv, support),
+                                         dpsi_dn))
         return _two_level(run, _lv(level, support is not None))
 
 
@@ -397,11 +403,7 @@ def identity1_rhs(dist, test, level=None):
     if isinstance(dist, BDist):
         def run_vol(lv):
             q, key = _volume_quad(dist, lv, support, test)
-            if len(q) == 0:
-                return 0.0
-            return float(np.dot(q.weights,
-                                _contract(dist._values(q, key, 'divergence'),
-                                          test.value(q.points))))
+            return dist._pair_sum(q, key, 'divergence', test.value)
 
         out = _two_level(run_vol, _lv(level, support is not None))
         if dist.interface is not None:
@@ -410,7 +412,8 @@ def identity1_rhs(dist, test, level=None):
                 if len(b) == 0:
                     return 0.0
                 jn = _density_dot_normal(dist.field.jump(b), b.normals, rank)
-                return float(np.dot(b.weights, _contract(jn, test.value(b.points))))
+                return blocked_sum(b.weights, None,
+                                   _contract(jn, test.value(b.points)))
 
             out = out + _two_level(run_surf, _lv(level, support is not None))
         return out
@@ -431,7 +434,7 @@ def identity1_rhs(dist, test, level=None):
                                 b.normals)
             integrand = (_contract(coeff, test.value(b.points))
                          - _contract(cn, dpsi_dn))
-            return float(np.dot(b.weights, integrand))
+            return blocked_sum(b.weights, None, integrand)
 
         return _two_level(run, slevel)
 
@@ -457,7 +460,7 @@ def identity1_rhs(dist, test, level=None):
             integrand = (-_contract(div_shaped, test.value(b.points))
                          + _contract(coeff, dpsi_dn)
                          - _contract(fn, hnn))
-            return float(np.dot(b.weights, integrand))
+            return blocked_sum(b.weights, None, integrand)
 
         return _two_level(run, slevel)
 
@@ -504,9 +507,7 @@ def identity2_rhs(dist, gfield, level=None):
 
         def run_vol(lv):
             q, key = _volume_quad(dist, lv, None, gfield)
-            return -float(np.dot(q.weights,
-                                 _contract(dist._values(q, key, 'divergence'),
-                                           gfield.u(q.points))))
+            return -dist._pair_sum(q, key, 'divergence', gfield.u)
 
         out = _two_level(run_vol, vlevel)
         if dist.interface is not None:
@@ -515,8 +516,8 @@ def identity2_rhs(dist, gfield, level=None):
             def run_surf(lv):
                 b = dist.interface.surface_quadrature(lv)
                 jn = np.einsum('nij,nj->ni', dist.field.jump(b), b.normals)
-                return -float(np.dot(b.weights,
-                                     _contract(jn, gfield.u(b.points))))
+                return -blocked_sum(b.weights, None,
+                                    _contract(jn, gfield.u(b.points)))
 
             out = out + _two_level(run_surf, slevel)
         blevel = _lv(level, False)
@@ -541,7 +542,7 @@ def identity2_rhs(dist, gfield, level=None):
             du_dn = np.einsum('nij,nj->ni', gfield.value(b.points), b.normals)
             integrand = (-_contract(coeff, gfield.u(b.points))
                          + _contract(cn, du_dn))
-            return float(np.dot(b.weights, integrand))
+            return blocked_sum(b.weights, None, integrand)
 
         out = _two_level(run, slevel)
         csum = 0.0
@@ -571,7 +572,7 @@ def identity2_rhs(dist, gfield, level=None):
             integrand = (_contract(div_shaped, gfield.u(b.points))
                          - _contract(coeff, du_dn)
                          + _contract(fn, hnn))
-            return float(np.dot(b.weights, integrand))
+            return blocked_sum(b.weights, None, integrand)
 
         out = _two_level(run, slevel)
         csum = 0.0
@@ -684,19 +685,22 @@ def mollified_pair(dist, test, rho, domain=None, level=None):
     vlevel = _lv(level, support is not None)
     breaks = _mollifier_breaks(domain, interface, rho)
 
+    def layer(x):
+        """Mollified density paired with the test, zero off the 6 rho layer."""
+        s = interface.signed_distance(x)
+        active = np.abs(s) <= 6.0 * rho
+        out = np.zeros(len(x))
+        if np.any(active):
+            pts = x[active]
+            dens = dist.density.value(interface.project_batch(pts))
+            out[active] = profile(s[active], rho) * _contract(
+                dens, np.asarray(test.value(pts)))
+        return out
+
     def run(lv):
         q = domain.volume_quadrature(interface, lv, extra_breaks=breaks,
                                      support=support)
-        s = interface.signed_distance(q.points)
-        w = profile(s, rho)
-        active = np.abs(s) <= 6.0 * rho
-        if not np.any(active):
-            return 0.0
-        pts = q.points[active]
-        proj = interface.project_batch(pts)
-        dens = dist.density.value(proj)
-        tv = np.asarray(test.value(pts))
-        return float(np.dot(q.weights[active] * w[active], _contract(dens, tv)))
+        return blocked_sum(q.weights, layer, q.points)
 
     return _two_level(run, vlevel)
 

@@ -28,7 +28,7 @@ from .errors import FieldError, GeometryError
 from .fields import (BumpSymTensor, ModulatedTest, Poly3,
                      SquaredDistanceFactor, SurfaceField, make_bump,
                      surface_divergence, surface_gradient)
-from .geometry import plane_disk_interface
+from .geometry import blocked_sum, plane_disk_interface
 
 LOCAL_TOL_ANALYTIC = 1e-6
 LOCAL_TOL_FD = 1e-4
@@ -548,7 +548,7 @@ def dipole_limit(domain, sigma0, h_values, tests=None, z0=0.0, n_tests=10,
                                    support=support)
         if len(b) == 0:
             return 0.0
-        return float(np.dot(b.weights, fn(b)))
+        return blocked_sum(b.weights, None, fn(b))
 
     errors = [[] for _ in tests]
     exact = []

@@ -661,29 +661,44 @@ def surface_divergence(field, batch):
 # compactly supported smooth test functions
 
 
-def _bump_radial(q):
-    """beta(q) = exp(1 - 1/(1-q)) for q < 1 else 0, and dq-derivatives."""
+def _bump_radial(q, order):
+    """[beta, d beta/dq, d2 beta/dq2][:order + 1] with
+    beta(q) = exp(1 - 1/(1-q)) for q < 1 else 0."""
     q = np.asarray(q, dtype=float)
     m = q < 1.0 - 1e-9
-    beta = np.zeros_like(q)
-    b1 = np.zeros_like(q)
-    b2 = np.zeros_like(q)
     om = 1.0 - q[m]
     e = np.exp(1.0 - 1.0 / om)
-    beta[m] = e
-    b1[m] = -e / om ** 2
-    b2[m] = e * (1.0 / om ** 4 - 2.0 / om ** 3)
-    return beta, b1, b2
+    inside = [e]
+    if order >= 1:
+        inside.append(-e / om ** 2)
+    if order >= 2:
+        inside.append(e * (1.0 / om ** 4 - 2.0 / om ** 3))
+    out = []
+    for v in inside:
+        full = np.zeros_like(q)
+        full[m] = v
+        out.append(full)
+    return out
+
+
+def jet(f, pts, order):
+    """[value, gradient, hessian][:order + 1] of a test function or factor,
+    from its own ``jet`` when it has one."""
+    own = getattr(f, 'jet', None)
+    if own is not None:
+        return own(pts, order)
+    return [m(pts) for m in (f.value, f.gradient, f.hessian)[:order + 1]]
 
 
 class _ComponentBump:
     """Radial bump beta(|x-c|^2/r^2) times one polynomial per component.
 
     The constructor compiles the distinct polynomials onto one closed
-    exponent table, as rows for P, for P and dP, and for P, dP and ddP; each
-    value, gradient or hessian call then costs one radial factor and one
-    ``Poly3.value`` call, and ``_pick`` maps the distinct rows onto the
-    components.
+    exponent table, as rows for P, for P and dP, and for P, dP and ddP; a
+    derivative of order k, alone or in a ``jet`` with the lower orders,
+    then costs one radial factor with its first k q-derivatives and one
+    ``Poly3.value`` call on the order-k rows, and ``_pick`` maps the
+    distinct rows onto the components.
     """
 
     def __init__(self, center, radius, polys, shape):
@@ -702,46 +717,61 @@ class _ComponentBump:
         self._gradient = self._value.with_coefs(np.concatenate([P, G]))
         self._hessian = self._value.with_coefs(np.concatenate([P, G, H]))
 
-    def _radial(self, pts):
-        """beta, d beta/dq, d2 beta/dq2 and grad q; hess q is (2/r^2) I."""
-        d = np.asarray(pts, dtype=float) - self.center
-        q = np.einsum('ni,ni->n', d, d) / self.radius ** 2
-        return _bump_radial(q) + (2.0 * d / self.radius ** 2,)
-
     def _components(self, rows):
         """(N, distinct, ...) rows -> (N,) + shape + (...)."""
         if self._pick is not None:
             rows = rows[:, self._pick]
         return rows.reshape((len(rows),) + self.shape + rows.shape[2:])
 
+    def _orders(self, pts, orders):
+        """Value (0), gradient (1) and Hessian (2) for the ascending
+        ``orders``, from one radial factor and one ``Poly3.value`` call on
+        the rows of the highest order; hess q is (2/r^2) I."""
+        top = orders[-1]
+        pts = np.asarray(pts, dtype=float)
+        d = pts - self.center
+        radial = _bump_radial(np.einsum('ni,ni->n', d, d) / self.radius ** 2,
+                              top)
+        beta = radial[0]
+        rows = (self._value, self._gradient, self._hessian)[top].value(pts)
+        u = len(self._value.coefs)
+        P = rows[:, :u]
+        out = []
+        if 0 in orders:
+            out.append(P * beta[:, None])
+        if top >= 1:
+            b1 = radial[1]
+            dq = 2.0 * d / self.radius ** 2
+            gP = rows[:, u:4 * u].reshape(-1, u, 3)
+        if 1 in orders:
+            g = beta[:, None, None] * gP
+            g += (P * b1[:, None])[:, :, None] * dq[:, None, :]
+            out.append(g)
+        if 2 in orders:
+            hq = 2.0 / self.radius ** 2
+            P = P[:, :, None, None]
+            h = beta[:, None, None, None] * rows[:, 4 * u:].reshape(-1, u, 3, 3)
+            dq = dq[:, None, :]
+            h += b1[:, None, None, None] * (gP[..., :, None] * dq[..., None, :]
+                                            + dq[..., :, None] * gP[..., None, :])
+            h += (P * radial[2][:, None, None, None]) * dq[..., :, None] \
+                * dq[..., None, :]
+            h += (P * b1[:, None, None, None]) * hq * T.I3
+            out.append(h)
+        return [self._components(a) for a in out]
+
+    def jet(self, pts, order):
+        """[value, gradient, hessian][:order + 1]."""
+        return self._orders(pts, range(order + 1))
+
     def value(self, pts):
-        beta = self._radial(pts)[0]
-        return self._components(self._value.value(pts) * beta[:, None])
+        return self._orders(pts, (0,))[0]
 
     def gradient(self, pts):
-        beta, b1, _, dq = self._radial(pts)
-        rows = self._gradient.value(pts)
-        u = rows.shape[1] // 4
-        P = rows[:, :u]
-        gP = rows[:, u:].reshape(-1, u, 3)
-        out = beta[:, None, None] * gP
-        out += (P * b1[:, None])[:, :, None] * dq[:, None, :]
-        return self._components(out)
+        return self._orders(pts, (1,))[0]
 
     def hessian(self, pts):
-        beta, b1, b2, dq = self._radial(pts)
-        hq = 2.0 / self.radius ** 2
-        rows = self._hessian.value(pts)
-        u = rows.shape[1] // 13
-        P = rows[:, :u, None, None]
-        gP = rows[:, u:4 * u].reshape(-1, u, 3)
-        out = beta[:, None, None, None] * rows[:, 4 * u:].reshape(-1, u, 3, 3)
-        dq = dq[:, None, :]
-        out += b1[:, None, None, None] * (gP[..., :, None] * dq[..., None, :]
-                                          + dq[..., :, None] * gP[..., None, :])
-        out += (P * b2[:, None, None, None]) * dq[..., :, None] * dq[..., None, :]
-        out += (P * b1[:, None, None, None]) * hq * T.I3
-        return self._components(out)
+        return self._orders(pts, (2,))[0]
 
 
 class BumpScalar(_ComponentBump):
@@ -808,34 +838,32 @@ class ModulatedTest:
         self.factor = factor
         self.rank = base.rank
 
+    def jet(self, pts, order):
+        """[value, gradient, hessian][:order + 1] of factor * base, by the
+        product rule on one jet of the factor and one of the base."""
+        m = jet(self.factor, pts, order)
+        v = jet(self.base, pts, order)
+        lead = (-1,) + (1,) * (v[0].ndim - 1)
+        out = [m[0].reshape(lead) * v[0]]
+        if order >= 1:
+            out.append(m[0].reshape(lead + (1,)) * v[1]
+                       + v[0][..., None] * m[1].reshape(lead + (3,)))
+        if order >= 2:
+            h = m[0].reshape(lead + (1, 1)) * v[2]
+            h += v[1][..., :, None] * m[1].reshape(lead + (1, 3))
+            h += v[1][..., None, :] * m[1].reshape(lead + (3, 1))
+            h += v[0][..., None, None] * m[2].reshape(lead + (3, 3))
+            out.append(h)
+        return out
+
     def value(self, pts):
-        m = self.factor.value(pts)
-        v = self.base.value(pts)
-        return m.reshape((-1,) + (1,) * (v.ndim - 1)) * v
+        return self.jet(pts, 0)[0]
 
     def gradient(self, pts):
-        m = self.factor.value(pts)
-        gm = self.factor.gradient(pts)
-        v = self.base.value(pts)
-        gv = self.base.gradient(pts)
-        pad = (1,) * (v.ndim - 1)
-        return (m.reshape((-1,) + pad + (1,)) * gv
-                + v[..., None] * gm.reshape((-1,) + pad + (3,)))
+        return self.jet(pts, 1)[1]
 
     def hessian(self, pts):
-        m = self.factor.value(pts)
-        gm = self.factor.gradient(pts)
-        hm = self.factor.hessian(pts)
-        v = self.base.value(pts)
-        gv = self.base.gradient(pts)
-        hv = self.base.hessian(pts)
-        pad = (1,) * (v.ndim - 1)
-        mm = m.reshape((-1,) + pad + (1, 1))
-        out = mm * hv
-        out += gv[..., :, None] * gm.reshape((-1,) + pad + (1, 3))
-        out += gv[..., None, :] * gm.reshape((-1,) + pad + (3, 1))
-        out += v[..., None, None] * hm.reshape((-1,) + pad + (3, 3))
-        return out
+        return self.jet(pts, 2)[2]
 
     def curl(self, pts):
         if self.rank != 1:
@@ -843,31 +871,44 @@ class ModulatedTest:
         return T.curl_from_gradient(self.gradient(pts))
 
 
-def interface_distance_derivatives(interface, pts):
-    """(s, grad s, hess s) of the catalog signed-distance functions."""
+def interface_distance_derivatives(interface, pts, order=2):
+    """[s, grad s, hess s][:order + 1] of the catalog signed-distance
+    functions."""
     pts = np.asarray(pts, dtype=float)
     kind = interface.kind
     if kind == 'sphere':
         a = interface.params['radius']
         r = np.linalg.norm(pts, axis=-1)
-        er = pts / r[:, None]
-        s = r - a
-        hess = (T.I3 - np.einsum('ni,nj->nij', er, er)) / r[:, None, None]
-        return s, er, hess
+        out = [r - a]
+        if order >= 1:
+            er = pts / r[:, None]
+            out.append(er)
+        if order >= 2:
+            out.append((T.I3 - np.einsum('ni,nj->nij', er, er))
+                       / r[:, None, None])
+        return out
     if kind in ('plane-disk', 'plane-rect', 'equatorial-annulus'):
-        z0 = interface.params.get('z', 0.0)
-        s = pts[:, 2] - z0
-        g = np.zeros_like(pts)
-        g[:, 2] = 1.0
-        return s, g, np.zeros((len(pts), 3, 3))
+        out = [pts[:, 2] - interface.params.get('z', 0.0)]
+        if order >= 1:
+            g = np.zeros_like(pts)
+            g[:, 2] = 1.0
+            out.append(g)
+        if order >= 2:
+            out.append(np.zeros((len(pts), 3, 3)))
+        return out
     if kind == 'cylinder-patch':
         a = interface.feature_size
         rho = np.hypot(pts[:, 0], pts[:, 1])
-        er = np.stack([pts[:, 0] / rho, pts[:, 1] / rho, np.zeros(len(pts))], axis=-1)
-        s = rho - a
-        hess = (T.I3 - np.einsum('ni,nj->nij', er, er)) / rho[:, None, None]
-        hess[:, 2, 2] -= 1.0 / rho
-        return s, er, hess
+        out = [rho - a]
+        if order >= 1:
+            er = np.stack([pts[:, 0] / rho, pts[:, 1] / rho,
+                           np.zeros(len(pts))], axis=-1)
+            out.append(er)
+        if order >= 2:
+            hess = (T.I3 - np.einsum('ni,nj->nij', er, er)) / rho[:, None, None]
+            hess[:, 2, 2] -= 1.0 / rho
+            out.append(hess)
+        return out
     raise GeometryError(f"no analytic distance derivatives for {kind!r}")
 
 
@@ -877,17 +918,27 @@ class SquaredDistanceFactor:
     def __init__(self, interface):
         self.interface = interface
 
+    def jet(self, pts, order):
+        """[value, gradient, hessian][:order + 1] from one distance
+        evaluation."""
+        d = interface_distance_derivatives(self.interface, pts, order)
+        s = d[0]
+        out = [s ** 2]
+        if order >= 1:
+            out.append(2.0 * s[:, None] * d[1])
+        if order >= 2:
+            out.append(2.0 * np.einsum('ni,nj->nij', d[1], d[1])
+                       + 2.0 * s[:, None, None] * d[2])
+        return out
+
     def value(self, pts):
-        s, _, _ = interface_distance_derivatives(self.interface, pts)
-        return s ** 2
+        return self.jet(pts, 0)[0]
 
     def gradient(self, pts):
-        s, g, _ = interface_distance_derivatives(self.interface, pts)
-        return 2.0 * s[:, None] * g
+        return self.jet(pts, 1)[1]
 
     def hessian(self, pts):
-        s, g, h = interface_distance_derivatives(self.interface, pts)
-        return 2.0 * np.einsum('ni,nj->nij', g, g) + 2.0 * s[:, None, None] * h
+        return self.jet(pts, 2)[2]
 
 
 class SmoothStepProfile:

@@ -44,6 +44,10 @@ FIBER_MEMO_SIZE = 17
 FIBER_MEMO_NODES = 1_000_000
 SUPPORT_BATCH_MEMO_SIZE = 4
 
+# quadrature nodes per block of a streamed sum (``blocked_sum``): a block's
+# points, weights and (N, 3, 3) integrand temporaries stay in cache
+BLOCK = 8192
+
 
 def support_key(support):
     """Value key of a test support ``(center, radius)``, or None."""
@@ -1476,29 +1480,51 @@ class _FlippedPlanePatch(PlanePolarPatch):
 # integration and differential-geometry operations
 
 
-def _check_finite(vals, pts, what):
-    flat = np.asarray(vals).reshape(len(pts), -1)
-    bad = ~np.all(np.isfinite(flat), axis=1)
+def _finite(vals, pts, what):
+    """``vals`` as a float array; raises at the first node with a non-finite
+    value."""
+    vals = np.asarray(vals, dtype=float)
+    bad = ~np.all(np.isfinite(vals.reshape(len(pts), -1)), axis=1)
     if np.any(bad):
         i = int(np.argmax(bad))
         raise EvaluationError(
             f"non-finite {what} value at node {pts[i]}", location=pts[i])
+    return vals
+
+
+def blocked_sum(weights, integrand, *arrays):
+    """Sum over a quadrature rule of ``weights[n] * f[n]``, block by block.
+
+    The rule is walked in blocks of ``BLOCK`` nodes; each array in
+    ``arrays`` is cut into the same blocks as ``weights`` and
+    ``f = integrand(*blocks)`` is evaluated on one block at a time, so the
+    integrand must be pointwise.  With ``integrand=None`` the one array is
+    ``f`` itself.  Each block is reduced by ``np.add.reduce(w * f)`` and the
+    partials are added in block order: the sum depends only on the rule and
+    ``BLOCK``, never on the BLAS thread count.
+    """
+    total = 0.0
+    for lo in range(0, len(weights), BLOCK):
+        blocks = [a[lo:lo + BLOCK] for a in arrays]
+        f = blocks[0] if integrand is None else integrand(*blocks)
+        total += float(np.add.reduce(weights[lo:lo + BLOCK] * f))
+    return total
 
 
 def integrate_volume(domain, interface, integrand, level=DEFAULT_VOLUME_LEVEL,
                      extra_breaks=None):
-    """Quadrature of ``integrand(points) -> (N,)`` over the domain.
+    """Quadrature of a pointwise ``integrand(points) -> (N,)`` over the domain.
 
     Volume cells conform to the interface: piecewise integrands are never
     sampled across the jump.  The error estimate is the difference against
     one coarser refinement level.
     """
+    def f(pts):
+        return _finite(integrand(pts), pts, "volume integrand")
 
     def run(lv):
         q = domain.volume_quadrature(interface, lv, extra_breaks)
-        vals = np.asarray(integrand(q.points), dtype=float)
-        _check_finite(vals, q.points, "volume integrand")
-        return float(np.dot(q.weights, vals))
+        return blocked_sum(q.weights, f, q.points)
 
     value = run(level)
     coarse = run(max(level - 1, 0)) if level > 0 else run(level)
@@ -1507,12 +1533,10 @@ def integrate_volume(domain, interface, integrand, level=DEFAULT_VOLUME_LEVEL,
 
 def integrate_surface(interface, integrand, level=DEFAULT_SURFACE_LEVEL):
     """Quadrature of ``integrand(batch) -> (N,)`` over the interface."""
-
     def run(lv):
         batch = interface.surface_quadrature(lv)
-        vals = np.asarray(integrand(batch), dtype=float)
-        _check_finite(vals, batch.points, "surface integrand")
-        return float(np.dot(batch.weights, vals))
+        vals = _finite(integrand(batch), batch.points, "surface integrand")
+        return blocked_sum(batch.weights, None, vals)
 
     value = run(level)
     coarse = run(max(level - 1, 0)) if level > 0 else run(level)
@@ -1521,14 +1545,13 @@ def integrate_surface(interface, integrand, level=DEFAULT_SURFACE_LEVEL):
 
 def integrate_curve(interface, component, integrand, n=DEFAULT_CURVE_NODES):
     """Quadrature of ``integrand(curve_batch) -> (N,)`` along a boundary curve."""
-    curve = interface.curve_quadrature(component, n)
-    vals = np.asarray(integrand(curve), dtype=float)
-    _check_finite(vals, curve.points, "curve integrand")
-    value = float(np.dot(curve.weights, vals))
-    curve2 = interface.curve_quadrature(component, max(n // 2, 8))
-    vals2 = np.asarray(integrand(curve2), dtype=float)
-    coarse = float(np.dot(curve2.weights, vals2))
-    return QuadResult(value, abs(value - coarse))
+    def run(m):
+        curve = interface.curve_quadrature(component, m)
+        vals = _finite(integrand(curve), curve.points, "curve integrand")
+        return blocked_sum(curve.weights, None, vals)
+
+    value = run(n)
+    return QuadResult(value, abs(value - run(max(n // 2, 8))))
 
 
 def _surface_point_batch(interface, point):

@@ -3,6 +3,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -26,6 +28,37 @@ def _write(tmp_path, name, cfg):
     p = tmp_path / name
     p.write_text(json.dumps(cfg, indent=2, sort_keys=True))
     return str(p)
+
+
+SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+SRC_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+# Runs the named scenarios in a fresh interpreter and prints their reports
+# without the timing block, one JSON list on stdout.
+_RUN_REPORTS = """
+import json, sys
+from stressdist.cli import run_scenario
+reports = []
+for path in sys.argv[1:]:
+    with open(path, encoding="utf-8") as fh:
+        rep = run_scenario(json.load(fh), refine=0)
+    rep.pop("timing", None)
+    reports.append(rep)
+print(json.dumps(reports, sort_keys=True))
+"""
+
+
+def _reports_under_blas_threads(threads, names):
+    env = dict(os.environ)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(threads)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.abspath(SRC_DIR)] + [p for p in [env.get("PYTHONPATH")] if p])
+    paths = [os.path.join(SCENARIO_DIR, n + ".json") for n in names]
+    out = subprocess.run([sys.executable, "-c", _RUN_REPORTS, *paths],
+                         env=env, capture_output=True, text=True, timeout=600,
+                         check=True)
+    return json.loads(out.stdout)
 
 
 def _strip_timing(text):
@@ -106,6 +139,13 @@ class TestRun:
         t1 = _strip_timing(open(o1).read())
         t2 = _strip_timing(open(o2).read())
         assert t1 == t2
+
+    def test_reports_do_not_depend_on_blas_threads(self):
+        names = ["soap-film-sphere", "identity1-B-ball"]
+        one = _reports_under_blas_threads(1, names)
+        two = _reports_under_blas_threads(2, names)
+        for name, a, b in zip(names, one, two):
+            assert a == b, name
 
     def test_seed_override_changes_suite(self, tmp_path):
         path = _write(tmp_path, "soap.json", SOAP)

@@ -3,20 +3,21 @@
 import numpy as np
 import pytest
 
-from stressdist.distributions import (BDist, CDist, CompositeDist, FDist,
-                                      PairingValue, cauchy_flux, close,
+from stressdist.distributions import (ADAPTED_LEVEL, BDist, CDist,
+                                      CompositeDist, FDist, PairingValue,
+                                      cauchy_flux, close,
                                       distributional_curl, distributional_div,
                                       identity1_rhs, identity2_rhs,
                                       mollified_pair, mollify_convergence,
-                                      pair)
+                                      pair, refinement)
 from stressdist.errors import RankMismatchError, StressDistError
 from stressdist.fields import (BumpScalar, ConstantField, ModulatedTest,
                                PiecewiseField, Poly3, PolyField,
                                SquaredDistanceFactor, SurfaceField, make_bump,
                                make_gradient_test_field, normal_dyad,
                                surface_polynomial)
-from stressdist.geometry import integrate_surface, integrate_volume, \
-    sphere_interface
+from stressdist.geometry import BLOCK, integrate_surface, integrate_volume, \
+    sphere_interface, support_volume_quad
 
 
 class TestPairingBasics:
@@ -414,11 +415,55 @@ class TestMollification:
         assert abs(got1 - got2) < 1e-8 * max(1.0, abs(exact))
         assert abs(got1 - exact) < 5e-5 * max(1.0, abs(exact))
 
+    def test_sphere_constant_second_order(self, ball, sphere_half, rng):
+        # the support-windowed spherical grid of a ball (Ball.support_windows)
+        cd = CDist(sphere_half, SurfaceField.constant(
+            np.array([0.5, 0.2, -1.0]), 1, sphere_half))
+        psi = make_bump(ball, [0.45, 0.0, 0.1], 0.25, rank=1, rng=rng)
+        tab = mollify_convergence(cd, psi, [0.06, 0.03, 0.015], domain=ball)
+        assert all(b < a for a, b in zip(tab.errors, tab.errors[1:]))
+        assert tab.order > 1.8
+
     def test_rho_too_large(self, ball, sphere_half, rng):
         cd = CDist(sphere_half, surface_polynomial(rng, 1, sphere_half, 1))
         psi = make_bump(ball, [0.45, 0.0, 0.1], 0.2, rank=1, rng=rng)
         with pytest.raises(StressDistError):
             mollified_pair(cd, psi, 0.2, domain=ball)
+
+
+class _CountingTest:
+    """A supported test that records the size of every point set it sees."""
+
+    def __init__(self, base):
+        self.base = base
+        self.rank = base.rank
+        self.center, self.radius = base.center, base.radius
+        self.sizes = []
+
+    def value(self, pts):
+        self.sizes.append(len(pts))
+        return self.base.value(pts)
+
+
+class TestStreamedPairings:
+    def test_refined_fiber_pairing_streams_and_repeats(self, ball,
+                                                       sphere_half, rng):
+        field = PiecewiseField(2, PolyField.random_symmetric(rng, 2),
+                               PolyField.random_symmetric(rng, 2),
+                               sphere_half, 2.0)
+        bd = BDist(ball, sphere_half, field)
+        psi = _CountingTest(make_bump(ball, [0.45, 0.0, 0.1], 0.25, rank=2,
+                                      rng=rng))
+        with refinement(2):
+            first = bd.pair(psi)
+            fine = ADAPTED_LEVEL + 2
+            nodes = sum(len(support_volume_quad(sphere_half, psi.center,
+                                                psi.radius, lv))
+                        for lv in (fine, fine - 1))
+            assert max(psi.sizes) <= BLOCK
+            assert sum(psi.sizes) == nodes
+            again = bd.pair(psi)
+        assert (again.value, again.error) == (first.value, first.error)
 
 
 class TestCauchyFlux:

@@ -9,6 +9,7 @@ import sympy as sp
 from scipy import integrate
 
 from stressdist import _tensor as T
+from stressdist import fields
 from stressdist._tensor import fd_gradient
 from stressdist.catalog import _poly_times, _radial_pressure_field
 from stressdist.errors import FieldError
@@ -20,7 +21,7 @@ from stressdist.fields import (BumpScalar, BumpSymTensor, BumpVector,
                                make_gradient_test_field, surface_divergence,
                                surface_gradient)
 from stressdist.geometry import (cylinder_patch_interface, integrate_volume,
-                                 make_surface_batch)
+                                 make_surface_batch, sphere_interface)
 
 
 def _rand_points(rng, n, scale=0.4, center=(0, 0, 0)):
@@ -218,6 +219,88 @@ class TestBumpKernel:
         assert t._value.coefs.shape[0] == 6      # one row per distinct poly
         tv = t.value(_rand_points(rng, 40, scale=0.45))
         assert np.array_equal(tv, np.swapaxes(tv, -1, -2))
+
+
+def _modulated_product_rule(base, factor, pts):
+    """Value, gradient and Hessian of factor * base from separately evaluated
+    parts."""
+    m, gm, hm = factor.value(pts), factor.gradient(pts), factor.hessian(pts)
+    v, gv, hv = base.value(pts), base.gradient(pts), base.hessian(pts)
+    pad = (1,) * (v.ndim - 1)
+    val = m.reshape((-1,) + pad) * v
+    grad = (m.reshape((-1,) + pad + (1,)) * gv
+            + v[..., None] * gm.reshape((-1,) + pad + (3,)))
+    hess = (m.reshape((-1,) + pad + (1, 1)) * hv
+            + gv[..., :, None] * gm.reshape((-1,) + pad + (1, 3))
+            + gv[..., None, :] * gm.reshape((-1,) + pad + (3, 1))
+            + v[..., None, None] * hm.reshape((-1,) + pad + (3, 3)))
+    return val, grad, hess
+
+
+class TestJets:
+    def test_radial_factor_has_only_the_orders_used(self, ball, rng,
+                                                    monkeypatch):
+        real = fields._bump_radial
+        orders = []
+
+        def counting(q, order):
+            out = real(q, order)
+            orders.append(len(out) - 1)
+            return out
+
+        monkeypatch.setattr(fields, '_bump_radial', counting)
+        t = make_bump(ball, [0.1, 0.0, 0.0], 0.5, rank=2, rng=rng)
+        pts = _rand_points(rng, 50, scale=0.45, center=[0.1, 0.0, 0.0])
+        t.value(pts)
+        t.gradient(pts)
+        t.hessian(pts)
+        assert orders == [0, 1, 2]
+        q = np.linspace(0.0, 1.2, 25)
+        full = real(q, 2)
+        for k in range(3):
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(real(q, k), full[:k + 1]))
+
+    def test_modulated_test_evaluates_base_and_factor_once(
+            self, big_ball, unit_sphere, rng, monkeypatch):
+        m = ModulatedTest(make_bump(big_ball, [1.0, 0.0, 0.2], 0.4, rank=2,
+                                    rng=rng),
+                          SquaredDistanceFactor(unit_sphere))
+        pts = _rand_points(rng, 80, scale=0.3, center=[1.0, 0.0, 0.2])
+        counts = {'poly': 0, 'distance': 0}
+        poly_value = Poly3.value
+        distance = fields.interface_distance_derivatives
+
+        def counting_poly(self, p):
+            counts['poly'] += 1
+            return poly_value(self, p)
+
+        def counting_distance(*args, **kwargs):
+            counts['distance'] += 1
+            return distance(*args, **kwargs)
+
+        monkeypatch.setattr(Poly3, 'value', counting_poly)
+        monkeypatch.setattr(fields, 'interface_distance_derivatives',
+                            counting_distance)
+        for meth in ('value', 'gradient', 'hessian'):
+            counts.update(poly=0, distance=0)
+            getattr(m, meth)(pts)
+            assert counts == {'poly': 1, 'distance': 1}, meth
+
+    def test_modulated_test_matches_the_product_rule(self, big_ball, rng):
+        from stressdist.geometry import plane_disk_interface
+        c = [1.0, 0.0, 0.2]
+        pts = _rand_points(rng, 200, scale=0.35, center=c)
+        for itf in (sphere_interface(1.0), plane_disk_interface(big_ball, 0.1)):
+            for rank in (0, 1, 2):
+                base = make_bump(big_ball, c, 0.4, rank=rank, rng=rng)
+                factor = SquaredDistanceFactor(itf)
+                m = ModulatedTest(base, factor)
+                got = (m.value(pts), m.gradient(pts), m.hessian(pts))
+                for g, w in zip(got, _modulated_product_rule(base, factor,
+                                                             pts)):
+                    assert g.shape == w.shape
+                    assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w))
 
 
 class TestBumps:

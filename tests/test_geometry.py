@@ -1,5 +1,6 @@
 """Quadrature exactness, differential geometry, and boundary integrals."""
 
+import math
 import sys
 import threading
 
@@ -10,7 +11,8 @@ from scipy import integrate
 from stressdist._memo import LruMemo
 from stressdist.errors import GeometryError
 from stressdist.fields import KelvinStressField, PiecewiseField
-from stressdist.geometry import (Ball, Box, CylinderAnnulus, SphericalShell,
+from stressdist.geometry import (BLOCK, Ball, Box, CylinderAnnulus,
+                                 SphericalShell, blocked_sum,
                                  boundary_force_moment, integrate_curve,
                                  integrate_surface, integrate_volume,
                                  mean_curvature, shape_operator,
@@ -401,3 +403,35 @@ class TestShellExactness:
             exact = (ball_monomial_integral(a, b, c, 2.0)
                      - ball_monomial_integral(a, b, c, 1.0))
             assert abs(got - exact) < 1e-12 * max(1.0, abs(exact))
+
+
+class TestBlockedSum:
+    # the level a sphere-crossing bump's fiber rule gets at refine=2
+    LEVEL = 3
+
+    def test_streams_a_refined_fiber_rule(self, sphere_half):
+        q = support_volume_quad(sphere_half, [0.45, 0.0, 0.1], 0.25,
+                                self.LEVEL)
+        sizes = []
+
+        def f(x):
+            sizes.append(len(x))
+            return 1.0 + np.einsum('ni,ni->n', x, x)
+
+        got = blocked_sum(q.weights, f, q.points)
+        assert len(q) > 10 * BLOCK
+        assert max(sizes) <= BLOCK and sum(sizes) == len(q)
+        ref = math.fsum(q.weights * f(q.points))
+        assert abs(got - ref) <= 1e-14 * abs(ref)
+
+    def test_values_and_extra_arrays_share_the_blocks(self, rng):
+        n = 2 * BLOCK + 17
+        w = rng.uniform(0.0, 1.0, n)
+        f = rng.uniform(-1.0, 1.0, n)
+        g = rng.uniform(-1.0, 1.0, (n, 3))
+        direct = blocked_sum(w, None, f)
+        paired = blocked_sum(w, lambda a, b: a * b[:, 0], f, g)
+        assert direct == blocked_sum(w, lambda a: a, f)
+        assert abs(direct - math.fsum(w * f)) <= 1e-13 * math.fsum(np.abs(w * f))
+        assert abs(paired - math.fsum(w * f * g[:, 0])) <= 1e-13 * n
+        assert blocked_sum(np.zeros(0), None, np.zeros(0)) == 0.0
