@@ -25,7 +25,9 @@ from ._memo import LruMemo
 from .errors import ConfigError, RankMismatchError, StressDistError
 from .fields import SurfaceField, surface_divergence
 from .geometry import (DEFAULT_SURFACE_LEVEL, DEFAULT_VOLUME_LEVEL,
-                       blocked_sum, support_key, support_volume_quad)
+                       PairingValue, blocked_sum, boundary_force_moment,
+                       curve_force_moment, support_key, support_volume_quad,
+                       two_level)
 
 ABS_TOL = 1e-7
 REL_TOL = 1e-5
@@ -102,35 +104,6 @@ def _volume_quad(dist, lv, support, test=None):
     return dist.domain.volume_quadrature(dist.interface, lv), (lv, None)
 
 
-@dataclass(frozen=True)
-class PairingValue:
-    """Scalar pairing result with an attached quadrature error estimate."""
-
-    value: float
-    error: float = 0.0
-
-    def __add__(self, other):
-        if isinstance(other, PairingValue):
-            return PairingValue(self.value + other.value, self.error + other.error)
-        return PairingValue(self.value + other, self.error)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PairingValue(-self.value, self.error)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, a):
-        return PairingValue(self.value * a, self.error * abs(a))
-
-    __rmul__ = __mul__
-
-    def __float__(self):
-        return float(self.value)
-
-
 def close(lhs, rhs, abs_tol=ABS_TOL, rel_tol=REL_TOL):
     """Tolerance rule for dual-path comparisons."""
     scale = max(abs(float(lhs)), abs(float(rhs)))
@@ -148,12 +121,6 @@ def _contract(a, b):
         return a * b
     n = a.shape[0]
     return np.einsum('nk,nk->n', a.reshape(n, -1), b.reshape(n, -1))
-
-
-def _two_level(run, level):
-    value = run(level)
-    coarse = run(max(level - 1, 0)) if level > 0 else value
-    return PairingValue(value, abs(value - coarse))
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +164,7 @@ class BDist:
         def run(lv):
             q, key = _volume_quad(self, lv, support, test)
             return self._pair_sum(q, key, 'value', test.value)
-        return _two_level(run, _lv(level, support is not None))
+        return two_level(run, _lv(level, support is not None))
 
 
 class _SurfaceDist:
@@ -235,7 +202,7 @@ class CDist(_SurfaceDist):
             return blocked_sum(b.weights, None,
                                _contract(self._values(b, lv, support),
                                          test.value(b.points)))
-        return _two_level(run, _lv(level, support is not None))
+        return two_level(run, _lv(level, support is not None))
 
 
 class FDist(_SurfaceDist):
@@ -255,7 +222,7 @@ class FDist(_SurfaceDist):
             return blocked_sum(b.weights, None,
                                _contract(self._values(b, lv, support),
                                          dpsi_dn))
-        return _two_level(run, _lv(level, support is not None))
+        return two_level(run, _lv(level, support is not None))
 
 
 class CompositeDist:
@@ -371,17 +338,12 @@ def distributional_curl(dist, test, level=None):
 # closed-form divergence identities (dual path)
 
 
-def _shape_times(batch, f_vals, rank):
-    """(grad_S n) f for vectors, f (grad_S n) for tensors."""
-    if rank == 1:
-        return np.einsum('nij,nj->ni', batch.shape_ops, f_vals)
-    return np.einsum('nij,njk->nik', f_vals, batch.shape_ops)
-
-
-def _density_dot_normal(vals, normals, rank):
-    if rank == 1:
-        return np.einsum('ni,ni->n', vals, normals)
-    return np.einsum('nij,nj->ni', vals, normals)
+def _shaped(density, interface):
+    """f grad_S n as a surface field ((grad_S n) f for vectors: grad_S n is
+    symmetric)."""
+    return SurfaceField(
+        lambda b: np.einsum('n...j,njk->n...k', density.value(b), b.shape_ops),
+        density.rank, interface)
 
 
 def identity1_rhs(dist, test, level=None):
@@ -397,91 +359,68 @@ def identity1_rhs(dist, test, level=None):
             out = out + identity1_rhs(p, test, level)
         return out
 
-    rank = dist.rank
     support = _test_support(test)
+    slevel = _lv(level, support is not None)
 
     if isinstance(dist, BDist):
         def run_vol(lv):
             q, key = _volume_quad(dist, lv, support, test)
             return dist._pair_sum(q, key, 'divergence', test.value)
 
-        out = _two_level(run_vol, _lv(level, support is not None))
+        out = two_level(run_vol, slevel)
         if dist.interface is not None:
             def run_surf(lv):
                 b = dist.interface.surface_quadrature(lv, support=support)
                 if len(b) == 0:
                     return 0.0
-                jn = _density_dot_normal(dist.field.jump(b), b.normals, rank)
+                jn = np.einsum('n...j,nj->n...', dist.field.jump(b), b.normals)
                 return blocked_sum(b.weights, None,
                                    _contract(jn, test.value(b.points)))
 
-            out = out + _two_level(run_surf, _lv(level, support is not None))
+            out = out + two_level(run_surf, slevel)
         return out
-
-    slevel = _lv(level, support is not None)
 
     if isinstance(dist, CDist):
         def run(lv):
             b = dist.interface.surface_quadrature(lv, support=support)
             if len(b) == 0:
                 return 0.0
-            c = dist._values(b, lv, support)
-            div_c = surface_divergence(dist.density, b)
-            cn = _density_dot_normal(c, b.normals, rank)
-            coeff = div_c - b.kappa[..., None] * cn if rank == 2 \
-                else div_c - b.kappa * cn
+            cn = np.einsum('n...j,nj->n...', dist._values(b, lv, support),
+                           b.normals)
+            coeff = (surface_divergence(dist.density, b)
+                     - np.einsum('n...,n->n...', cn, b.kappa))
             dpsi_dn = np.einsum('n...j,nj->n...', test.gradient(b.points),
                                 b.normals)
             integrand = (_contract(coeff, test.value(b.points))
                          - _contract(cn, dpsi_dn))
             return blocked_sum(b.weights, None, integrand)
 
-        return _two_level(run, slevel)
+        return two_level(run, slevel)
 
     if isinstance(dist, FDist):
-        shaped = SurfaceField(
-            lambda b: _shape_times(b, dist.density.value(b), rank),
-            rank, dist.interface)
+        shaped = _shaped(dist.density, dist.interface)
 
         def run(lv):
             b = dist.interface.surface_quadrature(lv, support=support)
             if len(b) == 0:
                 return 0.0
-            f = dist._values(b, lv, support)
-            fn = _density_dot_normal(f, b.normals, rank)
-            div_f = surface_divergence(dist.density, b)
-            div_shaped = surface_divergence(shaped, b)
+            fn = np.einsum('n...j,nj->n...', dist._values(b, lv, support),
+                           b.normals)
+            coeff = (surface_divergence(dist.density, b)
+                     - np.einsum('n...,n->n...', fn, b.kappa))
             dpsi_dn = np.einsum('n...j,nj->n...', test.gradient(b.points),
                                 b.normals)
-            hess = test.hessian(b.points)
-            hnn = np.einsum('n...jk,nj,nk->n...', hess, b.normals, b.normals)
-            coeff = div_f - (b.kappa[..., None] * fn if rank == 2
-                             else b.kappa * fn)
-            integrand = (-_contract(div_shaped, test.value(b.points))
+            hnn = np.einsum('n...jk,nj,nk->n...', test.hessian(b.points),
+                            b.normals, b.normals)
+            integrand = (-_contract(surface_divergence(shaped, b),
+                                    test.value(b.points))
                          + _contract(coeff, dpsi_dn)
                          - _contract(fn, hnn))
             return blocked_sum(b.weights, None, integrand)
 
-        return _two_level(run, slevel)
+        return two_level(run, slevel)
 
     raise StressDistError(f"unknown distribution type {type(dist)!r}")
-
-
-def _boundary_flux(domain, component, field, level):
-    """integral of (field n) over one boundary component, out-of-domain normal."""
-    total = np.zeros(3)
-    for batch in domain.boundary_components[component].quadrature(level):
-        vals = np.asarray(field.value(batch.points))
-        tr = np.einsum('nij,nj->ni', vals, batch.normals)
-        total += np.einsum('n,ni->i', batch.weights, tr)
-    return total
-
-
-def _curve_vector(interface, component, vec_of_curve, n=None):
-    curve = (interface.curve_quadrature(component) if n is None
-             else interface.curve_quadrature(component, n))
-    vals = vec_of_curve(curve)
-    return np.einsum('n,ni->i', curve.weights, vals)
 
 
 def identity2_rhs(dist, gfield, level=None):
@@ -501,92 +440,70 @@ def identity2_rhs(dist, gfield, level=None):
     if dist.rank != 2:
         raise RankMismatchError("identity 2 applies to tensor distributions")
     constants = gfield.constants
+    full_level = _lv(level, False)
 
     if isinstance(dist, BDist):
-        vlevel = _lv(level, False)
-
         def run_vol(lv):
             q, key = _volume_quad(dist, lv, None, gfield)
             return -dist._pair_sum(q, key, 'divergence', gfield.u)
 
-        out = _two_level(run_vol, vlevel)
+        out = two_level(run_vol, full_level)
         if dist.interface is not None:
-            slevel = _lv(level, False)
-
             def run_surf(lv):
                 b = dist.interface.surface_quadrature(lv)
                 jn = np.einsum('nij,nj->ni', dist.field.jump(b), b.normals)
                 return -blocked_sum(b.weights, None,
                                     _contract(jn, gfield.u(b.points)))
 
-            out = out + _two_level(run_surf, slevel)
-        blevel = _lv(level, False)
+            out = out + two_level(run_surf, full_level)
         bsum = 0.0
         for i, ci in enumerate(constants):
-            if np.linalg.norm(ci) == 0.0:
-                continue
-            bsum += float(ci @ _boundary_flux(dist.domain, i, dist.field, blevel))
+            if np.linalg.norm(ci) > 0.0:
+                force, _ = boundary_force_moment(dist.domain, i, dist.field,
+                                                 full_level)
+                bsum += float(ci @ force)
         return out + PairingValue(bsum, 0.0)
 
-    slevel = _lv(level, False)
     interface = dist.interface
     _check_curve_data(interface, constants)
 
     if isinstance(dist, CDist):
         def run(lv):
             b = interface.surface_quadrature(lv)
-            c = dist._values(b, lv)
-            div_c = surface_divergence(dist.density, b)
-            cn = np.einsum('nij,nj->ni', c, b.normals)
-            coeff = div_c - b.kappa[:, None] * cn
+            cn = np.einsum('nij,nj->ni', dist._values(b, lv), b.normals)
+            coeff = surface_divergence(dist.density, b) - b.kappa[:, None] * cn
             du_dn = np.einsum('nij,nj->ni', gfield.value(b.points), b.normals)
             integrand = (-_contract(coeff, gfield.u(b.points))
                          + _contract(cn, du_dn))
             return blocked_sum(b.weights, None, integrand)
 
-        out = _two_level(run, slevel)
-        csum = 0.0
-        for comp, ci in _curve_terms(interface, constants):
-            vec = _curve_vector(
-                interface, comp,
-                lambda curve: np.einsum('nij,nj->ni',
-                                        dist.density.value(curve.surface),
-                                        curve.nu))
-            csum += float(ci @ vec)
-        return out + PairingValue(csum, 0.0)
-
-    if isinstance(dist, FDist):
-        shaped = SurfaceField(
-            lambda b: _shape_times(b, dist.density.value(b), 2), 2, interface)
+        sigma1, sigma2 = dist.density, None
+    elif isinstance(dist, FDist):
+        shaped = _shaped(dist.density, interface)
 
         def run(lv):
             b = interface.surface_quadrature(lv)
-            f = dist._values(b, lv)
-            fn = np.einsum('nij,nj->ni', f, b.normals)
-            div_f = surface_divergence(dist.density, b)
-            div_shaped = surface_divergence(shaped, b)
+            fn = np.einsum('nij,nj->ni', dist._values(b, lv), b.normals)
+            coeff = surface_divergence(dist.density, b) - b.kappa[:, None] * fn
             du_dn = np.einsum('nij,nj->ni', gfield.value(b.points), b.normals)
             hnn = np.einsum('nijk,nj,nk->ni', gfield.gradient(b.points),
                             b.normals, b.normals)
-            coeff = div_f - b.kappa[:, None] * fn
-            integrand = (_contract(div_shaped, gfield.u(b.points))
+            integrand = (_contract(surface_divergence(shaped, b),
+                                   gfield.u(b.points))
                          - _contract(coeff, du_dn)
                          + _contract(fn, hnn))
             return blocked_sum(b.weights, None, integrand)
 
-        out = _two_level(run, slevel)
-        csum = 0.0
-        for comp, ci in _curve_terms(interface, constants):
-            vec = _curve_vector(
-                interface, comp,
-                lambda curve: np.einsum(
-                    'nij,nj->ni',
-                    _shape_times(curve.surface, dist.density.value(curve.surface), 2),
-                    curve.nu))
-            csum -= float(ci @ vec)
-        return out + PairingValue(csum, 0.0)
+        sigma1, sigma2 = None, dist.density
+    else:
+        raise StressDistError(f"unknown distribution type {type(dist)!r}")
 
-    raise StressDistError(f"unknown distribution type {type(dist)!r}")
+    csum = 0.0
+    for i, ci in enumerate(constants):
+        if np.linalg.norm(ci) > 0.0:
+            force, _ = curve_force_moment(interface, i, sigma1, sigma2)
+            csum += float(ci @ force)
+    return two_level(run, full_level) + PairingValue(csum, 0.0)
 
 
 def _check_curve_data(interface, constants):
@@ -598,12 +515,6 @@ def _check_curve_data(interface, constants):
         if i > 0 and np.linalg.norm(ci) > 0:
             raise ConfigError(
                 f"interface carries no curve data for boundary component {i}")
-
-
-def _curve_terms(interface, constants):
-    for comp, _ in interface.boundary_curves:
-        if comp < len(constants) and np.linalg.norm(constants[comp]) > 0:
-            yield comp, constants[comp]
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +613,7 @@ def mollified_pair(dist, test, rho, domain=None, level=None):
                                      support=support)
         return blocked_sum(q.weights, layer, q.points)
 
-    return _two_level(run, vlevel)
+    return two_level(run, vlevel)
 
 
 @dataclass
@@ -773,7 +684,7 @@ def cauchy_flux(dist, probe, rhos, domain=None, level=DEFAULT_SURFACE_LEVEL):
                          + np.asarray(f.side_value(batch.points[on], -1)))
             vals[on] = avg
         tr = np.einsum('nij,nj->ni', vals, batch.normals)
-        limit = np.einsum('n,ni->i', batch.weights, tr)
+        limit = blocked_sum(batch.weights, None, tr)
 
     rr = sorted(rhos, reverse=True)
     fluxes = []
@@ -790,8 +701,8 @@ def cauchy_flux(dist, probe, rhos, domain=None, level=DEFAULT_SURFACE_LEVEL):
             proj = part.interface.project_batch(batch.points[active])
             dens = part.density.value(proj)
             tr = np.einsum('nij,nj->ni', dens, batch.normals[active])
-            total = total + np.einsum('n,ni->i',
-                                      batch.weights[active] * w[active], tr)
+            total = total + blocked_sum(batch.weights[active] * w[active],
+                                        None, tr)
         fluxes.append(total)
 
     scale = max(1.0, float(np.linalg.norm(limit)))

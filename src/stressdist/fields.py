@@ -202,13 +202,6 @@ class PolyField:
             raise RankMismatchError("divergence needs a vector or tensor field")
         return self._divergence.value(pts)
 
-    def curl_rows(self, pts):
-        """Row-wise curl; exact (rank 2) or vector curl (rank 1)."""
-        grad = self.gradient(pts)
-        if self.rank == 1:
-            return T.curl_from_gradient(grad)
-        return T.tensor_curl_rows_from_gradient(grad)
-
     def _kept(self, name, build):
         # Write-once: a concurrent first use may build twice; one copy is kept.
         field = self.__dict__.get(name)
@@ -467,12 +460,6 @@ class PiecewiseField:
         if self.rank == 1:
             return np.einsum('nii->n', grad)
         return np.einsum('nijj->ni', grad)
-
-    def curl_rows(self, pts):
-        grad = self.gradient(pts)
-        if self.rank == 1:
-            return T.curl_from_gradient(grad)
-        return T.tensor_curl_rows_from_gradient(grad)
 
     def side_gradient(self, pts, side):
         f = self.plus if side > 0 else self.minus

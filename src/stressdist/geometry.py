@@ -68,14 +68,40 @@ def interface_key(interface):
 
 
 @dataclass(frozen=True)
-class QuadResult:
-    """Quadrature value with a two-level refinement error estimate."""
+class PairingValue:
+    """Quadrature value with an attached two-level error estimate."""
 
     value: float
-    error: float
+    error: float = 0.0
+
+    def __add__(self, other):
+        if isinstance(other, PairingValue):
+            return PairingValue(self.value + other.value, self.error + other.error)
+        return PairingValue(self.value + other, self.error)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return PairingValue(-self.value, self.error)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, a):
+        return PairingValue(self.value * a, self.error * abs(a))
+
+    __rmul__ = __mul__
 
     def __float__(self):
         return float(self.value)
+
+
+def two_level(run, level):
+    """``run(level)`` with the error estimate ``|run(level) - run(level - 1)|``;
+    level 0 has no coarser rule and reports error 0."""
+    value = run(level)
+    coarse = run(level - 1) if level > 0 else value
+    return PairingValue(value, abs(value - coarse))
 
 
 def _gauss_cells(breaks, level, windows=None, nodes_per_cell=GAUSS_NODES_PER_CELL,
@@ -529,7 +555,6 @@ class CurveBatch:
 class VolumeQuad:
     points: np.ndarray
     weights: np.ndarray
-    sides: np.ndarray        # +1 / -1 relative to the interface, 0 if none
 
     def __len__(self):
         return self.points.shape[0]
@@ -538,6 +563,19 @@ class VolumeQuad:
 def _empty_batch(patch):
     return make_surface_batch(patch, np.zeros(0), np.zeros(0),
                               weights=np.zeros(0))
+
+
+def _tensor_batch(patch, u_rule, v_rule):
+    """Tensor product of two 1-D rules ``(nodes, weights)`` over a patch
+    chart, weights times the area element; empty if either rule is."""
+    (un, uw), (vn, vw) = u_rule, v_rule
+    if len(un) == 0 or len(vn) == 0:
+        return _empty_batch(patch)
+    U, V = np.meshgrid(un, vn, indexing='ij')
+    batch = make_surface_batch(patch, U, V)
+    batch.weights = (np.outer(uw, vw).ravel()
+                     * patch.area_element(batch.U, batch.V))
+    return batch
 
 
 def _aligned_support_batch(patch, center, radius, level):
@@ -565,7 +603,7 @@ def _aligned_support_batch(patch, center, radius, level):
                           frame=_frame_for_axis(c))
         ub = _graded_breaks([(0.0, omega)], depth, [], 0.0, np.pi)
         vb = np.linspace(0.0, 2 * np.pi, 4 + level + 1)
-        return _tensor_surface_batch(cap, ub, vb, level)
+        return _tensor_batch(cap, _gauss_cells(ub, 0), _gauss_cells(vb, 0))
     if isinstance(patch, (PlanePolarPatch, RectPatch)):
         if isinstance(patch, PlanePolarPatch):
             z0, nrm = patch.z0, patch.normal(np.zeros(1), np.zeros(1))[0]
@@ -586,7 +624,7 @@ def _aligned_support_batch(patch, center, radius, level):
         disk = _RecenteredDiskPatch(cc, nrm, rp)
         ub = _graded_breaks([(0.0, rp)], depth, [], 0.0, rp)
         vb = np.linspace(0.0, 2 * np.pi, 4 + level + 1)
-        return _tensor_surface_batch(disk, ub, vb, level)
+        return _tensor_batch(disk, _gauss_cells(ub, 0), _gauss_cells(vb, 0))
     return None
 
 
@@ -638,16 +676,6 @@ class _RecenteredDiskPatch(SurfacePatch):
     def shape_operator(self, U, V):
         shp = np.broadcast(np.asarray(U), np.asarray(V)).shape
         return np.zeros(shp + (3, 3))
-
-
-def _tensor_surface_batch(patch, u_breaks, v_breaks, level):
-    un, uw = _gauss_cells(u_breaks, 0)
-    vn, vw = _gauss_cells(v_breaks, 0)
-    U, V = np.meshgrid(un, vn, indexing='ij')
-    W = np.outer(uw, vw)
-    batch = make_surface_batch(patch, U.ravel(), V.ravel())
-    batch.weights = W.ravel() * patch.area_element(batch.U, batch.V)
-    return batch
 
 
 _FIBER_CACHE = LruMemo(FIBER_MEMO_SIZE, budget=FIBER_MEMO_NODES)
@@ -769,9 +797,7 @@ def _build_fiber_quad(interface, center, radius, level):
     pts = pts.reshape(-1, 3)
     weights = weights.reshape(-1)
     keep = weights != 0.0
-    pts, weights = pts[keep], weights[keep]
-    sides = interface.side(pts) if interface is not None else np.zeros(len(pts))
-    return VolumeQuad(points=pts, weights=weights, sides=sides)
+    return VolumeQuad(points=pts[keep], weights=weights[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -839,35 +865,25 @@ class Interface:
             return aligned
         win = self.patch.support_windows(center, radius)
         if win == 'empty':
-            return make_surface_batch(self.patch, np.zeros(0), np.zeros(0),
-                                      weights=np.zeros(0))
+            return _empty_batch(self.patch)
         return self._build_surface_quad(level, win)
 
     def _build_surface_quad(self, level, windows):
         ub, vb = self.patch.base_breaks()
         if windows is None:
-            un, uw = _gauss_cells(ub, level)
-            vn, vw = _gauss_cells(vb, level)
-        else:
-            # graded support cells: `level` plays the role of grading depth
-            depth = level + SURFACE_GRADE_OFFSET
-            uwin, vwin = windows
-            if uwin is None:
-                uwin = [(ub[0], ub[-1])]
-            if vwin is None:
-                vwin = [(vb[0], vb[-1])]
-            ug = _graded_breaks(uwin, depth, ub, ub[0], ub[-1])
-            vg = _graded_breaks(vwin, depth, vb, vb[0], vb[-1])
-            un, uw = _gauss_cells(ug, 0, uwin)
-            vn, vw = _gauss_cells(vg, 0, vwin)
-        if len(un) == 0 or len(vn) == 0:
-            return make_surface_batch(self.patch, np.zeros(0), np.zeros(0),
-                                      weights=np.zeros(0))
-        U, V = np.meshgrid(un, vn, indexing='ij')
-        W = np.outer(uw, vw)
-        batch = make_surface_batch(self.patch, U.ravel(), V.ravel())
-        batch.weights = W.ravel() * self.patch.area_element(batch.U, batch.V)
-        return batch
+            return _tensor_batch(self.patch, _gauss_cells(ub, level),
+                                 _gauss_cells(vb, level))
+        # graded support cells: `level` plays the role of grading depth
+        depth = level + SURFACE_GRADE_OFFSET
+        uwin, vwin = windows
+        if uwin is None:
+            uwin = [(ub[0], ub[-1])]
+        if vwin is None:
+            vwin = [(vb[0], vb[-1])]
+        ug = _graded_breaks(uwin, depth, ub, ub[0], ub[-1])
+        vg = _graded_breaks(vwin, depth, vb, vb[0], vb[-1])
+        return _tensor_batch(self.patch, _gauss_cells(ug, 0, uwin),
+                             _gauss_cells(vg, 0, vwin))
 
     def samples(self, n):
         """Deterministic quasi-uniform surface samples (no weights)."""
@@ -1042,17 +1058,10 @@ class BoundarySurface:
 
     def quadrature(self, level=DEFAULT_SURFACE_LEVEL):
         if level not in self._cache:
-            batches = []
-            for p in self.patches:
-                ub, vb = p.base_breaks()
-                un, uw = _gauss_cells(ub, level)
-                vn, vw = _gauss_cells(vb, level)
-                U, V = np.meshgrid(un, vn, indexing='ij')
-                W = np.outer(uw, vw)
-                b = make_surface_batch(p, U.ravel(), V.ravel())
-                b.weights = W.ravel() * p.area_element(b.U, b.V)
-                batches.append(b)
-            self._cache[level] = batches
+            self._cache[level] = [
+                _tensor_batch(p, *(_gauss_cells(b, level)
+                                   for b in p.base_breaks()))
+                for p in self.patches]
         return self._cache[level]
 
 
@@ -1131,15 +1140,12 @@ class Domain:
                 nodes.append(x)
                 weights.append(ww)
         if any(len(x) == 0 for x in nodes):
-            return VolumeQuad(points=np.zeros((0, 3)), weights=np.zeros(0),
-                              sides=np.zeros(0))
+            return VolumeQuad(points=np.zeros((0, 3)), weights=np.zeros(0))
         A, B, C = np.meshgrid(*nodes, indexing='ij')
         W = np.einsum('i,j,k->ijk', *weights)
         pts = to_xyz(A.ravel(), B.ravel(), C.ravel())
         w = W.ravel() * jac(A.ravel(), B.ravel(), C.ravel())
-        sides = (interface.side(pts) if interface is not None
-                 else np.zeros(len(w)))
-        return VolumeQuad(points=pts, weights=w, sides=sides)
+        return VolumeQuad(points=pts, weights=w)
 
     def interior_samples(self, n, interface=None, min_dist=0.0, max_tries=60):
         """Deterministic low-discrepancy interior points, kept off the interface."""
@@ -1164,10 +1170,6 @@ class Domain:
     def bounding_box(self):
         raise NotImplementedError
 
-    def boundary_distance(self, pts):
-        """Distance to the nearest boundary point (positive inside)."""
-        raise NotImplementedError
-
 
 class Ball(Domain):
     kind = 'ball'
@@ -1188,9 +1190,6 @@ class Ball(Domain):
 
     def contains_ball(self, center, radius):
         return np.linalg.norm(center) + radius < self.radius
-
-    def boundary_distance(self, pts):
-        return self.radius - np.linalg.norm(pts, axis=-1)
 
     def bounding_box(self):
         r = self.radius
@@ -1256,10 +1255,6 @@ class SphericalShell(Domain):
         r = np.linalg.norm(center)
         return (r - radius > self.inner_radius) and (r + radius < self.outer_radius)
 
-    def boundary_distance(self, pts):
-        r = np.linalg.norm(pts, axis=-1)
-        return np.minimum(r - self.inner_radius, self.outer_radius - r)
-
     def bounding_box(self):
         r = self.outer_radius
         return np.array([-r, -r, -r]), np.array([r, r, r])
@@ -1323,9 +1318,6 @@ class Box(Domain):
 
     def contains_ball(self, center, radius):
         return bool(np.all(np.abs(center) + radius < self.half_widths))
-
-    def boundary_distance(self, pts):
-        return np.min(self.half_widths - np.abs(pts), axis=-1)
 
     def bounding_box(self):
         return -self.half_widths, self.half_widths
@@ -1421,13 +1413,6 @@ class CylinderAnnulus(Domain):
                 and rho + radius < self.outer_radius
                 and center[2] - radius > z0 and center[2] + radius < z1)
 
-    def boundary_distance(self, pts):
-        rho = np.hypot(pts[..., 0], pts[..., 1])
-        z0, z1 = self.z_range
-        return np.min(np.stack([rho - self.inner_radius,
-                                self.outer_radius - rho,
-                                pts[..., 2] - z0, z1 - pts[..., 2]]), axis=0)
-
     def bounding_box(self):
         r = self.outer_radius
         return (np.array([-r, -r, self.z_range[0]]),
@@ -1499,16 +1484,19 @@ def blocked_sum(weights, integrand, *arrays):
     ``arrays`` is cut into the same blocks as ``weights`` and
     ``f = integrand(*blocks)`` is evaluated on one block at a time, so the
     integrand must be pointwise.  With ``integrand=None`` the one array is
-    ``f`` itself.  Each block is reduced by ``np.add.reduce(w * f)`` and the
-    partials are added in block order: the sum depends only on the rule and
-    ``BLOCK``, never on the BLAS thread count.
+    ``f`` itself.  ``f`` is ``(N,)`` for a scalar sum (returned as a float)
+    or ``(N, ...)`` for a vector or tensor sum (returned as an array).  Each
+    block is reduced by ``np.add.reduce(w[:, None, ...] * f, axis=0)`` and
+    the partials are added in block order: the sum depends only on the rule
+    and ``BLOCK``, never on the BLAS thread count.
     """
     total = 0.0
     for lo in range(0, len(weights), BLOCK):
         blocks = [a[lo:lo + BLOCK] for a in arrays]
-        f = blocks[0] if integrand is None else integrand(*blocks)
-        total += float(np.add.reduce(weights[lo:lo + BLOCK] * f))
-    return total
+        f = np.asarray(blocks[0] if integrand is None else integrand(*blocks))
+        w = weights[lo:lo + BLOCK].reshape((-1,) + (1,) * (f.ndim - 1))
+        total = total + np.add.reduce(w * f, axis=0)
+    return total if np.ndim(total) else float(total)
 
 
 def integrate_volume(domain, interface, integrand, level=DEFAULT_VOLUME_LEVEL,
@@ -1517,7 +1505,7 @@ def integrate_volume(domain, interface, integrand, level=DEFAULT_VOLUME_LEVEL,
 
     Volume cells conform to the interface: piecewise integrands are never
     sampled across the jump.  The error estimate is the difference against
-    one coarser refinement level.
+    one coarser refinement level (``two_level``).
     """
     def f(pts):
         return _finite(integrand(pts), pts, "volume integrand")
@@ -1526,9 +1514,7 @@ def integrate_volume(domain, interface, integrand, level=DEFAULT_VOLUME_LEVEL,
         q = domain.volume_quadrature(interface, lv, extra_breaks)
         return blocked_sum(q.weights, f, q.points)
 
-    value = run(level)
-    coarse = run(max(level - 1, 0)) if level > 0 else run(level)
-    return QuadResult(value, abs(value - coarse))
+    return two_level(run, level)
 
 
 def integrate_surface(interface, integrand, level=DEFAULT_SURFACE_LEVEL):
@@ -1538,20 +1524,19 @@ def integrate_surface(interface, integrand, level=DEFAULT_SURFACE_LEVEL):
         vals = _finite(integrand(batch), batch.points, "surface integrand")
         return blocked_sum(batch.weights, None, vals)
 
-    value = run(level)
-    coarse = run(max(level - 1, 0)) if level > 0 else run(level)
-    return QuadResult(value, abs(value - coarse))
+    return two_level(run, level)
 
 
 def integrate_curve(interface, component, integrand, n=DEFAULT_CURVE_NODES):
-    """Quadrature of ``integrand(curve_batch) -> (N,)`` along a boundary curve."""
+    """Quadrature of ``integrand(curve_batch) -> (N,)`` along a boundary curve;
+    the error estimate is the difference against ``n // 2`` nodes."""
     def run(m):
         curve = interface.curve_quadrature(component, m)
         vals = _finite(integrand(curve), curve.points, "curve integrand")
         return blocked_sum(curve.weights, None, vals)
 
     value = run(n)
-    return QuadResult(value, abs(value - run(max(n // 2, 8))))
+    return PairingValue(value, abs(value - run(max(n // 2, 8))))
 
 
 def _surface_point_batch(interface, point):
@@ -1574,23 +1559,54 @@ def mean_curvature(interface, point):
     return float(np.trace(shape_operator(interface, point)))
 
 
+def _force_moment(weights, points, traction, origin):
+    """(sum of w t, sum of w (x - origin) x t) over one rule."""
+    return (blocked_sum(weights, None, traction),
+            blocked_sum(weights, lambda x, t: np.cross(x - origin, t),
+                        points, traction))
+
+
 def boundary_force_moment(domain, component, tensor_field,
                           level=DEFAULT_SURFACE_LEVEL, origin=(0.0, 0.0, 0.0)):
     """(integral of sigma n, integral of (x - origin) x (sigma n)) over one
     boundary component, with the out-of-domain normal."""
     f = tensor_field if callable(tensor_field) else tensor_field.value
     origin = np.asarray(origin, dtype=float)
+    force, moment = np.zeros(3), np.zeros(3)
+    for batch in domain.boundary_components[component].quadrature(level):
+        tr = np.einsum('nij,nj->ni', np.asarray(f(batch.points)), batch.normals)
+        fb, mb = _force_moment(batch.weights, batch.points, tr, origin)
+        force += fb
+        moment += mb
+    return force, moment
 
-    def run(lv):
-        force = np.zeros(3)
-        moment = np.zeros(3)
-        for batch in domain.boundary_components[component].quadrature(lv):
-            sig = np.asarray(f(batch.points))
-            tr = np.einsum('nij,nj->ni', sig, batch.normals)
-            force += np.einsum('n,ni->i', batch.weights, tr)
-            moment += np.einsum('n,ni->i', batch.weights,
-                                np.cross(batch.points - origin, tr))
-        return force, moment
 
-    force, moment = run(level)
+def curve_force_moment(interface, component, sigma1=None, sigma2=None,
+                       origin=(0.0, 0.0, 0.0), n=DEFAULT_CURVE_NODES):
+    """Force and moment that a surface stress ``sigma1`` and a stress dipole
+    ``sigma2`` (surface fields; either may be None) carry through the
+    interface's boundary curves on one boundary component.
+
+    With nu the curve conormal, the traction is sigma1 nu - (sigma2 grad_S n)
+    nu, and the dipole adds the couple n x (sigma2 nu) to the moment.
+    Components the interface does not touch get zeros.
+    """
+    origin = np.asarray(origin, dtype=float)
+    force, moment = np.zeros(3), np.zeros(3)
+    for comp, build in interface.boundary_curves:
+        if comp != component:
+            continue
+        curve = build(n)
+        b = curve.surface
+        tr = np.zeros((len(curve), 3))
+        if sigma1 is not None:
+            tr += np.einsum('nij,nj->ni', sigma1.value(b), curve.nu)
+        if sigma2 is not None:
+            s2 = sigma2.value(b)
+            tr -= np.einsum('nij,njk,nk->ni', s2, b.shape_ops, curve.nu)
+            moment += blocked_sum(curve.weights, None, np.cross(
+                b.normals, np.einsum('nij,nj->ni', s2, curve.nu)))
+        fc, mc = _force_moment(curve.weights, curve.points, tr, origin)
+        force += fc
+        moment += mc
     return force, moment

@@ -22,7 +22,8 @@ from .errors import ConfigError, FieldError, StressDistError
 from .fields import (PiecewiseField, PolyField, SurfaceField,
                      chart_derivatives, dual_tangents,
                      make_gradient_test_field, tangential_gradient)
-from .geometry import DEFAULT_SURFACE_LEVEL
+from .geometry import (DEFAULT_SURFACE_LEVEL, boundary_force_moment,
+                       curve_force_moment)
 
 LEMMA2_TOL = 1e-6
 CURL_ASYMMETRY_TOL = 1e-6
@@ -427,36 +428,16 @@ class GlobalConditionsReport:
         return {"components": out, "pass": bool(self.passed)}
 
 
-def _curve_integrals(interface, component, sigma1, sigma2, origin, n=None):
-    force = np.zeros(3)
-    moment = np.zeros(3)
-    curves = [b for c, b in interface.boundary_curves if c == component]
-    for builder in curves:
-        curve = builder(64 if n is None else n)
-        if sigma1 is not None:
-            v = np.einsum('nij,nj->ni', sigma1.value(curve.surface), curve.nu)
-            force += np.einsum('n,ni->i', curve.weights, v)
-            moment += np.einsum('n,ni->i', curve.weights,
-                                np.cross(curve.points - origin, v))
-        if sigma2 is not None:
-            sh = np.einsum('nij,njk->nik', sigma2.value(curve.surface),
-                           curve.surface.shape_ops)
-            v = np.einsum('nij,nj->ni', sh, curve.nu)
-            force -= np.einsum('n,ni->i', curve.weights, v)
-            moment -= np.einsum('n,ni->i', curve.weights,
-                                np.cross(curve.points - origin, v))
-    return force, moment
-
-
 def global_conditions(triple_or_sigma, domain, interface=None,
                       level=DEFAULT_SURFACE_LEVEL, tol=LEMMA2_TOL,
                       origin=(0.0, 0.0, 0.0)):
-    """Net force and moment per boundary component, including curve terms.
+    """Net force and moment per boundary component, including the curve
+    terms of the surface stress and the stress dipole on open interfaces
+    (``geometry.curve_force_moment``, dipole couple included).
 
     Both must vanish on every component i >= 1 for a stress function to
     exist; component 0 is reported for reference only.
     """
-    origin = np.asarray(origin, dtype=float)
     if isinstance(triple_or_sigma, DensityTriple):
         sigma = triple_or_sigma.sigma
         sigma1 = triple_or_sigma.sigma1
@@ -473,16 +454,9 @@ def global_conditions(triple_or_sigma, domain, interface=None,
 
     components = []
     for i in range(domain.k):
-        force = np.zeros(3)
-        moment = np.zeros(3)
-        for batch in domain.boundary_components[i].quadrature(level):
-            vals = np.asarray(sigma.value(batch.points))
-            tr = np.einsum('nij,nj->ni', vals, batch.normals)
-            force += np.einsum('n,ni->i', batch.weights, tr)
-            moment += np.einsum('n,ni->i', batch.weights,
-                                np.cross(batch.points - origin, tr))
+        force, moment = boundary_force_moment(domain, i, sigma, level, origin)
         if interface is not None and not interface.closed:
-            fc, mc = _curve_integrals(interface, i, sigma1, sigma2, origin)
+            fc, mc = curve_force_moment(interface, i, sigma1, sigma2, origin)
             force += fc
             moment += mc
         ok = bool(np.linalg.norm(force) <= tol and np.linalg.norm(moment) <= tol)

@@ -281,6 +281,26 @@ class TestCatalogFields:
         bk, _ = bulk_residual(scn, n=200)
         assert bk < 1e-10
 
+    def test_bulk_vector_kinds(self, ball, sphere_half):
+        from stressdist import _tensor as T
+        from stressdist.catalog import build_bulk_vector
+        from stressdist.errors import ConfigError
+        assert build_bulk_vector({"kind": "zero"}, ball, sphere_half) is None
+        pts = ball.interior_samples(40, sphere_half, 0.05)
+        const = build_bulk_vector({"kind": "constant-vector",
+                                   "value": [1.0, -2.0, 0.5]}, ball, None)
+        assert np.array_equal(const.value(pts),
+                              np.tile([1.0, -2.0, 0.5], (40, 1)))
+        pw = build_bulk_vector({"kind": "piecewise-polynomial", "seed": 3,
+                                "degree": 2}, ball, sphere_half)
+        jump = pw.jump(sphere_half.samples(32))
+        assert pw.rank == 1 and jump.shape == (32, 3)
+        assert np.max(np.abs(jump)) > 1e-3
+        grad = build_bulk_vector({"kind": "gradient", "seed": 4}, ball, None)
+        assert np.max(np.abs(T.curl_from_gradient(grad.gradient(pts)))) < 1e-12
+        with pytest.raises(ConfigError):
+            build_bulk_vector({"kind": "vortex"}, ball, None)
+
     def test_airy_potential_scenario(self, tmp_path):
         cfg = {
             "schema_version": 1,

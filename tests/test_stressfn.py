@@ -290,6 +290,16 @@ class TestLemma2AndGlobal:
             gc = global_conditions(triple, dom)
             assert gc.passed
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_annulus_triple_global_conditions(self, shell, annulus, seed):
+        # open interface: the curve terms of sigma1 and sigma2, with the
+        # dipole couple n x (sigma2 nu), close both components
+        phi = random_stress_function(np.random.default_rng(seed), annulus,
+                                     shell, degree=3, scale=0.2)
+        gc = global_conditions(extract_densities(phi, annulus), shell,
+                               tol=1e-6)
+        assert [c["pass"] for c in gc.components] == [True, True]
+
     def test_kelvin_necessity_witness(self, shell):
         scn = kelvin_scenario(shell, force=[0, 0, 1.0], nu=0.25)
         dist = CompositeDist(b=BDist(shell, None, scn.sigma))
