@@ -87,52 +87,6 @@ def fd_gradient(f, pts, h, value_shape=()):
     return out
 
 
-def fd_gradient_guarded(f, pts, h, signed_distance, value_shape=()):
-    """FD gradient that never samples across the zero level set of signed_distance.
-
-    Points whose centered stencil would cross the interface get the whole
-    5-point one-sided stencil shifted to their own side.  ``signed_distance``
-    must be cheap (analytic catalog surfaces).
-    """
-    pts = np.asarray(pts, dtype=float)
-    n = pts.shape[0]
-    s0 = np.sign(signed_distance(pts))
-    out = np.empty((n,) + tuple(value_shape) + (3,))
-    for ax in range(3):
-        lo = pts.copy()
-        lo[:, ax] -= 2.0 * h
-        hi = pts.copy()
-        hi[:, ax] += 2.0 * h
-        safe = (np.sign(signed_distance(lo)) == s0) & (np.sign(signed_distance(hi)) == s0)
-        # centered where safe
-        acc = np.zeros((n,) + tuple(value_shape))
-        if np.any(safe):
-            p = pts[safe]
-            a = 0.0
-            for off, w in zip(CENTRAL_OFFSETS, CENTRAL_WEIGHTS):
-                shifted = p.copy()
-                shifted[:, ax] += off * h
-                a = a + w * np.asarray(f(shifted))
-            acc[safe] = a / h
-        if not np.all(safe):
-            bad = ~safe
-            p = pts[bad]
-            sb = s0[bad]
-            # choose the shift direction keeping all 5 nodes on the home side
-            probe = p.copy()
-            probe[:, ax] += 4.0 * h
-            fwd_ok = np.sign(signed_distance(probe)) == sb
-            direction = np.where(fwd_ok, 1.0, -1.0)
-            a = 0.0
-            for off, w in zip(ONESIDED_OFFSETS, ONESIDED_WEIGHTS):
-                shifted = p.copy()
-                shifted[:, ax] += direction * off * h
-                a = a + w * np.asarray(f(shifted))
-            acc[bad] = a / (direction.reshape((-1,) + (1,) * len(value_shape)) * h)
-        out[..., ax] = acc
-    return out
-
-
 def fibonacci_sphere(n):
     """n quasi-uniform (theta, phi) points on the unit sphere (golden spiral)."""
     i = np.arange(n) + 0.5

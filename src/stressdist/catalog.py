@@ -21,6 +21,31 @@ from .geometry import (Ball, Box, CylinderAnnulus, SphericalShell,
 from .stressfn import StressFunction
 
 
+class ConfigBlock(dict):
+    """A scenario block that knows its JSON path.
+
+    Reading a missing required key raises ``ConfigError`` naming the key's
+    path (``$.geometry.domain.radius``), and nested blocks come back as
+    ``ConfigBlock``s with the path extended, so every builder below reports
+    an incomplete scenario as a configuration error.
+    """
+
+    def __init__(self, data, path="$"):
+        super().__init__(data)
+        self.path = path
+
+    def __getitem__(self, key):
+        if key not in self:
+            raise ConfigError(f"{self.path}.{key}: missing required key")
+        value = super().__getitem__(key)
+        if isinstance(value, dict):
+            return ConfigBlock(value, f"{self.path}.{key}")
+        return value
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
+
+
 def build_domain(cfg):
     kind = cfg.get("kind")
     if kind == "ball":
@@ -62,34 +87,33 @@ def _pressure_side(p):
 
 def build_bulk_tensor(cfg, domain, interface):
     kind = cfg.get("kind")
-    L = domain.length_scale
     if kind == "zero":
         return None
     if kind == "uniform-pressure":
         return PiecewiseField(2, _pressure_side(cfg["p_plus"]),
-                              _pressure_side(cfg["p_minus"]), interface, L)
+                              _pressure_side(cfg["p_minus"]), interface)
     if kind == "kelvin":
         return PiecewiseField.smooth(
-            KelvinStressField(cfg["force"], cfg.get("nu", 0.25)), 2, L)
+            KelvinStressField(cfg["force"], cfg.get("nu", 0.25)), 2)
     if kind == "hessian-harmonic":
         return PiecewiseField.smooth(
-            HessianInverseR(cfg.get("amplitude", 1.0)), 2, L)
+            HessianInverseR(cfg.get("amplitude", 1.0)), 2)
     if kind == "constant":
         return PiecewiseField.smooth(
-            ConstantField(np.asarray(cfg["value"], dtype=float), 2), 2, L)
+            ConstantField(np.asarray(cfg["value"], dtype=float), 2), 2)
     if kind == "piecewise-polynomial":
         rng = np.random.default_rng(cfg["seed"])
         deg = cfg.get("degree", 3)
         scale = cfg.get("scale", 1.0)
         plus = PolyField.random_symmetric(rng, deg, scale)
         minus = PolyField.random_symmetric(rng, deg, scale)
-        return PiecewiseField(2, plus, minus, interface, L)
+        return PiecewiseField(2, plus, minus, interface)
     if kind == "radial-pressure":
         plus = _radial_pressure_field(cfg["coeffs_plus"])
         if interface is None or "coeffs_minus" not in cfg:
-            return PiecewiseField(2, plus, None, interface, L)
+            return PiecewiseField(2, plus, None, interface)
         minus = _radial_pressure_field(cfg["coeffs_minus"])
-        return PiecewiseField(2, plus, minus, interface, L)
+        return PiecewiseField(2, plus, minus, interface)
     raise ConfigError(f"unknown bulk stress kind {kind!r}")
 
 
@@ -117,23 +141,22 @@ def _poly_times(a, b):
 
 def build_bulk_vector(cfg, domain, interface):
     kind = cfg.get("kind")
-    L = domain.length_scale
     if kind == "zero":
         return None
     if kind == "constant-vector":
         return PiecewiseField.smooth(
-            ConstantField(np.asarray(cfg["value"], dtype=float), 1), 1, L)
+            ConstantField(np.asarray(cfg["value"], dtype=float), 1), 1)
     if kind == "piecewise-polynomial":
         rng = np.random.default_rng(cfg["seed"])
         deg = cfg.get("degree", 3)
         plus = PolyField.random_vector(rng, deg, cfg.get("scale", 1.0))
         minus = PolyField.random_vector(rng, deg, cfg.get("scale", 1.0))
-        return PiecewiseField(1, plus, minus, interface, L)
+        return PiecewiseField(1, plus, minus, interface)
     if kind == "gradient":        # curl-free bulk field for curl checks
         rng = np.random.default_rng(cfg["seed"])
         pot = Poly3.random(rng, cfg.get("degree", 4))
         comp = np.array(pot.gradient_polys(), dtype=object)
-        return PiecewiseField.smooth(PolyField(comp, rank=1), 1, L)
+        return PiecewiseField.smooth(PolyField(comp, rank=1), 1)
     raise ConfigError(f"unknown bulk force kind {kind!r}")
 
 
@@ -192,11 +215,10 @@ def soap_film(domain, interface, gamma, pressure_jump, tolerances=None):
     Equilibrated exactly when pressure_jump (toward-side minus away-side)
     equals kappa * gamma.
     """
-    L = domain.length_scale
     p = PiecewiseField(0, ConstantField(pressure_jump, 0),
-                       ConstantField(0.0, 0), interface, L)
+                       ConstantField(0.0, 0), interface)
     sigma = PiecewiseField(2, _pressure_side(pressure_jump),
-                           _pressure_side(0.0), interface, L)
+                           _pressure_side(0.0), interface)
     return EquilibriumScenario(
         domain=domain, interface=interface, sigma=sigma,
         sigma1=uniform_tension(gamma, interface),
@@ -220,19 +242,17 @@ def dilatational_dipole(domain, interface, gamma, p2, tolerances=None):
 
 def kelvin_scenario(domain, force=(0.0, 0.0, 1.0), nu=0.25):
     """Smooth divergence-free stress with nonzero net flux: no stress function."""
-    sigma = PiecewiseField.smooth(KelvinStressField(force, nu), 2,
-                                  domain.length_scale)
+    sigma = PiecewiseField.smooth(KelvinStressField(force, nu), 2)
     return EquilibriumScenario(domain=domain, interface=None, sigma=sigma,
                                name="kelvin")
 
 
 def flat_tension(domain, interface, gamma, tolerances=None):
     """Uniform tension on a flat interface: equilibrated with zero jump."""
-    L = domain.length_scale
     p = PiecewiseField(0, ConstantField(0.0, 0), ConstantField(0.0, 0),
-                       interface, L)
+                       interface)
     sigma = PiecewiseField(2, _pressure_side(0.0), _pressure_side(0.0),
-                           interface, L)
+                           interface)
     return EquilibriumScenario(
         domain=domain, interface=interface, sigma=sigma,
         sigma1=uniform_tension(gamma, interface),
@@ -276,20 +296,18 @@ def build_scenario_fields(cfg, domain, interface, tolerances=None):
 
 def build_potential(cfg, domain, interface):
     kind = cfg.get("kind")
-    L = domain.length_scale
     if kind == "piecewise-polynomial":
         rng = np.random.default_rng(cfg["seed"])
         deg = cfg.get("degree", 4)
         scale = cfg.get("scale", 1.0)
         plus = PolyField.random_symmetric(rng, deg, scale)
         minus = PolyField.random_symmetric(rng, deg, scale)
-        return StressFunction(plus, minus, interface, L)
+        return StressFunction(plus, minus, interface)
     if kind == "smooth-polynomial":
         rng = np.random.default_rng(cfg["seed"])
         f = PolyField.random_symmetric(rng, cfg.get("degree", 4),
                                        cfg.get("scale", 1.0))
-        return StressFunction(f, None, interface, L) if interface is not None \
-            else StressFunction.smooth(f, L)
+        return StressFunction(f, None, interface)
     if kind == "airy":
         # planar potential f(x1, x2) e3 (x) e3: generates an in-plane stress
         terms = cfg["terms"]            # list of [i, j, coef]
@@ -300,12 +318,11 @@ def build_potential(cfg, domain, interface):
             for b in range(3):
                 comp[a, b] = f if (a == 2 and b == 2) else Poly3.constant(0.0)
         pf = PolyField(comp, rank=2)
-        return StressFunction(pf, None, interface, L) if interface is not None \
-            else StressFunction.smooth(pf, L)
+        return StressFunction(pf, None, interface)
     raise ConfigError(f"unknown potential kind {kind!r}")
 
 
 def random_stress_function(rng, interface, domain, degree=4, scale=1.0):
     plus = PolyField.random_symmetric(rng, degree, scale)
     minus = PolyField.random_symmetric(rng, degree, scale)
-    return StressFunction(plus, minus, interface, domain.length_scale)
+    return StressFunction(plus, minus, interface)

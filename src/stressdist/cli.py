@@ -3,8 +3,8 @@
 A scenario is a JSON file naming a geometry, catalog fields, one
 verification operation, suite parameters, and tolerance overrides.  ``run``
 executes one scenario and writes a machine-readable report (exit 0 pass,
-1 checks failed, 2 configuration error); ``batch`` runs a directory of
-scenarios in parallel and writes a summary CSV.
+1 checks failed, 2 configuration error, 3 internal error); ``batch`` runs a
+directory of scenarios in parallel and writes a summary CSV.
 
 Reports are deterministic for a fixed scenario and seed up to the volatile
 ``timing`` block.
@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
@@ -160,7 +161,7 @@ def _random_dist(family, domain, interface, rng, rank):
                 else PolyField.random_vector)
         return BDist(domain, interface,
                      PiecewiseField(rank, make(rng, 3), make(rng, 3),
-                                    interface, domain.length_scale))
+                                    interface))
     density = surface_polynomial(rng, rank, interface, degree=2,
                                  symmetric=False)
     return CDist(interface, density) if family == "C" else \
@@ -362,10 +363,12 @@ def run_scenario(cfg, refine=0, seed_override=None):
         cfg = dict(cfg)
         cfg["seed"] = int(seed_override)
     t0 = time.time()
+    block = catalog.ConfigBlock(cfg)
     with distributions.refinement(refine):
-        domain, interface = _build_geometry(cfg)
+        domain, interface = _build_geometry(block)
         rng = np.random.default_rng(int(cfg.get("seed", 0)))
-        checks, tables = _DRIVERS[cfg["operation"]](cfg, domain, interface, rng)
+        checks, tables = _DRIVERS[cfg["operation"]](block, domain, interface,
+                                                    rng)
     passed = all(c.passed for c in checks)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -409,7 +412,13 @@ def _dump_report(report, out_path, fmt):
 
 
 def run(path, refine=0, seed=None, out=None, fmt="report"):
-    """Run one scenario file. Exit codes: 0 pass, 1 failed checks, 2 config."""
+    """Run one scenario file.
+
+    Exit codes: 0 pass, 1 failed checks, 2 configuration error (an
+    unreadable or malformed scenario, or one the library rejects with a
+    ``StressDistError``), 3 internal error (any other exception; its
+    traceback goes to stderr).
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -418,9 +427,13 @@ def run(path, refine=0, seed=None, out=None, fmt="report"):
         return 2, None
     try:
         report = run_scenario(cfg, refine=refine, seed_override=seed)
-    except (ConfigError, StressDistError, KeyError, TypeError, ValueError) as exc:
+    except StressDistError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return 2, None
+    except Exception:
+        print(f"internal error: {path}", file=sys.stderr)
+        traceback.print_exc()
+        return 3, None
     out_path = out or (os.path.splitext(path)[0] + ".report.json")
     _dump_report(report, out_path, fmt)
     return (0 if report["summary"]["pass"] else 1), report

@@ -23,7 +23,8 @@ import numpy as np
 from . import _tensor as T
 from ._memo import LruMemo
 from .errors import ConfigError, RankMismatchError, StressDistError
-from .fields import SurfaceField, surface_divergence
+from .fields import (shaped_divergence, surface_divergence, surface_gradient,
+                     surface_trace)
 from .geometry import (DEFAULT_SURFACE_LEVEL, DEFAULT_VOLUME_LEVEL,
                        PairingValue, blocked_sum, boundary_force_moment,
                        curve_force_moment, support_key, support_volume_quad,
@@ -338,14 +339,6 @@ def distributional_curl(dist, test, level=None):
 # closed-form divergence identities (dual path)
 
 
-def _shaped(density, interface):
-    """f grad_S n as a surface field ((grad_S n) f for vectors: grad_S n is
-    symmetric)."""
-    return SurfaceField(
-        lambda b: np.einsum('n...j,njk->n...k', density.value(b), b.shape_ops),
-        density.rank, interface)
-
-
 def identity1_rhs(dist, test, level=None):
     """Closed-form value of Div T(test) for each family, summed for composites.
 
@@ -398,21 +391,20 @@ def identity1_rhs(dist, test, level=None):
         return two_level(run, slevel)
 
     if isinstance(dist, FDist):
-        shaped = _shaped(dist.density, dist.interface)
-
         def run(lv):
             b = dist.interface.surface_quadrature(lv, support=support)
             if len(b) == 0:
                 return 0.0
-            fn = np.einsum('n...j,nj->n...', dist._values(b, lv, support),
-                           b.normals)
-            coeff = (surface_divergence(dist.density, b)
+            f = dist._values(b, lv, support)
+            grad = surface_gradient(dist.density, b)
+            fn = np.einsum('n...j,nj->n...', f, b.normals)
+            coeff = (surface_trace(grad, dist.rank)
                      - np.einsum('n...,n->n...', fn, b.kappa))
             dpsi_dn = np.einsum('n...j,nj->n...', test.gradient(b.points),
                                 b.normals)
             hnn = np.einsum('n...jk,nj,nk->n...', test.hessian(b.points),
                             b.normals, b.normals)
-            integrand = (-_contract(surface_divergence(shaped, b),
+            integrand = (-_contract(shaped_divergence(f, grad, b),
                                     test.value(b.points))
                          + _contract(coeff, dpsi_dn)
                          - _contract(fn, hnn))
@@ -479,16 +471,16 @@ def identity2_rhs(dist, gfield, level=None):
 
         sigma1, sigma2 = dist.density, None
     elif isinstance(dist, FDist):
-        shaped = _shaped(dist.density, interface)
-
         def run(lv):
             b = interface.surface_quadrature(lv)
-            fn = np.einsum('nij,nj->ni', dist._values(b, lv), b.normals)
-            coeff = surface_divergence(dist.density, b) - b.kappa[:, None] * fn
+            f = dist._values(b, lv)
+            grad = surface_gradient(dist.density, b)
+            fn = np.einsum('nij,nj->ni', f, b.normals)
+            coeff = surface_trace(grad, 2) - b.kappa[:, None] * fn
             du_dn = np.einsum('nij,nj->ni', gfield.value(b.points), b.normals)
             hnn = np.einsum('nijk,nj,nk->ni', gfield.gradient(b.points),
                             b.normals, b.normals)
-            integrand = (_contract(surface_divergence(shaped, b),
+            integrand = (_contract(shaped_divergence(f, grad, b),
                                    gfield.u(b.points))
                          - _contract(coeff, du_dn)
                          + _contract(fn, hnn))

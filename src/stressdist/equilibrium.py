@@ -22,17 +22,20 @@ from typing import Optional
 import numpy as np
 
 from . import _tensor as T
-from .distributions import (CompositeDist, PairingValue, _shaped,
-                            distributional_div, pair)
+from .distributions import (CompositeDist, PairingValue, distributional_div,
+                            pair)
 from .errors import FieldError, GeometryError
 from .fields import (BumpSymTensor, ModulatedTest, Poly3,
                      SquaredDistanceFactor, SurfaceField, make_bump,
-                     surface_divergence, surface_gradient)
+                     shape_divergence, shaped_divergence, surface_divergence,
+                     surface_gradient, surface_trace)
 from .geometry import blocked_sum, plane_disk_interface
 
 LOCAL_TOL_ANALYTIC = 1e-6
-LOCAL_TOL_FD = 1e-4
 WEAK_FACTOR = 10.0
+# bulk samples keep this distance, relative to the domain length scale,
+# from the interface
+BULK_GUARD_REL = 6e-4
 
 
 @dataclass
@@ -151,8 +154,7 @@ def bulk_residual(scenario, points=None, n=2000, guard=None):
     """max |div sigma + b| over interior samples kept away from the interface."""
     dom, itf = scenario.domain, scenario.interface
     if guard is None:
-        step = scenario.sigma.fd_step if scenario.sigma is not None else 1e-4
-        guard = 6.0 * step
+        guard = BULK_GUARD_REL * dom.length_scale
     resampled = 0
     if points is None:
         points = dom.interior_samples(n, itf, min_dist=guard)
@@ -191,8 +193,9 @@ def interface_residuals(scenario, batch=None, n=2000):
         r_c -= s1n
     if scenario.sigma2 is not None:
         s2 = scenario.sigma2.value(batch)
-        r_b -= surface_divergence(_shaped(scenario.sigma2, itf), batch)
-        r_c += surface_divergence(scenario.sigma2, batch)
+        grad_s2 = surface_gradient(scenario.sigma2, batch)
+        r_b -= shaped_divergence(s2, grad_s2, batch)
+        r_c += surface_trace(grad_s2, 2)
         r_d += np.einsum('nij,nj->ni', s2, normals)
     if scenario.b1 is not None:
         r_b += scenario.b1.value(batch)
@@ -237,7 +240,7 @@ def dilatational_residuals(scenario, batch=None, n=2000, n_bulk=1000):
             return fn
         if callable(fn):
             return SurfaceField.from_world(fn, 0, itf)
-        return SurfaceField(lambda b: np.full(len(b), float(fn)), 0, itf)
+        return SurfaceField.constant(float(fn), 0, itf)
 
     p1 = scalar_surface(dil.p1)
     p2 = scalar_surface(dil.p2)
@@ -245,8 +248,7 @@ def dilatational_residuals(scenario, batch=None, n=2000, n_bulk=1000):
     p2v = p2.value(batch)
     grad_p1 = surface_gradient(p1, batch)
     grad_p2 = surface_gradient(p2, batch)
-    shape_field = SurfaceField(lambda b: b.shape_ops, 2, itf)
-    div_shape = surface_divergence(shape_field, batch)
+    div_shape = shape_divergence(batch)
 
     jump_p = dil.p.jump(batch)
     r_b = (jump_p[:, None] * normals + grad_p1
@@ -267,7 +269,8 @@ def dilatational_residuals(scenario, batch=None, n=2000, n_bulk=1000):
 
     bn, bt = split(r_b)
     cn, ct = split(r_c)
-    bulk_pts = scenario.domain.interior_samples(n_bulk, itf, min_dist=6e-4 * scenario.domain.length_scale)
+    bulk_pts = scenario.domain.interior_samples(
+        n_bulk, itf, min_dist=BULK_GUARD_REL * scenario.domain.length_scale)
     grad_p = dil.p.gradient(bulk_pts)
     ra = grad_p.copy()
     if scenario.b is not None:

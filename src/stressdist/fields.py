@@ -1,9 +1,13 @@
 """Piecewise bulk fields, surface fields, and smooth compactly supported tests.
 
-Test functions are radial bumps times polynomial factors with closed-form
-gradients and Hessians; user-supplied bulk fields are differentiated by
-4th-order finite differences that never straddle the interface.  Surface
-fields are differentiated in-chart (4th order, one-sided near chart edges).
+Every catalog field carries its own derivative: polynomial fields, the
+point-force stress and the Hessian of 1/r have closed-form gradients, test
+functions closed-form gradients and Hessians, and catalog surface fields a
+closed-form in-chart derivative (``dchart``).  Finite differences are left
+in two places only: ``CallableField`` differentiates a plain world
+evaluator (4th-order central), and ``_chart_partial`` differentiates a
+surface field without ``dchart`` in its chart (4th order, one-sided near
+chart edges).
 """
 
 from __future__ import annotations
@@ -16,9 +20,6 @@ import numpy as np
 from . import _tensor as T
 from .errors import FieldError, GeometryError, RankMismatchError
 from .geometry import make_surface_batch
-
-FD_STEP_REL = 1e-4          # bulk FD step relative to the domain length scale
-SIDE_GUARD_FACTOR = 5.0     # one-sided stencils within this many steps of S
 
 
 # ---------------------------------------------------------------------------
@@ -298,30 +299,45 @@ class KelvinStressField:
     def __init__(self, force, nu=0.25):
         self.force = np.asarray(force, dtype=float)
         self.nu = float(nu)
+        self._A = -1.0 / (8.0 * np.pi * (1.0 - self.nu))
+        self._c = 1.0 - 2.0 * self.nu
+
+    def _parts(self, pts):
+        """x, P, |x|^2, |x|^-3, P.x, x@x and P@x + x@P - (P.x) I."""
+        x = np.asarray(pts, dtype=float)
+        P = -self.force          # classical Kelvin load with outward flux -P
+        r2 = np.einsum('ni,ni->n', x, x)
+        Px = x @ P
+        Px_x = np.einsum('i,nj->nij', P, x)
+        lin = Px_x + np.swapaxes(Px_x, 1, 2) - Px[:, None, None] * T.I3
+        return (x, P, r2, r2 ** -1.5, Px, np.einsum('ni,nj->nij', x, x),
+                lin)
 
     def value(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        P = -self.force          # classical Kelvin load with outward flux -P
-        nu = self.nu
-        r = np.linalg.norm(pts, axis=-1)
-        Px = pts @ P
-        A = -1.0 / (8.0 * np.pi * (1.0 - nu))
-        out = np.empty((len(pts), 3, 3))
-        r3 = r ** 3
-        r5 = r ** 5
-        for i in range(3):
-            for j in range(3):
-                t = 3.0 * pts[:, i] * pts[:, j] * Px / r5
-                t = t + (1.0 - 2.0 * nu) * (P[i] * pts[:, j] + P[j] * pts[:, i]
-                                            - (1.0 if i == j else 0.0) * Px) / r3
-                out[:, i, j] = A * t
-        return out
+        """A (3 x@x (P.x) / r^5 + c lin / r^3)."""
+        _, _, r2, ir3, Px, xx, lin = self._parts(pts)
+        return self._A * (3.0 * (Px * ir3 / r2)[:, None, None] * xx
+                          + self._c * ir3[:, None, None] * lin)
 
     def __call__(self, pts):
         return self.value(pts)
 
     def gradient(self, pts):
-        return T.fd_gradient(self.value, pts, 1e-5, (3, 3))
+        """d_k of both terms of ``value``, as (N, i, j, k)."""
+        x, P, r2, ir3, Px, xx, lin = self._parts(pts)
+        ir5 = (ir3 / r2)[:, None, None, None]
+        xk = x[:, None, None, :]
+        Ix = np.einsum('ik,nj->nijk', T.I3, x)
+        dlin = (np.einsum('i,jk->ijk', P, T.I3)
+                + np.einsum('j,ik->ijk', P, T.I3)
+                - np.einsum('ij,k->ijk', T.I3, P))
+        first = 3.0 * ir5 * (
+            Px[:, None, None, None] * (Ix + np.swapaxes(Ix, 1, 2))
+            + xx[..., None] * P
+            - 5.0 * (Px / r2)[:, None, None, None] * xx[..., None] * xk)
+        second = self._c * (ir3[:, None, None, None] * dlin
+                            - 3.0 * ir5 * lin[..., None] * xk)
+        return self._A * (first + second)
 
     def divergence(self, pts):
         return np.einsum('nijj->ni', self.gradient(pts))
@@ -346,7 +362,16 @@ class HessianInverseR:
         return self.value(pts)
 
     def gradient(self, pts):
-        return T.fd_gradient(self.value, pts, 1e-5, (3, 3))
+        """d_k b_ij = amp (3 (d_ik x_j + x_i d_jk + d_ij x_k) / r^5
+        - 15 x_i x_j x_k / r^7)."""
+        x = np.asarray(pts, dtype=float)
+        r2 = np.einsum('ni,ni->n', x, x)
+        r5 = r2 ** 2.5
+        Ix = np.einsum('ik,nj->nijk', T.I3, x)
+        sym3 = Ix + np.swapaxes(Ix, 1, 2) + np.swapaxes(Ix, 2, 3)
+        xxx = np.einsum('ni,nj,nk->nijk', x, x, x)
+        return self.amplitude * (3.0 * sym3 / r5[:, None, None, None]
+                                 - 15.0 * xxx / (r5 * r2)[:, None, None, None])
 
     def divergence(self, pts):
         return np.einsum('nijj->ni', self.gradient(pts))
@@ -357,43 +382,48 @@ class HessianInverseR:
 
 
 class PiecewiseField:
-    """Bulk field with independent smooth evaluators on the two interface sides.
+    """Bulk field with independent smooth fields on the two interface sides.
 
     The plus side is the side the interface normal points toward; the jump
     is plus minus minus.  With no interface the field is globally smooth.
+    Each side must be a field with ``value`` and ``gradient`` (wrap a plain
+    evaluator in ``CallableField``); value, gradient and divergence are
+    taken from the side each point lies on, so no derivative ever samples
+    across the interface.
     """
 
-    def __init__(self, rank, plus, minus=None, interface=None, length_scale=2.0):
+    def __init__(self, rank, plus, minus=None, interface=None):
         self.rank = rank
         self.plus = plus
         self.minus = minus if minus is not None else plus
         self.interface = interface
-        self.fd_step = FD_STEP_REL * float(length_scale)
         if interface is None and minus is not None and minus is not plus:
             raise FieldError("two-sided field needs an interface")
+        for f in (self.plus, self.minus):
+            if not (hasattr(f, 'value') and hasattr(f, 'gradient')):
+                raise FieldError(
+                    "piecewise field sides need value and gradient; "
+                    "wrap a plain evaluator in CallableField")
 
     @classmethod
-    def smooth(cls, field, rank, length_scale=2.0):
-        return cls(rank, field, None, None, length_scale)
+    def smooth(cls, field, rank):
+        return cls(rank, field, None, None)
 
-    def _sides(self, pts):
-        if self.interface is None:
-            return np.ones(len(pts))
-        return self.interface.side(pts)
-
-    def value(self, pts):
+    def _per_side(self, pts, method, order):
+        """``method`` of the side field each point lies on; the result has
+        rank + order tensor axes."""
         pts = np.asarray(pts, dtype=float)
         if self.interface is None or self.minus is self.plus:
-            return np.asarray(self.plus.value(pts))
-        s = self._sides(pts)
-        plus_mask = s >= 0
-        shape = self._value_shape()
-        out = np.empty((len(pts),) + shape)
-        if np.any(plus_mask):
-            out[plus_mask] = np.asarray(self.plus.value(pts[plus_mask]))
-        if not np.all(plus_mask):
-            out[~plus_mask] = np.asarray(self.minus.value(pts[~plus_mask]))
+            return np.asarray(_side_call(self.plus, method, pts))
+        plus_mask = self.interface.side(pts) >= 0
+        out = np.empty((len(pts),) + (3,) * (self.rank + order))
+        for f, m in ((self.plus, plus_mask), (self.minus, ~plus_mask)):
+            if np.any(m):
+                out[m] = np.asarray(_side_call(f, method, pts[m]))
         return out
+
+    def value(self, pts):
+        return self._per_side(pts, 'value', 0)
 
     def __call__(self, pts):
         return self.value(pts)
@@ -407,86 +437,25 @@ class PiecewiseField:
         return (np.asarray(self.plus.value(pts))
                 - np.asarray(self.minus.value(pts)))
 
-    def _value_shape(self):
-        return () if self.rank == 0 else ((3,) if self.rank == 1 else (3, 3))
-
     def gradient(self, pts):
-        """d(field)/dx with one-sided stencils near the interface."""
-        pts = np.asarray(pts, dtype=float)
-        shape = self._value_shape()
-        if self.interface is None or self.minus is self.plus:
-            if hasattr(self.plus, 'gradient'):
-                return np.asarray(self.plus.gradient(pts))
-            return T.fd_gradient(self.plus.value, pts, self.fd_step, shape)
-        s = self._sides(pts)
-        out = np.empty((len(pts),) + shape + (3,))
-        for side, f in ((1.0, self.plus), (-1.0, self.minus)):
-            m = s >= 0 if side > 0 else s < 0
-            if not np.any(m):
-                continue
-            if hasattr(f, 'gradient'):
-                out[m] = np.asarray(f.gradient(pts[m]))
-            else:
-                out[m] = T.fd_gradient_guarded(
-                    f.value, pts[m], self.fd_step,
-                    self.interface.signed_distance, shape)
-        return out
+        return self._per_side(pts, 'gradient', 1)
 
     def divergence(self, pts):
         if self.rank not in (1, 2):
             raise RankMismatchError("divergence needs rank 1 or 2")
-        pts = np.asarray(pts, dtype=float)
-        shape = () if self.rank == 1 else (3,)
-        if self.interface is None or self.minus is self.plus:
-            if hasattr(self.plus, 'divergence'):
-                return np.asarray(self.plus.divergence(pts))
-            grad = self.gradient(pts)
-        else:
-            s = self._sides(pts)
-            out = np.empty((len(pts),) + shape)
-            done = True
-            for side, f in ((1.0, self.plus), (-1.0, self.minus)):
-                m = s >= 0 if side > 0 else s < 0
-                if not np.any(m):
-                    continue
-                if hasattr(f, 'divergence'):
-                    out[m] = np.asarray(f.divergence(pts[m]))
-                else:
-                    done = False
-                    break
-            if done:
-                return out
-            grad = self.gradient(pts)
-        if self.rank == 1:
-            return np.einsum('nii->n', grad)
-        return np.einsum('nijj->ni', grad)
+        return self._per_side(pts, 'divergence', -1)
 
     def side_gradient(self, pts, side):
         f = self.plus if side > 0 else self.minus
-        if hasattr(f, 'gradient'):
-            return np.asarray(f.gradient(pts))
-        return T.fd_gradient(f.value, pts, self.fd_step, self._value_shape())
+        return np.asarray(f.gradient(pts))
 
-    def smoothness_probe(self, pts):
-        """Best-effort smoothness check: FD gradients at h and h/2 agree."""
-        g1 = self._probe(pts, self.fd_step)
-        g2 = self._probe(pts, 0.5 * self.fd_step)
-        scale = np.max(np.abs(g1)) + 1e-12
-        return float(np.max(np.abs(g1 - g2)) / scale)
 
-    def _probe(self, pts, h):
-        s = self._sides(pts)
-        shape = self._value_shape()
-        out = np.empty((len(pts),) + shape + (3,))
-        for side, f in ((1.0, self.plus), (-1.0, self.minus)):
-            m = s >= 0 if side > 0 else s < 0
-            if np.any(m):
-                if self.interface is None:
-                    out[m] = T.fd_gradient(f.value, pts[m], h, shape)
-                else:
-                    out[m] = T.fd_gradient_guarded(
-                        f.value, pts[m], h, self.interface.signed_distance, shape)
-        return out
+def _side_call(f, method, pts):
+    """``f.<method>(pts)``; a side without ``divergence`` gets the trace of
+    its gradient over the last two axes."""
+    if method == 'divergence' and not hasattr(f, 'divergence'):
+        return np.einsum('n...jj->n...', np.asarray(f.gradient(pts)))
+    return getattr(f, method)(pts)
 
 
 def jump(field, point):
@@ -516,6 +485,8 @@ class SurfaceField:
 
     @classmethod
     def from_world(cls, fn, rank, interface=None):
+        """Restriction of a world field (or a plain evaluator) to the
+        surface; a field with ``gradient`` gets the chain rule as dchart."""
         dchart = None
         if hasattr(fn, 'gradient'):
             def dchart(batch, axis):
@@ -534,13 +505,21 @@ class SurfaceField:
         def ev(batch):
             return np.broadcast_to(value, (len(batch),) + value.shape).copy()
 
-        return cls(ev, rank, interface)
+        def dchart(batch, axis):
+            return np.zeros((len(batch),) + value.shape)
+
+        return cls(ev, rank, interface, dchart=dchart)
 
     def value(self, batch):
         return np.asarray(self.evaluator(batch))
 
-    def _value_shape(self):
-        return () if self.rank == 0 else ((3,) if self.rank == 1 else (3, 3))
+
+def chart_tangent(batch, axis):
+    """(t, dn): the coordinate tangent x_u (axis 0) or x_v (axis 1) and the
+    chart derivative of the normal along it, dn = S t with S = grad_S n."""
+    xu, xv = batch.patch.tangents(batch.U, batch.V)
+    t = xu if axis == 0 else xv
+    return t, np.einsum('nij,nj->ni', batch.shape_ops, t)
 
 
 def _shifted_batch(batch, du, dv):
@@ -636,12 +615,29 @@ def surface_gradient(field, batch):
 
 def surface_divergence(field, batch):
     """div_S f: trace for vector fields, row-wise contraction for tensors."""
-    grad = surface_gradient(field, batch)
-    if field.rank == 1:
-        return np.einsum('nii->n', grad)
-    if field.rank == 2:
-        return np.einsum('nijj->ni', grad)
-    raise RankMismatchError("surface divergence needs rank 1 or 2")
+    return surface_trace(surface_gradient(field, batch), field.rank)
+
+
+def surface_trace(grad, rank):
+    """div_S f from grad_S f (N, ..., 3) of a rank-1 or rank-2 field."""
+    if rank not in (1, 2):
+        raise RankMismatchError("surface divergence needs rank 1 or 2")
+    return np.einsum('n...jj->n...', grad)
+
+
+def shape_divergence(batch):
+    """div_S(grad_S n) = grad_S kappa - tr(S^2) n with S = grad_S n; kappa
+    is constant on every catalog patch (spheres, planes, cylinders), so
+    this is -tr(S^2) n."""
+    S = batch.shape_ops
+    return -np.einsum('nij,nij->n', S, S)[:, None] * batch.normals
+
+
+def shaped_divergence(value, grad, batch):
+    """div_S(f grad_S n) from the values and grad_S of a surface field f,
+    by the product rule (grad_S f):S + f div_S(grad_S n)."""
+    return (np.einsum('n...jk,njk->n...', grad, batch.shape_ops)
+            + np.einsum('n...j,nj->n...', value, shape_divergence(batch)))
 
 
 # ---------------------------------------------------------------------------
@@ -1144,23 +1140,26 @@ def make_gradient_test_field(domain, constants, margin=0.12, rng=None,
 
 def uniform_tension(gamma, interface):
     """Isotropic tangential tension gamma (I - n@n) on the interface."""
-
-    def ev(batch):
-        nn = np.einsum('ni,nj->nij', batch.normals, batch.normals)
-        return gamma * (T.I3 - nn)
-
-    return SurfaceField(ev, rank=2, interface=interface)
+    return dilatational_surface(gamma, interface)
 
 
 def dilatational_surface(p_fn, interface):
-    """p(x) (I - n@n) for a scalar function (or constant) on the surface."""
+    """p(x) (I - n@n) for a scalar function (or constant) on the surface;
+    a constant p gets the dchart -p (dn@n + n@dn)."""
 
     def ev(batch):
         p = p_fn(batch.points) if callable(p_fn) else np.full(len(batch), float(p_fn))
         nn = np.einsum('ni,nj->nij', batch.normals, batch.normals)
         return p[:, None, None] * (T.I3 - nn)
 
-    return SurfaceField(ev, rank=2, interface=interface)
+    dchart = None
+    if not callable(p_fn):
+        def dchart(batch, axis):
+            _, dn = chart_tangent(batch, axis)
+            dnn = np.einsum('ni,nj->nij', dn, batch.normals)
+            return -float(p_fn) * (dnn + np.swapaxes(dnn, -1, -2))
+
+    return SurfaceField(ev, rank=2, interface=interface, dchart=dchart)
 
 
 def normal_dyad(a, interface):
@@ -1168,10 +1167,13 @@ def normal_dyad(a, interface):
     a = np.asarray(a, dtype=float)
 
     def ev(batch):
-        an = np.einsum('i,nj->nij', a, batch.normals)
-        return 0.5 * (an + np.swapaxes(an, -1, -2))
+        return T.sym(np.einsum('i,nj->nij', a, batch.normals))
 
-    return SurfaceField(ev, rank=2, interface=interface)
+    def dchart(batch, axis):
+        _, dn = chart_tangent(batch, axis)
+        return T.sym(np.einsum('i,nj->nij', a, dn))
+
+    return SurfaceField(ev, rank=2, interface=interface, dchart=dchart)
 
 
 def surface_polynomial(rng, rank, interface, degree=2, symmetric=True, scale=1.0):
@@ -1183,4 +1185,4 @@ def surface_polynomial(rng, rank, interface, degree=2, symmetric=True, scale=1.0
               else PolyField(np.array([[Poly3.random(rng, degree, scale)
                                         for _ in range(3)] for _ in range(3)],
                                       dtype=object), rank=2))
-    return SurfaceField.from_world(pf.value, rank, interface)
+    return SurfaceField.from_world(pf, rank, interface)

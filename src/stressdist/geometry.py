@@ -908,11 +908,22 @@ class Interface:
         return make_surface_batch(p, U, V)
 
     def curve_quadrature(self, component, n=DEFAULT_CURVE_NODES):
-        for comp, builder in self.boundary_curves:
-            if comp == component:
-                return builder(n)
-        raise GeometryError(
-            f"interface {self.kind!r} has no boundary curve on component {component}")
+        """Nodes on every boundary curve the interface has on ``component``
+        (``n`` per curve), joined into one batch."""
+        curves = [builder(n) for comp, builder in self.boundary_curves
+                  if comp == component]
+        if not curves:
+            raise GeometryError(f"interface {self.kind!r} has no boundary "
+                                f"curve on component {component}")
+        if len(curves) == 1:
+            return curves[0]
+        return CurveBatch(
+            component=component,
+            surface=make_surface_batch(
+                self.patch, np.concatenate([c.surface.U for c in curves]),
+                np.concatenate([c.surface.V for c in curves])),
+            nu=np.concatenate([c.nu for c in curves]),
+            weights=np.concatenate([c.weights for c in curves]))
 
     def curve_components(self):
         return [comp for comp, _ in self.boundary_curves]
@@ -1592,21 +1603,18 @@ def curve_force_moment(interface, component, sigma1=None, sigma2=None,
     Components the interface does not touch get zeros.
     """
     origin = np.asarray(origin, dtype=float)
-    force, moment = np.zeros(3), np.zeros(3)
-    for comp, build in interface.boundary_curves:
-        if comp != component:
-            continue
-        curve = build(n)
-        b = curve.surface
-        tr = np.zeros((len(curve), 3))
-        if sigma1 is not None:
-            tr += np.einsum('nij,nj->ni', sigma1.value(b), curve.nu)
-        if sigma2 is not None:
-            s2 = sigma2.value(b)
-            tr -= np.einsum('nij,njk,nk->ni', s2, b.shape_ops, curve.nu)
-            moment += blocked_sum(curve.weights, None, np.cross(
-                b.normals, np.einsum('nij,nj->ni', s2, curve.nu)))
-        fc, mc = _force_moment(curve.weights, curve.points, tr, origin)
-        force += fc
-        moment += mc
-    return force, moment
+    if component not in interface.curve_components():
+        return np.zeros(3), np.zeros(3)
+    curve = interface.curve_quadrature(component, n)
+    b = curve.surface
+    tr = np.zeros((len(curve), 3))
+    couple = np.zeros(3)
+    if sigma1 is not None:
+        tr += np.einsum('nij,nj->ni', sigma1.value(b), curve.nu)
+    if sigma2 is not None:
+        s2 = sigma2.value(b)
+        tr -= np.einsum('nij,njk,nk->ni', s2, b.shape_ops, curve.nu)
+        couple = blocked_sum(curve.weights, None, np.cross(
+            b.normals, np.einsum('nij,nj->ni', s2, curve.nu)))
+    force, moment = _force_moment(curve.weights, curve.points, tr, origin)
+    return force, moment + couple

@@ -19,22 +19,23 @@ from . import _tensor as T
 from .distributions import BDist, CDist, CompositeDist, FDist, pair
 from .equilibrium import EquilibriumScenario, Tolerances
 from .errors import ConfigError, FieldError, StressDistError
-from .fields import (PiecewiseField, PolyField, SurfaceField,
-                     chart_derivatives, dual_tangents,
-                     make_gradient_test_field, tangential_gradient)
+from .fields import (CallableField, PiecewiseField, PolyField, SurfaceField,
+                     _tensor_field, chart_derivatives, chart_tangent,
+                     dual_tangents, make_gradient_test_field,
+                     tangential_gradient)
 from .geometry import (DEFAULT_SURFACE_LEVEL, boundary_force_moment,
                        curve_force_moment)
 
 LEMMA2_TOL = 1e-6
 CURL_ASYMMETRY_TOL = 1e-6
+INC_FD_STEP = 2e-3      # outer FD curl of a non-polynomial potential
 
 
 class StressFunction:
     """Piecewise-smooth symmetric tensor potential across an interface."""
 
-    def __init__(self, plus, minus=None, interface=None, length_scale=2.0,
-                 check_symmetry=True):
-        self.pw = PiecewiseField(2, plus, minus, interface, length_scale)
+    def __init__(self, plus, minus=None, interface=None, check_symmetry=True):
+        self.pw = PiecewiseField(2, plus, minus, interface)
         self.interface = interface
         if check_symmetry:
             pts = np.array([[0.21, -0.13, 0.08], [-0.4, 0.31, -0.22],
@@ -44,10 +45,6 @@ class StressFunction:
                 asym = np.max(np.abs(v - np.swapaxes(v, -1, -2)))
                 if asym > 1e-12 * max(1.0, np.max(np.abs(v))):
                     raise FieldError("stress function must be symmetric")
-
-    @classmethod
-    def smooth(cls, potential, length_scale=2.0):
-        return cls(potential, None, None, length_scale)
 
     def jump(self, batch):
         return self.pw.jump(batch)
@@ -75,7 +72,7 @@ class StressFunction:
         f = self._side(side)
         if isinstance(f, PolyField):
             return f.inc_field()
-        return _FdIncField(f, self.pw.fd_step)
+        return _fd_inc_field(f)
 
     def inc_value(self, pts, side=None):
         pts = np.asarray(pts, dtype=float)
@@ -92,34 +89,18 @@ class StressFunction:
         return out
 
 
-class _FdIncField:
-    """Finite-difference double curl of a generic smooth tensor field."""
+def _fd_inc_field(base):
+    """curl((curl A)^T) of a smooth tensor field that is not polynomial:
+    (curl A)^T from the field's own gradient, the outer curl and the
+    gradient of the result by ``CallableField`` finite differences."""
+    def curl_t(p):
+        grad = np.asarray(base.gradient(p))
+        return np.swapaxes(T.tensor_curl_rows_from_gradient(grad), -1, -2)
 
-    rank = 2
-
-    def __init__(self, base, h):
-        self.base = base
-        self.h = h
-
-    def _curl(self, pts):
-        if hasattr(self.base, 'gradient'):
-            grad = np.asarray(self.base.gradient(pts))
-        else:
-            grad = T.fd_gradient(self.base.value, pts, self.h, (3, 3))
-        return T.tensor_curl_rows_from_gradient(grad)
-
-    def value(self, pts):
-        def ct(p):
-            return np.swapaxes(self._curl(p), -1, -2)
-
-        grad = T.fd_gradient(ct, pts, 10.0 * self.h, (3, 3))
-        return T.tensor_curl_rows_from_gradient(grad)
-
-    def gradient(self, pts):
-        return T.fd_gradient(self.value, pts, 20.0 * self.h, (3, 3))
-
-    def divergence(self, pts):
-        return np.einsum('nijj->ni', self.gradient(pts))
+    outer = CallableField(curl_t, 2, fd_step=INC_FD_STEP)
+    return CallableField(
+        lambda p: T.tensor_curl_rows_from_gradient(outer.gradient(p)), 2,
+        fd_step=2.0 * INC_FD_STEP)
 
 
 def curl_curl(potential, points, asymmetry_tol=CURL_ASYMMETRY_TOL):
@@ -133,7 +114,7 @@ def curl_curl(potential, points, asymmetry_tol=CURL_ASYMMETRY_TOL):
     elif isinstance(potential, StressFunction):
         raw = potential.inc_value(points)
     else:
-        raw = _FdIncField(potential, 1e-4).value(points)
+        raw = _fd_inc_field(potential).value(points)
     asym = np.max(np.abs(raw - np.swapaxes(raw, -1, -2)))
     scale = max(1.0, float(np.max(np.abs(raw))))
     if asym > asymmetry_tol * scale:
@@ -195,12 +176,8 @@ def extract_densities(potential, interface):
     """
     if not isinstance(potential, StressFunction):
         raise FieldError("extract_densities needs a StressFunction")
-    pw = potential.pw
     sigma = PiecewiseField(2, potential.inc_side_field(1),
-                           potential.inc_side_field(-1), interface,
-                           length_scale=2.0 * max(interface.feature_size, 1.0))
-
-    analytic = all(hasattr(potential._side(s), 'gradient') for s in (1, -1))
+                           potential.inc_side_field(-1), interface)
 
     # One-entry memo of the jump and its gradient on the latest batch object:
     # sigma1, sigma2 and both chart axes of their derivatives share them.
@@ -219,35 +196,29 @@ def extract_densities(potential, interface):
         return _on_batch(batch, 'jump', potential.jump)
 
     def _chart_pieces(batch, axis):
-        xu, xv = batch.patch.tangents(batch.U, batch.V)
-        t = xu if axis == 0 else xv
+        t, dn = chart_tangent(batch, axis)
         jg = _on_batch(batch, 'jump_gradient', potential.jump_gradient)
-        dj = np.einsum('nijk,nk->nij', jg, t)
-        dn = np.einsum('nij,nj->ni', batch.shape_ops, t)
-        return dj, dn
+        return np.einsum('nijk,nk->nij', jg, t), dn
 
     def sigma2_ev(batch):
         N = T.cross_matrix(batch.normals)
         j = _jump(batch)
         return -np.einsum('nla,nlm,nmd->nad', N, j, N)
 
-    sigma2_dchart = None
-    jump_cross_dchart = None
-    if analytic:
-        def sigma2_dchart(batch, axis):
-            N = T.cross_matrix(batch.normals)
-            j = _jump(batch)
-            dj, dn = _chart_pieces(batch, axis)
-            dN = T.cross_matrix(dn)
-            return -(np.einsum('nla,nlm,nmd->nad', dN, j, N)
-                     + np.einsum('nla,nlm,nmd->nad', N, dj, N)
-                     + np.einsum('nla,nlm,nmd->nad', N, j, dN))
+    def sigma2_dchart(batch, axis):
+        N = T.cross_matrix(batch.normals)
+        j = _jump(batch)
+        dj, dn = _chart_pieces(batch, axis)
+        dN = T.cross_matrix(dn)
+        return -(np.einsum('nla,nlm,nmd->nad', dN, j, N)
+                 + np.einsum('nla,nlm,nmd->nad', N, dj, N)
+                 + np.einsum('nla,nlm,nmd->nad', N, j, dN))
 
-        def jump_cross_dchart(batch, axis):
-            dj, dn = _chart_pieces(batch, axis)
-            return np.swapaxes(
-                T.row_cross(dj, batch.normals)
-                + T.row_cross(_jump(batch), dn), -1, -2)
+    def jump_cross_dchart(batch, axis):
+        dj, dn = _chart_pieces(batch, axis)
+        return np.swapaxes(
+            T.row_cross(dj, batch.normals)
+            + T.row_cross(_jump(batch), dn), -1, -2)
 
     sigma2 = SurfaceField(sigma2_ev, 2, interface, dchart=sigma2_dchart)
 
@@ -474,29 +445,26 @@ def trace_curl_check(potentials, points):
     arithmetic)."""
     worst = 0.0
     for phi in potentials:
-        if isinstance(phi, PolyField):
-            c = phi.curl_rows_field().value(points)
-        else:
-            grad = T.fd_gradient(phi.value, points, 1e-5, (3, 3))
-            c = T.tensor_curl_rows_from_gradient(grad)
+        c = T.tensor_curl_rows_from_gradient(np.asarray(phi.gradient(points)))
         worst = max(worst, float(np.max(np.abs(np.einsum('nii->n', c)))))
     return worst
 
 
 def _x_cross_cols_polyfield(K):
-    """x cross (columns of K^T) as an exact polynomial field."""
-    comp = np.empty((3, 3), dtype=object)
-    from .fields import Poly3
-    for i in range(3):
-        for j in range(3):
-            acc = Poly3.constant(0.0)
-            for k in range(3):
-                for l in range(3):
-                    e = T.EPS[i, k, l]
-                    if e != 0.0:
-                        acc = acc + K.components[j, l].times_coordinate(k).scaled(e)
-            comp[i, j] = acc
-    return PolyField(comp, rank=2)
+    """x cross (columns of K^T) as an exact polynomial field: entry (i, j)
+    is eps_ikl x_k K_jl, one EPS contraction of K's compiled coefficient
+    rows over the table with each exponent raised by e_k."""
+    exps, coefs = K._value.exps, K._value.coefs
+    shifted = np.vstack([exps + e for e in np.eye(3, dtype=int)])
+    rows = np.einsum('ikl,jlm->ijkm', T.EPS, coefs)
+    return _tensor_field(shifted, rows.reshape(3, 3, -1))
+
+
+def _x_cross_cols_gradient(points, Kv, grad):
+    """d_k of x cross (columns of K^T) from K and its gradient:
+    eps_ikb K_jb + eps_iab x_a d_k K_jb."""
+    return (np.einsum('ikb,njb->nijk', T.EPS, Kv)
+            + np.einsum('iab,na,njbk->nijk', T.EPS, points, grad))
 
 
 def lemma2_algebraic_identity(K_fields, points):
@@ -505,22 +473,15 @@ def lemma2_algebraic_identity(K_fields, points):
     points = np.asarray(points, dtype=float)
     worst = 0.0
     for K in K_fields:
+        Kv = np.asarray(K.value(points))
         if isinstance(K, PolyField):
             lhs = _x_cross_cols_polyfield(K).curl_rows_field().value(points)
             sig = K.transpose().curl_rows_field().value(points)
-            Kv = K.value(points)
         else:
-            Kv = np.asarray(K.value(points))
-
-            def xkt(p):
-                kv = np.asarray(K.value(p))
-                return T.col_cross(p, np.swapaxes(kv, -1, -2))
-
+            grad = np.asarray(K.gradient(points))
             lhs = T.tensor_curl_rows_from_gradient(
-                T.fd_gradient(xkt, points, 1e-5, (3, 3)))
-            sig = T.tensor_curl_rows_from_gradient(
-                np.swapaxes(T.fd_gradient(K.value, points, 1e-5, (3, 3)),
-                            1, 2))
+                _x_cross_cols_gradient(points, Kv, grad))
+            sig = T.tensor_curl_rows_from_gradient(np.swapaxes(grad, 1, 2))
         xs = T.col_cross(points, sig)
         trK = np.einsum('nii->n', Kv)
         rhs = xs + trK[:, None, None] * T.I3 - Kv

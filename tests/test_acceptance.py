@@ -66,7 +66,7 @@ def test_criterion_1_identity1_dual_path(geometries):
                 dist = BDist(domain, interface,
                              PiecewiseField(1, PolyField.random_vector(rng, 3),
                                             PolyField.random_vector(rng, 3),
-                                            interface, domain.length_scale))
+                                            interface))
             else:
                 dens = surface_polynomial(rng, 1, interface, degree=2)
                 dist = (CDist(interface, dens) if family == "C"
@@ -100,7 +100,7 @@ def test_criterion_2_identity2_dual_path(shell, shell_sphere, annulus):
             dist = BDist(shell, interface,
                          PiecewiseField(2, PolyField.random_symmetric(rng, 2),
                                         PolyField.random_symmetric(rng, 2),
-                                        interface, shell.length_scale))
+                                        interface))
         else:
             dens = surface_polynomial(rng, 2, interface, degree=2,
                                       symmetric=False)
@@ -170,7 +170,7 @@ def test_criterion_5_sufficiency_loop(ball, shell, sphere_half, shell_sphere):
             phi_plus = PolyField.random_symmetric(rng, 4, scale=0.2)
             phi_minus = PolyField.random_symmetric(rng, 4, scale=0.2)
             from stressdist.stressfn import StressFunction
-            phi = StressFunction(phi_plus, phi_minus, itf, dom.length_scale)
+            phi = StressFunction(phi_plus, phi_minus, itf)
             triple = extract_densities(phi, itf)
             scn = triple.scenario(dom)
             rb, rc, rd = interface_residuals(scn, n=600)
@@ -225,7 +225,7 @@ def test_criterion_7_dipole_density_tangential(ball, shell, sphere_half,
             from stressdist.stressfn import StressFunction
             phi = StressFunction(PolyField.random_symmetric(rng, 4, scale=0.2),
                                  PolyField.random_symmetric(rng, 4, scale=0.2),
-                                 itf, dom.length_scale)
+                                 itf)
             triple = extract_densities(phi, itf)
             batch = itf.samples(400)
             s2n = np.einsum('nij,nj->ni', triple.sigma2.value(batch),
@@ -239,7 +239,7 @@ def test_criterion_7_dipole_density_tangential(ball, shell, sphere_half,
 def test_criterion_8_cauchy_flux_dichotomy(big_ball, unit_sphere, rng):
     bulk = PiecewiseField(2, PolyField.random_symmetric(rng, 2, 0.5),
                           PolyField.random_symmetric(rng, 2, 0.5),
-                          unit_sphere, big_ball.length_scale)
+                          unit_sphere)
     comp = CompositeDist(b=BDist(big_ball, unit_sphere, bulk),
                          c=CDist(unit_sphere,
                                  normal_dyad([0, 0, 1.0], unit_sphere)))

@@ -127,6 +127,29 @@ class TestRun:
         assert code == 2
         assert "$.extra" in capsys.readouterr().err
 
+    def test_missing_catalog_key_exits_2(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(SOAP))
+        del cfg["geometry"]["domain"]["radius"]
+        path = _write(tmp_path, "bad.json", cfg)
+        code, report = run(path)
+        assert code == 2 and report is None
+        assert "$.geometry.domain.radius" in capsys.readouterr().err
+
+    def test_internal_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        from stressdist import catalog
+
+        def broken(cfg):
+            raise TypeError("injected fault")
+
+        monkeypatch.setattr(catalog, "build_domain", broken)
+        path = _write(tmp_path, "soap.json", SOAP)
+        code, report = run(path, out=str(tmp_path / "r.json"))
+        assert code == 3 and report is None
+        err = capsys.readouterr().err
+        assert "internal error" in err
+        assert "Traceback" in err and "injected fault" in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_unreadable_file_exits_2(self, tmp_path):
         code, _ = run(str(tmp_path / "missing.json"))
         assert code == 2
@@ -276,7 +299,7 @@ class TestCatalogFields:
         r2 = np.sum(pts ** 2, axis=1)
         assert np.allclose(vals[:, 0, 0], 1.0 + 0.5 * r2, atol=1e-13)
         b = PiecewiseField.smooth(
-            CallableField(lambda p: -p, 1), 1, 2.0)
+            CallableField(lambda p: -p, 1), 1)
         scn = EquilibriumScenario(domain=ball, interface=None, sigma=sig, b=b)
         bk, _ = bulk_residual(scn, n=200)
         assert bk < 1e-10

@@ -66,7 +66,7 @@ class TestPairingBasics:
 
     def test_constant_density_factors(self, ball, rng):
         cvec = np.array([0.3, -1.2, 0.7])
-        b = PiecewiseField.smooth(ConstantField(cvec, 1), 1, 2.0)
+        b = PiecewiseField.smooth(ConstantField(cvec, 1), 1)
         bd = BDist(ball, None, b)
         psi = make_bump(ball, [0.1, 0.0, 0.2], 0.4, rank=1, rng=rng)
         got = pair(bd, psi).value
@@ -135,7 +135,7 @@ class TestPairingBasics:
         assert abs(v1 - v2) < 1e-9 * max(1.0, abs(v1))
 
     def test_rank_mismatch(self, ball, rng):
-        b = PiecewiseField.smooth(ConstantField(np.zeros(3), 1), 1, 2.0)
+        b = PiecewiseField.smooth(ConstantField(np.zeros(3), 1), 1)
         bd = BDist(ball, None, b)
         psi = make_bump(ball, [0.0, 0.0, 0.0], 0.4, rank=2, rng=rng)
         with pytest.raises(RankMismatchError):
@@ -177,7 +177,7 @@ class TestDivergenceIdentity1:
         # density b = x: -B(grad psi) equals 3 * integral of psi
         comp = np.array([Poly3([[1, 0, 0]], [1.0]), Poly3([[0, 1, 0]], [1.0]),
                          Poly3([[0, 0, 1]], [1.0])], dtype=object)
-        b = PiecewiseField.smooth(PolyField(comp, rank=1), 1, 2.0)
+        b = PiecewiseField.smooth(PolyField(comp, rank=1), 1)
         bd = BDist(ball, None, b)
         psi = make_bump(ball, [0.2, -0.1, 0.0], 0.4, rank=0, rng=rng)
         got = distributional_div(bd, psi).value
@@ -186,7 +186,7 @@ class TestDivergenceIdentity1:
 
     def test_smooth_density_no_interface_term(self, ball, rng):
         f = PolyField.random_vector(rng, 3)
-        bd = BDist(ball, None, PiecewiseField.smooth(f, 1, 2.0))
+        bd = BDist(ball, None, PiecewiseField.smooth(f, 1))
         psi = make_bump(ball, [0.0, 0.25, 0.0], 0.4, rank=0, rng=rng)
         lhs = distributional_div(bd, psi).value
         ref = integrate_volume(ball, None,
@@ -198,7 +198,7 @@ class TestDivergenceIdentity1:
         cp = np.array([0.8, -0.3, 0.5])
         cm = np.array([-0.2, 0.4, 1.0])
         b = PiecewiseField(1, ConstantField(cp, 1), ConstantField(cm, 1),
-                           sphere_half, 2.0)
+                           sphere_half)
         bd = BDist(ball, sphere_half, b)
         psi = make_bump(ball, [0.48, 0.05, -0.1], 0.2, rank=0, rng=rng)
         lhs = distributional_div(bd, psi).value
@@ -215,7 +215,7 @@ class TestDivergenceIdentity1:
         psi = make_bump(ball, [0.42, 0.12, 0.15], 0.22, rank=0, rng=rng,
                         degree=3)
         b = PiecewiseField(1, PolyField.random_vector(rng, 3),
-                           PolyField.random_vector(rng, 3), sphere_half, 2.0)
+                           PolyField.random_vector(rng, 3), sphere_half)
         dists = [BDist(ball, sphere_half, b),
                  CDist(sphere_half, surface_polynomial(rng, 1, sphere_half, 2)),
                  FDist(sphere_half, surface_polynomial(rng, 1, sphere_half, 2))]
@@ -282,7 +282,7 @@ class TestCylinderInterface:
 class TestIdentity2:
     def test_ball_reduces_to_interior(self, ball, sphere_half, rng):
         b = PiecewiseField(2, PolyField.random_symmetric(rng, 2),
-                           PolyField.random_symmetric(rng, 2), sphere_half, 2.0)
+                           PolyField.random_symmetric(rng, 2), sphere_half)
         bd = BDist(ball, sphere_half, b)
         g = make_gradient_test_field(ball, [np.zeros(3)], rng=rng,
                                      center=np.zeros(3), radius=0.8,
@@ -308,7 +308,7 @@ class TestIdentity2:
             BDist(shell, shell_sphere,
                   PiecewiseField(2, PolyField.random_symmetric(rng, 2),
                                  PolyField.random_symmetric(rng, 2),
-                                 shell_sphere, 4.0)),
+                                 shell_sphere)),
             CDist(annulus, surface_polynomial(rng, 2, annulus, 2,
                                               symmetric=False)),
             FDist(annulus, surface_polynomial(rng, 2, annulus, 2,
@@ -325,7 +325,7 @@ class TestCurl:
         pot = Poly3.random(rng, 4)
         comp = np.array(pot.gradient_polys(), dtype=object)
         bd = BDist(ball, None,
-                   PiecewiseField.smooth(PolyField(comp, rank=1), 1, 2.0))
+                   PiecewiseField.smooth(PolyField(comp, rank=1), 1))
         for k in range(20):
             c = _random_interior_center(ball, rng)
             psi = make_bump(ball, c, 0.25, rank=1, rng=rng)
@@ -336,7 +336,7 @@ class TestCurl:
         comp = np.array([Poly3([[0, 1, 0]], [-1.0]), Poly3([[1, 0, 0]], [1.0]),
                          Poly3.constant(0.0)], dtype=object)
         bd = BDist(ball, None,
-                   PiecewiseField.smooth(PolyField(comp, rank=1), 1, 2.0))
+                   PiecewiseField.smooth(PolyField(comp, rank=1), 1))
         psi = make_bump(ball, [0.1, 0.1, 0.0], 0.5, rank=1, rng=rng)
         got = distributional_curl(bd, psi).value
         # smooth-field identity: pairs like curl b = (0, 0, 2) against psi
@@ -353,7 +353,7 @@ class TestCurl:
             g = pots[j].gradient_polys()
             for i in range(3):
                 comp[i, j] = g[i]
-        bd = BDist(ball, None, PiecewiseField.smooth(PolyField(comp, 2), 2, 2.0))
+        bd = BDist(ball, None, PiecewiseField.smooth(PolyField(comp, 2), 2))
         psi = make_bump(ball, [0.0, 0.2, 0.1], 0.4, rank=2, rng=rng)
         v = distributional_curl(bd, psi)
         assert abs(v.value) < max(1e-7, 10 * v.error)
@@ -369,7 +369,7 @@ def _random_interior_center(ball, rng):
 class TestMollification:
     def test_bulk_part_unchanged(self, ball, sphere_half, rng):
         b = PiecewiseField(1, PolyField.random_vector(rng, 2),
-                           PolyField.random_vector(rng, 2), sphere_half, 2.0)
+                           PolyField.random_vector(rng, 2), sphere_half)
         bd = BDist(ball, sphere_half, b)
         psi = make_bump(ball, [0.45, 0.0, 0.1], 0.2, rank=1, rng=rng)
         exact = pair(bd, psi).value
@@ -424,6 +424,17 @@ class TestMollification:
         assert all(b < a for a, b in zip(tab.errors, tab.errors[1:]))
         assert tab.order > 1.8
 
+    def test_shell_sphere_constant_second_order(self, shell, shell_sphere,
+                                                rng):
+        # the support-windowed spherical grid of a shell
+        # (SphericalShell.support_windows)
+        cd = CDist(shell_sphere, SurfaceField.constant(
+            np.array([0.5, 0.2, -1.0]), 1, shell_sphere))
+        psi = make_bump(shell, [1.4, 0.1, -0.15], 0.25, rank=1, rng=rng)
+        tab = mollify_convergence(cd, psi, [0.06, 0.03, 0.015], domain=shell)
+        assert all(b < a for a, b in zip(tab.errors, tab.errors[1:]))
+        assert tab.order > 1.8
+
     def test_rho_too_large(self, ball, sphere_half, rng):
         cd = CDist(sphere_half, surface_polynomial(rng, 1, sphere_half, 1))
         psi = make_bump(ball, [0.45, 0.0, 0.1], 0.2, rank=1, rng=rng)
@@ -450,7 +461,7 @@ class TestStreamedPairings:
                                                        sphere_half, rng):
         field = PiecewiseField(2, PolyField.random_symmetric(rng, 2),
                                PolyField.random_symmetric(rng, 2),
-                               sphere_half, 2.0)
+                               sphere_half)
         bd = BDist(ball, sphere_half, field)
         psi = _CountingTest(make_bump(ball, [0.45, 0.0, 0.1], 0.25, rank=2,
                                       rng=rng))
@@ -471,7 +482,7 @@ class TestCauchyFlux:
                                                    unit_sphere, rng):
         bulk = PiecewiseField(2, PolyField.random_symmetric(rng, 2, 0.5),
                               PolyField.random_symmetric(rng, 2, 0.5),
-                              unit_sphere, 4.0)
+                              unit_sphere)
         comp = CompositeDist(b=BDist(big_ball, unit_sphere, bulk),
                              c=CDist(unit_sphere,
                                      normal_dyad([0, 0, 1.0], unit_sphere)))
@@ -519,7 +530,7 @@ class TestTrivialCurlPairings:
         # curl pairing is exactly zero before any quadrature
         from stressdist.distributions import CurlTest
         b = PiecewiseField.smooth(
-            PolyField.random_vector(np.random.default_rng(2), 2), 1, 2.0)
+            PolyField.random_vector(np.random.default_rng(2), 2), 1)
         bd = BDist(ball, None, b)
         base = make_bump(ball, [0.2, 0.0, 0.1], 0.4, rank=0, rng=rng)
 

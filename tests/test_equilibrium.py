@@ -80,8 +80,8 @@ class TestLocalResiduals:
 
         scn = EquilibriumScenario(
             domain=big_ball, interface=unit_sphere,
-            sigma=PiecewiseField(2, sig, sig, unit_sphere, 4.0),
-            b=PiecewiseField.smooth(CallableField(b_val, 1), 1, 4.0))
+            sigma=PiecewiseField(2, sig, sig, unit_sphere),
+            b=PiecewiseField.smooth(CallableField(b_val, 1), 1))
         bk, _ = bulk_residual(scn, n=400)
         assert bk < 1e-10
 

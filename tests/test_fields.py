@@ -14,14 +14,21 @@ from stressdist._tensor import fd_gradient
 from stressdist.catalog import _poly_times, _radial_pressure_field
 from stressdist.errors import FieldError
 from stressdist.fields import (BumpScalar, BumpSymTensor, BumpVector,
-                               ConstantField, ModulatedTest, PiecewiseField,
-                               PlateauFactor, Poly3, PolyField,
+                               CallableField, ConstantField, HessianInverseR,
+                               KelvinStressField, ModulatedTest,
+                               PiecewiseField, PlateauFactor, Poly3, PolyField,
                                SmoothStepProfile, SquaredDistanceFactor,
-                               SurfaceField, _chart_partial, jump, make_bump,
-                               make_gradient_test_field, surface_divergence,
-                               surface_gradient)
-from stressdist.geometry import (cylinder_patch_interface, integrate_volume,
-                                 make_surface_batch, sphere_interface)
+                               SurfaceField, _chart_partial,
+                               dilatational_surface, jump, make_bump,
+                               make_gradient_test_field, normal_dyad,
+                               shaped_divergence, surface_divergence,
+                               surface_gradient, surface_polynomial,
+                               uniform_tension)
+from stressdist.geometry import (Ball, Box, CylinderAnnulus, SphericalShell,
+                                 cylinder_patch_interface,
+                                 equatorial_annulus_interface,
+                                 integrate_volume, make_surface_batch,
+                                 plane_disk_interface, sphere_interface)
 
 
 def _rand_points(rng, n, scale=0.4, center=(0, 0, 0)):
@@ -460,39 +467,31 @@ class TestPiecewiseField:
     def test_jump_sphere(self, big_ball, unit_sphere):
         # 2 inside, 0 outside, outward normal: the plus side is the outside
         p = PiecewiseField(0, ConstantField(0.0, 0), ConstantField(2.0, 0),
-                           unit_sphere, 4.0)
+                           unit_sphere)
         assert abs(jump(p, [1.0, 0.0, 0.0]) + 2.0) < 1e-14
 
     def test_jump_continuous(self, big_ball, unit_sphere):
         f = PolyField.random_vector(np.random.default_rng(0), 2)
-        p = PiecewiseField(1, f, f, unit_sphere, 4.0)
+        p = PiecewiseField(1, f, f, unit_sphere)
         assert np.linalg.norm(jump(p, [0.0, 1.0, 0.0])) < 1e-14
 
     def test_jump_plane(self, box):
         pl = box.plane_interface(0.0)
         above = ConstantField(np.array([0, 0, 1.0]), 1)
         below = ConstantField(np.array([0, 0, -1.0]), 1)
-        b = PiecewiseField(1, above, below, pl, 2.0)
+        b = PiecewiseField(1, above, below, pl)
         assert np.allclose(jump(b, [0.1, 0.2, 0.0]), [0, 0, 2.0], atol=1e-14)
 
     def test_guarded_fd_never_crosses(self, big_ball, unit_sphere):
-        # sides with different polynomials: gradients near the interface must
-        # match the one-sided analytic values
+        # sides with different polynomials behind FD-only evaluators:
+        # gradients near the interface must match the one-sided analytic
+        # values, since each side's stencil only ever sees its own field
         rng = np.random.default_rng(5)
         plus = PolyField.random_vector(rng, 2)
         minus = PolyField.random_vector(rng, 2)
-
-        class NoGrad:
-            rank = 1
-
-            def __init__(self, f):
-                self.f = f
-
-            def value(self, pts):
-                return self.f.value(pts)
-
-        pw = PiecewiseField(1, NoGrad(plus), NoGrad(minus), unit_sphere, 4.0)
-        h = pw.fd_step
+        pw = PiecewiseField(1, CallableField(plus.value, 1),
+                            CallableField(minus.value, 1), unit_sphere)
+        h = pw.plus.fd_step
         pts = np.array([[1.0 + 0.5 * h, 0.0, 0.0],
                         [0.0, 1.0 - 0.5 * h, 0.0],
                         [0.0, 0.0, 1.0 + 2.1 * h]])
@@ -502,12 +501,14 @@ class TestPiecewiseField:
                           minus.divergence(pts))
         assert np.max(np.abs(got - expect)) < 1e-8
 
-    def test_smoothness_probe(self, big_ball, unit_sphere):
-        rng = np.random.default_rng(6)
-        pw = PiecewiseField(1, PolyField.random_vector(rng, 2),
-                            PolyField.random_vector(rng, 2), unit_sphere, 4.0)
-        pts = big_ball.interior_samples(100, unit_sphere, min_dist=0.05)
-        assert pw.smoothness_probe(pts) < 1e-4
+        class ValueOnly:
+            rank = 1
+
+            def value(self, pts):
+                return plus.value(pts)
+
+        with pytest.raises(FieldError):
+            PiecewiseField(1, ValueOnly(), minus, unit_sphere)
 
 
 class TestSurfaceOperators:
@@ -575,3 +576,120 @@ class TestSurfaceOperators:
                 else len(T.CENTRAL_OFFSETS) + len(T.ONESIDED_OFFSETS))
         assert len(calls) == want
         assert got.shape == (4,)
+
+
+# ---------------------------------------------------------------------------
+# closed-form derivatives of the catalog fields
+
+
+def _sympy_gradient(exprs, x):
+    """Callable pts -> (N, 3, 3, 3) gradient of a 3x3 sympy field."""
+    grads = [[[sp.lambdify(x, sp.diff(exprs[i][j], x[k]), 'numpy')
+               for k in range(3)] for j in range(3)] for i in range(3)]
+
+    def ev(pts):
+        out = np.empty((len(pts), 3, 3, 3))
+        for i, j, k in np.ndindex(3, 3, 3):
+            out[:, i, j, k] = grads[i][j][k](*pts.T)
+        return out
+
+    return ev
+
+
+class TestCatalogBulkGradients:
+    def _points(self, rng):
+        # off the origin, where both fields are singular
+        d = rng.normal(size=(40, 3))
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        return d * rng.uniform(0.4, 2.0, (40, 1))
+
+    def test_kelvin_against_sympy(self, rng):
+        force, nu = np.array([0.3, -1.2, 0.7]), 0.3
+        x = sp.symbols('x0:3')
+        P = [-sp.Float(f) for f in force]
+        r = sp.sqrt(sum(xi ** 2 for xi in x))
+        Px = sum(p * xi for p, xi in zip(P, x))
+        A = -1 / (8 * sp.pi * (1 - sp.Float(nu)))
+        c = 1 - 2 * sp.Float(nu)
+        exprs = [[A * (3 * x[i] * x[j] * Px / r ** 5
+                       + c * (P[i] * x[j] + P[j] * x[i] - int(i == j) * Px)
+                       / r ** 3)
+                  for j in range(3)] for i in range(3)]
+        field = KelvinStressField(force, nu)
+        pts = self._points(rng)
+        got = field.gradient(pts)
+        want = _sympy_gradient(exprs, x)(pts)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) < 1e-12 * scale
+        assert np.max(np.abs(field.divergence(pts))) < 1e-12 * scale
+
+    def test_hessian_inverse_r_against_sympy(self, rng):
+        x = sp.symbols('x0:3')
+        r = sp.sqrt(sum(xi ** 2 for xi in x))
+        exprs = [[1.7 * sp.diff(1 / r, x[i], x[j]) for j in range(3)]
+                 for i in range(3)]
+        field = HessianInverseR(1.7)
+        pts = self._points(rng)
+        got = field.gradient(pts)
+        want = _sympy_gradient(exprs, x)(pts)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) < 1e-12 * scale
+        assert np.max(np.abs(field.divergence(pts))) < 1e-12 * scale
+
+
+def _catalog_patches():
+    """(label, interface) for every catalog patch kind, both sphere
+    orientations."""
+    ball, shell = Ball(1.0), SphericalShell(1.0, 2.0)
+    return [("sphere+", sphere_interface(0.7)),
+            ("sphere-", sphere_interface(0.7, orientation=-1.0)),
+            ("disk", plane_disk_interface(ball, z=0.2)),
+            ("annulus", equatorial_annulus_interface(shell)),
+            ("cylinder", cylinder_patch_interface(
+                CylinderAnnulus(0.5, 1.5, 2.0), 1.0)),
+            ("rect", Box([1.0, 0.8, 1.0]).plane_interface(-0.1))]
+
+
+CATALOG_PATCHES = _catalog_patches()
+
+
+@pytest.mark.parametrize("label,itf", CATALOG_PATCHES,
+                         ids=[lab for lab, _ in CATALOG_PATCHES])
+class TestCatalogSurfaceDerivatives:
+    def _fields(self, itf):
+        rng = np.random.default_rng(11)
+        return [uniform_tension(0.7, itf), dilatational_surface(-1.3, itf),
+                normal_dyad([0.2, -0.5, 0.9], itf),
+                SurfaceField.constant(np.array([[1.0, 0.2, 0.0],
+                                                [0.2, -1.0, 0.3],
+                                                [0.0, 0.3, 0.5]]), 2, itf),
+                SurfaceField.constant(0.4, 0, itf),
+                surface_polynomial(rng, 1, itf),
+                surface_polynomial(rng, 2, itf, symmetric=False)]
+
+    def test_dchart_matches_chart_fd(self, label, itf):
+        batch = itf.samples(90)
+        for field in self._fields(itf):
+            assert field.dchart is not None
+            for axis in (0, 1):
+                got = field.dchart(batch, axis)
+                want = _chart_partial(field, batch, axis)
+                scale = max(1.0, np.max(np.abs(want)))
+                assert np.max(np.abs(got - want)) < 1e-8 * scale, \
+                    (label, axis)
+
+    def test_shaped_divergence_matches_fd_product(self, label, itf):
+        # div_S(f grad_S n) by the product rule against the chart FD of the
+        # field f grad_S n itself
+        batch = itf.samples(90)
+        rng = np.random.default_rng(12)
+        for f in (surface_polynomial(rng, 1, itf),
+                  surface_polynomial(rng, 2, itf, symmetric=False)):
+            fS = SurfaceField(lambda b, f=f: np.einsum(
+                'n...j,njk->n...k', f.value(b), b.shape_ops), f.rank, itf)
+            got = shaped_divergence(f.value(batch), surface_gradient(f, batch),
+                                    batch)
+            want = surface_divergence(fS, batch)
+            scale = max(1.0, np.max(np.abs(want)))
+            assert np.max(np.abs(got - want)) < 1e-7 * scale, label
+

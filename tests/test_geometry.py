@@ -233,6 +233,18 @@ class TestCurves:
             r = np.linalg.norm(curve.points, axis=1)
             assert np.max(np.abs(r - radius)) < 1e-12
 
+    def test_every_curve_of_a_component(self, cylinder):
+        # the cylinder patch meets component 0 in two circles, top and
+        # bottom: the curve rule walks both
+        itf = cylinder_patch_interface(cylinder, 1.0)
+        got = integrate_curve(itf, 0, lambda cb: np.ones(len(cb)))
+        assert abs(got.value - 4 * np.pi) < 1e-12
+        curve = itf.curve_quadrature(0)
+        heights = np.unique(np.round(curve.points[:, 2], 12))
+        assert np.allclose(heights, cylinder.z_range, atol=1e-12)
+        assert np.allclose(curve.nu[:, 2], np.sign(curve.points[:, 2]),
+                           atol=1e-12)
+
     def test_closed_interface_has_no_curves(self, unit_sphere):
         assert unit_sphere.boundary_curves == []
         with pytest.raises(GeometryError):

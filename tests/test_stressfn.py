@@ -185,7 +185,7 @@ class TestExtraction:
     def test_smooth_potential_no_surface_densities(self, ball, sphere_half,
                                                    rng):
         f = PolyField.random_symmetric(rng, 3)
-        phi = StressFunction(f, f, sphere_half, 2.0)
+        phi = StressFunction(f, f, sphere_half)
         triple = extract_densities(phi, sphere_half)
         batch = sphere_half.samples(80)
         assert np.max(np.abs(triple.sigma1.value(batch))) < 1e-10
@@ -199,7 +199,7 @@ class TestExtraction:
         proj = np.diag([1.0, 1.0, 0.0])
         plus = _const_polyfield(c * proj)
         minus = _const_polyfield(np.zeros((3, 3)))
-        phi = StressFunction(plus, minus, pl, 2.0)
+        phi = StressFunction(plus, minus, pl)
         triple = extract_densities(phi, pl)
         batch = pl.samples(60)
         s2 = triple.sigma2.value(batch)
@@ -319,7 +319,7 @@ class TestLemma2AndGlobal:
     def test_ball_interior_suite(self, ball, rng):
         # divergence-free smooth stress on a single-component domain passes
         phi = PolyField.random_symmetric(rng, 3, scale=0.3)
-        sig = PiecewiseField.smooth(phi.inc_field(), 2, 2.0)
+        sig = PiecewiseField.smooth(phi.inc_field(), 2)
         dist = CompositeDist(b=BDist(ball, None, sig))
         rep = check_lemma2_conditions(dist, ball)
         assert rep.passed
@@ -328,7 +328,7 @@ class TestLemma2AndGlobal:
 
     def test_non_curl_free_suite_rejected(self, ball, rng):
         sig = PiecewiseField.smooth(
-            PolyField.random_symmetric(rng, 2).inc_field(), 2, 2.0)
+            PolyField.random_symmetric(rng, 2).inc_field(), 2)
         dist = CompositeDist(b=BDist(ball, None, sig))
 
         class Crooked:
@@ -354,7 +354,7 @@ class TestLemma2AndGlobal:
             check_lemma2_conditions(dist, ball, suite=[("bad", Crooked())])
 
     def test_zero_stress_global(self, shell):
-        zero = PiecewiseField.smooth(_const_polyfield(np.zeros((3, 3))), 2, 4.0)
+        zero = PiecewiseField.smooth(_const_polyfield(np.zeros((3, 3))), 2)
         gc = global_conditions(zero, shell)
         assert gc.passed
         for comp in gc.components:
@@ -465,4 +465,4 @@ class TestStressFunctionValidation:
         comp[0, 1] = Poly3.constant(1.0)
         bad = PolyField(comp, 2)
         with pytest.raises(FieldError):
-            StressFunction(bad, bad, sphere_half, 2.0)
+            StressFunction(bad, bad, sphere_half)
