@@ -6,6 +6,8 @@ files construct the exact same objects.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from . import _tensor as T
@@ -21,18 +23,27 @@ from .geometry import (Ball, Box, CylinderAnnulus, SphericalShell,
 from .stressfn import StressFunction
 
 
+_REQUIRED = object()
+
+
 class ConfigBlock(dict):
     """A scenario block that knows its JSON path.
 
     Reading a missing required key raises ``ConfigError`` naming the key's
     path (``$.geometry.domain.radius``), and nested blocks come back as
-    ``ConfigBlock``s with the path extended, so every builder below reports
-    an incomplete scenario as a configuration error.
+    ``ConfigBlock``s with the path extended (so do block defaults of
+    ``get``), so every builder below reports an incomplete scenario as a
+    configuration error.  Numbers are read through ``number``, which
+    reports a wrongly typed value the same way.
     """
 
     def __init__(self, data, path="$"):
         super().__init__(data)
         self.path = path
+
+    @classmethod
+    def of(cls, cfg):
+        return cfg if isinstance(cfg, cls) else cls(cfg)
 
     def __getitem__(self, key):
         if key not in self:
@@ -43,37 +54,77 @@ class ConfigBlock(dict):
         return value
 
     def get(self, key, default=None):
-        return self[key] if key in self else default
+        if key in self:
+            return self[key]
+        if isinstance(default, dict):
+            return ConfigBlock(default, f"{self.path}.{key}")
+        return default
+
+    def number(self, key, default=_REQUIRED, ndim=0, integer=False):
+        """``self[key]`` (``default`` when given and the key is missing) as
+        a float, an int with ``integer``, or for ``ndim`` > 0 a float array
+        of that many dimensions; any other value raises ``ConfigError``."""
+        value = self[key] if default is _REQUIRED else self.get(key, default)
+        kind = numbers.Integral if integer else numbers.Real
+        if _numeric(value, ndim, kind):
+            if ndim == 0:
+                return int(value) if integer else float(value)
+            try:
+                return np.asarray(value, dtype=float)
+            except ValueError:            # ragged nesting
+                pass
+        what = "an integer" if integer else (
+            "a number" if ndim == 0 else f"a {ndim}-d array of numbers")
+        raise ConfigError(f"{self.path}.{key}: must be {what}, got {value!r}")
+
+
+def _numeric(value, ndim, kind):
+    """A ``kind`` number (never a bool), or nested lists ``ndim`` deep of
+    them."""
+    if ndim == 0:
+        return isinstance(value, kind) and not isinstance(value, bool)
+    return (isinstance(value, (list, tuple, np.ndarray))
+            and all(_numeric(v, ndim - 1, kind) for v in value))
+
+
+def _seeded(cfg, degree):
+    """(generator seeded by ``seed``, ``degree`` or its default)."""
+    return (np.random.default_rng(cfg.number("seed", integer=True)),
+            cfg.number("degree", degree, integer=True))
 
 
 def build_domain(cfg):
+    cfg = ConfigBlock.of(cfg)
     kind = cfg.get("kind")
     if kind == "ball":
-        return Ball(cfg["radius"])
+        return Ball(cfg.number("radius"))
     if kind == "spherical-shell":
-        return SphericalShell(cfg["inner_radius"], cfg["outer_radius"])
+        return SphericalShell(cfg.number("inner_radius"),
+                              cfg.number("outer_radius"))
     if kind == "box":
-        return Box(cfg["half_widths"])
+        return Box(cfg.number("half_widths", ndim=1))
     if kind == "cylinder-annulus":
-        return CylinderAnnulus(cfg["inner_radius"], cfg["outer_radius"],
-                               cfg["height"])
+        return CylinderAnnulus(cfg.number("inner_radius"),
+                               cfg.number("outer_radius"),
+                               cfg.number("height"))
     raise ConfigError(f"unknown domain kind {kind!r}")
 
 
 def build_interface(cfg, domain):
     if cfg is None:
         return None
+    cfg = ConfigBlock.of(cfg)
     kind = cfg.get("kind")
     if kind == "sphere":
-        return sphere_interface(cfg["radius"])
+        return sphere_interface(cfg.number("radius"))
     if kind == "plane-disk":
-        return plane_disk_interface(domain, cfg.get("z", 0.0))
+        return plane_disk_interface(domain, cfg.number("z", 0.0))
     if kind == "plane-rect":
-        return domain.plane_interface(cfg.get("z", 0.0))
+        return domain.plane_interface(cfg.number("z", 0.0))
     if kind == "equatorial-annulus":
         return equatorial_annulus_interface(domain)
     if kind == "cylinder-patch":
-        return cylinder_patch_interface(domain, cfg["radius"])
+        return cylinder_patch_interface(domain, cfg.number("radius"))
     raise ConfigError(f"unknown interface kind {kind!r}")
 
 
@@ -86,33 +137,34 @@ def _pressure_side(p):
 
 
 def build_bulk_tensor(cfg, domain, interface):
+    cfg = ConfigBlock.of(cfg)
     kind = cfg.get("kind")
     if kind == "zero":
         return None
     if kind == "uniform-pressure":
-        return PiecewiseField(2, _pressure_side(cfg["p_plus"]),
-                              _pressure_side(cfg["p_minus"]), interface)
+        return PiecewiseField(2, _pressure_side(cfg.number("p_plus")),
+                              _pressure_side(cfg.number("p_minus")), interface)
     if kind == "kelvin":
         return PiecewiseField.smooth(
-            KelvinStressField(cfg["force"], cfg.get("nu", 0.25)), 2)
+            KelvinStressField(cfg.number("force", ndim=1),
+                              cfg.number("nu", 0.25)), 2)
     if kind == "hessian-harmonic":
         return PiecewiseField.smooth(
-            HessianInverseR(cfg.get("amplitude", 1.0)), 2)
+            HessianInverseR(cfg.number("amplitude", 1.0)), 2)
     if kind == "constant":
         return PiecewiseField.smooth(
-            ConstantField(np.asarray(cfg["value"], dtype=float), 2), 2)
+            ConstantField(cfg.number("value", ndim=2), 2), 2)
     if kind == "piecewise-polynomial":
-        rng = np.random.default_rng(cfg["seed"])
-        deg = cfg.get("degree", 3)
-        scale = cfg.get("scale", 1.0)
+        rng, deg = _seeded(cfg, 3)
+        scale = cfg.number("scale", 1.0)
         plus = PolyField.random_symmetric(rng, deg, scale)
         minus = PolyField.random_symmetric(rng, deg, scale)
         return PiecewiseField(2, plus, minus, interface)
     if kind == "radial-pressure":
-        plus = _radial_pressure_field(cfg["coeffs_plus"])
+        plus = _radial_pressure_field(cfg.number("coeffs_plus", ndim=1))
         if interface is None or "coeffs_minus" not in cfg:
             return PiecewiseField(2, plus, None, interface)
-        minus = _radial_pressure_field(cfg["coeffs_minus"])
+        minus = _radial_pressure_field(cfg.number("coeffs_minus", ndim=1))
         return PiecewiseField(2, plus, minus, interface)
     raise ConfigError(f"unknown bulk stress kind {kind!r}")
 
@@ -140,21 +192,21 @@ def _poly_times(a, b):
 
 
 def build_bulk_vector(cfg, domain, interface):
+    cfg = ConfigBlock.of(cfg)
     kind = cfg.get("kind")
     if kind == "zero":
         return None
     if kind == "constant-vector":
         return PiecewiseField.smooth(
-            ConstantField(np.asarray(cfg["value"], dtype=float), 1), 1)
+            ConstantField(cfg.number("value", ndim=1), 1), 1)
     if kind == "piecewise-polynomial":
-        rng = np.random.default_rng(cfg["seed"])
-        deg = cfg.get("degree", 3)
-        plus = PolyField.random_vector(rng, deg, cfg.get("scale", 1.0))
-        minus = PolyField.random_vector(rng, deg, cfg.get("scale", 1.0))
+        rng, deg = _seeded(cfg, 3)
+        plus = PolyField.random_vector(rng, deg, cfg.number("scale", 1.0))
+        minus = PolyField.random_vector(rng, deg, cfg.number("scale", 1.0))
         return PiecewiseField(1, plus, minus, interface)
     if kind == "gradient":        # curl-free bulk field for curl checks
-        rng = np.random.default_rng(cfg["seed"])
-        pot = Poly3.random(rng, cfg.get("degree", 4))
+        rng, deg = _seeded(cfg, 4)
+        pot = Poly3.random(rng, deg)
         comp = np.array(pot.gradient_polys(), dtype=object)
         return PiecewiseField.smooth(PolyField(comp, rank=1), 1)
     raise ConfigError(f"unknown bulk force kind {kind!r}")
@@ -165,43 +217,43 @@ def build_bulk_vector(cfg, domain, interface):
 
 
 def build_surface_tensor(cfg, interface):
+    cfg = ConfigBlock.of(cfg)
     kind = cfg.get("kind")
     if kind == "zero":
         return None
     if kind == "uniform-tension":
-        return uniform_tension(cfg["gamma"], interface)
+        return uniform_tension(cfg.number("gamma"), interface)
     if kind == "dilatational":
-        return dilatational_surface(cfg["p"], interface)
+        return dilatational_surface(cfg.number("p"), interface)
     if kind == "normal-dyad":
-        return normal_dyad(np.asarray(cfg["a"], dtype=float), interface)
+        return normal_dyad(cfg.number("a", ndim=1), interface)
     if kind == "constant":
-        return SurfaceField.constant(np.asarray(cfg["value"], dtype=float), 2,
-                                     interface)
+        return SurfaceField.constant(cfg.number("value", ndim=2), 2, interface)
     if kind == "polynomial":
-        rng = np.random.default_rng(cfg["seed"])
-        return surface_polynomial(rng, 2, interface, cfg.get("degree", 2),
-                                  scale=cfg.get("scale", 1.0))
+        rng, deg = _seeded(cfg, 2)
+        return surface_polynomial(rng, 2, interface, deg,
+                                  scale=cfg.number("scale", 1.0))
     raise ConfigError(f"unknown surface stress kind {kind!r}")
 
 
 def build_surface_vector(cfg, interface):
+    cfg = ConfigBlock.of(cfg)
     kind = cfg.get("kind")
     if kind == "zero":
         return None
     if kind == "constant-vector":
-        return SurfaceField.constant(np.asarray(cfg["value"], dtype=float), 1,
-                                     interface)
+        return SurfaceField.constant(cfg.number("value", ndim=1), 1, interface)
     if kind == "matched-dipole":
-        p2 = float(cfg["p2"])
+        p2 = cfg.number("p2")
 
         def ev(batch):
             return p2 * batch.kappa[:, None] * batch.normals
 
         return SurfaceField(ev, 1, interface)
     if kind == "polynomial":
-        rng = np.random.default_rng(cfg["seed"])
-        return surface_polynomial(rng, 1, interface, cfg.get("degree", 2),
-                                  scale=cfg.get("scale", 1.0))
+        rng, deg = _seeded(cfg, 2)
+        return surface_polynomial(rng, 1, interface, deg,
+                                  scale=cfg.number("scale", 1.0))
     raise ConfigError(f"unknown surface force kind {kind!r}")
 
 
@@ -262,18 +314,19 @@ def flat_tension(domain, interface, gamma, tolerances=None):
 
 def build_scenario_fields(cfg, domain, interface, tolerances=None):
     """Equilibrium scenario from a preset name or explicit field blocks."""
+    cfg = ConfigBlock.of(cfg)
     preset = cfg.get("preset")
     if preset == "soap-film":
-        scn = soap_film(domain, interface, cfg["gamma"], cfg["pressure_jump"],
-                        tolerances)
+        scn = soap_film(domain, interface, cfg.number("gamma"),
+                        cfg.number("pressure_jump"), tolerances)
     elif preset == "dilatational-dipole":
-        scn = dilatational_dipole(domain, interface, cfg["gamma"], cfg["p2"],
-                                  tolerances)
+        scn = dilatational_dipole(domain, interface, cfg.number("gamma"),
+                                  cfg.number("p2"), tolerances)
     elif preset == "flat-tension":
-        scn = flat_tension(domain, interface, cfg["gamma"], tolerances)
+        scn = flat_tension(domain, interface, cfg.number("gamma"), tolerances)
     elif preset == "kelvin":
-        scn = kelvin_scenario(domain, cfg.get("force", (0, 0, 1)),
-                              cfg.get("nu", 0.25))
+        scn = kelvin_scenario(domain, cfg.number("force", (0, 0, 1), ndim=1),
+                              cfg.number("nu", 0.25))
     elif preset is None:
         scn = EquilibriumScenario(
             domain=domain, interface=interface,
@@ -295,22 +348,21 @@ def build_scenario_fields(cfg, domain, interface, tolerances=None):
 
 
 def build_potential(cfg, domain, interface):
+    cfg = ConfigBlock.of(cfg)
     kind = cfg.get("kind")
     if kind == "piecewise-polynomial":
-        rng = np.random.default_rng(cfg["seed"])
-        deg = cfg.get("degree", 4)
-        scale = cfg.get("scale", 1.0)
+        rng, deg = _seeded(cfg, 4)
+        scale = cfg.number("scale", 1.0)
         plus = PolyField.random_symmetric(rng, deg, scale)
         minus = PolyField.random_symmetric(rng, deg, scale)
         return StressFunction(plus, minus, interface)
     if kind == "smooth-polynomial":
-        rng = np.random.default_rng(cfg["seed"])
-        f = PolyField.random_symmetric(rng, cfg.get("degree", 4),
-                                       cfg.get("scale", 1.0))
+        rng, deg = _seeded(cfg, 4)
+        f = PolyField.random_symmetric(rng, deg, cfg.number("scale", 1.0))
         return StressFunction(f, None, interface)
     if kind == "airy":
         # planar potential f(x1, x2) e3 (x) e3: generates an in-plane stress
-        terms = cfg["terms"]            # list of [i, j, coef]
+        terms = cfg.number("terms", ndim=2)     # rows [i, j, coef]
         f = Poly3([[int(i), int(j), 0] for i, j, _ in terms],
                   [float(c) for _, _, c in terms])
         comp = np.empty((3, 3), dtype=object)

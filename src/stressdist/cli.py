@@ -112,9 +112,9 @@ def _tolerances(cfg):
     t = Tolerances()
     over = cfg.get("tolerances", {})
     if "local" in over:
-        t.local = float(over["local"])
+        t.local = over.number("local")
     if "weak_factor" in over:
-        t.weak_factor = float(over["weak_factor"])
+        t.weak_factor = over.number("weak_factor")
     return t
 
 
@@ -125,10 +125,10 @@ def _tolerances(cfg):
 def _op_verify_identity(cfg, domain, interface, rng):
     params = cfg.get("parameters", {})
     family = params.get("family", "B")
-    which = int(params.get("identity", 1))
-    count = int(cfg.get("suite", {}).get("count", 5))
-    abs_tol = float(params.get("abs_tol", distributions.ABS_TOL))
-    rel_tol = float(params.get("rel_tol", distributions.REL_TOL))
+    which = params.number("identity", 1, integer=True)
+    count = cfg.get("suite", {}).number("count", 5, integer=True)
+    abs_tol = params.number("abs_tol", distributions.ABS_TOL)
+    rel_tol = params.number("rel_tol", distributions.REL_TOL)
     checks = []
     rows = []
     for j in range(count):
@@ -199,8 +199,9 @@ def _op_check_equilibrium(cfg, domain, interface, rng):
         rep = local_report(scn)
     for c in rep.conditions:
         checks.append(_Check(c.cond, c.residual, c.tolerance))
-    count = int(cfg.get("suite", {}).get("count", 9))
-    seed = int(cfg.get("suite", {}).get("seed", cfg.get("seed", 0)))
+    count = cfg.get("suite", {}).number("count", 9, integer=True)
+    seed = cfg.get("suite", {}).number("seed", cfg.get("seed", 0),
+                                       integer=True)
     tests = make_test_suite(domain, interface, count,
                             np.random.default_rng(seed))
     for label, value, wtol in weak_residuals(scn, tests):
@@ -210,15 +211,17 @@ def _op_check_equilibrium(cfg, domain, interface, rng):
 
 def _op_dipole_limit(cfg, domain, interface, rng):
     params = cfg.get("parameters", {})
-    sigma0 = np.asarray(params.get("sigma0", [[1, 0, 0], [0, -0.5, 0], [0, 0, 0]]),
-                        dtype=float)
-    h_values = params.get("h_values", [0.2, 0.1, 0.05, 0.025, 0.0125])
-    count = int(cfg.get("suite", {}).get("count", 10))
-    seed = int(cfg.get("suite", {}).get("seed", cfg.get("seed", 0)))
-    min_order = float(params.get("min_order", 0.9))
-    rep = dipole_limit(domain, sigma0, h_values, z0=params.get("z", 0.0),
+    sigma0 = params.number("sigma0", [[1, 0, 0], [0, -0.5, 0], [0, 0, 0]],
+                           ndim=2)
+    h_values = params.number("h_values", [0.2, 0.1, 0.05, 0.025, 0.0125],
+                             ndim=1)
+    count = cfg.get("suite", {}).number("count", 10, integer=True)
+    seed = cfg.get("suite", {}).number("seed", cfg.get("seed", 0),
+                                       integer=True)
+    min_order = params.number("min_order", 0.9)
+    rep = dipole_limit(domain, sigma0, h_values, z0=params.number("z", 0.0),
                        n_tests=count, seed=seed, min_order=min_order)
-    frac_needed = float(params.get("min_fraction", 0.9))
+    frac_needed = params.number("min_fraction", 0.9)
     checks = [_Check("dipole-order-fraction", rep.fraction_first_order, 1.0,
                      passed=rep.fraction_first_order >= frac_needed,
                      extra={"orders": [None if np.isnan(o) else round(o, 4)
@@ -230,7 +233,7 @@ def _op_dipole_limit(cfg, domain, interface, rng):
 
 def _op_stress_function(cfg, domain, interface, rng):
     params = cfg.get("parameters", {})
-    tol = float(params.get("tol", 1e-6))
+    tol = params.number("tol", 1e-6)
     checks = []
     fields_cfg = cfg.get("fields", {})
     if "potential" in fields_cfg:
@@ -266,7 +269,7 @@ def _op_stress_function(cfg, domain, interface, rng):
 
 def _op_global_conditions(cfg, domain, interface, rng):
     params = cfg.get("parameters", {})
-    tol = float(params.get("tol", 1e-6))
+    tol = params.number("tol", 1e-6)
     fields_cfg = cfg.get("fields", {})
     if "potential" in fields_cfg:
         potential = catalog.build_potential(fields_cfg["potential"], domain,
@@ -293,8 +296,8 @@ def _op_global_conditions(cfg, domain, interface, rng):
 def _op_mollify(cfg, domain, interface, rng):
     params = cfg.get("parameters", {})
     family = params.get("family", "C")
-    rhos = params.get("rhos", [0.08, 0.04, 0.02, 0.01])
-    min_order = float(params.get("min_order", 1.0))
+    rhos = params.number("rhos", [0.08, 0.04, 0.02, 0.01], ndim=1).tolist()
+    min_order = params.number("min_order", 1.0)
     dist = _random_dist(family, domain, interface, rng, rank=2)
     from .equilibrium import _crossing_bump_geometry
     c, r = _crossing_bump_geometry(domain, interface, rng)
@@ -311,7 +314,8 @@ def _op_mollify(cfg, domain, interface, rng):
 
 def _op_cauchy_flux(cfg, domain, interface, rng):
     params = cfg.get("parameters", {})
-    rhos = params.get("rhos", [0.05, 0.025, 0.0125, 0.00625])
+    rhos = params.number("rhos", [0.05, 0.025, 0.0125, 0.00625],
+                         ndim=1).tolist()
     expect = params.get("expect", "converge")
     probe_cfg = params.get("probe", {"kind": "sphere", "radius": 1.5})
     probe = catalog.build_interface(probe_cfg, domain)

@@ -523,42 +523,6 @@ def _gauss_profile_dneg(s, rho):
     return _gauss_profile(s, rho) * s / rho ** 2
 
 
-def _mollifier_clearance(domain, interface):
-    kind = interface.kind
-    if kind == 'sphere':
-        a = interface.params['radius']
-        if domain.kind == 'ball':
-            return min(a, domain.radius - a)
-        if domain.kind == 'spherical-shell':
-            return min(a - domain.inner_radius, domain.outer_radius - a)
-    if kind in ('plane-disk', 'plane-rect', 'equatorial-annulus'):
-        z0 = interface.params.get('z', 0.0)
-        lo, hi = domain.bounding_box()
-        return min(hi[2] - z0, z0 - lo[2])
-    if kind == 'cylinder-patch':
-        a = interface.feature_size
-        return min(a - domain.inner_radius, domain.outer_radius - a)
-    raise StressDistError(f"no mollifier support for interface {kind!r}")
-
-
-def _mollifier_breaks(domain, interface, rho):
-    """Extra quadrature breaks resolving the Gaussian layer."""
-    offs = np.array([-6.0, -2.0, 0.0, 2.0, 6.0]) * rho
-    kind = interface.kind
-    if kind == 'sphere':
-        vals = interface.params['radius'] + offs
-        return (vals, (), ())
-    if kind in ('plane-disk', 'plane-rect', 'equatorial-annulus'):
-        vals = interface.params.get('z', 0.0) + offs
-        if domain.kind == 'box':
-            return ((), (), vals)
-        raise StressDistError(
-            "plane mollification is only quadratured in box domains")
-    if kind == 'cylinder-patch':
-        return (interface.feature_size + offs, (), ())
-    raise StressDistError(f"no mollifier support for interface {kind!r}")
-
-
 def mollified_pair(dist, test, rho, domain=None, level=None):
     """Pairing with surface parts replaced by Gaussian layers of width rho.
 
@@ -579,14 +543,15 @@ def mollified_pair(dist, test, rho, domain=None, level=None):
     if domain is None:
         raise ConfigError("mollified surface pairings need the domain")
     interface = dist.interface
-    if 6.0 * rho >= _mollifier_clearance(domain, interface):
+    if 6.0 * rho >= domain.clearance(interface):
         raise StressDistError(
             f"mollifier width {rho} too large: truncated layer leaves the domain")
 
     profile = _gauss_profile if isinstance(dist, CDist) else _gauss_profile_dneg
     support = _test_support(test)
     vlevel = _lv(level, support is not None)
-    breaks = _mollifier_breaks(domain, interface, rho)
+    breaks = domain.level_breaks(
+        interface, np.array([-6.0, -2.0, 0.0, 2.0, 6.0]) * rho)
 
     def layer(x):
         """Mollified density paired with the test, zero off the 6 rho layer."""

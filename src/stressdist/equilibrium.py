@@ -295,24 +295,16 @@ def dilatational_residuals(scenario, batch=None, n=2000, n_bulk=1000):
 
 def _crossing_bump_geometry(domain, interface, rng):
     """(center, radius) for a support that straddles the interface."""
-    kind = interface.kind
+    kind, a = interface.kind, interface.value
     if kind == 'sphere':
-        a = interface.params['radius']
-        if domain.kind == 'ball':
-            room = min(a, domain.radius - a)
-        else:
-            room = min(a - domain.inner_radius, domain.outer_radius - a)
-        r = 0.42 * room
+        r = 0.42 * domain.clearance(interface)
         d = _unit(rng)
         center = d * (a + rng.uniform(-0.4, 0.4) * r)
         return center, r
     if kind in ('plane-disk', 'plane-rect'):
-        z0 = interface.params.get('z', 0.0)
-        lo, hi = domain.bounding_box()
-        room = min(hi[2] - z0, z0 - lo[2])
-        r = 0.35 * room
+        r = 0.35 * domain.clearance(interface)
         x = _xy_interior(domain, rng, margin=1.3 * r)
-        center = np.array([x[0], x[1], z0 + rng.uniform(-0.4, 0.4) * r])
+        center = np.array([x[0], x[1], a + rng.uniform(-0.4, 0.4) * r])
         return center, r
     if kind == 'equatorial-annulus':
         r0, r1 = domain.inner_radius, domain.outer_radius
@@ -323,10 +315,8 @@ def _crossing_bump_geometry(domain, interface, rng):
                            rng.uniform(-0.4, 0.4) * r])
         return center, r
     if kind == 'cylinder-patch':
-        a = interface.feature_size
-        room = min(a - domain.inner_radius, domain.outer_radius - a)
         z0, z1 = domain.z_range
-        r = min(0.42 * room, 0.3 * (z1 - z0))
+        r = min(0.42 * domain.clearance(interface), 0.3 * (z1 - z0))
         phi = rng.uniform(0, 2 * np.pi)
         rho = a + rng.uniform(-0.4, 0.4) * r
         z = rng.uniform(z0 + 1.5 * r, z1 - 1.5 * r)

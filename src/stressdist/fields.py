@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from . import _tensor as T
-from .errors import FieldError, GeometryError, RankMismatchError
+from .errors import FieldError, RankMismatchError
 from .geometry import make_surface_batch
 
 
@@ -854,47 +854,6 @@ class ModulatedTest:
         return T.curl_from_gradient(self.gradient(pts))
 
 
-def interface_distance_derivatives(interface, pts, order=2):
-    """[s, grad s, hess s][:order + 1] of the catalog signed-distance
-    functions."""
-    pts = np.asarray(pts, dtype=float)
-    kind = interface.kind
-    if kind == 'sphere':
-        a = interface.params['radius']
-        r = np.linalg.norm(pts, axis=-1)
-        out = [r - a]
-        if order >= 1:
-            er = pts / r[:, None]
-            out.append(er)
-        if order >= 2:
-            out.append((T.I3 - np.einsum('ni,nj->nij', er, er))
-                       / r[:, None, None])
-        return out
-    if kind in ('plane-disk', 'plane-rect', 'equatorial-annulus'):
-        out = [pts[:, 2] - interface.params.get('z', 0.0)]
-        if order >= 1:
-            g = np.zeros_like(pts)
-            g[:, 2] = 1.0
-            out.append(g)
-        if order >= 2:
-            out.append(np.zeros((len(pts), 3, 3)))
-        return out
-    if kind == 'cylinder-patch':
-        a = interface.feature_size
-        rho = np.hypot(pts[:, 0], pts[:, 1])
-        out = [rho - a]
-        if order >= 1:
-            er = np.stack([pts[:, 0] / rho, pts[:, 1] / rho,
-                           np.zeros(len(pts))], axis=-1)
-            out.append(er)
-        if order >= 2:
-            hess = (T.I3 - np.einsum('ni,nj->nij', er, er)) / rho[:, None, None]
-            hess[:, 2, 2] -= 1.0 / rho
-            out.append(hess)
-        return out
-    raise GeometryError(f"no analytic distance derivatives for {kind!r}")
-
-
 class SquaredDistanceFactor:
     """m(x) = s(x)^2: vanishes with its normal derivative on the interface."""
 
@@ -904,7 +863,7 @@ class SquaredDistanceFactor:
     def jet(self, pts, order):
         """[value, gradient, hessian][:order + 1] from one distance
         evaluation."""
-        d = interface_distance_derivatives(self.interface, pts, order)
+        d = self.interface.distance_jet(pts, order)
         s = d[0]
         out = [s ** 2]
         if order >= 1:

@@ -2,9 +2,10 @@
 
 Catalog geometry only: balls, spherical shells, boxes and cylinder annuli,
 with interfaces that are spheres, plane disks, equatorial annuli or
-cylinder patches.  Every surface has analytic normals and shape operators,
-so the only numerical error left in integrals is the quadrature error,
-which is estimated from two refinement levels.
+cylinder patches, each a level set of one coordinate (``Interface``).
+Every surface has analytic normals and shape operators, so the only
+numerical error left in integrals is the quadrature error, which is
+estimated from two refinement levels.
 
 Orientation conventions (all signs downstream derive from these):
 
@@ -17,6 +18,7 @@ Orientation conventions (all signs downstream derive from these):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -104,8 +106,7 @@ def two_level(run, level):
     return PairingValue(value, abs(value - coarse))
 
 
-def _gauss_cells(breaks, level, windows=None, nodes_per_cell=GAUSS_NODES_PER_CELL,
-                 small_cell=None):
+def _gauss_cells(breaks, level, windows=None, small_cell=None):
     """1-D composite Gauss-Legendre nodes/weights on cells given by breaks.
 
     ``windows`` optionally restricts to cells overlapping any (lo, hi)
@@ -113,7 +114,7 @@ def _gauss_cells(breaks, level, windows=None, nodes_per_cell=GAUSS_NODES_PER_CEL
     integrated exactly on the kept cells only.  Cells narrower than
     ``small_cell`` get a reduced 4-point rule (graded ladders).
     """
-    base_x, base_w = np.polynomial.legendre.leggauss(nodes_per_cell)
+    base_x, base_w = np.polynomial.legendre.leggauss(GAUSS_NODES_PER_CELL)
     few_x, few_w = np.polynomial.legendre.leggauss(4)
     xs, ws = [], []
     for a, b in zip(breaks[:-1], breaks[1:]):
@@ -573,9 +574,15 @@ def _tensor_batch(patch, u_rule, v_rule):
         return _empty_batch(patch)
     U, V = np.meshgrid(un, vn, indexing='ij')
     batch = make_surface_batch(patch, U, V)
-    batch.weights = (np.outer(uw, vw).ravel()
+    batch.weights = (_tensor_weights(uw, vw)
                      * patch.area_element(batch.U, batch.V))
     return batch
+
+
+def _tensor_weights(*weights):
+    """Weights of the tensor product of 1-D rules, raveled with the first
+    axis slowest (``meshgrid(..., indexing='ij')`` order)."""
+    return functools.reduce(np.outer, weights).ravel()
 
 
 def _aligned_support_batch(patch, center, radius, level):
@@ -688,8 +695,9 @@ def support_volume_quad(interface, center, radius, level):
     Fibers start at the support center; each fiber's radial cells conform
     to the interface crossings and are edge-graded toward the support
     boundary, so neither the jump nor the bump layer is ever straddled.
-    Returns None when the interface kind has no fiber rule.  Recent rules
-    are kept by (interface kind and parameters, center, radius, level).
+    Returns None for interfaces of coordinate 'rho', which have no fiber
+    rule.  Recent rules are kept by (interface kind and parameters, center,
+    radius, level).
     """
     center = np.asarray(center, dtype=float)
     key = (interface_key(interface), center.tobytes(), float(radius), level)
@@ -698,12 +706,10 @@ def support_volume_quad(interface, center, radius, level):
 
 
 def _build_fiber_quad(interface, center, radius, level):
-    kind = interface.kind if interface is not None else None
-    if kind == 'sphere':
-        axis = center if np.linalg.norm(center) > 1e-12 else np.array([0, 0, 1.0])
-    elif kind in ('plane-disk', 'plane-rect', 'equatorial-annulus'):
-        axis = np.array([0.0, 0.0, 1.0])
-    elif kind is None:
+    coordinate = interface.coordinate if interface is not None else None
+    if coordinate == 'r' and np.linalg.norm(center) > 1e-12:
+        axis = center
+    elif coordinate in (None, 'r', 'z'):
         axis = np.array([0.0, 0.0, 1.0])
     else:
         return None
@@ -714,8 +720,8 @@ def _build_fiber_quad(interface, center, radius, level):
     # there, with a half-power kink at tangency).
     alpha_breaks = {0.0, np.pi}
     graded_at = []
-    if kind == 'sphere':
-        a = interface.params['radius']
+    if coordinate == 'r':
+        a = interface.value
         d = float(np.linalg.norm(center))
         if d > 1e-12:
             if d > a:
@@ -728,8 +734,8 @@ def _build_fiber_quad(interface, center, radius, level):
                 t = float(np.arccos(ex))
                 alpha_breaks.add(t)
                 graded_at.append(t)
-    elif kind is not None:
-        dz = interface.params.get('z', 0.0) - center[2]
+    elif coordinate == 'z':
+        dz = interface.value - center[2]
         if abs(dz) < radius:
             t = float(np.arccos(dz / radius))
             alpha_breaks.add(t)
@@ -752,22 +758,20 @@ def _build_fiber_quad(interface, center, radius, level):
     gn, gw = _gauss_cells(np.linspace(0.0, 2 * np.pi, 3 + level + 1), 0)
 
     A, G = np.meshgrid(an, gn, indexing='ij')
-    WA, WG = np.meshgrid(aw, gw, indexing='ij')
     sa, ca = np.sin(A).ravel(), np.cos(A).ravel()
     sg, cg = np.sin(G).ravel(), np.cos(G).ravel()
     dirs_local = np.stack([sa * cg, sa * sg, ca], axis=-1)
     dirs = dirs_local @ R.T
-    w_ang = (WA * WG).ravel() * sa
+    w_ang = _tensor_weights(aw, gw) * sa
     D = len(dirs)
 
     # radial breaks per fiber: graded support partition plus crossings
-    depth = level + 4
-    fr = sorted({0.0, 1.0, 0.5} | {0.5 ** k for k in range(1, depth)}
-                | {1.0 - 0.5 ** k for k in range(1, depth)})
-    fixed = radius * np.asarray(fr)
+    fixed = np.asarray(_graded_breaks([(0.0, radius)],
+                                      level + VOLUME_GRADE_OFFSET, [], 0.0,
+                                      radius))
     roots = np.full((D, 2), radius)
-    if kind == 'sphere':
-        a = interface.params['radius']
+    if coordinate == 'r':
+        a = interface.value
         d2 = float(center @ center)
         cu = dirs @ center
         disc = cu ** 2 - (d2 - a * a)
@@ -777,8 +781,8 @@ def _build_fiber_quad(interface, center, radius, level):
             s = -cu + sgn * sq
             good = ok & (s > 1e-12 * radius) & (s < radius * (1 - 1e-12))
             roots[good, j] = s[good]
-    elif kind is not None:
-        dz = interface.params.get('z', 0.0) - center[2]
+    elif coordinate == 'z':
+        dz = interface.value - center[2]
         uz = dirs[:, 2]
         with np.errstate(divide='ignore', invalid='ignore'):
             s = dz / uz
@@ -804,8 +808,23 @@ def _build_fiber_quad(interface, center, radius, level):
 # interfaces
 
 
+def _coordinate(name, pts):
+    """The level-set coordinate ``name`` ('r', 'z' or 'rho') at points."""
+    if name == 'r':
+        return np.linalg.norm(pts, axis=-1)
+    if name == 'z':
+        return pts[..., 2]
+    return np.hypot(pts[..., 0], pts[..., 1])
+
+
 class Interface:
     """Oriented parametric surface inside a domain.
+
+    Every catalog interface is a level set {q(x) = value} of one coordinate
+    q: the radius 'r' = |x|, the height 'z' = x3, or the axial distance
+    'rho' = |(x1, x2)|.  The signed distance orientation * (q - value), its
+    derivatives, the cell breaks and the clearance to the domain boundary
+    all derive from these three numbers.
 
     Either closed, or with every boundary curve lying on a boundary
     component of the domain (partial surfaces crossing the interior are
@@ -813,12 +832,17 @@ class Interface:
     domain: quadrature memos key interfaces by them (``interface_key``).
     """
 
-    def __init__(self, kind, patch, closed, signed_distance, chart_coords,
-                 boundary_curves=(), feature_size=1.0, params=None):
+    def __init__(self, kind, patch, closed, coordinate, value, chart_coords,
+                 orientation=1.0, boundary_curves=(), feature_size=1.0,
+                 params=None):
+        if coordinate not in ('r', 'z', 'rho'):
+            raise GeometryError(f"unknown interface coordinate {coordinate!r}")
         self.kind = kind
         self.patch = patch
         self.closed = bool(closed)
-        self._signed_distance = signed_distance
+        self.coordinate = coordinate
+        self.value = float(value)
+        self.orientation = float(orientation)
         self._chart_coords = chart_coords
         self.boundary_curves = list(boundary_curves)   # (component, builder)
         self.feature_size = float(feature_size)
@@ -829,7 +853,36 @@ class Interface:
             raise GeometryError("closed interface cannot carry boundary curves")
 
     def signed_distance(self, pts):
-        return self._signed_distance(np.asarray(pts, dtype=float))
+        """orientation * (q(x) - value): positive on the plus side."""
+        pts = np.asarray(pts, dtype=float)
+        return self.orientation * (_coordinate(self.coordinate, pts)
+                                   - self.value)
+
+    def distance_jet(self, pts, order=2):
+        """[s, grad s, hess s][:order + 1] of the signed distance at
+        points ``(N, 3)``."""
+        pts = np.asarray(pts, dtype=float)
+        q = _coordinate(self.coordinate, pts)
+        o = self.orientation
+        out = [o * (q - self.value)]
+        if order == 0:
+            return out
+        if self.coordinate == 'z':
+            grad = np.zeros_like(pts)
+            grad[:, 2] = 1.0
+            hess = np.zeros((len(pts), 3, 3))
+        else:
+            grad = pts / q[:, None]
+            if self.coordinate == 'rho':
+                grad[:, 2] = 0.0
+            hess = ((I3 - np.einsum('ni,nj->nij', grad, grad))
+                    / q[:, None, None])
+            if self.coordinate == 'rho':
+                hess[:, 2, 2] -= 1.0 / q
+        out.append(o * grad)
+        if order >= 2:
+            out.append(o * hess)
+        return out
 
     def side(self, pts):
         """+1 on the side the normal points toward, -1 on the other."""
@@ -934,7 +987,7 @@ class Interface:
         return make_surface_batch(self.patch, U, V)
 
 
-def _circle_curve(interface_patch, component, radius, z0, nu_dir, chart_of_angle):
+def _circle_curve(interface_patch, component, radius, nu_dir, chart_of_angle):
     """Builder for a horizontal circle curve with conormal nu_dir(phi)."""
 
     def build(n):
@@ -954,40 +1007,38 @@ def sphere_interface(radius, orientation=1.0):
     """Closed sphere |x| = radius, normal radially outward by default."""
     patch = SpherePatch(radius, orientation=orientation)
 
-    def sdist(pts):
-        return orientation * (np.linalg.norm(pts, axis=-1) - radius)
-
     def chart(pts):
         r = np.linalg.norm(pts, axis=-1)
         theta = np.arccos(np.clip(pts[..., 2] / np.maximum(r, 1e-300), -1, 1))
         phi = np.mod(np.arctan2(pts[..., 1], pts[..., 0]), 2 * np.pi)
         return theta, phi
 
-    return Interface('sphere', patch, closed=True, signed_distance=sdist,
+    return Interface('sphere', patch, closed=True, coordinate='r',
+                     value=radius, orientation=orientation,
                      chart_coords=chart, feature_size=radius,
                      params={'radius': radius, 'orientation': orientation})
+
+
+def _polar_chart(pts):
+    """(rho, phi) chart of the closest point on a plane z = const."""
+    rho = np.hypot(pts[..., 0], pts[..., 1])
+    phi = np.mod(np.arctan2(pts[..., 1], pts[..., 0]), 2 * np.pi)
+    return rho, phi
+
+
+def _radial_unit(phi):
+    """In-plane radial unit vectors e_rho(phi)."""
+    return np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], axis=-1)
 
 
 def plane_disk_interface(domain, z=0.0):
     """Plane disk z = const spanning the domain cross-section, normal +e3."""
     rho_max = domain.cross_section_radius(z)
     patch = PlanePolarPatch(z, (0.0, rho_max))
-
-    def sdist(pts):
-        return pts[..., 2] - z
-
-    def chart(pts):
-        rho = np.hypot(pts[..., 0], pts[..., 1])
-        phi = np.mod(np.arctan2(pts[..., 1], pts[..., 0]), 2 * np.pi)
-        return rho, phi
-
-    def nu_dir(phi):
-        return np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], axis=-1)
-
-    curves = [(0, _circle_curve(patch, 0, rho_max, z, nu_dir,
+    curves = [(0, _circle_curve(patch, 0, rho_max, _radial_unit,
                                 lambda phi: (np.full_like(phi, rho_max), phi)))]
-    return Interface('plane-disk', patch, closed=False, signed_distance=sdist,
-                     chart_coords=chart, boundary_curves=curves,
+    return Interface('plane-disk', patch, closed=False, coordinate='z',
+                     value=z, chart_coords=_polar_chart, boundary_curves=curves,
                      feature_size=rho_max, params={'z': z})
 
 
@@ -995,29 +1046,14 @@ def equatorial_annulus_interface(domain):
     """Flat annulus z = 0 inside a spherical shell, touching both boundaries."""
     r0, r1 = domain.inner_radius, domain.outer_radius
     patch = PlanePolarPatch(0.0, (r0, r1))
-
-    def sdist(pts):
-        return pts[..., 2]
-
-    def chart(pts):
-        rho = np.hypot(pts[..., 0], pts[..., 1])
-        phi = np.mod(np.arctan2(pts[..., 1], pts[..., 0]), 2 * np.pi)
-        return rho, phi
-
-    def nu_out(phi):
-        return np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], axis=-1)
-
-    def nu_in(phi):
-        return -nu_out(phi)
-
     curves = [
-        (1, _circle_curve(patch, 1, r0, 0.0, nu_in,
+        (1, _circle_curve(patch, 1, r0, lambda phi: -_radial_unit(phi),
                           lambda phi: (np.full_like(phi, r0), phi))),
-        (0, _circle_curve(patch, 0, r1, 0.0, nu_out,
+        (0, _circle_curve(patch, 0, r1, _radial_unit,
                           lambda phi: (np.full_like(phi, r1), phi))),
     ]
     return Interface('equatorial-annulus', patch, closed=False,
-                     signed_distance=sdist, chart_coords=chart,
+                     coordinate='z', value=0.0, chart_coords=_polar_chart,
                      boundary_curves=curves, feature_size=r1 - r0)
 
 
@@ -1025,9 +1061,6 @@ def cylinder_patch_interface(domain, radius):
     """Cylindrical surface rho = radius spanning a cylinder-annulus domain."""
     z0, z1 = domain.z_range
     patch = CylinderPatch(radius, (z0, z1))
-
-    def sdist(pts):
-        return np.hypot(pts[..., 0], pts[..., 1]) - radius
 
     def chart(pts):
         phi = np.mod(np.arctan2(pts[..., 1], pts[..., 0]), 2 * np.pi)
@@ -1041,13 +1074,13 @@ def cylinder_patch_interface(domain, radius):
         return -nu_top(phi)
 
     curves = [
-        (0, _circle_curve(patch, 0, radius, z1, nu_top,
+        (0, _circle_curve(patch, 0, radius, nu_top,
                           lambda phi: (phi, np.full_like(phi, z1)))),
-        (0, _circle_curve(patch, 0, radius, z0, nu_bot,
+        (0, _circle_curve(patch, 0, radius, nu_bot,
                           lambda phi: (phi, np.full_like(phi, z0)))),
     ]
     return Interface('cylinder-patch', patch, closed=False,
-                     signed_distance=sdist, chart_coords=chart,
+                     coordinate='rho', value=radius, chart_coords=chart,
                      boundary_curves=curves, feature_size=radius,
                      params={'radius': radius})
 
@@ -1077,10 +1110,16 @@ class BoundarySurface:
 
 
 class Domain:
-    """Bounded open region with labeled, disjoint boundary components."""
+    """Bounded open region with labeled, disjoint boundary components.
+
+    Volume rules are tensor products of Gauss cells over three coordinates
+    named by ``cell_coordinates``; an interface whose level-set coordinate
+    is one of them becomes a cell break on that axis.
+    """
 
     kind = 'domain'
     boundary_components: list
+    cell_coordinates: tuple
 
     @property
     def k(self):
@@ -1096,9 +1135,50 @@ class Domain:
     def length_scale(self):
         raise NotImplementedError
 
-    def _cells(self, interface):
-        """Axis break lists + coordinate map for conforming tensor cells."""
+    def _cells(self):
+        """Axis break lists, coordinate map and Jacobian of the cells."""
         raise NotImplementedError
+
+    def _axis(self, interface):
+        """Index of the cell axis that is the interface's coordinate."""
+        if interface.coordinate not in self.cell_coordinates:
+            raise GeometryError(
+                f"{self.kind} cells have no {interface.coordinate!r} axis "
+                f"for the interface {interface.kind!r}")
+        return self.cell_coordinates.index(interface.coordinate)
+
+    def _conforming_cells(self, interface):
+        """``_cells`` with the interface value merged into its axis, so
+        piecewise integrands are never sampled across the jump.  A z = 0
+        plane needs no break in spherical cells (theta = pi/2 is one)."""
+        axes, to_xyz, jac = self._cells()
+        if interface is None or (
+                interface.coordinate == 'z' and abs(interface.value) <= 1e-12
+                and 'theta' in self.cell_coordinates):
+            return axes, to_xyz, jac
+        ax = self._axis(interface)
+        b = axes[ax]
+        axes[ax] = _merge_breaks(b, [interface.value], b[0], b[-1])
+        return axes, to_xyz, jac
+
+    def clearance(self, interface):
+        """Room between the interface and the domain boundary along its
+        coordinate: min(value - lo, hi - value) over the coordinate's
+        extent [lo, hi], the bounding box for 'z' and the cell axis
+        otherwise."""
+        if interface.coordinate == 'z':
+            lo, hi = (b[2] for b in self.bounding_box())
+        else:
+            b = self._cells()[0][self._axis(interface)]
+            lo, hi = b[0], b[-1]
+        return min(interface.value - lo, hi - interface.value)
+
+    def level_breaks(self, interface, offsets):
+        """``extra_breaks`` for ``volume_quadrature``: the levels value +
+        offsets on the interface's axis."""
+        extra = [(), (), ()]
+        extra[self._axis(interface)] = interface.value + np.asarray(offsets)
+        return tuple(extra)
 
     def cross_section_radius(self, z):
         raise GeometryError(f"{self.kind} has no plane-disk cross sections")
@@ -1131,7 +1211,7 @@ class Domain:
         raise NotImplementedError
 
     def _build_volume_quad(self, interface, level, extra_breaks, windows):
-        axes, to_xyz, jac = self._cells(interface)
+        axes, to_xyz, jac = self._conforming_cells(interface)
         if extra_breaks:
             axes = [_merge_breaks(b, e, b[0], b[-1])
                     for b, e in zip(axes, extra_breaks)]
@@ -1152,11 +1232,9 @@ class Domain:
                 weights.append(ww)
         if any(len(x) == 0 for x in nodes):
             return VolumeQuad(points=np.zeros((0, 3)), weights=np.zeros(0))
-        A, B, C = np.meshgrid(*nodes, indexing='ij')
-        W = np.einsum('i,j,k->ijk', *weights)
-        pts = to_xyz(A.ravel(), B.ravel(), C.ravel())
-        w = W.ravel() * jac(A.ravel(), B.ravel(), C.ravel())
-        return VolumeQuad(points=pts, weights=w)
+        A, B, C = (g.ravel() for g in np.meshgrid(*nodes, indexing='ij'))
+        return VolumeQuad(points=to_xyz(A, B, C),
+                          weights=_tensor_weights(*weights) * jac(A, B, C))
 
     def interior_samples(self, n, interface=None, min_dist=0.0, max_tries=60):
         """Deterministic low-discrepancy interior points, kept off the interface."""
@@ -1182,53 +1260,26 @@ class Domain:
         raise NotImplementedError
 
 
-class Ball(Domain):
-    kind = 'ball'
+class _SphericalDomain(Domain):
+    """Region r0 < |x| < r1 (``r_range``; r0 = 0 for a ball) with
+    (r, theta, phi) cells; theta = pi/2, the equator, is a cell break."""
 
-    def __init__(self, radius):
-        if radius <= 0:
-            raise GeometryError("ball radius must be positive")
-        self.radius = float(radius)
-        self.boundary_components = [
-            BoundarySurface(0, [SpherePatch(self.radius, orientation=1.0)])]
+    cell_coordinates = ('r', 'theta', 'phi')
+    r_range: tuple
 
     @property
     def length_scale(self):
-        return 2 * self.radius
-
-    def contains(self, pts, margin=0.0):
-        return np.linalg.norm(pts, axis=-1) < self.radius - margin
-
-    def contains_ball(self, center, radius):
-        return np.linalg.norm(center) + radius < self.radius
+        return 2 * self.r_range[1]
 
     def bounding_box(self):
-        r = self.radius
+        r = self.r_range[1]
         return np.array([-r, -r, -r]), np.array([r, r, r])
 
-    def cross_section_radius(self, z):
-        if abs(z) >= self.radius:
-            raise GeometryError("plane does not intersect the ball")
-        return float(np.sqrt(self.radius ** 2 - z ** 2))
-
     def support_windows(self, center, radius):
-        return _spherical_support_windows(center, radius, 0.0, self.radius)
+        return _spherical_support_windows(center, radius, *self.r_range)
 
-    def _cells(self, interface):
-        r_breaks = [0.0, 0.5 * self.radius, self.radius]
-        t_breaks = [0.0, 0.5 * np.pi, np.pi]
-        p_breaks = [0.0, np.pi, 2 * np.pi]
-        if interface is not None:
-            if interface.kind == 'sphere':
-                r_breaks = _merge_breaks(r_breaks, [interface.params['radius']],
-                                         0.0, self.radius)
-            elif interface.kind == 'plane-disk':
-                if abs(interface.params.get('z', 0.0)) > 1e-12:
-                    raise GeometryError(
-                        "piecewise volume quadrature in a ball needs an equatorial plane")
-            else:
-                raise GeometryError(
-                    f"unsupported interface {interface.kind!r} in ball")
+    def _cells(self):
+        r0, r1 = self.r_range
 
         def to_xyz(r, t, p):
             st = np.sin(t)
@@ -1238,10 +1289,34 @@ class Ball(Domain):
         def jac(r, t, p):
             return r ** 2 * np.sin(t)
 
-        return [r_breaks, t_breaks, p_breaks], to_xyz, jac
+        return ([[r0, 0.5 * (r0 + r1), r1], [0.0, 0.5 * np.pi, np.pi],
+                 [0.0, np.pi, 2 * np.pi]], to_xyz, jac)
 
 
-class SphericalShell(Domain):
+class Ball(_SphericalDomain):
+    kind = 'ball'
+
+    def __init__(self, radius):
+        if radius <= 0:
+            raise GeometryError("ball radius must be positive")
+        self.radius = float(radius)
+        self.r_range = (0.0, self.radius)
+        self.boundary_components = [
+            BoundarySurface(0, [SpherePatch(self.radius, orientation=1.0)])]
+
+    def contains(self, pts, margin=0.0):
+        return np.linalg.norm(pts, axis=-1) < self.radius - margin
+
+    def contains_ball(self, center, radius):
+        return np.linalg.norm(center) + radius < self.radius
+
+    def cross_section_radius(self, z):
+        if abs(z) >= self.radius:
+            raise GeometryError("plane does not intersect the ball")
+        return float(np.sqrt(self.radius ** 2 - z ** 2))
+
+
+class SphericalShell(_SphericalDomain):
     kind = 'spherical-shell'
 
     def __init__(self, inner_radius, outer_radius):
@@ -1249,14 +1324,11 @@ class SphericalShell(Domain):
             raise GeometryError("shell needs 0 < inner_radius < outer_radius")
         self.inner_radius = float(inner_radius)
         self.outer_radius = float(outer_radius)
+        self.r_range = (self.inner_radius, self.outer_radius)
         self.boundary_components = [
             BoundarySurface(0, [SpherePatch(self.outer_radius, orientation=1.0)]),
             BoundarySurface(1, [SpherePatch(self.inner_radius, orientation=-1.0)]),
         ]
-
-    @property
-    def length_scale(self):
-        return 2 * self.outer_radius
 
     def contains(self, pts, margin=0.0):
         r = np.linalg.norm(pts, axis=-1)
@@ -1266,43 +1338,10 @@ class SphericalShell(Domain):
         r = np.linalg.norm(center)
         return (r - radius > self.inner_radius) and (r + radius < self.outer_radius)
 
-    def bounding_box(self):
-        r = self.outer_radius
-        return np.array([-r, -r, -r]), np.array([r, r, r])
-
-    def support_windows(self, center, radius):
-        return _spherical_support_windows(center, radius, self.inner_radius,
-                                          self.outer_radius)
-
-    def _cells(self, interface):
-        r_breaks = [self.inner_radius,
-                    0.5 * (self.inner_radius + self.outer_radius),
-                    self.outer_radius]
-        t_breaks = [0.0, 0.5 * np.pi, np.pi]
-        p_breaks = [0.0, np.pi, 2 * np.pi]
-        if interface is not None:
-            if interface.kind == 'sphere':
-                r_breaks = _merge_breaks(r_breaks, [interface.params['radius']],
-                                         self.inner_radius, self.outer_radius)
-            elif interface.kind == 'equatorial-annulus':
-                pass            # theta already split at pi/2
-            else:
-                raise GeometryError(
-                    f"unsupported interface {interface.kind!r} in shell")
-
-        def to_xyz(r, t, p):
-            st = np.sin(t)
-            return np.stack([r * st * np.cos(p), r * st * np.sin(p),
-                             r * np.cos(t)], axis=-1)
-
-        def jac(r, t, p):
-            return r ** 2 * np.sin(t)
-
-        return [r_breaks, t_breaks, p_breaks], to_xyz, jac
-
 
 class Box(Domain):
     kind = 'box'
+    cell_coordinates = ('x', 'y', 'z')
 
     def __init__(self, half_widths):
         hw = np.asarray(half_widths, dtype=float)
@@ -1354,35 +1393,21 @@ class Box(Domain):
         patch = RectPatch([0, 0, z], [1, 0, 0], [0, 1, 0], [0, 0, 1],
                           (-hx, hx), (-hy, hy))
 
-        def sdist(pts):
-            return pts[..., 2] - z
-
         def chart(pts):
             return pts[..., 0], pts[..., 1]
 
-        return Interface('plane-rect', patch, closed=False,
-                         signed_distance=sdist, chart_coords=chart,
+        return Interface('plane-rect', patch, closed=False, coordinate='z',
+                         value=z, chart_coords=chart,
                          feature_size=float(min(hx, hy)), params={'z': z})
 
-    def _cells(self, interface):
-        hx, hy, hz = self.half_widths
-        xb = [-hx, 0.0, hx]
-        yb = [-hy, 0.0, hy]
-        zb = [-hz, 0.0, hz]
-        if interface is not None:
-            if interface.kind in ('plane-rect', 'plane-disk'):
-                zb = _merge_breaks(zb, [interface.params.get('z', 0.0)], -hz, hz)
-            else:
-                raise GeometryError(
-                    f"unsupported interface {interface.kind!r} in box")
-
+    def _cells(self):
         def to_xyz(a, b, c):
             return np.stack([a, b, c], axis=-1)
 
         def jac(a, b, c):
             return np.ones_like(a)
 
-        return [xb, yb, zb], to_xyz, jac
+        return [[-h, 0.0, h] for h in self.half_widths], to_xyz, jac
 
 
 class CylinderAnnulus(Domain):
@@ -1390,6 +1415,7 @@ class CylinderAnnulus(Domain):
     component, non-contractible."""
 
     kind = 'cylinder-annulus'
+    cell_coordinates = ('rho', 'phi', 'z')
 
     def __init__(self, inner_radius, outer_radius, height):
         if not 0 < inner_radius < outer_radius or height <= 0:
@@ -1442,19 +1468,12 @@ class CylinderAnnulus(Domain):
         lam = np.arcsin(min(1.0, radius / rho_c)) * 1.0000001
         return (rho_w, _wrap_windows(phi_c, lam, 0.0, 2 * np.pi), z_w)
 
-    def _cells(self, interface):
+    def _cells(self):
         rb = [self.inner_radius,
               0.5 * (self.inner_radius + self.outer_radius), self.outer_radius]
         pb = [0.0, np.pi, 2 * np.pi]
         z0, z1 = self.z_range
         zb = [z0, 0.5 * (z0 + z1), z1]
-        if interface is not None:
-            if interface.kind == 'cylinder-patch':
-                rb = _merge_breaks(rb, [interface.feature_size],
-                                   self.inner_radius, self.outer_radius)
-            else:
-                raise GeometryError(
-                    f"unsupported interface {interface.kind!r} in cylinder annulus")
 
         def to_xyz(rho, phi, z):
             return np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=-1)

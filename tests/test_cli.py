@@ -135,6 +135,42 @@ class TestRun:
         assert code == 2 and report is None
         assert "$.geometry.domain.radius" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("block,key,value", [
+        (("geometry", "domain"), "radius", "abc"),
+        (("suite",), "count", 2.5),
+    ])
+    def test_wrongly_typed_value_exits_2(self, tmp_path, capsys, block, key,
+                                         value):
+        cfg = json.loads(json.dumps(SOAP))
+        target = cfg
+        for name in block:
+            target = target[name]
+        target[key] = value
+        path = _write(tmp_path, "bad.json", cfg)
+        code, report = run(path)
+        assert code == 2 and report is None
+        assert ".".join(("$",) + block + (key,)) in capsys.readouterr().err
+
+    def test_config_numbers(self):
+        from stressdist.catalog import ConfigBlock
+        from stressdist.errors import ConfigError
+        block = ConfigBlock({"n": 3, "x": 2, "f": 2.5, "v": [1, 2.5],
+                             "m": [[1, 0]],
+                             "flag": True, "ragged": [[1], [1, 2]],
+                             "words": ["1.0"]}, "$.b")
+        assert block.number("x") == 2.0
+        assert isinstance(block.number("x"), float)
+        assert block.number("n", integer=True) == 3
+        assert block.number("missing", 0.5) == 0.5
+        assert np.array_equal(block.number("v", ndim=1), [1.0, 2.5])
+        assert block.number("m", ndim=2).shape == (1, 2)
+        for key, kw in (("flag", {}), ("x", {"ndim": 1}), ("v", {}),
+                        ("ragged", {"ndim": 2}), ("words", {"ndim": 1}),
+                        ("f", {"integer": True}),
+                        ("missing", {})):
+            with pytest.raises(ConfigError, match=r"\$\.b\." + key):
+                block.number(key, **kw)
+
     def test_internal_error_exits_3(self, tmp_path, capsys, monkeypatch):
         from stressdist import catalog
 

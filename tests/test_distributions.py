@@ -384,6 +384,13 @@ class TestMollification:
         assert tab.errors[-1] < tab.errors[0]
         assert tab.order > 1.9
 
+    def test_plane_in_a_ball_is_rejected(self, ball, ball_disk, rng):
+        cd = CDist(ball_disk, SurfaceField.constant(np.array([0.5, 0.2, -1.0]),
+                                                    1, ball_disk))
+        psi = make_bump(ball, [0.1, 0.0, 0.05], 0.4, rank=1, rng=rng)
+        with pytest.raises(StressDistError):
+            mollified_pair(cd, psi, 0.01, domain=ball)
+
     def test_tangential_plateau_is_exact(self, box):
         from stressdist.fields import PlateauFactor
         pl = box.plane_interface(0.0)

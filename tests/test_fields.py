@@ -24,8 +24,8 @@ from stressdist.fields import (BumpScalar, BumpSymTensor, BumpVector,
                                shaped_divergence, surface_divergence,
                                surface_gradient, surface_polynomial,
                                uniform_tension)
-from stressdist.geometry import (Ball, Box, CylinderAnnulus, SphericalShell,
-                                 cylinder_patch_interface,
+from stressdist.geometry import (Ball, Box, CylinderAnnulus, Interface,
+                                 SphericalShell, cylinder_patch_interface,
                                  equatorial_annulus_interface,
                                  integrate_volume, make_surface_batch,
                                  plane_disk_interface, sphere_interface)
@@ -276,7 +276,7 @@ class TestJets:
         pts = _rand_points(rng, 80, scale=0.3, center=[1.0, 0.0, 0.2])
         counts = {'poly': 0, 'distance': 0}
         poly_value = Poly3.value
-        distance = fields.interface_distance_derivatives
+        distance = Interface.distance_jet
 
         def counting_poly(self, p):
             counts['poly'] += 1
@@ -287,8 +287,7 @@ class TestJets:
             return distance(*args, **kwargs)
 
         monkeypatch.setattr(Poly3, 'value', counting_poly)
-        monkeypatch.setattr(fields, 'interface_distance_derivatives',
-                            counting_distance)
+        monkeypatch.setattr(Interface, 'distance_jet', counting_distance)
         for meth in ('value', 'gradient', 'hessian'):
             counts.update(poly=0, distance=0)
             getattr(m, meth)(pts)

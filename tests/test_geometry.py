@@ -13,10 +13,12 @@ from stressdist.errors import GeometryError
 from stressdist.fields import KelvinStressField, PiecewiseField
 from stressdist.geometry import (BLOCK, Ball, Box, CylinderAnnulus,
                                  SphericalShell, blocked_sum,
-                                 boundary_force_moment, integrate_curve,
+                                 boundary_force_moment,
+                                 equatorial_annulus_interface, integrate_curve,
                                  integrate_surface, integrate_volume,
-                                 mean_curvature, shape_operator,
-                                 sphere_interface, support_volume_quad,
+                                 mean_curvature, plane_disk_interface,
+                                 shape_operator, sphere_interface,
+                                 support_volume_quad,
                                  cylinder_patch_interface)
 
 
@@ -417,6 +419,73 @@ class TestDomainValidation:
         assert len(pts) == 500
         assert np.all(big_ball.contains(pts))
         assert np.min(np.abs(unit_sphere.signed_distance(pts))) > 0.01
+
+
+def _level_set_cases():
+    """(label, domain, interface, hand-written clearance, sample center)."""
+    ball, box = Ball(1.0), Box([1.0, 1.0, 1.0])
+    shell, cyl = SphericalShell(1.0, 2.0), CylinderAnnulus(0.5, 1.5, 2.0)
+    return [
+        ("sphere+", ball, sphere_interface(0.6), min(0.6, 1.0 - 0.6),
+         [0.3, 0.4, 0.2]),
+        ("sphere-", shell, sphere_interface(1.45, orientation=-1.0),
+         min(1.45 - 1.0, 2.0 - 1.45), [1.0, -0.8, 0.5]),
+        ("plane-disk", ball, plane_disk_interface(ball, 0.3),
+         min(1.0 - 0.3, 0.3 + 1.0), [0.2, -0.1, 0.25]),
+        ("plane-rect", box, box.plane_interface(-0.2),
+         min(1.0 + 0.2, -0.2 + 1.0), [0.4, 0.3, -0.1]),
+        ("annulus", shell, equatorial_annulus_interface(shell),
+         min(2.0 - 0.0, 0.0 + 2.0), [1.2, 0.5, 0.1]),
+        ("cylinder", cyl, cylinder_patch_interface(cyl, 1.0),
+         min(1.0 - 0.5, 1.5 - 1.0), [0.7, 0.6, 0.3]),
+    ]
+
+
+class TestLevelSetInterfaces:
+    @pytest.mark.parametrize("case", _level_set_cases(), ids=lambda c: c[0])
+    def test_distance_jet_matches_fd(self, case, rng):
+        _, _, itf, _, center = case
+        pts = np.asarray(center) + 0.1 * rng.uniform(-1, 1, (20, 3))
+        s, grad, hess = itf.distance_jet(pts, 2)
+        assert np.array_equal(s, itf.signed_distance(pts))
+        h = 1e-4
+        for ax in range(3):
+            e = np.zeros(3)
+            e[ax] = h
+            fd = (itf.signed_distance(pts + e)
+                  - itf.signed_distance(pts - e)) / (2 * h)
+            assert np.allclose(grad[:, ax], fd, atol=1e-8)
+            fd2 = (itf.distance_jet(pts + e, 1)[1]
+                   - itf.distance_jet(pts - e, 1)[1]) / (2 * h)
+            assert np.allclose(hess[:, :, ax], fd2, atol=1e-7)
+
+    @pytest.mark.parametrize("case", _level_set_cases(), ids=lambda c: c[0])
+    def test_clearance_matches_hand_formula(self, case):
+        _, domain, itf, expected, _ = case
+        assert domain.clearance(itf) == expected
+
+    def test_interface_off_the_cell_axes_raises(self, ball, box):
+        with pytest.raises(GeometryError):
+            box.volume_quadrature(sphere_interface(0.5), level=0)
+        with pytest.raises(GeometryError):
+            ball.volume_quadrature(plane_disk_interface(ball, 0.3), level=0)
+        with pytest.raises(GeometryError):
+            box.clearance(sphere_interface(0.5))
+
+    def test_equatorial_plane_in_spherical_cells(self, ball, ball_disk):
+        plain = ball.volume_quadrature(None, level=0)
+        split = ball.volume_quadrature(ball_disk, level=0)
+        assert np.array_equal(plain.points, split.points)
+        assert np.array_equal(plain.weights, split.weights)
+
+    def test_cells_break_at_the_interface_value(self, box, cylinder):
+        for domain, itf, ax in ((box, box.plane_interface(0.3), 2),
+                                (cylinder,
+                                 cylinder_patch_interface(cylinder, 1.2), 0)):
+            axes, _, _ = domain._conforming_cells(itf)
+            assert itf.value in axes[ax]
+            extra = domain.level_breaks(itf, [-0.1, 0.1])
+            assert np.array_equal(extra[ax], itf.value + np.array([-0.1, 0.1]))
 
 
 class TestShellExactness:
