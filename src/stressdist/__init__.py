@@ -58,9 +58,9 @@ from .distributions import (
     distributional_div,
     identity1_rhs,
     identity2_rhs,
+    interface_terms,
     mollified_pair,
     mollify_convergence,
-    pair,
 )
 from .equilibrium import (
     EquilibriumScenario,

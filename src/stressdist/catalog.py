@@ -33,8 +33,9 @@ class ConfigBlock(dict):
     path (``$.geometry.domain.radius``), and nested blocks come back as
     ``ConfigBlock``s with the path extended (so do block defaults of
     ``get``), so every builder below reports an incomplete scenario as a
-    configuration error.  Numbers are read through ``number``, which
-    reports a wrongly typed value the same way.
+    configuration error.  Numbers are read through ``number`` and named
+    alternatives through ``choice``, which report a wrong value the same
+    way.
     """
 
     def __init__(self, data, path="$"):
@@ -76,6 +77,15 @@ class ConfigBlock(dict):
         what = "an integer" if integer else (
             "a number" if ndim == 0 else f"a {ndim}-d array of numbers")
         raise ConfigError(f"{self.path}.{key}: must be {what}, got {value!r}")
+
+    def choice(self, key, default, choices):
+        """``self.get(key, default)``, which must be one of ``choices``;
+        any other value raises ``ConfigError``."""
+        value = self.get(key, default)
+        if value not in choices:
+            raise ConfigError(f"{self.path}.{key}: must be one of "
+                              f"{list(choices)}, got {value!r}")
+        return value
 
 
 def _numeric(value, ndim, kind):

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__, catalog, distributions
 from .distributions import (BDist, CDist, CompositeDist, FDist, cauchy_flux,
                             distributional_div, identity1_rhs, identity2_rhs,
-                            mollify_convergence, pair)
+                            mollify_convergence)
 from .equilibrium import (Tolerances, dilatational_residuals, dipole_limit,
                           local_report, make_test_suite, weak_residuals)
 from .errors import ConfigError, StressDistError
@@ -43,6 +43,7 @@ _TOP_KEYS = {"schema_version", "name", "operation", "seed", "geometry",
              "fields", "suite", "tolerances", "parameters"}
 _GEOM_KEYS = {"domain", "interface"}
 _SUITE_KEYS = {"count", "seed"}
+FAMILIES = ("B", "C", "F")
 
 
 class _Check:
@@ -124,7 +125,7 @@ def _tolerances(cfg):
 
 def _op_verify_identity(cfg, domain, interface, rng):
     params = cfg.get("parameters", {})
-    family = params.get("family", "B")
+    family = params.choice("family", "B", FAMILIES)
     which = params.number("identity", 1, integer=True)
     count = cfg.get("suite", {}).number("count", 5, integer=True)
     abs_tol = params.number("abs_tol", distributions.ABS_TOL)
@@ -140,7 +141,7 @@ def _op_verify_identity(cfg, domain, interface, rng):
             rhs = identity1_rhs(dist, test)
         else:
             test = _random_gradient_field(domain, rng)
-            lhs = pair(dist, test)
+            lhs = dist.pair(test)
             rhs = identity2_rhs(dist, test)
         scale = max(abs(lhs.value), abs(rhs.value))
         tol = max(abs_tol, rel_tol * scale)
@@ -295,7 +296,7 @@ def _op_global_conditions(cfg, domain, interface, rng):
 
 def _op_mollify(cfg, domain, interface, rng):
     params = cfg.get("parameters", {})
-    family = params.get("family", "C")
+    family = params.choice("family", "C", FAMILIES)
     rhos = params.number("rhos", [0.08, 0.04, 0.02, 0.01], ndim=1).tolist()
     min_order = params.number("min_order", 1.0)
     dist = _random_dist(family, domain, interface, rng, rank=2)
@@ -316,7 +317,7 @@ def _op_cauchy_flux(cfg, domain, interface, rng):
     params = cfg.get("parameters", {})
     rhos = params.number("rhos", [0.05, 0.025, 0.0125, 0.00625],
                          ndim=1).tolist()
-    expect = params.get("expect", "converge")
+    expect = params.choice("expect", "converge", ("converge", "diverge"))
     probe_cfg = params.get("probe", {"kind": "sphere", "radius": 1.5})
     probe = catalog.build_interface(probe_cfg, domain)
     fields_cfg = cfg.get("fields", {})
@@ -454,7 +455,11 @@ def batch(directory, refine=0, out=None, jobs=None):
     if not names:
         print(f"error: no scenario files in {directory}", file=sys.stderr)
         return 2, []
-    jobs = jobs or int(os.environ.get("STRESSDIST_THREADS", "0")) or None
+    try:
+        jobs = _worker_count(jobs)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2, []
     results = []
 
     def one(name):
@@ -477,6 +482,18 @@ def batch(directory, refine=0, out=None, jobs=None):
                 writer.writerow([name, code, s["pass"], s["n_pass"], s["n_fail"]])
     worst = max(code for _, code, _ in results)
     return worst, results
+
+
+def _worker_count(jobs):
+    """Threads for ``batch``: ``jobs`` when nonzero, else
+    ``STRESSDIST_THREADS`` when set and nonzero, else None (the pool's
+    default).  Anything but a non-negative integer raises ``ConfigError``."""
+    source = "--jobs" if jobs else "STRESSDIST_THREADS"
+    raw = jobs if jobs else os.environ.get(source, "0")
+    count = int(raw) if str(raw).isdecimal() else -1
+    if count < 0:
+        raise ConfigError(f"{source} must be a non-negative integer, got {raw!r}")
+    return count or None
 
 
 def main(argv=None):

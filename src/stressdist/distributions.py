@@ -16,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -57,33 +58,25 @@ def _lv(level, adapted):
     return (ADAPTED_LEVEL if adapted else DEFAULT_VOLUME_LEVEL) + _LEVEL_BOOST.get()
 
 
-def _test_support(test):
-    """(center, radius) of a compactly supported test, if it exposes one."""
-    t = test
+def _test_layout(test):
+    """(support, breaks) of a test, read along its ``base`` chain: the
+    (center, radius) of a compactly supported test and the radial breaks
+    advertised by a global one, each None when absent."""
+    support = breaks = None
     for _ in range(6):
-        if hasattr(t, 'center') and hasattr(t, 'radius'):
-            return np.asarray(t.center, dtype=float), float(t.radius)
-        t = getattr(t, 'base', None)
-        if t is None:
-            return None
-    return None
+        if test is None:
+            break
+        if support is None and hasattr(test, 'center') and hasattr(test, 'radius'):
+            support = (np.asarray(test.center, dtype=float), float(test.radius))
+        if breaks is None and getattr(test, 'volume_breaks', None) is not None:
+            breaks = tuple(test.volume_breaks)
+        test = getattr(test, 'base', None)
+    return support, breaks
 
 
-def _test_breaks(test):
-    """Radial structure advertised by a (wrapped) global test field."""
-    t = test
-    for _ in range(6):
-        vb = getattr(t, 'volume_breaks', None)
-        if vb is not None:
-            return tuple(vb)
-        t = getattr(t, 'base', None)
-        if t is None:
-            return None
-    return None
-
-
-def _volume_quad(dist, lv, support, test=None):
-    """Support-adapted volume quadrature, falling back to the cached grid.
+def _volume_quad(dist, lv, support, breaks):
+    """Support-adapted volume quadrature, falling back to the cached grid
+    (broken at the radial ``breaks`` a global test advertises).
 
     Returns the rule and the value key of a full-domain grid, or None for
     support-clipped rules, whose bulk values are not kept (they are large
@@ -95,7 +88,6 @@ def _volume_quad(dist, lv, support, test=None):
             return q, None
         return (dist.domain.volume_quadrature(dist.interface, lv,
                                               support=support), None)
-    breaks = _test_breaks(test) if test is not None else None
     if breaks:
         # the graded radial breaks already resolve the profile layers, so a
         # coarser tensor level suffices
@@ -160,10 +152,10 @@ class BDist:
                            quad.points, vals)
 
     def pair(self, test, level=None):
-        support = _test_support(test)
+        support, breaks = _test_layout(test)
 
         def run(lv):
-            q, key = _volume_quad(self, lv, support, test)
+            q, key = _volume_quad(self, lv, support, breaks)
             return self._pair_sum(q, key, 'value', test.value)
         return two_level(run, _lv(level, support is not None))
 
@@ -187,14 +179,10 @@ class _SurfaceDist:
         return self._memo.get((level, support_key(support)),
                               lambda: np.asarray(self.density.value(batch)))
 
-
-class CDist(_SurfaceDist):
-    """Surface-concentrated distribution on the interface."""
-
-    family = 'C'
-
-    def pair(self, test, level=None):
-        support = _test_support(test)
+    def _pair_surface(self, test, level, partner):
+        """Two-level surface quadrature of ``density : partner(batch)`` on
+        the part of the interface the test can see."""
+        support, _ = _test_layout(test)
 
         def run(lv):
             b = self.interface.surface_quadrature(lv, support=support)
@@ -202,8 +190,17 @@ class CDist(_SurfaceDist):
                 return 0.0
             return blocked_sum(b.weights, None,
                                _contract(self._values(b, lv, support),
-                                         test.value(b.points)))
+                                         partner(b)))
         return two_level(run, _lv(level, support is not None))
+
+
+class CDist(_SurfaceDist):
+    """Surface-concentrated distribution on the interface."""
+
+    family = 'C'
+
+    def pair(self, test, level=None):
+        return self._pair_surface(test, level, lambda b: test.value(b.points))
 
 
 class FDist(_SurfaceDist):
@@ -212,18 +209,8 @@ class FDist(_SurfaceDist):
     family = 'F'
 
     def pair(self, test, level=None):
-        support = _test_support(test)
-
-        def run(lv):
-            b = self.interface.surface_quadrature(lv, support=support)
-            if len(b) == 0:
-                return 0.0
-            dpsi_dn = np.einsum('n...j,nj->n...', test.gradient(b.points),
-                                b.normals)
-            return blocked_sum(b.weights, None,
-                               _contract(self._values(b, lv, support),
-                                         dpsi_dn))
-        return two_level(run, _lv(level, support is not None))
+        return self._pair_surface(test, level,
+                                  lambda b: _normal_derivative(test, b))
 
 
 class CompositeDist:
@@ -255,19 +242,23 @@ class CompositeDist:
         return self.b.domain if self.b is not None else None
 
     def pair(self, test, level=None):
-        out = PairingValue(0.0, 0.0)
-        for p in self.parts:
-            out = out + p.pair(test, **({} if level is None else {'level': level}))
-        return out
+        return _over_parts(self, lambda p: p.pair(test, level))
 
 
-def pair(dist, test, level=None):
-    """Action of the distribution on a test function, with error estimate."""
-    if isinstance(dist, CompositeDist):
-        return dist.pair(test, level)
-    if level is None:
-        return dist.pair(test)
-    return dist.pair(test, level=level)
+def _over_parts(dist, one):
+    """``one(dist)``, or its sum over the parts of a composite."""
+    if not isinstance(dist, CompositeDist):
+        return one(dist)
+    out = PairingValue(0.0, 0.0)
+    for p in dist.parts:
+        out = out + one(p)
+    return out
+
+
+def _normal_derivative(test, batch):
+    """d_n psi of a test on a surface batch."""
+    return np.einsum('n...j,nj->n...', test.gradient(batch.points),
+                     batch.normals)
 
 
 # ---------------------------------------------------------------------------
@@ -322,16 +313,16 @@ class ColsCurlTest:
 
 def distributional_div(dist, test, level=None):
     """Div T acting on a one-rank-lower test: -T(grad test)."""
-    return -pair(dist, GradTest(test), level)
+    return -dist.pair(GradTest(test), level)
 
 
 def distributional_curl(dist, test, level=None):
     """Curl T acting on a test of equal rank via the defining pairing."""
     rank = dist.rank
     if rank == 1:
-        return pair(dist, CurlTest(test), level)
+        return dist.pair(CurlTest(test), level)
     if rank == 2:
-        return pair(dist, ColsCurlTest(test), level)
+        return dist.pair(ColsCurlTest(test), level)
     raise RankMismatchError("curl defined for vector and tensor distributions")
 
 
@@ -339,174 +330,136 @@ def distributional_curl(dist, test, level=None):
 # closed-form divergence identities (dual path)
 
 
+def interface_terms(dist, batch, values=None):
+    """Coefficients (a0, a1, a2) of psi, d_n psi and d_nn psi in the
+    interface part of Div T(psi) for one family, on a surface batch.
+
+    * B: a0 = [sigma] n;
+    * C (density c): a0 = div_S c - kappa c n, a1 = -c n;
+    * F (density f): a0 = -div_S(f grad_S n), a1 = div_S f - kappa f n,
+      a2 = -f n.
+
+    A term the family does not have is None.  ``values`` are the density
+    values on the batch (evaluated here when None); B reads the jump of
+    its bulk field.
+    """
+    if isinstance(dist, BDist):
+        return (np.einsum('n...j,nj->n...', dist.field.jump(batch),
+                          batch.normals), None, None)
+    if not isinstance(dist, _SurfaceDist):
+        raise StressDistError(f"unknown distribution type {type(dist)!r}")
+    f = np.asarray(dist.density.value(batch)) if values is None else values
+    fn = np.einsum('n...j,nj->n...', f, batch.normals)
+    kappa_fn = np.einsum('n...,n->n...', fn, batch.kappa)
+    if isinstance(dist, CDist):
+        return surface_divergence(dist.density, batch) - kappa_fn, -fn, None
+    grad = surface_gradient(dist.density, batch)
+    return (-shaped_divergence(f, grad, batch),
+            surface_trace(grad, dist.rank) - kappa_fn, -fn)
+
+
+def _divergence_terms(dist, test, support, level):
+    """Closed-form Div T(test) of one family: the bulk divergence volume
+    term plus the interface integral of a0 psi + a1 d_n psi + a2 d_nn psi.
+
+    ``support`` clips the rules to a compactly supported test; None uses
+    full-domain rules (with the radial breaks the test advertises).
+    """
+    out = None
+    if isinstance(dist, BDist):
+        _, breaks = _test_layout(test)
+
+        def run_vol(lv):
+            q, key = _volume_quad(dist, lv, support, breaks)
+            return dist._pair_sum(q, key, 'divergence', test.value)
+
+        out = two_level(run_vol, level)
+        if dist.interface is None:
+            return out
+
+    def run_surf(lv):
+        b = dist.interface.surface_quadrature(lv, support=support)
+        if len(b) == 0:
+            return 0.0
+        values = (None if isinstance(dist, BDist)
+                  else dist._values(b, lv, support))
+        a0, a1, a2 = interface_terms(dist, b, values)
+        integrand = _contract(a0, test.value(b.points))
+        if a1 is not None:
+            integrand = integrand + _contract(a1, _normal_derivative(test, b))
+        if a2 is not None:
+            hnn = np.einsum('n...jk,nj,nk->n...', test.hessian(b.points),
+                            b.normals, b.normals)
+            integrand = integrand + _contract(a2, hnn)
+        return blocked_sum(b.weights, None, integrand)
+
+    surface = two_level(run_surf, level)
+    return surface if out is None else out + surface
+
+
 def identity1_rhs(dist, test, level=None):
     """Closed-form value of Div T(test) for each family, summed for composites.
 
     Requires differentiable densities; the interface term uses the jump of
     the bulk density, the surface terms use in-chart derivatives, curvature,
-    and the shape operator.
+    and the shape operator (``interface_terms``).
     """
-    if isinstance(dist, CompositeDist):
-        out = PairingValue(0.0, 0.0)
-        for p in dist.parts:
-            out = out + identity1_rhs(p, test, level)
-        return out
-
-    support = _test_support(test)
+    support, _ = _test_layout(test)
     slevel = _lv(level, support is not None)
-
-    if isinstance(dist, BDist):
-        def run_vol(lv):
-            q, key = _volume_quad(dist, lv, support, test)
-            return dist._pair_sum(q, key, 'divergence', test.value)
-
-        out = two_level(run_vol, slevel)
-        if dist.interface is not None:
-            def run_surf(lv):
-                b = dist.interface.surface_quadrature(lv, support=support)
-                if len(b) == 0:
-                    return 0.0
-                jn = np.einsum('n...j,nj->n...', dist.field.jump(b), b.normals)
-                return blocked_sum(b.weights, None,
-                                   _contract(jn, test.value(b.points)))
-
-            out = out + two_level(run_surf, slevel)
-        return out
-
-    if isinstance(dist, CDist):
-        def run(lv):
-            b = dist.interface.surface_quadrature(lv, support=support)
-            if len(b) == 0:
-                return 0.0
-            cn = np.einsum('n...j,nj->n...', dist._values(b, lv, support),
-                           b.normals)
-            coeff = (surface_divergence(dist.density, b)
-                     - np.einsum('n...,n->n...', cn, b.kappa))
-            dpsi_dn = np.einsum('n...j,nj->n...', test.gradient(b.points),
-                                b.normals)
-            integrand = (_contract(coeff, test.value(b.points))
-                         - _contract(cn, dpsi_dn))
-            return blocked_sum(b.weights, None, integrand)
-
-        return two_level(run, slevel)
-
-    if isinstance(dist, FDist):
-        def run(lv):
-            b = dist.interface.surface_quadrature(lv, support=support)
-            if len(b) == 0:
-                return 0.0
-            f = dist._values(b, lv, support)
-            grad = surface_gradient(dist.density, b)
-            fn = np.einsum('n...j,nj->n...', f, b.normals)
-            coeff = (surface_trace(grad, dist.rank)
-                     - np.einsum('n...,n->n...', fn, b.kappa))
-            dpsi_dn = np.einsum('n...j,nj->n...', test.gradient(b.points),
-                                b.normals)
-            hnn = np.einsum('n...jk,nj,nk->n...', test.hessian(b.points),
-                            b.normals, b.normals)
-            integrand = (-_contract(shaped_divergence(f, grad, b),
-                                    test.value(b.points))
-                         + _contract(coeff, dpsi_dn)
-                         - _contract(fn, hnn))
-            return blocked_sum(b.weights, None, integrand)
-
-        return two_level(run, slevel)
-
-    raise StressDistError(f"unknown distribution type {type(dist)!r}")
+    return _over_parts(
+        dist, lambda d: _divergence_terms(d, test, support, slevel))
 
 
 def identity2_rhs(dist, gfield, level=None):
-    """Closed-form value of T(grad u) for tensor distributions.
+    """Closed-form value of T(grad u) = -Div T(u) + boundary sums, for
+    tensor distributions.
 
-    Includes the boundary sums weighted by the constants of the gradient
-    test field: bulk flux through each boundary component, and line
-    integrals along the interface boundary curves with the in-plane
-    conormal.
+    The boundary sums weight the net force on each boundary component by
+    the constant of the gradient test field there: the bulk flux through
+    the component for B, and the line integrals along the interface
+    boundary curves (in-plane conormal) for C and F.
     """
-    if isinstance(dist, CompositeDist):
-        out = PairingValue(0.0, 0.0)
-        for p in dist.parts:
-            out = out + identity2_rhs(p, gfield, level)
-        return out
-
-    if dist.rank != 2:
-        raise RankMismatchError("identity 2 applies to tensor distributions")
-    constants = gfield.constants
     full_level = _lv(level, False)
+    # u as a test function; it has no center or radius, so even the
+    # interior (compactly supported) member integrates over full-domain rules
+    potential = SimpleNamespace(value=gfield.u, gradient=gfield.value,
+                                hessian=gfield.gradient,
+                                volume_breaks=gfield.volume_breaks)
 
-    if isinstance(dist, BDist):
-        def run_vol(lv):
-            q, key = _volume_quad(dist, lv, None, gfield)
-            return -dist._pair_sum(q, key, 'divergence', gfield.u)
+    def one(d):
+        if d.rank != 2:
+            raise RankMismatchError("identity 2 applies to tensor distributions")
+        bsum = _boundary_sum(d, gfield.constants, full_level)
+        return (-_divergence_terms(d, potential, None, full_level)
+                + PairingValue(bsum, 0.0))
 
-        out = two_level(run_vol, full_level)
-        if dist.interface is not None:
-            def run_surf(lv):
-                b = dist.interface.surface_quadrature(lv)
-                jn = np.einsum('nij,nj->ni', dist.field.jump(b), b.normals)
-                return -blocked_sum(b.weights, None,
-                                    _contract(jn, gfield.u(b.points)))
+    return _over_parts(dist, one)
 
-            out = out + two_level(run_surf, full_level)
-        bsum = 0.0
+
+def _boundary_sum(dist, constants, level):
+    """sum_i c_i . (net force of one family on boundary component i).
+
+    A non-closed interface paired against nonzero boundary constants must
+    carry its boundary-curve data.
+    """
+    itf = dist.interface
+    if not (isinstance(dist, BDist) or itf.closed or itf.boundary_curves):
         for i, ci in enumerate(constants):
-            if np.linalg.norm(ci) > 0.0:
-                force, _ = boundary_force_moment(dist.domain, i, dist.field,
-                                                 full_level)
-                bsum += float(ci @ force)
-        return out + PairingValue(bsum, 0.0)
-
-    interface = dist.interface
-    _check_curve_data(interface, constants)
-
-    if isinstance(dist, CDist):
-        def run(lv):
-            b = interface.surface_quadrature(lv)
-            cn = np.einsum('nij,nj->ni', dist._values(b, lv), b.normals)
-            coeff = surface_divergence(dist.density, b) - b.kappa[:, None] * cn
-            du_dn = np.einsum('nij,nj->ni', gfield.value(b.points), b.normals)
-            integrand = (-_contract(coeff, gfield.u(b.points))
-                         + _contract(cn, du_dn))
-            return blocked_sum(b.weights, None, integrand)
-
-        sigma1, sigma2 = dist.density, None
-    elif isinstance(dist, FDist):
-        def run(lv):
-            b = interface.surface_quadrature(lv)
-            f = dist._values(b, lv)
-            grad = surface_gradient(dist.density, b)
-            fn = np.einsum('nij,nj->ni', f, b.normals)
-            coeff = surface_trace(grad, 2) - b.kappa[:, None] * fn
-            du_dn = np.einsum('nij,nj->ni', gfield.value(b.points), b.normals)
-            hnn = np.einsum('nijk,nj,nk->ni', gfield.gradient(b.points),
-                            b.normals, b.normals)
-            integrand = (_contract(shaped_divergence(f, grad, b),
-                                   gfield.u(b.points))
-                         - _contract(coeff, du_dn)
-                         + _contract(fn, hnn))
-            return blocked_sum(b.weights, None, integrand)
-
-        sigma1, sigma2 = None, dist.density
-    else:
-        raise StressDistError(f"unknown distribution type {type(dist)!r}")
-
-    csum = 0.0
+            if i > 0 and np.linalg.norm(ci) > 0:
+                raise ConfigError(f"interface carries no curve data for "
+                                  f"boundary component {i}")
+    total = 0.0
     for i, ci in enumerate(constants):
         if np.linalg.norm(ci) > 0.0:
-            force, _ = curve_force_moment(interface, i, sigma1, sigma2)
-            csum += float(ci @ force)
-    return two_level(run, full_level) + PairingValue(csum, 0.0)
-
-
-def _check_curve_data(interface, constants):
-    """A non-closed interface pairing against nonzero boundary constants
-    must carry its boundary-curve data."""
-    if interface.closed or interface.boundary_curves:
-        return
-    for i, ci in enumerate(constants):
-        if i > 0 and np.linalg.norm(ci) > 0:
-            raise ConfigError(
-                f"interface carries no curve data for boundary component {i}")
+            if isinstance(dist, BDist):
+                force, _ = boundary_force_moment(dist.domain, i, dist.field,
+                                                 level)
+            else:
+                sigma1, sigma2 = ((dist.density, None) if dist.family == 'C'
+                                  else (None, dist.density))
+                force, _ = curve_force_moment(itf, i, sigma1, sigma2)
+            total += float(ci @ force)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -531,14 +484,14 @@ def mollified_pair(dist, test, rho, domain=None, level=None):
     uses the negative derivative of the profile.  Errors if the truncated
     layer (6 rho) does not fit inside the domain.
     """
-    if isinstance(dist, CompositeDist):
-        out = PairingValue(0.0, 0.0)
-        for p in dist.parts:
-            out = out + mollified_pair(p, test, rho, domain, level)
-        return out
+    return _over_parts(
+        dist, lambda d: _mollified_part(d, test, rho, domain, level))
 
+
+def _mollified_part(dist, test, rho, domain, level):
+    """``mollified_pair`` of one family."""
     if isinstance(dist, BDist):
-        return dist.pair(test) if level is None else dist.pair(test, level=level)
+        return dist.pair(test, level)
 
     if domain is None:
         raise ConfigError("mollified surface pairings need the domain")
@@ -548,7 +501,7 @@ def mollified_pair(dist, test, rho, domain=None, level=None):
             f"mollifier width {rho} too large: truncated layer leaves the domain")
 
     profile = _gauss_profile if isinstance(dist, CDist) else _gauss_profile_dneg
-    support = _test_support(test)
+    support, _ = _test_layout(test)
     vlevel = _lv(level, support is not None)
     breaks = domain.level_breaks(
         interface, np.array([-6.0, -2.0, 0.0, 2.0, 6.0]) * rho)
@@ -588,7 +541,7 @@ class ConvergenceTable:
 
 
 def mollify_convergence(dist, test, rhos, domain=None, level=None):
-    exact = pair(dist, test, level)
+    exact = dist.pair(test, level)
     values, errors = [], []
     for rho in sorted(rhos, reverse=True):
         v = mollified_pair(dist, test, rho, domain, level)
@@ -680,6 +633,6 @@ def pairing_table(dist, tests, level=None):
     """Rows (test id, value, error) for CSV export of a pairing batch."""
     rows = []
     for j, t in enumerate(tests):
-        v = pair(dist, t, level)
+        v = dist.pair(t, level)
         rows.append((j, v.value, v.error))
     return rows

@@ -1,13 +1,17 @@
 """Local equilibrium residuals, weak/local equivalence, and the dipole limit.
 
 The local interface conditions verified here (with kappa = tr(grad_S n) and
-the jump taken toward-side minus away-side):
+the jump taken toward-side minus away-side) ask the coefficients of psi,
+d_n psi and d_nn psi in the interface part of Div Sigma(psi) + B(psi)
+(``distributions.interface_terms``) to vanish:
 
-* bulk:      div sigma + b = 0 off the interface;
-* interface: [sigma] n + div_S sigma1 - kappa sigma1 n
-             - div_S(sigma2 grad_S n) + b1 = 0;
-* dipole:    -sigma1 n + div_S sigma2 + b2 = 0;
-* closure:   sigma2 n = 0.
+* bulk (12a):      div sigma + b = 0 off the interface;
+* interface (12b): [sigma] n + div_S sigma1 - kappa sigma1 n
+                   - div_S(sigma2 grad_S n) + b1 = 0;
+* dipole (12c):    -sigma1 n + div_S sigma2 - kappa sigma2 n + b2 = 0, the
+                   full d_n psi coefficient (its kappa term vanishes when
+                   12d holds);
+* closure (12d):   sigma2 n = 0.
 
 The weak residual of the same scenario is Div Sigma(psi) + B(psi) evaluated
 through the pairings; scenarios passing all four local conditions must pair
@@ -22,13 +26,12 @@ from typing import Optional
 import numpy as np
 
 from . import _tensor as T
-from .distributions import (CompositeDist, PairingValue, distributional_div,
-                            pair)
+from .distributions import (BDist, CDist, CompositeDist, FDist, PairingValue,
+                            distributional_div, interface_terms)
 from .errors import FieldError, GeometryError
 from .fields import (BumpSymTensor, ModulatedTest, Poly3,
                      SquaredDistanceFactor, SurfaceField, make_bump,
-                     shape_divergence, shaped_divergence, surface_divergence,
-                     surface_gradient, surface_trace)
+                     shape_divergence, surface_gradient)
 from .geometry import blocked_sum, plane_disk_interface
 
 LOCAL_TOL_ANALYTIC = 1e-6
@@ -69,23 +72,20 @@ class EquilibriumScenario:
     tolerances: Tolerances = dfield(default_factory=Tolerances)
     name: str = "scenario"
 
-    def stress_dist(self):
-        from .distributions import BDist, CDist, FDist
-        b = BDist(self.domain, self.interface, self.sigma) if self.sigma else None
-        c = CDist(self.interface, self.sigma1) if self.sigma1 else None
-        f = FDist(self.interface, self.sigma2) if self.sigma2 else None
-        if not any((b, c, f)):
+    def _dist(self, bulk, surface, dipole):
+        """Composite of the given densities, or None when all are absent."""
+        if not any((bulk, surface, dipole)):
             return None
-        return CompositeDist(b=b, c=c, f=f)
+        return CompositeDist(
+            b=BDist(self.domain, self.interface, bulk) if bulk else None,
+            c=CDist(self.interface, surface) if surface else None,
+            f=FDist(self.interface, dipole) if dipole else None)
+
+    def stress_dist(self):
+        return self._dist(self.sigma, self.sigma1, self.sigma2)
 
     def force_dist(self):
-        from .distributions import BDist, CDist, FDist
-        b = BDist(self.domain, self.interface, self.b) if self.b else None
-        c = CDist(self.interface, self.b1) if self.b1 else None
-        f = FDist(self.interface, self.b2) if self.b2 else None
-        if not any((b, c, f)):
-            return None
-        return CompositeDist(b=b, c=c, f=f)
+        return self._dist(self.b, self.b1, self.b2)
 
     def check_symmetry(self, n=64):
         """Tensor densities must be symmetric (sampled check)."""
@@ -173,36 +173,26 @@ def bulk_residual(scenario, points=None, n=2000, guard=None):
 
 
 def interface_residuals(scenario, batch=None, n=2000):
-    """Max norms of the three interface conditions over surface samples."""
-    itf = scenario.interface
+    """Max norms of the three interface conditions over surface samples:
+    the coefficients (a0, a1, a2) of ``interface_terms`` summed over the
+    parts of the stress, plus b1 in a0 and b2 in a1."""
     if batch is None:
-        batch = itf.samples(n)
-    m = len(batch)
-    r_b = np.zeros((m, 3))
-    r_c = np.zeros((m, 3))
-    r_d = np.zeros((m, 3))
-    normals = batch.normals
-    kappa = batch.kappa
-    if scenario.sigma is not None:
-        r_b += np.einsum('nij,nj->ni', scenario.sigma.jump(batch), normals)
-    if scenario.sigma1 is not None:
-        s1 = scenario.sigma1.value(batch)
-        s1n = np.einsum('nij,nj->ni', s1, normals)
-        r_b += surface_divergence(scenario.sigma1, batch)
-        r_b -= kappa[:, None] * s1n
-        r_c -= s1n
-    if scenario.sigma2 is not None:
-        s2 = scenario.sigma2.value(batch)
-        grad_s2 = surface_gradient(scenario.sigma2, batch)
-        r_b -= shaped_divergence(s2, grad_s2, batch)
-        r_c += surface_trace(grad_s2, 2)
-        r_d += np.einsum('nij,nj->ni', s2, normals)
-    if scenario.b1 is not None:
-        r_b += scenario.b1.value(batch)
-    if scenario.b2 is not None:
-        r_c += scenario.b2.value(batch)
-    norms = [float(np.max(np.linalg.norm(r, axis=-1))) for r in (r_b, r_c, r_d)]
-    return tuple(norms)
+        batch = scenario.interface.samples(n)
+    sums = [None, None, None]
+
+    def add(k, term):
+        if term is not None:
+            sums[k] = term if sums[k] is None else sums[k] + term
+
+    stress = scenario.stress_dist()
+    for part in stress.parts if stress is not None else ():
+        for k, term in enumerate(interface_terms(part, batch)):
+            add(k, term)
+    for k, force in ((0, scenario.b1), (1, scenario.b2)):
+        if force is not None:
+            add(k, force.value(batch))
+    return tuple(0.0 if r is None else float(np.max(np.linalg.norm(r, axis=-1)))
+                 for r in sums)
 
 
 def local_report(scenario, n_bulk=2000, n_surface=2000):
@@ -330,15 +320,8 @@ def _offset_bump_geometry(domain, interface, rng):
     center, r = _crossing_bump_geometry(domain, interface, rng)
     s = float(interface.signed_distance(center.reshape(1, 3))[0])
     shift = (1.6 * r - s) if s >= 0 else -(1.6 * r + s)
-    # move along the distance gradient to clear the surface
-    eps = 1e-6
-    g = np.zeros(3)
-    for ax in range(3):
-        e = np.zeros(3)
-        e[ax] = eps
-        g[ax] = (interface.signed_distance((center + e).reshape(1, 3))[0]
-                 - interface.signed_distance((center - e).reshape(1, 3))[0]) / (2 * eps)
-    g /= max(np.linalg.norm(g), 1e-12)
+    # move along the (unit) distance gradient to clear the surface
+    g = interface.distance_jet(center[None], 1)[1][0]
     new_center = center + shift * g
     new_r = 0.45 * r
     if not domain.contains_ball(new_center, new_r):
@@ -403,7 +386,7 @@ def weak_residuals(scenario, tests, level=None):
             total = total + dv
             scale += abs(dv.value)
         if frc is not None:
-            bv = pair(frc, t, level)
+            bv = frc.pair(t, level)
             total = total + bv
             scale += abs(bv.value)
         tol = max(scenario.tolerances.weak_factor * total.error,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _tensor as T
-from .distributions import BDist, CDist, CompositeDist, FDist, pair
+from .distributions import BDist, CDist, CompositeDist, FDist
 from .equilibrium import EquilibriumScenario, Tolerances
 from .errors import ConfigError, FieldError, StressDistError
 from .fields import (CallableField, PiecewiseField, PolyField, SurfaceField,
@@ -57,36 +57,21 @@ class StressFunction:
         pts = batch.points
         return self._curl_side(pts, 1) - self._curl_side(pts, -1)
 
-    def _side(self, side):
-        return self.pw.plus if side > 0 else self.pw.minus
-
     def _curl_side(self, pts, side):
-        f = self._side(side)
+        f = self.pw.plus if side > 0 else self.pw.minus
         if isinstance(f, PolyField):
             return f.curl_rows_field().value(pts)
         grad = self.pw.side_gradient(pts, side)
         return T.tensor_curl_rows_from_gradient(grad)
 
-    def inc_side_field(self, side):
-        """Double-curl stress of one side as an evaluable smooth field."""
-        f = self._side(side)
-        if isinstance(f, PolyField):
-            return f.inc_field()
-        return _fd_inc_field(f)
+    @property
+    def inc(self):
+        """Double-curl stress of both sides as one piecewise field."""
+        def side(f):
+            return f.inc_field() if isinstance(f, PolyField) else _fd_inc_field(f)
 
-    def inc_value(self, pts, side=None):
-        pts = np.asarray(pts, dtype=float)
-        if side is not None:
-            return self.inc_side_field(side).value(pts)
-        if self.interface is None:
-            return self.inc_side_field(1).value(pts)
-        s = self.interface.side(pts)
-        out = np.empty((len(pts), 3, 3))
-        for sd in (1, -1):
-            m = s >= 0 if sd > 0 else s < 0
-            if np.any(m):
-                out[m] = self.inc_side_field(sd).value(pts[m])
-        return out
+        minus = None if self.interface is None else side(self.pw.minus)
+        return PiecewiseField(2, side(self.pw.plus), minus, self.interface)
 
 
 def _fd_inc_field(base):
@@ -112,7 +97,7 @@ def curl_curl(potential, points, asymmetry_tol=CURL_ASYMMETRY_TOL):
     if isinstance(potential, PolyField):
         raw = potential.inc_field().value(points)
     elif isinstance(potential, StressFunction):
-        raw = potential.inc_value(points)
+        raw = potential.inc.value(points)
     else:
         raw = _fd_inc_field(potential).value(points)
     asym = np.max(np.abs(raw - np.swapaxes(raw, -1, -2)))
@@ -172,12 +157,13 @@ def extract_densities(potential, interface):
 
     * sigma2 = -N^T [phi] N (tangential, automatically killing the normal);
     * sigma1 = -([curl phi])^T x n - (curl_S((phi jump x n)^T))^T + kappa sigma2;
-    * sigma  = double curl of the side potentials off the interface.
+    * sigma  = double curl of the side potentials off the interface
+      (``potential.inc``, split at the potential's own interface, which
+      ``interface`` must be).
     """
     if not isinstance(potential, StressFunction):
         raise FieldError("extract_densities needs a StressFunction")
-    sigma = PiecewiseField(2, potential.inc_side_field(1),
-                           potential.inc_side_field(-1), interface)
+    sigma = potential.inc
 
     # One-entry memo of the jump and its gradient on the latest batch object:
     # sigma1, sigma2 and both chart axes of their derivatives share them.
@@ -297,7 +283,7 @@ class MomentTest:
 
 def moment_pair(dist, test, level=None):
     """Pairing of the x-cross-stress distribution with a tensor test."""
-    return pair(dist, MomentTest(test), level)
+    return dist.pair(MomentTest(test), level)
 
 
 @dataclass
@@ -371,7 +357,7 @@ def check_lemma2_conditions(dist, domain, suite=None, level=2,
         probe = domain.interior_samples(32, None, 0.0)
         if g.curl_residual(probe) > 1e-9:
             raise FieldError(f"suite member {label} is not curl-free")
-        v = pair(dist, g, level)
+        v = dist.pair(g, level)
         entries.append((f"force:{label}", v.value, v.error,
                         max(tol, 10.0 * v.error)))
         m = moment_pair(dist, g, level)

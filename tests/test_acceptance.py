@@ -17,7 +17,7 @@ from stressdist.catalog import kelvin_scenario, soap_film
 from stressdist.cli import batch, run, run_scenario
 from stressdist.distributions import (BDist, CDist, CompositeDist, FDist,
                                       cauchy_flux, distributional_div,
-                                      identity1_rhs, identity2_rhs, pair)
+                                      identity1_rhs, identity2_rhs)
 from stressdist.equilibrium import (bulk_residual, dilatational_residuals,
                                     dipole_limit, interface_residuals,
                                     make_test_suite, weak_residuals,
@@ -108,7 +108,7 @@ def test_criterion_2_identity2_dual_path(shell, shell_sphere, annulus):
                     else FDist(interface, dens))
         g = make_gradient_test_field(shell, [np.zeros(3),
                                              rng.uniform(-1, 1, 3)])
-        lhs = pair(dist, g).value
+        lhs = dist.pair(g).value
         rhs = identity2_rhs(dist, g).value
         diff = abs(lhs - rhs)
         tol = _dual_path_tol(lhs, rhs)

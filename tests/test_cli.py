@@ -171,6 +171,20 @@ class TestRun:
             with pytest.raises(ConfigError, match=r"\$\.b\." + key):
                 block.number(key, **kw)
 
+    @pytest.mark.parametrize("name,key,value", [
+        ("identity1-C-ball", "family", "Q"),
+        ("mollify-C-box", "family", "c"),
+        ("cauchy-flux-disjoint", "expect", "converges"),
+    ])
+    def test_unknown_choice_exits_2(self, tmp_path, capsys, name, key, value):
+        with open(os.path.join(SCENARIO_DIR, name + ".json")) as fh:
+            cfg = json.load(fh)
+        cfg["parameters"][key] = value
+        path = _write(tmp_path, "bad.json", cfg)
+        code, report = run(path, out=str(tmp_path / "r.json"))
+        assert code == 2 and report is None
+        assert f"$.parameters.{key}" in capsys.readouterr().err
+
     def test_internal_error_exits_3(self, tmp_path, capsys, monkeypatch):
         from stressdist import catalog
 
@@ -255,6 +269,23 @@ class TestBatch:
     def test_main_entrypoint(self, tmp_path):
         path = _write(tmp_path, "soap.json", SOAP)
         assert main(["run", path, "--out", str(tmp_path / "r.json")]) == 0
+
+    @pytest.mark.parametrize("threads,jobs", [("abc", None), ("-2", None),
+                                              ("0", "-1")])
+    def test_bad_thread_count_exits_2(self, tmp_path, capsys, monkeypatch,
+                                      threads, jobs):
+        monkeypatch.setenv("STRESSDIST_THREADS", threads)
+        _write(tmp_path, "soap.json", SOAP)
+        argv = ["batch", str(tmp_path)] + (["--jobs", jobs] if jobs else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert ("--jobs" if jobs else "STRESSDIST_THREADS") in err
+        assert not (tmp_path / "summary.csv").exists()
+
+    def test_zero_thread_count_keeps_default(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("STRESSDIST_THREADS", "0")
+        _write(tmp_path, "soap.json", SOAP)
+        assert main(["batch", str(tmp_path), "--jobs", "0"]) == 0
 
     def test_refinement_is_per_scenario_across_threads(self, monkeypatch):
         # B runs at refine=0 and finishes while A, at refine=1, is still

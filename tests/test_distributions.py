@@ -9,7 +9,7 @@ from stressdist.distributions import (ADAPTED_LEVEL, BDist, CDist,
                                       distributional_curl, distributional_div,
                                       identity1_rhs, identity2_rhs,
                                       mollified_pair, mollify_convergence,
-                                      pair, refinement)
+                                      refinement)
 from stressdist.errors import RankMismatchError, StressDistError
 from stressdist.fields import (BumpScalar, ConstantField, ModulatedTest,
                                PiecewiseField, Poly3, PolyField,
@@ -52,9 +52,9 @@ class TestPairingBasics:
             def gradient(self, pts):
                 return 2.0 * self.a.gradient(pts) - 0.5 * self.b.gradient(pts)
 
-        combo = pair(cd, Lin(p1, p2), level=2)
-        target = (2.0 * pair(cd, p1, level=2).value
-                  - 0.5 * pair(cd, p2, level=2).value)
+        combo = cd.pair(Lin(p1, p2), level=2)
+        target = (2.0 * cd.pair(p1, level=2).value
+                  - 0.5 * cd.pair(p2, level=2).value)
         assert abs(combo.value - target) < 1e-7 * max(1.0, abs(target))
 
     def test_support_locality(self, big_ball, unit_sphere, rng):
@@ -62,14 +62,14 @@ class TestPairingBasics:
         cd = CDist(unit_sphere, c)
         # support disjoint from the sphere
         psi = make_bump(big_ball, [0.0, 0.0, 0.0], 0.4, rank=1, rng=rng)
-        assert abs(pair(cd, psi).value) < 1e-14
+        assert abs(cd.pair(psi).value) < 1e-14
 
     def test_constant_density_factors(self, ball, rng):
         cvec = np.array([0.3, -1.2, 0.7])
         b = PiecewiseField.smooth(ConstantField(cvec, 1), 1)
         bd = BDist(ball, None, b)
         psi = make_bump(ball, [0.1, 0.0, 0.2], 0.4, rank=1, rng=rng)
-        got = pair(bd, psi).value
+        got = bd.pair(psi).value
         comp = [integrate_volume(ball, None,
                                  lambda p, i=i: psi.value(p)[:, i], level=2).value
                 for i in range(3)]
@@ -81,7 +81,7 @@ class TestPairingBasics:
         f = SurfaceField.constant(sig0, 2, pl)
         fd = FDist(pl, f)
         psi = make_bump(box, [0.1, -0.2, 0.1], 0.5, rank=2, rng=rng)
-        got = pair(fd, psi).value
+        got = fd.pair(psi).value
         # independent 2-D composite Gauss grid, cells graded into the
         # support edge where the integrand has its steep layers
         rp = np.sqrt(0.5 ** 2 - 0.1 ** 2)
@@ -112,7 +112,7 @@ class TestPairingBasics:
         f = surface_polynomial(rng, 1, unit_sphere, degree=1)
         fd = FDist(unit_sphere, f)
         base = make_bump(big_ball, [0.9, 0.1, 0.2], 0.35, rank=1, rng=rng)
-        v1 = pair(fd, base).value
+        v1 = fd.pair(base).value
 
         class Shifted:
             # base + s^2-modulated perturbation: equal to first order on S
@@ -131,7 +131,7 @@ class TestPairingBasics:
         pert = ModulatedTest(make_bump(big_ball, [0.9, 0.1, 0.2], 0.3,
                                        rank=1, rng=rng),
                              SquaredDistanceFactor(unit_sphere))
-        v2 = pair(fd, Shifted(base, pert)).value
+        v2 = fd.pair(Shifted(base, pert)).value
         assert abs(v1 - v2) < 1e-9 * max(1.0, abs(v1))
 
     def test_rank_mismatch(self, ball, rng):
@@ -139,7 +139,7 @@ class TestPairingBasics:
         bd = BDist(ball, None, b)
         psi = make_bump(ball, [0.0, 0.0, 0.0], 0.4, rank=2, rng=rng)
         with pytest.raises(RankMismatchError):
-            pair(bd, psi)
+            bd.pair(psi)
 
 
 class TestDensityMemo:
@@ -161,14 +161,14 @@ class TestDensityMemo:
         tests = [make_bump(ball, center, radius, rank=2, rng=rng)
                  for _ in range(3)]
         for t in tests:
-            assert pair(dist, t) == pair(plain, t)
+            assert dist.pair(t) == plain.pair(t)
         assert len(batches) == 2                 # one per level
         other = make_bump(ball, [0.1, 0.45, -0.1], radius, rank=2, rng=rng)
-        assert pair(dist, other) == pair(plain, other)
+        assert dist.pair(other) == plain.pair(other)
         assert len(batches) == 4
         # a support given by equal values hits the same entries
         again = make_bump(ball, list(center), radius, rank=2, rng=rng)
-        assert pair(dist, again) == pair(plain, again)
+        assert dist.pair(again) == plain.pair(again)
         assert len(batches) == 4
 
 
@@ -287,7 +287,7 @@ class TestIdentity2:
         g = make_gradient_test_field(ball, [np.zeros(3)], rng=rng,
                                      center=np.zeros(3), radius=0.8,
                                      direction=np.array([1.0, 0, 0]))
-        lhs = pair(bd, g)
+        lhs = bd.pair(g)
         rhs = identity2_rhs(bd, g)
         assert close(lhs.value, rhs.value)
 
@@ -315,7 +315,7 @@ class TestIdentity2:
                                               symmetric=False)),
         ]
         for d in configs:
-            lhs = pair(d, g)
+            lhs = d.pair(g)
             rhs = identity2_rhs(d, g)
             assert close(lhs.value, rhs.value), type(d).__name__
 
@@ -372,7 +372,7 @@ class TestMollification:
                            PolyField.random_vector(rng, 2), sphere_half)
         bd = BDist(ball, sphere_half, b)
         psi = make_bump(ball, [0.45, 0.0, 0.1], 0.2, rank=1, rng=rng)
-        exact = pair(bd, psi).value
+        exact = bd.pair(psi).value
         for rho in (0.05, 0.01):
             assert mollified_pair(bd, psi, rho, domain=ball).value == exact
 
@@ -414,7 +414,7 @@ class TestMollification:
                 return np.stack([out, 0.5 * out, -0.2 * out], axis=-1)
 
         psi = DrumTest()
-        exact = pair(cd, psi).value
+        exact = cd.pair(psi).value
         got1 = mollified_pair(cd, psi, 0.03, domain=box).value
         got2 = mollified_pair(cd, psi, 0.06, domain=box).value
         # the profile integrates out for a normal-constant test: the value is

@@ -15,8 +15,8 @@ from stressdist.equilibrium import (DilatationalData, EquilibriumScenario,
                                     weak_residuals)
 from stressdist.errors import FieldError, GeometryError
 from stressdist.fields import (CallableField, ConstantField, PiecewiseField,
-                               PolyField, SurfaceField, normal_dyad,
-                               make_bump)
+                               PolyField, SurfaceField, chart_tangent,
+                               normal_dyad, make_bump)
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +47,25 @@ class TestLocalResiduals:
         expected = float(np.max(np.linalg.norm(s1n, axis=-1)))
         _, rc, _ = interface_residuals(scn, batch=batch)
         assert abs(rc - expected) < 1e-8 * expected
+
+    def test_dipole_coefficient_carries_curvature(self, big_ball,
+                                                  unit_sphere):
+        # sigma2 = n (x) n on the unit sphere: div_S sigma2 = kappa n, so the
+        # full d_n psi coefficient div_S sigma2 - kappa sigma2 n vanishes
+        # while the closure residual |sigma2 n| is 1
+        def dchart(batch, axis):
+            _, dn = chart_tangent(batch, axis)
+            return (np.einsum('ni,nj->nij', dn, batch.normals)
+                    + np.einsum('ni,nj->nij', batch.normals, dn))
+
+        scn = EquilibriumScenario(
+            domain=big_ball, interface=unit_sphere,
+            sigma2=SurfaceField(
+                lambda b: np.einsum('ni,nj->nij', b.normals, b.normals), 2,
+                unit_sphere, dchart=dchart))
+        rb, rc, rd = interface_residuals(scn, n=300)
+        assert rb < 1e-12 and rc < 1e-12
+        assert abs(rd - 1.0) < 1e-12
 
     def test_bulk_piecewise_constant_pressure(self, big_ball, unit_sphere):
         scn = soap_film(big_ball, unit_sphere, gamma=0.0, pressure_jump=2.0)

@@ -11,7 +11,7 @@ import sympy as sp
 from stressdist import _tensor as T
 from stressdist.catalog import kelvin_scenario, random_stress_function
 from stressdist.cli import run_scenario
-from stressdist.distributions import BDist, CompositeDist, pair
+from stressdist.distributions import BDist, CompositeDist
 from stressdist.equilibrium import bulk_residual, interface_residuals, \
     make_test_suite
 from stressdist.errors import FieldError, StressDistError
@@ -227,8 +227,8 @@ class TestExtraction:
                 return np.einsum('akl,bmc,qlckm->qab', T.EPS, T.EPS, h)
 
         for t in suite:
-            lhs = pair(comp, t)
-            rhs = pair(phib, IncOfTest(t))
+            lhs = comp.pair(t)
+            rhs = phib.pair(IncOfTest(t))
             scale = max(1.0, abs(lhs.value))
             assert abs(lhs.value - rhs.value) < 1e-6 * scale
 
