@@ -63,12 +63,12 @@ from .distributions import (
     mollify_convergence,
 )
 from .equilibrium import (
+    Check,
     EquilibriumScenario,
-    ResidualReport,
     bulk_residual,
-    dilatational_residuals,
     dipole_limit,
     interface_residuals,
+    local_report,
     weak_equals_local,
 )
 from .stressfn import (

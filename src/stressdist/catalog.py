@@ -11,7 +11,7 @@ import numbers
 import numpy as np
 
 from . import _tensor as T
-from .equilibrium import DilatationalData, EquilibriumScenario, Tolerances
+from .equilibrium import EquilibriumScenario, Tolerances
 from .errors import ConfigError
 from .fields import (ConstantField, HessianInverseR, KelvinStressField,
                      PiecewiseField, PolyField, Poly3, SurfaceField,
@@ -277,15 +277,13 @@ def soap_film(domain, interface, gamma, pressure_jump, tolerances=None):
     Equilibrated exactly when pressure_jump (toward-side minus away-side)
     equals kappa * gamma.
     """
-    p = PiecewiseField(0, ConstantField(pressure_jump, 0),
-                       ConstantField(0.0, 0), interface)
     sigma = PiecewiseField(2, _pressure_side(pressure_jump),
                            _pressure_side(0.0), interface)
     return EquilibriumScenario(
         domain=domain, interface=interface, sigma=sigma,
         sigma1=uniform_tension(gamma, interface),
-        dilatational=DilatationalData(p=p, p1=gamma, p2=0.0),
-        tolerances=tolerances or Tolerances(), name="soap-film")
+        dilatational=True, tolerances=tolerances or Tolerances(),
+        name="soap-film")
 
 
 def dilatational_dipole(domain, interface, gamma, p2, tolerances=None):
@@ -297,7 +295,6 @@ def dilatational_dipole(domain, interface, gamma, p2, tolerances=None):
     scn = soap_film(domain, interface, gamma, jump, tolerances)
     scn.sigma2 = dilatational_surface(p2, interface)
     scn.b2 = build_surface_vector({"kind": "matched-dipole", "p2": p2}, interface)
-    scn.dilatational = DilatationalData(p=scn.dilatational.p, p1=gamma, p2=p2)
     scn.name = "dilatational-dipole"
     return scn
 
@@ -311,15 +308,13 @@ def kelvin_scenario(domain, force=(0.0, 0.0, 1.0), nu=0.25):
 
 def flat_tension(domain, interface, gamma, tolerances=None):
     """Uniform tension on a flat interface: equilibrated with zero jump."""
-    p = PiecewiseField(0, ConstantField(0.0, 0), ConstantField(0.0, 0),
-                       interface)
     sigma = PiecewiseField(2, _pressure_side(0.0), _pressure_side(0.0),
                            interface)
     return EquilibriumScenario(
         domain=domain, interface=interface, sigma=sigma,
         sigma1=uniform_tension(gamma, interface),
-        dilatational=DilatationalData(p=p, p1=gamma, p2=0.0),
-        tolerances=tolerances or Tolerances(), name="flat-tension")
+        dilatational=True, tolerances=tolerances or Tolerances(),
+        name="flat-tension")
 
 
 def build_scenario_fields(cfg, domain, interface, tolerances=None):

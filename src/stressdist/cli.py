@@ -28,7 +28,7 @@ from . import __version__, catalog, distributions
 from .distributions import (BDist, CDist, CompositeDist, FDist, cauchy_flux,
                             distributional_div, identity1_rhs, identity2_rhs,
                             mollify_convergence)
-from .equilibrium import (Tolerances, dilatational_residuals, dipole_limit,
+from .equilibrium import (Check, Tolerances, bulk_residual, dipole_limit,
                           local_report, make_test_suite, weak_residuals)
 from .errors import ConfigError, StressDistError
 from .fields import make_bump, make_gradient_test_field, surface_polynomial
@@ -44,22 +44,6 @@ _TOP_KEYS = {"schema_version", "name", "operation", "seed", "geometry",
 _GEOM_KEYS = {"domain", "interface"}
 _SUITE_KEYS = {"count", "seed"}
 FAMILIES = ("B", "C", "F")
-
-
-class _Check:
-    def __init__(self, cid, residual, tolerance, passed=None, extra=None):
-        self.cid = cid
-        self.residual = float(residual)
-        self.tolerance = float(tolerance)
-        self.passed = (abs(self.residual) <= self.tolerance
-                       if passed is None else bool(passed))
-        self.extra = extra or {}
-
-    def to_dict(self):
-        d = {"id": self.cid, "residual": self.residual,
-             "tolerance": self.tolerance, "pass": self.passed}
-        d.update(self.extra)
-        return d
 
 
 def _fail(errors, path, message):
@@ -127,6 +111,9 @@ def _op_verify_identity(cfg, domain, interface, rng):
     params = cfg.get("parameters", {})
     family = params.choice("family", "B", FAMILIES)
     which = params.number("identity", 1, integer=True)
+    if which not in (1, 2):
+        raise ConfigError(f"{params.path}.identity: must be 1 or 2, "
+                          f"got {which!r}")
     count = cfg.get("suite", {}).number("count", 5, integer=True)
     abs_tol = params.number("abs_tol", distributions.ABS_TOL)
     rel_tol = params.number("rel_tol", distributions.REL_TOL)
@@ -145,10 +132,10 @@ def _op_verify_identity(cfg, domain, interface, rng):
             rhs = identity2_rhs(dist, test)
         scale = max(abs(lhs.value), abs(rhs.value))
         tol = max(abs_tol, rel_tol * scale)
-        checks.append(_Check(f"identity{which}-{family}-{j}",
-                             lhs.value - rhs.value, tol,
-                             extra={"lhs": lhs.value, "rhs": rhs.value,
-                                    "estimate": lhs.error + rhs.error}))
+        checks.append(Check(f"identity{which}-{family}-{j}",
+                            lhs.value - rhs.value, tol,
+                            extra={"lhs": lhs.value, "rhs": rhs.value,
+                                   "estimate": lhs.error + rhs.error}))
         rows.append((f"{family}-{j}", lhs.value, rhs.value,
                      abs(lhs.value - rhs.value)))
     return checks, {"pairings": {"columns": ["scenario", "lhs", "rhs", "abs_diff"],
@@ -193,21 +180,12 @@ def _op_check_equilibrium(cfg, domain, interface, rng):
     scn = catalog.build_scenario_fields(cfg.get("fields", {}), domain,
                                         interface, tol)
     scn.check_symmetry()
-    checks = []
-    if scn.dilatational is not None:
-        rep = dilatational_residuals(scn)
-    else:
-        rep = local_report(scn)
-    for c in rep.conditions:
-        checks.append(_Check(c.cond, c.residual, c.tolerance))
     count = cfg.get("suite", {}).number("count", 9, integer=True)
     seed = cfg.get("suite", {}).number("seed", cfg.get("seed", 0),
                                        integer=True)
     tests = make_test_suite(domain, interface, count,
                             np.random.default_rng(seed))
-    for label, value, wtol in weak_residuals(scn, tests):
-        checks.append(_Check(label, value, wtol))
-    return checks, {}
+    return local_report(scn) + weak_residuals(scn, tests), {}
 
 
 def _op_dipole_limit(cfg, domain, interface, rng):
@@ -223,75 +201,48 @@ def _op_dipole_limit(cfg, domain, interface, rng):
     rep = dipole_limit(domain, sigma0, h_values, z0=params.number("z", 0.0),
                        n_tests=count, seed=seed, min_order=min_order)
     frac_needed = params.number("min_fraction", 0.9)
-    checks = [_Check("dipole-order-fraction", rep.fraction_first_order, 1.0,
-                     passed=rep.fraction_first_order >= frac_needed,
-                     extra={"orders": [None if np.isnan(o) else round(o, 4)
-                                       for o in rep.orders]})]
+    checks = [Check("dipole-order-fraction", rep.fraction_first_order, 1.0,
+                    passed=rep.fraction_first_order >= frac_needed,
+                    extra={"orders": [None if np.isnan(o) else round(o, 4)
+                                      for o in rep.orders]})]
     rows = [(j, h, e) for j, h, e in rep.rows()]
     return checks, {"convergence": {"columns": ["test", "h", "abs_error"],
                                     "rows": rows}}
 
 
 def _op_stress_function(cfg, domain, interface, rng):
-    params = cfg.get("parameters", {})
-    tol = params.number("tol", 1e-6)
-    checks = []
+    tol = cfg.get("parameters", {}).number("tol", 1e-6)
     fields_cfg = cfg.get("fields", {})
     if "potential" in fields_cfg:
-        potential = catalog.build_potential(fields_cfg["potential"], domain,
-                                            interface)
-        triple = extract_densities(potential, interface)
-        scn = triple.scenario(domain, tolerances=Tolerances(local=tol))
-        rep = local_report(scn)
-        for c in rep.conditions:
-            checks.append(_Check(c.cond, c.residual, c.tolerance))
-        dist = triple.composite(domain)
-        sigma = triple
+        sigma = extract_densities(catalog.build_potential(
+            fields_cfg["potential"], domain, interface), interface)
+        checks = local_report(sigma.scenario(
+            domain, tolerances=Tolerances(local=tol)))
+        dist = sigma.composite(domain)
     else:
         scn = catalog.build_scenario_fields(fields_cfg, domain, interface)
-        from .equilibrium import bulk_residual
-        bk, _ = bulk_residual(scn)
-        checks.append(_Check("12a", bk, tol))
+        checks = [Check("12a", bulk_residual(scn)[0], tol)]
         dist = CompositeDist(b=BDist(domain, interface, scn.sigma))
         sigma = scn.sigma
-    lem = check_lemma2_conditions(dist, domain, tol=tol)
-    for lab, v, e, t in lem.entries:
-        checks.append(_Check(lab, v, t, extra={"estimate": e}))
+    checks += check_lemma2_conditions(dist, domain, tol=tol)
     gc = global_conditions(sigma, domain, interface, tol=tol)
-    for comp in gc.components:
-        if comp["component"] == 0:
-            continue
-        checks.append(_Check(f"force-component{comp['component']}",
-                             float(np.linalg.norm(comp["force"])), tol))
-        checks.append(_Check(f"moment-component{comp['component']}",
-                             float(np.linalg.norm(comp["moment"])), tol))
-    return checks, {}
+    return checks + gc.checks(), {}
 
 
 def _op_global_conditions(cfg, domain, interface, rng):
-    params = cfg.get("parameters", {})
-    tol = params.number("tol", 1e-6)
+    tol = cfg.get("parameters", {}).number("tol", 1e-6)
     fields_cfg = cfg.get("fields", {})
     if "potential" in fields_cfg:
-        potential = catalog.build_potential(fields_cfg["potential"], domain,
-                                            interface)
-        sigma = extract_densities(potential, interface)
+        sigma = extract_densities(catalog.build_potential(
+            fields_cfg["potential"], domain, interface), interface)
     else:
-        scn = catalog.build_scenario_fields(fields_cfg, domain, interface)
-        sigma = scn.sigma
+        sigma = catalog.build_scenario_fields(fields_cfg, domain,
+                                              interface).sigma
     gc = global_conditions(sigma, domain, interface, tol=tol)
-    checks = []
-    rows = []
-    for comp in gc.components:
-        f = float(np.linalg.norm(comp["force"]))
-        m = float(np.linalg.norm(comp["moment"]))
-        rows.append((comp["component"], f, m))
-        if comp["component"] == 0:
-            continue
-        checks.append(_Check(f"force-component{comp['component']}", f, tol))
-        checks.append(_Check(f"moment-component{comp['component']}", m, tol))
-    return checks, {"global": {"columns": ["component", "force_norm",
-                                           "moment_norm"], "rows": rows}}
+    rows = [(i, float(np.linalg.norm(f)), float(np.linalg.norm(m)))
+            for i, (f, m) in enumerate(zip(gc.forces, gc.moments))]
+    return gc.checks(), {"global": {"columns": ["component", "force_norm",
+                                                "moment_norm"], "rows": rows}}
 
 
 def _op_mollify(cfg, domain, interface, rng):
@@ -305,9 +256,9 @@ def _op_mollify(cfg, domain, interface, rng):
     test = make_bump(domain, c, r, rank=2, rng=rng, degree=2)
     tab = mollify_convergence(dist, test, rhos, domain=domain)
     order = tab.order if not np.isnan(tab.order) else float('inf')
-    checks = [_Check("mollify-order", order, float('inf'),
-                     passed=order >= min_order,
-                     extra={"required": min_order})]
+    checks = [Check("mollify-order", order, float('inf'),
+                    passed=order >= min_order,
+                    extra={"required": min_order})]
     rows = list(zip(tab.rhos, tab.values, tab.errors))
     return checks, {"convergence": {"columns": ["rho", "value", "abs_error"],
                                     "rows": rows}}
@@ -334,10 +285,10 @@ def _op_cauchy_flux(cfg, domain, interface, rng):
     rep = cauchy_flux(dist, probe, rhos, domain=domain)
     ok = rep.converged if expect == "converge" else not rep.converged
     slope = rep.divergence_slope
-    checks = [_Check("cauchy-flux", 0.0 if ok else 1.0, 0.5, passed=ok,
-                     extra={"expect": expect, "converged": rep.converged,
-                            "order": None if np.isnan(rep.order) else rep.order,
-                            "magnitude_slope": None if np.isnan(slope) else slope})]
+    checks = [Check("cauchy-flux", 0.0 if ok else 1.0, 0.5, passed=ok,
+                    extra={"expect": expect, "converged": rep.converged,
+                           "order": None if np.isnan(rep.order) else rep.order,
+                           "magnitude_slope": None if np.isnan(slope) else slope})]
     rows = [(r, float(np.linalg.norm(fv)), e)
             for r, fv, e in zip(rep.rhos, rep.fluxes, rep.errors)]
     return checks, {"flux": {"columns": ["rho", "flux_norm", "abs_error"],
@@ -386,7 +337,7 @@ def run_scenario(cfg, refine=0, seed_override=None):
             "pass": bool(passed),
             "n_pass": sum(1 for c in checks if c.passed),
             "n_fail": sum(1 for c in checks if not c.passed),
-            "failing": [c.cid for c in checks if not c.passed],
+            "failing": [c.id for c in checks if not c.passed],
         },
         "timing": {
             "timestamp": datetime.now(timezone.utc).isoformat(),

@@ -13,6 +13,12 @@ d_n psi and d_nn psi in the interface part of Div Sigma(psi) + B(psi)
                    12d holds);
 * closure (12d):   sigma2 n = 0.
 
+``local_report`` reads each sum once; for a ``dilatational`` scenario
+(sigma = p I, sigma_i = p_i (I - n n)) it also reports the normal and
+tangential parts of the 12b and 12c sums (for 12b: the Young-Laplace
+balance [p] = kappa p1 and the balance of grad_S p1).  Every check comes
+back as a ``Check``, so reports concatenate lists of them.
+
 The weak residual of the same scenario is Div Sigma(psi) + B(psi) evaluated
 through the pairings; scenarios passing all four local conditions must pair
 to zero within quadrature tolerance for every test function.
@@ -30,8 +36,7 @@ from .distributions import (BDist, CDist, CompositeDist, FDist, PairingValue,
                             distributional_div, interface_terms)
 from .errors import FieldError, GeometryError
 from .fields import (BumpSymTensor, ModulatedTest, Poly3,
-                     SquaredDistanceFactor, SurfaceField, make_bump,
-                     shape_divergence, surface_gradient)
+                     SquaredDistanceFactor, SurfaceField, make_bump)
 from .geometry import blocked_sum, plane_disk_interface
 
 LOCAL_TOL_ANALYTIC = 1e-6
@@ -50,15 +55,6 @@ class Tolerances:
 
 
 @dataclass
-class DilatationalData:
-    """Scalar pressure description: sigma = p I, sigma_i = p_i (I - n@n)."""
-
-    p: object                      # piecewise scalar field
-    p1: object                     # scalar surface field (or constant)
-    p2: object = 0.0
-
-
-@dataclass
 class EquilibriumScenario:
     domain: object
     interface: object
@@ -68,7 +64,7 @@ class EquilibriumScenario:
     b: Optional[object] = None              # piecewise rank-1 field
     b1: Optional[SurfaceField] = None
     b2: Optional[SurfaceField] = None
-    dilatational: Optional[DilatationalData] = None
+    dilatational: bool = False              # report 12b/12c projections
     tolerances: Tolerances = dfield(default_factory=Tolerances)
     name: str = "scenario"
 
@@ -105,45 +101,29 @@ class EquilibriumScenario:
 
 
 @dataclass
-class ConditionResult:
-    cond: str
+class Check:
+    """One verified condition: a residual against its tolerance.
+
+    ``passed`` defaults to |residual| <= tolerance; ``extra`` entries (an
+    error estimate, a fitted order) are reported next to the residual.
+    """
+
+    id: str
     residual: float
     tolerance: float
+    passed: Optional[bool] = None
+    extra: Optional[dict] = None
 
-    @property
-    def passed(self):
-        return self.residual <= self.tolerance
-
-    def to_dict(self):
-        return {"id": self.cond, "residual": self.residual,
-                "tolerance": self.tolerance, "pass": bool(self.passed)}
-
-
-@dataclass
-class ResidualReport:
-    conditions: list
-    weak: list = dfield(default_factory=list)       # (label, value, tol)
-    notes: dict = dfield(default_factory=dict)
-
-    @property
-    def passed(self):
-        ok = all(c.passed for c in self.conditions)
-        ok = ok and all(abs(v) <= t for _, v, t in self.weak)
-        return ok
-
-    def failing(self):
-        out = [c.cond for c in self.conditions if not c.passed]
-        out += [lab for lab, v, t in self.weak if abs(v) > t]
-        return out
+    def __post_init__(self):
+        self.residual = float(self.residual)
+        self.tolerance = float(self.tolerance)
+        self.passed = bool(abs(self.residual) <= self.tolerance
+                           if self.passed is None else self.passed)
+        self.extra = self.extra or {}
 
     def to_dict(self):
-        return {
-            "conditions": [c.to_dict() for c in self.conditions],
-            "weak": [{"id": lab, "residual": v, "tolerance": t,
-                      "pass": bool(abs(v) <= t)} for lab, v, t in self.weak],
-            "pass": bool(self.passed),
-            "notes": self.notes,
-        }
+        return {"id": self.id, "residual": self.residual,
+                "tolerance": self.tolerance, "pass": self.passed, **self.extra}
 
 
 # ---------------------------------------------------------------------------
@@ -172,111 +152,49 @@ def bulk_residual(scenario, points=None, n=2000, guard=None):
     return r, resampled
 
 
-def interface_residuals(scenario, batch=None, n=2000):
-    """Max norms of the three interface conditions over surface samples:
-    the coefficients (a0, a1, a2) of ``interface_terms`` summed over the
-    parts of the stress, plus b1 in a0 and b2 in a1."""
-    if batch is None:
-        batch = scenario.interface.samples(n)
-    sums = [None, None, None]
-
-    def add(k, term):
-        if term is not None:
-            sums[k] = term if sums[k] is None else sums[k] + term
-
+def _interface_sums(scenario, batch):
+    """The coefficients (a0, a1, a2) of ``interface_terms`` summed over the
+    parts of the stress on ``batch``, plus b1 in a0 and b2 in a1."""
+    sums = [np.zeros((len(batch), 3)) for _ in range(3)]
     stress = scenario.stress_dist()
     for part in stress.parts if stress is not None else ():
         for k, term in enumerate(interface_terms(part, batch)):
-            add(k, term)
+            if term is not None:
+                sums[k] += term
     for k, force in ((0, scenario.b1), (1, scenario.b2)):
         if force is not None:
-            add(k, force.value(batch))
-    return tuple(0.0 if r is None else float(np.max(np.linalg.norm(r, axis=-1)))
-                 for r in sums)
+            sums[k] += force.value(batch)
+    return sums
+
+
+def _max_norm(r):
+    return float(np.max(np.linalg.norm(r, axis=-1)))
+
+
+def interface_residuals(scenario, batch=None, n=2000):
+    """Max norms of the three interface conditions (12b, 12c, 12d) over
+    surface samples."""
+    if batch is None:
+        batch = scenario.interface.samples(n)
+    return tuple(_max_norm(r) for r in _interface_sums(scenario, batch))
 
 
 def local_report(scenario, n_bulk=2000, n_surface=2000):
+    """Checks 12a-12d; a ``dilatational`` scenario also gets the normal and
+    tangential parts of 12b and 12c."""
     tol = scenario.tolerances.local
-    rb, rc, rd = interface_residuals(scenario, n=n_surface)
-    bulk, resampled = bulk_residual(scenario, n=n_bulk)
-    conds = [
-        ConditionResult("12a", bulk, tol),
-        ConditionResult("12b", rb, tol),
-        ConditionResult("12c", rc, tol),
-        ConditionResult("12d", rd, tol),
-    ]
-    return ResidualReport(conditions=conds,
-                          notes={"bulk_points_resampled": resampled})
-
-
-def dilatational_residuals(scenario, batch=None, n=2000, n_bulk=1000):
-    """Residuals of the pressure form plus its normal/tangential projections.
-
-    Requires the scenario to carry DilatationalData (sigma = p I,
-    sigma_i = p_i (I - n@n)); other inputs are rejected.
-    """
-    if scenario.dilatational is None:
-        raise FieldError("scenario does not declare dilatational structure")
-    dil = scenario.dilatational
-    itf = scenario.interface
-    if batch is None:
-        batch = itf.samples(n)
-    normals = batch.normals
-    kappa = batch.kappa
-    P = T.I3 - np.einsum('ni,nj->nij', normals, normals)
-
-    def scalar_surface(fn):
-        if isinstance(fn, SurfaceField):
-            return fn
-        if callable(fn):
-            return SurfaceField.from_world(fn, 0, itf)
-        return SurfaceField.constant(float(fn), 0, itf)
-
-    p1 = scalar_surface(dil.p1)
-    p2 = scalar_surface(dil.p2)
-    p1v = p1.value(batch)
-    p2v = p2.value(batch)
-    grad_p1 = surface_gradient(p1, batch)
-    grad_p2 = surface_gradient(p2, batch)
-    div_shape = shape_divergence(batch)
-
-    jump_p = dil.p.jump(batch)
-    r_b = (jump_p[:, None] * normals + grad_p1
-           - kappa[:, None] * p1v[:, None] * normals
-           - p2v[:, None] * div_shape
-           - np.einsum('nij,nj->ni', batch.shape_ops, grad_p2))
-    if scenario.b1 is not None:
-        r_b = r_b + scenario.b1.value(batch)
-    r_c = grad_p2 - kappa[:, None] * p2v[:, None] * normals
-    if scenario.b2 is not None:
-        r_c = r_c + scenario.b2.value(batch)
-
-    def split(r):
-        rn = np.einsum('ni,ni->n', r, normals)
-        rt = np.einsum('nij,nj->ni', P, r)
-        return (float(np.max(np.abs(rn))),
-                float(np.max(np.linalg.norm(rt, axis=-1))))
-
-    bn, bt = split(r_b)
-    cn, ct = split(r_c)
-    bulk_pts = scenario.domain.interior_samples(
-        n_bulk, itf, min_dist=BULK_GUARD_REL * scenario.domain.length_scale)
-    grad_p = dil.p.gradient(bulk_pts)
-    ra = grad_p.copy()
-    if scenario.b is not None:
-        ra = ra + scenario.b.value(bulk_pts)
-    tol = scenario.tolerances.local
-    conds = [
-        ConditionResult("12a", float(np.max(np.linalg.norm(ra, axis=-1))), tol),
-        ConditionResult("12b", float(np.max(np.linalg.norm(r_b, axis=-1))), tol),
-        ConditionResult("12b-normal", bn, tol),
-        ConditionResult("12b-tangential", bt, tol),
-        ConditionResult("12c", float(np.max(np.linalg.norm(r_c, axis=-1))), tol),
-        ConditionResult("12c-normal", cn, tol),
-        ConditionResult("12c-tangential", ct, tol),
-        ConditionResult("12d", 0.0, tol),
-    ]
-    return ResidualReport(conditions=conds)
+    batch = scenario.interface.samples(n_surface)
+    rb, rc, rd = _interface_sums(scenario, batch)
+    checks = [Check("12a", bulk_residual(scenario, n=n_bulk)[0], tol)]
+    for cid, r in (("12b", rb), ("12c", rc)):
+        checks.append(Check(cid, _max_norm(r), tol))
+        if scenario.dilatational:
+            rn = np.einsum('ni,ni->n', r, batch.normals)
+            rt = r - rn[:, None] * batch.normals
+            checks += [Check(cid + "-normal", np.max(np.abs(rn)), tol),
+                       Check(cid + "-tangential", _max_norm(rt), tol)]
+    checks.append(Check("12d", _max_norm(rd), tol))
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +292,8 @@ def make_test_suite(domain, interface, n, rng, rank=1, degree=2):
 
 
 def weak_residuals(scenario, tests, level=None):
-    """Div Sigma(psi) + B(psi) for each test, with tolerance from the estimates."""
+    """Check ``weak-j``: Div Sigma(psi) + B(psi) for test j, with tolerance
+    from the estimates."""
     sig = scenario.stress_dist()
     frc = scenario.force_dist()
     out = []
@@ -391,27 +310,20 @@ def weak_residuals(scenario, tests, level=None):
             scale += abs(bv.value)
         tol = max(scenario.tolerances.weak_factor * total.error,
                   scenario.tolerances.weak_floor * max(1.0, scale))
-        out.append((f"weak-{j}", total.value, tol))
+        out.append(Check(f"weak-{j}", total.value, tol))
     return out
 
 
 @dataclass
 class EquivalenceReport:
-    local: ResidualReport
-    weak: list
+    local: list                # Check
+    weak: list                 # Check
     consistent: bool
     pairing_factor: float
 
     @property
     def passed(self):
         return self.consistent
-
-    def to_dict(self):
-        return {"local": self.local.to_dict(),
-                "weak": [{"id": lab, "residual": v, "tolerance": t,
-                          "pass": bool(abs(v) <= t)} for lab, v, t in self.weak],
-                "consistent": bool(self.consistent),
-                "pairing_factor": self.pairing_factor}
 
 
 def weak_equals_local(scenario, n_suite=12, seed=0, level=None, tests=None):
@@ -425,15 +337,15 @@ def weak_equals_local(scenario, n_suite=12, seed=0, level=None, tests=None):
         tests = make_test_suite(scenario.domain, scenario.interface, n_suite, rng)
     local = local_report(scenario)
     weak = weak_residuals(scenario, tests, level)
-    local_pass = all(c.passed for c in local.conditions)
-    weak_pass = all(abs(v) <= t for _, v, t in weak)
+    local_pass = all(c.passed for c in local)
+    weak_pass = all(c.passed for c in weak)
     factor = 0.0
     if local_pass:
         consistent = weak_pass
     else:
-        max_local = max(c.residual for c in local.conditions)
+        max_local = max(c.residual for c in local)
         factor = _pairing_factor(scenario, tests)
-        max_weak = max(abs(v) for _, v, t in weak)
+        max_weak = max(abs(c.residual) for c in weak)
         consistent = (not weak_pass or max_weak <= scenario.tolerances.local * factor) \
             and max_weak <= 2.0 * max_local * factor
     return EquivalenceReport(local=local, weak=weak, consistent=bool(consistent),

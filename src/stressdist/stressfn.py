@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _tensor as T
 from .distributions import BDist, CDist, CompositeDist, FDist
-from .equilibrium import EquilibriumScenario, Tolerances
+from .equilibrium import Check, EquilibriumScenario, Tolerances
 from .errors import ConfigError, FieldError, StressDistError
 from .fields import (CallableField, PiecewiseField, PolyField, SurfaceField,
                      _tensor_field, chart_derivatives, chart_tangent,
@@ -286,25 +286,6 @@ def moment_pair(dist, test, level=None):
     return dist.pair(MomentTest(test), level)
 
 
-@dataclass
-class Lemma2Report:
-    entries: list                    # (label, value, error, tol)
-    tol: float
-
-    @property
-    def passed(self):
-        return all(abs(v) <= t for _, v, _, t in self.entries)
-
-    def failing(self):
-        return [lab for lab, v, _, t in self.entries if abs(v) > t]
-
-    def to_dict(self):
-        return {"conditions": [{"id": lab, "residual": v, "estimate": e,
-                                "tolerance": t, "pass": bool(abs(v) <= t)}
-                               for lab, v, e, t in self.entries],
-                "pass": bool(self.passed)}
-
-
 def default_lemma2_suite(domain, rng=None):
     """Gradient test fields probing the existence obstructions.
 
@@ -344,7 +325,9 @@ def default_lemma2_suite(domain, rng=None):
 
 def check_lemma2_conditions(dist, domain, suite=None, level=2,
                             tol=LEMMA2_TOL, rng=None):
-    """Pairings of the stress and its x-cross companion with curl-free tests.
+    """Checks ``force:<label>`` and ``moment:<label>``: pairings of the
+    stress and its x-cross companion with curl-free tests, each with its
+    error estimate as ``estimate``.
 
     All pairings vanish (to tolerance) exactly when a stress function
     exists; a nonzero value against a boundary-constant member exposes the
@@ -352,37 +335,36 @@ def check_lemma2_conditions(dist, domain, suite=None, level=2,
     """
     if suite is None:
         suite = default_lemma2_suite(domain, rng)
-    entries = []
+    checks = []
     for label, g in suite:
         probe = domain.interior_samples(32, None, 0.0)
         if g.curl_residual(probe) > 1e-9:
             raise FieldError(f"suite member {label} is not curl-free")
-        v = dist.pair(g, level)
-        entries.append((f"force:{label}", v.value, v.error,
-                        max(tol, 10.0 * v.error)))
-        m = moment_pair(dist, g, level)
-        entries.append((f"moment:{label}", m.value, m.error,
-                        max(tol, 10.0 * m.error)))
-    return Lemma2Report(entries=entries, tol=tol)
+        for kind, v in (("force", dist.pair(g, level)),
+                        ("moment", moment_pair(dist, g, level))):
+            checks.append(Check(f"{kind}:{label}", v.value,
+                                max(tol, 10.0 * v.error),
+                                extra={"estimate": v.error}))
+    return checks
 
 
 @dataclass
 class GlobalConditionsReport:
-    components: list     # dicts with force / moment arrays and pass flags
+    forces: list         # net force vector per boundary component
+    moments: list        # net moment vector per boundary component
     tol: float
+
+    def checks(self):
+        """Force and moment checks of the components i >= 1 (component 0
+        is reported for reference only)."""
+        return [Check(f"{kind}-component{i}", np.linalg.norm(v), self.tol)
+                for i in range(1, len(self.forces))
+                for kind, v in (("force", self.forces[i]),
+                                ("moment", self.moments[i]))]
 
     @property
     def passed(self):
-        return all(c["pass"] for c in self.components if c["component"] >= 1)
-
-    def to_dict(self):
-        out = []
-        for c in self.components:
-            d = dict(c)
-            d["force"] = list(map(float, d["force"]))
-            d["moment"] = list(map(float, d["moment"]))
-            out.append(d)
-        return {"components": out, "pass": bool(self.passed)}
+        return all(c.passed for c in self.checks())
 
 
 def global_conditions(triple_or_sigma, domain, interface=None,
@@ -409,17 +391,16 @@ def global_conditions(triple_or_sigma, domain, interface=None,
                 raise ConfigError(
                     f"interface touches unknown boundary component {comp}")
 
-    components = []
+    forces, moments = [], []
     for i in range(domain.k):
         force, moment = boundary_force_moment(domain, i, sigma, level, origin)
         if interface is not None and not interface.closed:
             fc, mc = curve_force_moment(interface, i, sigma1, sigma2, origin)
             force += fc
             moment += mc
-        ok = bool(np.linalg.norm(force) <= tol and np.linalg.norm(moment) <= tol)
-        components.append({"component": i, "force": force, "moment": moment,
-                           "pass": ok})
-    return GlobalConditionsReport(components=components, tol=tol)
+        forces.append(force)
+        moments.append(moment)
+    return GlobalConditionsReport(forces=forces, moments=moments, tol=tol)
 
 
 # ---------------------------------------------------------------------------

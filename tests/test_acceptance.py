@@ -18,8 +18,8 @@ from stressdist.cli import batch, run, run_scenario
 from stressdist.distributions import (BDist, CDist, CompositeDist, FDist,
                                       cauchy_flux, distributional_div,
                                       identity1_rhs, identity2_rhs)
-from stressdist.equilibrium import (bulk_residual, dilatational_residuals,
-                                    dipole_limit, interface_residuals,
+from stressdist.equilibrium import (bulk_residual, dipole_limit,
+                                    interface_residuals, local_report,
                                     make_test_suite, weak_residuals,
                                     _crossing_bump_geometry)
 from stressdist.fields import (PiecewiseField, PolyField, make_bump,
@@ -125,13 +125,13 @@ def test_criterion_3_soap_film(big_ball, unit_sphere):
     rb, rc, rd = interface_residuals(scn, n=2000)
     bk, _ = bulk_residual(scn, n=2000)
     locals_ok = max(bk, rb, rc, rd) <= 1e-8
-    proj = dilatational_residuals(scn, n=2000)
-    proj_ok = all(c.residual <= 1e-8 for c in proj.conditions)
+    proj = local_report(scn, n_surface=2000)
+    proj_ok = all(c.residual <= 1e-8 for c in proj)
 
     rng = np.random.default_rng(77)
     tests = make_test_suite(big_ball, unit_sphere, 9, rng)
     weak = weak_residuals(scn, tests)
-    weak_ok = all(abs(v) <= t for _, v, t in weak)
+    weak_ok = all(c.passed for c in weak)
 
     maxima = []
     epss = [1e-1, 1e-2, 1e-3]
@@ -139,7 +139,7 @@ def test_criterion_3_soap_film(big_ball, unit_sphere):
         pert = soap_film(big_ball, unit_sphere, gamma=0.7,
                          pressure_jump=1.4 + eps)
         w = weak_residuals(pert, tests)
-        maxima.append(max(abs(v) for _, v, _ in w))
+        maxima.append(max(abs(c.residual) for c in w))
     slope = loglog_slope(epss, maxima)
     slope_ok = abs(slope - 1.0) <= 0.05
     ok = locals_ok and proj_ok and weak_ok and slope_ok
@@ -178,14 +178,11 @@ def test_criterion_5_sufficiency_loop(ball, shell, sphere_half, shell_sphere):
             if max(bk, rb, rc, rd) > 1e-6:
                 failures.append((idx, name, "local", max(bk, rb, rc, rd)))
             lem = check_lemma2_conditions(triple.composite(dom), dom)
-            lem_max = max(abs(v) for _, v, _, _ in lem.entries)
+            lem_max = max(abs(c.residual) for c in lem)
             if lem_max > 1e-6:
                 failures.append((idx, name, "lemma2", lem_max))
             gc = global_conditions(triple, dom)
-            gmax = max(max(np.linalg.norm(c["force"]),
-                           np.linalg.norm(c["moment"]))
-                       for c in gc.components if c["component"] >= 1) \
-                if dom.k > 1 else 0.0
+            gmax = max((c.residual for c in gc.checks()), default=0.0)
             if gmax > 1e-6:
                 failures.append((idx, name, "global", gmax))
             CATALOG_RESULTS.setdefault(name, []).append((phi, triple, itf))
@@ -200,17 +197,16 @@ def test_criterion_6_kelvin_necessity(shell):
     bk, _ = bulk_residual(scn, n=2000)
     bulk_ok = bk <= 1e-6
     gc = global_conditions(scn.sigma, shell)
-    inner = gc.components[1]
-    force_ok = (np.linalg.norm(inner["force"] - [0, 0, -1.0])
-                <= 1e-4 * 1.0)
+    inner_force = gc.forces[1]
+    force_ok = np.linalg.norm(inner_force - [0, 0, -1.0]) <= 1e-4 * 1.0
     dist = CompositeDist(b=BDist(shell, None, scn.sigma))
     lem = check_lemma2_conditions(dist, shell)
-    vals = {lab: v for lab, v, _, _ in lem.entries}
+    vals = {c.id: c.residual for c in lem}
     pairing = vals["force:component1-e2"]
     pairing_ok = abs(pairing - (-1.0)) <= 1e-3
-    reported_fail = (not lem.passed) and (not gc.passed)
+    reported_fail = not all(c.passed for c in lem) and not gc.passed
     ok = bulk_ok and force_ok and pairing_ok and reported_fail
-    _report(6, ok, f"kelvin witness: inner force {np.round(inner['force'], 6)}"
+    _report(6, ok, f"kelvin witness: inner force {np.round(inner_force, 6)}"
                    f" ~ -F, pairing {pairing:.6f} ~ <e3, -F>, "
                    f"bulk residual {bk:.1e} <= 1e-6, reported FAIL")
 

@@ -175,6 +175,8 @@ class TestRun:
         ("identity1-C-ball", "family", "Q"),
         ("mollify-C-box", "family", "c"),
         ("cauchy-flux-disjoint", "expect", "converges"),
+        ("identity1-C-ball", "identity", 3),
+        ("identity1-C-ball", "identity", 0),
     ])
     def test_unknown_choice_exits_2(self, tmp_path, capsys, name, key, value):
         with open(os.path.join(SCENARIO_DIR, name + ".json")) as fh:
@@ -241,6 +243,34 @@ class TestRun:
         _, report = run(path, out=str(tmp_path / "r.json"))
         assert all("tolerance" in c for c in report["checks"])
         assert report["schema_version"] == 1
+
+
+LOCAL_IDS = ["12a", "12b", "12c", "12d"]
+PROJECTED_IDS = ["12a", "12b", "12b-normal", "12b-tangential", "12c",
+                 "12c-normal", "12c-tangential", "12d"]
+
+
+class TestReportFormat:
+    """The ordered check ids and entry keys the benchmark reference gates."""
+
+    @pytest.mark.parametrize("name,ids", [
+        ("soap-film-sphere",
+         PROJECTED_IDS + [f"weak-{j}" for j in range(6)]),
+        ("stress-function-ball",
+         LOCAL_IDS + [f"{kind}:interior-e{d}" for d in range(3)
+                      for kind in ("force", "moment")]),
+        ("global-conditions-shell", ["force-component1", "moment-component1"]),
+    ])
+    def test_check_ids_and_keys(self, name, ids):
+        with open(os.path.join(SCENARIO_DIR, name + ".json")) as fh:
+            report = run_scenario(json.load(fh), seed_override=0)
+        assert [c["id"] for c in report["checks"]] == ids
+        for c in report["checks"]:
+            keys = {"id", "residual", "tolerance", "pass"}
+            if c["id"].startswith(("force:", "moment:")):
+                keys.add("estimate")
+            assert set(c) == keys, c
+            assert isinstance(c["pass"], bool)
 
 
 class TestBatch:

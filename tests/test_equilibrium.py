@@ -7,16 +7,15 @@ import sympy as sp
 from stressdist._tensor import loglog_slope
 from stressdist.catalog import (dilatational_dipole, flat_tension,
                                 kelvin_scenario, soap_film)
-from stressdist.equilibrium import (DilatationalData, EquilibriumScenario,
-                                    Tolerances, bulk_residual,
-                                    dilatational_residuals, dipole_limit,
+from stressdist.equilibrium import (EquilibriumScenario, _interface_sums,
+                                    bulk_residual, dipole_limit,
                                     interface_residuals, local_report,
                                     make_test_suite, weak_equals_local,
                                     weak_residuals)
 from stressdist.errors import FieldError, GeometryError
-from stressdist.fields import (CallableField, ConstantField, PiecewiseField,
-                               PolyField, SurfaceField, chart_tangent,
-                               normal_dyad, make_bump)
+from stressdist.fields import (CallableField, PiecewiseField, PolyField,
+                               SurfaceField, chart_tangent,
+                               dilatational_surface, normal_dyad)
 
 
 @pytest.fixture(scope="module")
@@ -112,61 +111,126 @@ class TestLocalResiduals:
         assert resampled == 2
 
 
+def _by_id(checks):
+    return {c.id: c for c in checks}
+
+
+PROJECTED_IDS = ["12a", "12b", "12b-normal", "12b-tangential", "12c",
+                 "12c-normal", "12c-tangential", "12d"]
+
+
+def _pressure_form(itf, batch, jump, p1, p2, b2=None):
+    """Oracle for sigma = p I, sigma1 = p1 (I - n n), sigma2 = p2 (I - n n)
+    with constant p1, p2 on a sphere centered at the origin or on a plane
+    z = const, in closed form:
+
+    r_b = [p] n + grad_S p1 - kappa p1 n - p2 div_S(grad_S n)
+          - S grad_S p2  (the gradients vanish; div_S(grad_S n) is
+          -tr(S^2) n = -(2/R^2) n on the sphere, 0 on the plane),
+    r_c = grad_S p2 - kappa p2 n + b2.
+    """
+    x = batch.points
+    if itf.kind == "sphere":
+        radius = itf.params["radius"]
+        n = x / radius
+        kappa, trace_s2 = 2.0 / radius, 2.0 / radius ** 2
+    else:
+        n = np.tile([0.0, 0.0, 1.0], (len(x), 1))
+        kappa = trace_s2 = 0.0
+    r_b = (jump - kappa * p1 + p2 * trace_s2) * n
+    r_c = -kappa * p2 * n
+    if b2 is not None:
+        r_c = r_c + b2.value(batch)
+    return r_b, r_c
+
+
 class TestDilatational:
     def test_young_laplace_pass_and_fail(self, big_ball, unit_sphere):
         good = soap_film(big_ball, unit_sphere, gamma=0.7, pressure_jump=1.4)
-        rep = dilatational_residuals(good, n=400)
-        assert rep.passed
+        assert all(c.passed for c in local_report(good, n_surface=400))
         eps = 1e-3
         bad = soap_film(big_ball, unit_sphere, gamma=0.7,
                         pressure_jump=1.4 + eps)
-        rep2 = dilatational_residuals(bad, n=400)
-        failing = rep2.failing()
-        assert "12b-normal" in failing
-        got = [c.residual for c in rep2.conditions if c.cond == "12b-normal"][0]
-        assert abs(got - eps) < 1e-9
+        checks = _by_id(local_report(bad, n_surface=400))
+        assert not checks["12b-normal"].passed
+        assert abs(checks["12b-normal"].residual - eps) < 1e-9
+        assert checks["12b-tangential"].passed
 
     def test_flat_interface_constant_p2(self, box):
         pl = box.plane_interface(0.0)
         scn = flat_tension(box, pl, gamma=0.3)
-        scn.dilatational = DilatationalData(p=scn.dilatational.p, p1=0.3,
-                                            p2=0.8)
-        scn.sigma2 = None  # densities enter the pressure form directly
-        rep = dilatational_residuals(scn, n=300)
+        scn.sigma2 = dilatational_surface(0.8, pl)
+        checks = local_report(scn, n_surface=300)
         # flat surface, constant p2: every pressure-form condition vanishes
-        assert rep.passed
+        assert [c.id for c in checks] == PROJECTED_IDS
+        assert all(c.passed for c in checks)
 
     def test_sphere_dipole_needs_matched_normal_force(self, big_ball,
                                                       unit_sphere):
         scn = dilatational_dipole(big_ball, unit_sphere, gamma=0.5, p2=0.3)
-        rep = dilatational_residuals(scn, n=400)
-        assert rep.passed
+        assert all(c.passed for c in local_report(scn, n_surface=400))
         batch = unit_sphere.samples(50)
         b2n = np.einsum('ni,ni->n', scn.b2.value(batch), batch.normals)
         # matched dipole force satisfies <b2, n> = kappa p2 = 2 p2 / R
         assert np.max(np.abs(b2n - 2.0 * 0.3)) < 1e-12
+        scn.b2 = None
+        checks = _by_id(local_report(scn, n_surface=400))
+        assert abs(checks["12c-normal"].residual - 2.0 * 0.3) < 1e-12
+        assert checks["12c-tangential"].residual < 1e-12
 
     def test_requires_dilatational_data(self, big_ball, unit_sphere):
-        scn = EquilibriumScenario(domain=big_ball, interface=unit_sphere)
-        with pytest.raises(FieldError):
-            dilatational_residuals(scn)
+        # the projections are reported only for a declared pressure form
+        scn = soap_film(big_ball, unit_sphere, gamma=0.7, pressure_jump=1.4)
+        assert [c.id for c in local_report(scn, n_surface=100)] == \
+            PROJECTED_IDS
+        scn.dilatational = False
+        assert [c.id for c in local_report(scn, n_surface=100)] == \
+            ["12a", "12b", "12c", "12d"]
+
+    @pytest.mark.parametrize("case", ["soap-film", "soap-film-jump-error",
+                                      "dilatational-dipole", "flat-tension",
+                                      "flat-tension-p2"])
+    def test_kernel_sums_match_pressure_form(self, big_ball, unit_sphere,
+                                             box, case):
+        if case.startswith("flat"):
+            itf = box.plane_interface(0.0)
+            scn = flat_tension(box, itf, gamma=0.3)
+            p2 = 0.8 if case.endswith("p2") else 0.0
+            if p2:
+                scn.sigma2 = dilatational_surface(p2, itf)
+            jump, p1 = 0.0, 0.3
+        elif case == "dilatational-dipole":
+            itf = unit_sphere
+            scn = dilatational_dipole(big_ball, itf, gamma=0.5, p2=0.3)
+            jump, p1, p2 = 2.0 * 0.5 - 2.0 * 0.3, 0.5, 0.3
+        else:
+            itf = unit_sphere
+            jump = 1.4 + (1e-3 if case.endswith("error") else 0.0)
+            scn = soap_film(big_ball, itf, gamma=0.7, pressure_jump=jump)
+            p1, p2 = 0.7, 0.0
+        batch = itf.samples(500)
+        sums = _interface_sums(scn, batch)
+        r_b, r_c = _pressure_form(itf, batch, jump, p1, p2, scn.b2)
+        assert np.max(np.abs(sums[0] - r_b)) <= 1e-12
+        assert np.max(np.abs(sums[1] - r_c)) <= 1e-12
+        assert np.max(np.abs(sums[2])) <= 1e-12
 
 
 class TestWeakEqualsLocal:
     def test_equilibrated_scenarios(self, film, big_ball, unit_sphere):
         rep = weak_equals_local(film, n_suite=6, seed=3)
         assert rep.consistent
-        assert all(abs(v) <= t for _, v, t in rep.weak)
+        assert all(c.passed for c in rep.weak)
         dip = dilatational_dipole(big_ball, unit_sphere, gamma=0.4, p2=0.25)
         rep2 = weak_equals_local(dip, n_suite=6, seed=4)
         assert rep2.consistent
-        assert all(abs(v) <= t for _, v, t in rep2.weak)
+        assert all(c.passed for c in rep2.weak)
 
     def test_zero_scenario(self, big_ball, unit_sphere):
         scn = EquilibriumScenario(domain=big_ball, interface=unit_sphere)
         rep = weak_equals_local(scn, n_suite=3, seed=5)
         assert rep.consistent
-        assert all(v == 0.0 for _, v, _ in rep.weak)
+        assert all(c.residual == 0.0 for c in rep.weak)
 
     def test_perturbation_scales_linearly(self, big_ball, unit_sphere):
         rng = np.random.default_rng(7)
@@ -177,7 +241,7 @@ class TestWeakEqualsLocal:
             scn = soap_film(big_ball, unit_sphere, gamma=0.7,
                             pressure_jump=1.4 + eps)
             w = weak_residuals(scn, tests)
-            maxima.append(max(abs(v) for _, v, _ in w))
+            maxima.append(max(abs(c.residual) for c in w))
         slope = loglog_slope(epss, maxima)
         assert abs(slope - 1.0) < 0.05
 
@@ -190,25 +254,23 @@ class TestWeakEqualsLocal:
         def calibrated_norm(make_pert):
             unit = make_pert(1.0)
             w = weak_residuals(unit, tests)
-            return max(abs(v) for _, v, _ in w)
+            return max(abs(c.residual) for c in w)
 
         def perturb_b1(e):
             scn = soap_film(big_ball, unit_sphere, gamma=0.7, pressure_jump=1.4)
             scn.b1 = SurfaceField(lambda b: e * b.normals.copy(), 1,
                                   unit_sphere)
-            scn.dilatational = None
             return scn
 
         def perturb_sigma2(e):
             scn = soap_film(big_ball, unit_sphere, gamma=0.7, pressure_jump=1.4)
             scn.sigma2 = normal_dyad([0, 0, e], unit_sphere)
-            scn.dilatational = None
             return scn
 
         for make in (perturb_b1, perturb_sigma2):
             norm = calibrated_norm(lambda e=1.0: make(1.0))
             w = weak_residuals(make(eps), tests)
-            assert max(abs(v) for _, v, _ in w) > 0.5 * eps * norm
+            assert max(abs(c.residual) for c in w) > 0.5 * eps * norm
 
     def test_sigma2_normal_violation_detected(self, big_ball, unit_sphere):
         # a dipole density with nonzero normal action fails the closure
@@ -221,7 +283,7 @@ class TestWeakEqualsLocal:
         _, _, rd = interface_residuals(scn, n=200)
         assert rd > 0.99
         rep = weak_equals_local(scn, n_suite=9, seed=13)
-        assert any(abs(v) > t for _, v, t in rep.weak)
+        assert any(not c.passed for c in rep.weak)
         assert rep.consistent
 
 
@@ -291,12 +353,11 @@ class TestReports:
     def test_report_serializes_to_json(self, big_ball, unit_sphere):
         import json
         scn = soap_film(big_ball, unit_sphere, gamma=0.7, pressure_jump=1.4)
-        rep = dilatational_residuals(scn, n=200)
-        text = json.dumps(rep.to_dict(), sort_keys=True)
+        checks = local_report(scn, n_surface=200)
+        text = json.dumps([c.to_dict() for c in checks], sort_keys=True)
         back = json.loads(text)
-        assert back["pass"] is True
-        assert {c["id"] for c in back["conditions"]} >= {"12a", "12b", "12c",
-                                                         "12d", "12b-normal"}
+        assert all(c["pass"] is True for c in back)
+        assert [c["id"] for c in back] == PROJECTED_IDS
 
     def test_asymmetric_density_rejected(self, big_ball, unit_sphere):
         scn = EquilibriumScenario(

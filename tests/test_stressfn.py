@@ -284,9 +284,9 @@ class TestLemma2AndGlobal:
         for dom, itf in ((ball, sphere_half), (shell, shell_sphere)):
             phi = random_stress_function(rng, itf, dom, degree=3, scale=0.2)
             triple = extract_densities(phi, itf)
-            rep = check_lemma2_conditions(triple.composite(dom), dom)
-            assert rep.passed
-            assert max(abs(v) for _, v, _, _ in rep.entries) < 1e-6
+            checks = check_lemma2_conditions(triple.composite(dom), dom)
+            assert all(c.passed for c in checks)
+            assert max(abs(c.residual) for c in checks) < 1e-6
             gc = global_conditions(triple, dom)
             assert gc.passed
 
@@ -298,33 +298,32 @@ class TestLemma2AndGlobal:
                                      shell, degree=3, scale=0.2)
         gc = global_conditions(extract_densities(phi, annulus), shell,
                                tol=1e-6)
-        assert [c["pass"] for c in gc.components] == [True, True]
+        assert max(np.linalg.norm(v) for v in gc.forces + gc.moments) <= 1e-6
 
     def test_kelvin_necessity_witness(self, shell):
         scn = kelvin_scenario(shell, force=[0, 0, 1.0], nu=0.25)
         dist = CompositeDist(b=BDist(shell, None, scn.sigma))
-        rep = check_lemma2_conditions(dist, shell)
-        assert not rep.passed
-        vals = {lab: v for lab, v, _, _ in rep.entries}
+        checks = check_lemma2_conditions(dist, shell)
+        assert not all(c.passed for c in checks)
+        vals = {c.id: c.residual for c in checks}
         assert abs(vals["force:component1-e2"] + 1.0) < 1e-3
         gc = global_conditions(scn.sigma, shell)
         assert not gc.passed
-        inner = gc.components[1]
-        assert np.linalg.norm(inner["force"] - [0, 0, -1.0]) < 1e-4
-        assert np.linalg.norm(inner["moment"]) < 1e-8
+        assert np.linalg.norm(gc.forces[1] - [0, 0, -1.0]) < 1e-4
+        assert np.linalg.norm(gc.moments[1]) < 1e-8
         # the two failure magnitudes agree: both are the net force component
         assert abs(abs(vals["force:component1-e2"])
-                   - np.linalg.norm(inner["force"])) < 1e-4
+                   - np.linalg.norm(gc.forces[1])) < 1e-4
 
     def test_ball_interior_suite(self, ball, rng):
         # divergence-free smooth stress on a single-component domain passes
         phi = PolyField.random_symmetric(rng, 3, scale=0.3)
         sig = PiecewiseField.smooth(phi.inc_field(), 2)
         dist = CompositeDist(b=BDist(ball, None, sig))
-        rep = check_lemma2_conditions(dist, ball)
-        assert rep.passed
-        labels = [lab for lab, *_ in rep.entries]
-        assert any("interior" in lab for lab in labels)
+        checks = check_lemma2_conditions(dist, ball)
+        assert all(c.passed for c in checks)
+        assert any("interior" in c.id for c in checks)
+        assert all("estimate" in c.to_dict() for c in checks)
 
     def test_non_curl_free_suite_rejected(self, ball, rng):
         sig = PiecewiseField.smooth(
@@ -357,18 +356,18 @@ class TestLemma2AndGlobal:
         zero = PiecewiseField.smooth(_const_polyfield(np.zeros((3, 3))), 2)
         gc = global_conditions(zero, shell)
         assert gc.passed
-        for comp in gc.components:
-            assert np.linalg.norm(comp["force"]) == 0.0
+        for force in gc.forces:
+            assert np.linalg.norm(force) == 0.0
 
     def test_moment_translation_covariance(self, shell):
         scn = kelvin_scenario(shell, force=[0, 0, 1.0])
         a = np.array([0.3, -0.2, 0.5])
         g0 = global_conditions(scn.sigma, shell)
         ga = global_conditions(scn.sigma, shell, origin=a)
-        for c0, ca in zip(g0.components, ga.components):
+        for f0, m0, ma in zip(g0.forces, g0.moments, ga.moments):
             # moment about the shifted origin loses a x force
-            expected = c0["moment"] - np.cross(a, c0["force"])
-            assert np.linalg.norm(ca["moment"] - expected) < 1e-9
+            expected = m0 - np.cross(a, f0)
+            assert np.linalg.norm(ma - expected) < 1e-9
         assert g0.passed == ga.passed
 
     def test_moment_pair_matches_global_moment(self, shell):
@@ -378,7 +377,7 @@ class TestLemma2AndGlobal:
         suite = default_lemma2_suite(shell)
         gm = {lab: moment_pair(dist, g).value for lab, g in suite}
         gc = global_conditions(scn.sigma, shell)
-        inner_moment = gc.components[1]["moment"]
+        inner_moment = gc.moments[1]
         got = np.array([gm[f"component1-e{d}"] for d in range(3)])
         assert np.linalg.norm(got - inner_moment) < 1e-6
 
