@@ -24,7 +24,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, catalog, distributions
+from . import __version__, _pool, catalog, distributions
 from .distributions import (BDist, CDist, CompositeDist, FDist, cauchy_flux,
                             distributional_div, identity1_rhs, identity2_rhs,
                             mollify_convergence)
@@ -176,6 +176,9 @@ def _random_gradient_field(domain, rng):
 
 
 def _op_check_equilibrium(cfg, domain, interface, rng):
+    if interface is None:
+        raise ConfigError("$.geometry.interface: check-equilibrium needs an "
+                          "interface (conditions 12b-12d live on it)")
     tol = _tolerances(cfg)
     scn = catalog.build_scenario_fields(cfg.get("fields", {}), domain,
                                         interface, tol)
@@ -414,7 +417,10 @@ def batch(directory, refine=0, out=None, jobs=None):
     results = []
 
     def one(name):
-        code, report = run(os.path.join(directory, name), refine=refine)
+        # each worker evaluates on one lane of the budget its scenario's
+        # block helpers draw from, so the two together stay within the bound
+        with _pool.holding_lane():
+            code, report = run(os.path.join(directory, name), refine=refine)
         return name, code, report
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -436,15 +442,14 @@ def batch(directory, refine=0, out=None, jobs=None):
 
 
 def _worker_count(jobs):
-    """Threads for ``batch``: ``jobs`` when nonzero, else
-    ``STRESSDIST_THREADS`` when set and nonzero, else None (the pool's
-    default).  Anything but a non-negative integer raises ``ConfigError``."""
-    source = "--jobs" if jobs else "STRESSDIST_THREADS"
-    raw = jobs if jobs else os.environ.get(source, "0")
-    count = int(raw) if str(raw).isdecimal() else -1
-    if count < 0:
-        raise ConfigError(f"{source} must be a non-negative integer, got {raw!r}")
-    return count or None
+    """Threads for ``batch``: ``jobs`` when nonzero, else the thread bound
+    (``STRESSDIST_THREADS`` when set and nonzero, else the CPU count).
+    Anything but a non-negative integer raises ``ConfigError``."""
+    if not jobs:
+        return _pool.thread_bound()
+    if not str(jobs).isdecimal():
+        raise ConfigError(f"--jobs must be a non-negative integer, got {jobs!r}")
+    return int(jobs)
 
 
 def main(argv=None):

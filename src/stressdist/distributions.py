@@ -8,7 +8,10 @@ right-hand sides (identity1_rhs / identity2_rhs) provide the independent
 second evaluation path used by the verification suites.
 
 Every pairing returns a value together with a two-level quadrature error
-estimate.  Comparisons downstream use max(abs_tol, rel_tol * scale).
+estimate.  Comparisons downstream use max(abs_tol, rel_tol * scale).  A
+column test (``columns = k``; its value and gradient are k-tuples of
+arrays) pairs as k tests in one walk and returns one value per column, each
+summed exactly as its own pairing would be.
 """
 
 from __future__ import annotations
@@ -103,8 +106,17 @@ def close(lhs, rhs, abs_tol=ABS_TOL, rel_tol=REL_TOL):
     return abs(float(lhs) - float(rhs)) <= max(abs_tol, rel_tol * scale)
 
 
+def _empty_pairing(test):
+    """A pairing over a rule without nodes: one zero per test column."""
+    columns = getattr(test, 'columns', None)
+    return (0.0,) * columns if columns else 0.0
+
+
 def _contract(a, b):
-    """Full contraction of equally-shaped (N, ...) arrays -> (N,)."""
+    """Full contraction of equally-shaped (N, ...) arrays -> (N,); a tuple
+    ``b`` (the columns of a column test) gives one contraction each."""
+    if isinstance(b, tuple):
+        return tuple(_contract(a, c) for c in b)
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:
@@ -187,10 +199,11 @@ class _SurfaceDist:
         def run(lv):
             b = self.interface.surface_quadrature(lv, support=support)
             if len(b) == 0:
-                return 0.0
-            return blocked_sum(b.weights, None,
-                               _contract(self._values(b, lv, support),
-                                         partner(b)))
+                return _empty_pairing(test)
+            vals = _contract(self._values(b, lv, support), partner(b))
+            if isinstance(vals, tuple):
+                return blocked_sum(b.weights, lambda *cols: cols, *vals)
+            return blocked_sum(b.weights, None, vals)
         return two_level(run, _lv(level, support is not None))
 
 
@@ -246,19 +259,31 @@ class CompositeDist:
 
 
 def _over_parts(dist, one):
-    """``one(dist)``, or its sum over the parts of a composite."""
+    """``one(dist)``, or its sum over the parts of a composite (per column
+    for a column test)."""
     if not isinstance(dist, CompositeDist):
         return one(dist)
+    values = [one(p) for p in dist.parts]
+    if isinstance(values[0], tuple):
+        return tuple(_sum_parts(col) for col in zip(*values))
+    return _sum_parts(values)
+
+
+def _sum_parts(values):
     out = PairingValue(0.0, 0.0)
-    for p in dist.parts:
-        out = out + one(p)
+    for v in values:
+        out = out + v
     return out
 
 
 def _normal_derivative(test, batch):
-    """d_n psi of a test on a surface batch."""
-    return np.einsum('n...j,nj->n...', test.gradient(batch.points),
-                     batch.normals)
+    """d_n psi of a test on a surface batch (one per column of a column
+    test)."""
+    grad = test.gradient(batch.points)
+    if isinstance(grad, tuple):
+        return tuple(np.einsum('n...j,nj->n...', g, batch.normals)
+                     for g in grad)
+    return np.einsum('n...j,nj->n...', grad, batch.normals)
 
 
 # ---------------------------------------------------------------------------

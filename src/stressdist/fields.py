@@ -415,11 +415,15 @@ class PiecewiseField:
         pts = np.asarray(pts, dtype=float)
         if self.interface is None or self.minus is self.plus:
             return np.asarray(_side_call(self.plus, method, pts))
-        plus_mask = self.interface.side(pts) >= 0
+        plus_mask = self.interface.signed_distance(pts) >= 0.0
+        n_plus = int(np.count_nonzero(plus_mask))
+        if n_plus in (0, len(pts)):
+            # wholly on one side, as most blocks of a rule are
+            f = self.plus if n_plus else self.minus
+            return np.asarray(_side_call(f, method, pts))
         out = np.empty((len(pts),) + (3,) * (self.rank + order))
         for f, m in ((self.plus, plus_mask), (self.minus, ~plus_mask)):
-            if np.any(m):
-                out[m] = np.asarray(_side_call(f, method, pts[m]))
+            out[m] = np.asarray(_side_call(f, method, pts[m]))
         return out
 
     def value(self, pts):

@@ -271,14 +271,41 @@ class MomentTest:
         return _eps_x(pts, np.asarray(self.base.value(pts)))
 
     def gradient(self, pts):
-        """d_k value[j,q] = eps_ikq psi_ij + eps_ipq x_p d_k psi_ij."""
+        pts = np.asarray(pts, dtype=float)
+        return _moment_gradient(pts, np.asarray(self.base.value(pts)),
+                                np.asarray(self.base.gradient(pts)))
+
+
+def _moment_gradient(pts, v, grad):
+    """d_k value[j,q] = eps_ikq psi_ij + eps_ipq x_p d_k psi_ij, from the
+    base test's value ``v`` and gradient ``grad``."""
+    out = _eps_x(pts, grad)
+    for q, ((p1, i1), (p2, i2)) in enumerate(_EPS_TERMS):
+        out[:, :, q, p1] += v[:, i1]
+        out[:, :, q, p2] -= v[:, i2]
+    return out
+
+
+class ForceMomentTest:
+    """A test and its ``MomentTest`` as one column test: one pairing walk
+    gives (force, moment), each column summed as in a pairing of its own,
+    from one evaluation of the base test per point set."""
+
+    columns = 2
+
+    def __init__(self, base):
+        self.base = base
+
+    def value(self, pts):
         pts = np.asarray(pts, dtype=float)
         v = np.asarray(self.base.value(pts))
-        out = _eps_x(pts, np.asarray(self.base.gradient(pts)))
-        for q, ((p1, i1), (p2, i2)) in enumerate(_EPS_TERMS):
-            out[:, :, q, p1] += v[:, i1]
-            out[:, :, q, p2] -= v[:, i2]
-        return out
+        return v, _eps_x(pts, v)
+
+    def gradient(self, pts):
+        pts = np.asarray(pts, dtype=float)
+        v = np.asarray(self.base.value(pts))
+        grad = np.asarray(self.base.gradient(pts))
+        return grad, _moment_gradient(pts, v, grad)
 
 
 def moment_pair(dist, test, level=None):
@@ -340,8 +367,8 @@ def check_lemma2_conditions(dist, domain, suite=None, level=2,
         probe = domain.interior_samples(32, None, 0.0)
         if g.curl_residual(probe) > 1e-9:
             raise FieldError(f"suite member {label} is not curl-free")
-        for kind, v in (("force", dist.pair(g, level)),
-                        ("moment", moment_pair(dist, g, level))):
+        force, moment = dist.pair(ForceMomentTest(g), level)
+        for kind, v in (("force", force), ("moment", moment)):
             checks.append(Check(f"{kind}:{label}", v.value,
                                 max(tol, 10.0 * v.error),
                                 extra={"estimate": v.error}))

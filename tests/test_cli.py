@@ -48,10 +48,12 @@ print(json.dumps(reports, sort_keys=True))
 """
 
 
-def _reports_under_blas_threads(threads, names):
+def _reports_under_blas_threads(threads, names, pool_width=None):
     env = dict(os.environ)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = str(threads)
+    if pool_width is not None:
+        env["STRESSDIST_THREADS"] = str(pool_width)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.abspath(SRC_DIR)] + [p for p in [env.get("PYTHONPATH")] if p])
     paths = [os.path.join(SCENARIO_DIR, n + ".json") for n in names]
@@ -187,6 +189,17 @@ class TestRun:
         assert code == 2 and report is None
         assert f"$.parameters.{key}" in capsys.readouterr().err
 
+    def test_equilibrium_without_interface_exits_2(self, tmp_path, capsys):
+        cfg = dict(SOAP, fields={"preset": "kelvin"},
+                   geometry={"domain": {"kind": "spherical-shell",
+                                        "inner_radius": 1.0,
+                                        "outer_radius": 2.0}})
+        assert validate_scenario(cfg) == []
+        code, report = run(_write(tmp_path, "kelvin.json", cfg),
+                           out=str(tmp_path / "r.json"))
+        assert code == 2 and report is None
+        assert "$.geometry.interface" in capsys.readouterr().err
+
     def test_internal_error_exits_3(self, tmp_path, capsys, monkeypatch):
         from stressdist import catalog
 
@@ -221,6 +234,13 @@ class TestRun:
         two = _reports_under_blas_threads(2, names)
         for name, a, b in zip(names, one, two):
             assert a == b, name
+
+    def test_reports_do_not_depend_on_pool_width(self):
+        # identity1-B-ball's volume rules span 14 to 41 blocks
+        names = ["identity1-B-ball"]
+        one = _reports_under_blas_threads(1, names, pool_width=1)
+        two = _reports_under_blas_threads(1, names, pool_width=2)
+        assert one == two
 
     def test_seed_override_changes_suite(self, tmp_path):
         path = _write(tmp_path, "soap.json", SOAP)
@@ -311,6 +331,36 @@ class TestBatch:
         err = capsys.readouterr().err
         assert ("--jobs" if jobs else "STRESSDIST_THREADS") in err
         assert not (tmp_path / "summary.csv").exists()
+
+    def test_batch_and_block_helpers_share_the_bound(self, tmp_path,
+                                                     monkeypatch):
+        # sampled inside the integrands: threads evaluating a polynomial at
+        # once, batch workers and block helpers together
+        from stressdist import fields
+        monkeypatch.setenv("STRESSDIST_THREADS", "2")
+        lock = threading.Lock()
+        active, peak = set(), [0]
+        evaluate = fields.Poly3.value
+
+        def sampled(self, pts):
+            me = threading.get_ident()
+            with lock:
+                active.add(me)
+                peak[0] = max(peak[0], len(active))
+            try:
+                return evaluate(self, pts)
+            finally:
+                with lock:
+                    active.discard(me)
+
+        monkeypatch.setattr(fields.Poly3, "value", sampled)
+        for name in ("identity1-B-ball", "soap-film-sphere",
+                     "mollify-C-box"):
+            with open(os.path.join(SCENARIO_DIR, name + ".json")) as fh:
+                _write(tmp_path, name + ".json", json.load(fh))
+        assert main(["batch", str(tmp_path), "--jobs", "2",
+                     "--refine", "1"]) in (0, 1)
+        assert 1 <= peak[0] <= 2
 
     def test_zero_thread_count_keeps_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("STRESSDIST_THREADS", "0")

@@ -3,13 +3,15 @@
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from stressdist import distributions
 from stressdist._memo import LruMemo
-from stressdist.errors import GeometryError
+from stressdist.errors import EvaluationError, GeometryError
 from stressdist.fields import KelvinStressField, PiecewiseField
 from stressdist.geometry import (BLOCK, Ball, Box, CylinderAnnulus,
                                  SphericalShell, blocked_sum,
@@ -531,3 +533,117 @@ class TestBlockedSum:
         assert abs(direct - math.fsum(w * f)) <= 1e-13 * math.fsum(np.abs(w * f))
         assert abs(paired - math.fsum(w * f * g[:, 0])) <= 1e-13 * n
         assert blocked_sum(np.zeros(0), None, np.zeros(0)) == 0.0
+
+
+class TestBlockPool:
+    """``blocked_sum`` on the bounded thread pool: the width changes who
+    evaluates a block, never the sum or the error raised."""
+
+    N_BLOCKS = 12
+
+    def _rule(self, rng):
+        n = self.N_BLOCKS * BLOCK - 5
+        return rng.uniform(0.0, 1.0, n), rng.uniform(-1.0, 1.0, (n, 3))
+
+    def test_sum_bits_do_not_depend_on_width(self, rng, monkeypatch):
+        w, x = self._rule(rng)
+        sums, threads = {}, {}
+        for width in ("1", "2", "3"):
+            monkeypatch.setenv("STRESSDIST_THREADS", width)
+            seen = set()
+
+            def f(p):
+                seen.add(threading.get_ident())
+                time.sleep(0.002)           # lets helpers claim blocks
+                return np.exp(p[:, 0]) * np.sin(p[:, 1]) + p[:, 2] ** 3
+
+            sums[width] = (blocked_sum(w, f, x),
+                           blocked_sum(w, lambda p: (f(p), p), x))
+            threads[width] = len(seen)
+        assert threads["1"] == 1 and threads["3"] > 1
+        for width in ("2", "3"):
+            scalar, (col, vec) = sums[width]
+            assert scalar.hex() == sums["1"][0].hex()
+            assert col.hex() == scalar.hex()
+            assert vec.tobytes() == sums["1"][1][1].tobytes()
+
+    def test_each_block_once_under_contention(self, rng, monkeypatch):
+        # more helpers than cores and a short switch interval: a lost
+        # update of the shared block counter would skip or repeat a block
+        n = 40 * BLOCK
+        w, x = rng.uniform(0.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+        monkeypatch.setenv("STRESSDIST_THREADS", "1")
+        want = blocked_sum(w, np.sin, x)
+        monkeypatch.setenv("STRESSDIST_THREADS", "4")
+        calls, got = [], []
+
+        def f(p):
+            calls.append(float(p[0]))
+            return np.sin(p)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                t = threading.Thread(target=lambda: got.append(
+                    blocked_sum(w, f, x)))
+                t.start()
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(old)
+        assert [g.hex() for g in got] == [want.hex()] * 5
+        assert sorted(calls) == sorted(list(x[::BLOCK]) * 5)
+
+    def test_lowest_failing_block_raises(self, rng, monkeypatch):
+        monkeypatch.setenv("STRESSDIST_THREADS", "3")
+        w, x = self._rule(rng)
+        index = np.repeat(np.arange(self.N_BLOCKS), BLOCK)[:len(w)]
+
+        def f(p, k):
+            k = int(k[0])
+            if k == 3:
+                time.sleep(0.05)        # later blocks fail first
+            if k in (3, 4, 7):
+                raise EvaluationError(f"block {k}")
+            return p[:, 0]
+
+        for _ in range(3):
+            with pytest.raises(EvaluationError, match="block 3"):
+                blocked_sum(w, f, x, index)
+
+    def test_nested_sum_in_an_integrand_completes(self, rng, monkeypatch):
+        w, x = self._rule(rng)
+
+        def inner(p):
+            return blocked_sum(np.ones(2 * BLOCK + 1), lambda q: q,
+                               np.full(2 * BLOCK + 1, p[0, 0]))
+
+        def outer(p):
+            return p[:, 0] * inner(p)
+
+        monkeypatch.setenv("STRESSDIST_THREADS", "1")
+        want = blocked_sum(w, outer, x)
+        monkeypatch.setenv("STRESSDIST_THREADS", "3")
+        got = []
+        t = threading.Thread(target=lambda: got.append(
+            blocked_sum(w, outer, x)))
+        t.start()
+        t.join(timeout=60)
+        assert not t.is_alive()
+        assert got == [want]
+
+    def test_helpers_see_the_callers_refinement(self, rng, monkeypatch):
+        monkeypatch.setenv("STRESSDIST_THREADS", "2")
+        w, x = self._rule(rng)
+        levels = {}
+
+        def f(p):
+            time.sleep(0.005)
+            levels[threading.get_ident()] = distributions._lv(None, False)
+            return p[:, 0]
+
+        with distributions.refinement(3):
+            blocked_sum(w, f, x)
+        assert len(levels) == 2
+        assert set(levels.values()) == {distributions._lv(None, False) + 3}

@@ -16,12 +16,13 @@ from stressdist.equilibrium import bulk_residual, interface_residuals, \
     make_test_suite
 from stressdist.errors import FieldError, StressDistError
 from stressdist.fields import (CallableField, PiecewiseField, Poly3, PolyField,
-                               SurfaceField, chart_derivatives,
+                               SurfaceField, chart_derivatives, make_bump,
                                surface_polynomial)
 from stressdist.geometry import make_surface_batch, sphere_interface
-from stressdist.stressfn import (DensityTriple, MomentTest, StressFunction,
-                                 check_lemma2_conditions, curl_curl,
-                                 default_lemma2_suite, extract_densities,
+from stressdist.stressfn import (DensityTriple, ForceMomentTest, MomentTest,
+                                 StressFunction, check_lemma2_conditions,
+                                 curl_curl, default_lemma2_suite,
+                                 extract_densities,
                                  global_conditions, lemma2_algebraic_identity,
                                  moment_pair, surface_curl, trace_curl_check)
 
@@ -409,6 +410,24 @@ class TestMomentTest:
             assert got.tobytes() == want.tobytes()
             # same layout, so reductions over trailing axes sum alike
             assert got.strides == want.strides
+
+
+class TestForceMomentTest:
+    def test_columns_equal_separate_pairings_bit_for_bit(self, ball,
+                                                          sphere_half, rng):
+        phi = random_stress_function(rng, sphere_half, ball, degree=3,
+                                     scale=0.3)
+        comp = extract_densities(phi, sphere_half).composite(ball)
+        (_, g), = default_lemma2_suite(ball, np.random.default_rng(4))[:1]
+        # a support that misses the interface: empty surface rules
+        away = make_bump(ball, [0.0, 0.0, 0.75], 0.15, rank=2, rng=rng)
+        for test in (g, away):
+            force, moment = comp.pair(ForceMomentTest(test))
+            for got, want in ((force, comp.pair(test)),
+                              (moment, moment_pair(comp, test))):
+                assert (got.value, got.error) == (want.value, want.error)
+        assert comp.c.pair(ForceMomentTest(away)) == (
+            comp.c.pair(away), moment_pair(comp.c, away))
 
 
 def test_stress_function_run_leaves_no_reference_cycles():
