@@ -45,6 +45,14 @@ _GEOM_KEYS = {"domain", "interface"}
 _SUITE_KEYS = {"count", "seed"}
 FAMILIES = ("B", "C", "F")
 
+# What needs $.geometry.interface: these operations always; the others only
+# a field that lives on the interface or jumps across it (dipole-limit
+# builds its own planes and reads no fields).  Extracted stress-function
+# densities live on the interface, so a potential needs one there.
+_INTERFACE_OPERATIONS = ("verify-identity", "check-equilibrium", "mollify")
+_SURFACE_FIELDS = ("sigma1", "sigma2", "b1", "b2")
+_TWO_SIDED_KINDS = ("piecewise-polynomial", "uniform-pressure")
+
 
 def _fail(errors, path, message):
     errors.append(f"{path}: {message}")
@@ -72,6 +80,11 @@ def validate_scenario(cfg):
                 _fail(errors, f"$.geometry.{k}", "unknown key")
         if not isinstance(geom.get("domain"), dict):
             _fail(errors, "$.geometry.domain", "missing or not an object")
+        if geom.get("interface") is None:
+            user = _interface_user(op, cfg.get("fields", {}))
+            if user is not None:
+                _fail(errors, "$.geometry.interface",
+                      f"missing; {user} needs an interface")
     suite = cfg.get("suite", {})
     if not isinstance(suite, dict):
         _fail(errors, "$.suite", "not an object")
@@ -84,6 +97,31 @@ def validate_scenario(cfg):
     if randomized and not isinstance(cfg.get("seed"), int):
         _fail(errors, "$.seed", "an integer seed is mandatory")
     return errors
+
+
+def _interface_user(op, fields):
+    """What in a scenario needs an interface: the operation, the JSON path
+    of a field, or None."""
+    if op in _INTERFACE_OPERATIONS:
+        return f"operation {op}"
+    if op == "dipole-limit" or not isinstance(fields, dict):
+        return None
+
+    def kind(key):
+        block = fields.get(key, {"kind": "zero"})
+        return block.get("kind") if isinstance(block, dict) else None
+
+    if "potential" in fields:
+        if op == "stress-function" or kind("potential") in _TWO_SIDED_KINDS:
+            return "$.fields.potential"
+        return None
+    if fields.get("preset", "kelvin") != "kelvin":
+        return "$.fields.preset"
+    for key in ("sigma", "b") + _SURFACE_FIELDS:
+        if kind(key) in _TWO_SIDED_KINDS or (key in _SURFACE_FIELDS
+                                             and kind(key) != "zero"):
+            return f"$.fields.{key}"
+    return None
 
 
 def _build_geometry(cfg):
@@ -176,9 +214,6 @@ def _random_gradient_field(domain, rng):
 
 
 def _op_check_equilibrium(cfg, domain, interface, rng):
-    if interface is None:
-        raise ConfigError("$.geometry.interface: check-equilibrium needs an "
-                          "interface (conditions 12b-12d live on it)")
     tol = _tolerances(cfg)
     scn = catalog.build_scenario_fields(cfg.get("fields", {}), domain,
                                         interface, tol)
@@ -208,9 +243,8 @@ def _op_dipole_limit(cfg, domain, interface, rng):
                     passed=rep.fraction_first_order >= frac_needed,
                     extra={"orders": [None if np.isnan(o) else round(o, 4)
                                       for o in rep.orders]})]
-    rows = [(j, h, e) for j, h, e in rep.rows()]
     return checks, {"convergence": {"columns": ["test", "h", "abs_error"],
-                                    "rows": rows}}
+                                    "rows": rep.rows()}}
 
 
 def _op_stress_function(cfg, domain, interface, rng):
@@ -262,9 +296,8 @@ def _op_mollify(cfg, domain, interface, rng):
     checks = [Check("mollify-order", order, float('inf'),
                     passed=order >= min_order,
                     extra={"required": min_order})]
-    rows = list(zip(tab.rhos, tab.values, tab.errors))
     return checks, {"convergence": {"columns": ["rho", "value", "abs_error"],
-                                    "rows": rows}}
+                                    "rows": tab.rows()}}
 
 
 def _op_cauchy_flux(cfg, domain, interface, rng):

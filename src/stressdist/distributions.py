@@ -37,7 +37,7 @@ from .geometry import (DEFAULT_SURFACE_LEVEL, DEFAULT_VOLUME_LEVEL,
 ABS_TOL = 1e-7
 REL_TOL = 1e-5
 
-# extra refinement on top of the per-path defaults (CLI --refine); each
+# extra refinement on top of every quadrature level (CLI --refine); each
 # thread or context sees only the value its own refinement() block set
 _LEVEL_BOOST = contextvars.ContextVar("stressdist_level_boost", default=0)
 ADAPTED_LEVEL = 1          # support-clipped quadratures resolve locally
@@ -46,8 +46,8 @@ VALUE_MEMO_SIZE = 8        # density values kept per distribution
 
 @contextlib.contextmanager
 def refinement(boost):
-    """Raise every default quadrature level by ``boost`` inside the block,
-    for the calling thread only."""
+    """Raise every quadrature level by ``boost`` inside the block, for the
+    calling thread only."""
     token = _LEVEL_BOOST.set(int(boost))
     try:
         yield
@@ -55,10 +55,17 @@ def refinement(boost):
         _LEVEL_BOOST.reset(token)
 
 
+def refined(level):
+    """``level`` raised by the boost of the enclosing ``refinement`` block."""
+    return level + _LEVEL_BOOST.get()
+
+
 def _lv(level, adapted):
-    if level is not None:
-        return level
-    return (ADAPTED_LEVEL if adapted else DEFAULT_VOLUME_LEVEL) + _LEVEL_BOOST.get()
+    """``level``, or the path default when None (``ADAPTED_LEVEL`` for
+    support-clipped rules), raised by the refinement boost."""
+    if level is None:
+        level = ADAPTED_LEVEL if adapted else DEFAULT_VOLUME_LEVEL
+    return refined(level)
 
 
 def _test_layout(test):
@@ -242,17 +249,6 @@ class CompositeDist:
     @property
     def parts(self):
         return [p for p in (self.b, self.c, self.f) if p is not None]
-
-    @property
-    def interface(self):
-        for p in (self.c, self.f):
-            if p is not None:
-                return p.interface
-        return self.b.interface
-
-    @property
-    def domain(self):
-        return self.b.domain if self.b is not None else None
 
     def pair(self, test, level=None):
         return _over_parts(self, lambda p: p.pair(test, level))
@@ -590,10 +586,6 @@ class FluxReport:
     order: float
     divergence_slope: float
 
-    def rows(self):
-        return [(r, f.tolist(), e) for r, f, e in
-                zip(self.rhos, self.fluxes, self.errors)]
-
 
 def cauchy_flux(dist, probe, rhos, domain=None, level=DEFAULT_SURFACE_LEVEL):
     """Mollified traction flux through a probe surface, tabulated in rho.
@@ -605,7 +597,7 @@ def cauchy_flux(dist, probe, rhos, domain=None, level=DEFAULT_SURFACE_LEVEL):
     """
     if not isinstance(dist, CompositeDist):
         dist = CompositeDist(**{dist.family.lower(): dist})
-    batch = probe.surface_quadrature(level)
+    batch = probe.surface_quadrature(refined(level))
 
     limit = np.zeros(3)
     if dist.b is not None:

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import _tensor as T
 from .distributions import (BDist, CDist, CompositeDist, FDist, PairingValue,
-                            distributional_div, interface_terms)
+                            distributional_div, interface_terms, refined)
 from .errors import FieldError, GeometryError
 from .fields import (BumpSymTensor, ModulatedTest, Poly3,
                      SquaredDistanceFactor, SurfaceField, make_bump)
@@ -211,7 +211,7 @@ def _crossing_bump_geometry(domain, interface, rng):
         return center, r
     if kind in ('plane-disk', 'plane-rect'):
         r = 0.35 * domain.clearance(interface)
-        x = _xy_interior(domain, rng, margin=1.3 * r)
+        x = _xy_interior(domain, rng, a, margin=1.3 * r)
         center = np.array([x[0], x[1], a + rng.uniform(-0.4, 0.4) * r])
         return center, r
     if kind == 'equatorial-annulus':
@@ -254,12 +254,14 @@ def _unit(rng):
     return v / np.linalg.norm(v)
 
 
-def _xy_interior(domain, rng, margin):
+def _xy_interior(domain, rng, z, margin):
+    """(x, y) with the ball of radius 0.9 margin about (x, y, z) inside the
+    domain; (0, 0) after 100 misses."""
     lo, hi = domain.bounding_box()
     for _ in range(100):
         x = rng.uniform(lo[0] + margin, hi[0] - margin)
         y = rng.uniform(lo[1] + margin, hi[1] - margin)
-        if domain.contains_ball(np.array([x, y, 0.0]), 0.9 * margin):
+        if domain.contains_ball(np.array([x, y, z]), 0.9 * margin):
             return x, y
     return 0.0, 0.0
 
@@ -321,10 +323,6 @@ class EquivalenceReport:
     consistent: bool
     pairing_factor: float
 
-    @property
-    def passed(self):
-        return self.consistent
-
 
 def weak_equals_local(scenario, n_suite=12, seed=0, level=None, tests=None):
     """Correlate weak residuals with the local conditions.
@@ -354,10 +352,11 @@ def weak_equals_local(scenario, n_suite=12, seed=0, level=None, tests=None):
 
 def _pairing_factor(scenario, tests):
     """Crude bound: sup over tests of the L1 mass seen by the pairings, each
-    summed over one level-1 rule."""
-    rules = [scenario.domain.volume_quadrature(scenario.interface, 1)]
+    summed over one level-1 rule (raised by the refinement boost)."""
+    level = refined(1)
+    rules = [scenario.domain.volume_quadrature(scenario.interface, level)]
     if scenario.interface is not None:
-        rules.append(scenario.interface.surface_quadrature(1))
+        rules.append(scenario.interface.surface_quadrature(level))
     worst = 0.0
     for t in tests:
         def mass(p):
@@ -417,7 +416,7 @@ def dipole_limit(domain, sigma0, h_values, tests=None, z0=0.0, n_tests=10,
 
     def plane_int(z, fn, support):
         itf = plane_disk_interface(domain, z=z)
-        b = itf.surface_quadrature(2 if level is None else level,
+        b = itf.surface_quadrature(refined(2 if level is None else level),
                                    support=support)
         if len(b) == 0:
             return 0.0

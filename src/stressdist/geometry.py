@@ -176,25 +176,11 @@ def _wrap_windows(center, half, lo, hi):
     return [(lo, b), (a, hi)]
 
 
-def _cap_windows(dist_to_axis_or_center, r_eff, theta_c, phi_c, theta_lo=0.0,
-                 theta_hi=np.pi):
-    """Chart windows of a spherical/azimuthal cap of angular radius omega."""
-    d = dist_to_axis_or_center
-    if d <= r_eff:
-        return None, None
-    omega = np.arcsin(min(1.0, r_eff / d)) * 1.0000001
-    t0 = max(theta_lo, theta_c - omega)
-    t1 = min(theta_hi, theta_c + omega)
-    theta_win = [(t0, t1)]
-    sin_min = min(np.sin(t0), np.sin(t1))
-    if t0 <= 1e-9 or t1 >= np.pi - 1e-9 or sin_min <= 1e-9:
-        return theta_win, None
-    lam = np.arcsin(min(1.0, r_eff / (d * sin_min))) * 1.0000001
-    return theta_win, _wrap_windows(phi_c, lam, 0.0, 2.0 * np.pi)
-
-
 def _spherical_support_windows(center, radius, r_lo, r_hi):
-    """(r, theta, phi) windows of B(center, radius) in spherical coordinates."""
+    """(r, theta, phi) windows of B(center, radius) in spherical coordinates:
+    the radial shell it spans and the polar and azimuthal spans of the
+    cone it subtends at the origin (all angles when it holds the origin,
+    all azimuths when the cone reaches a pole)."""
     c = np.asarray(center, dtype=float)
     rc = float(np.linalg.norm(c))
     r_win = [(max(r_lo, rc - radius), min(r_hi, rc + radius))]
@@ -202,8 +188,15 @@ def _spherical_support_windows(center, radius, r_lo, r_hi):
         return (r_win, None, None)
     theta_c = np.arccos(np.clip(c[2] / rc, -1.0, 1.0))
     phi_c = np.mod(np.arctan2(c[1], c[0]), 2.0 * np.pi)
-    theta_win, phi_win = _cap_windows(rc, radius, theta_c, phi_c)
-    return (r_win, theta_win, phi_win)
+    omega = np.arcsin(min(1.0, radius / rc)) * 1.0000001
+    t0 = max(0.0, theta_c - omega)
+    t1 = min(np.pi, theta_c + omega)
+    theta_win = [(t0, t1)]
+    sin_min = min(np.sin(t0), np.sin(t1))
+    if t0 <= 1e-9 or t1 >= np.pi - 1e-9 or sin_min <= 1e-9:
+        return (r_win, theta_win, None)
+    lam = np.arcsin(min(1.0, radius / (rc * sin_min))) * 1.0000001
+    return (r_win, theta_win, _wrap_windows(phi_c, lam, 0.0, 2.0 * np.pi))
 
 
 def _merge_breaks(breaks, extra, lo, hi):
@@ -240,6 +233,13 @@ class SurfacePatch:
         raise NotImplementedError
 
     def shape_operator(self, U, V):
+        raise NotImplementedError
+
+    def support_batch(self, center, radius, level):
+        """Quadrature over the part of the patch inside the test support
+        B(center, radius), graded toward the support boundary, where a
+        support integrand has its steep layers (``level`` deepens the
+        grading); a zero-node batch when the support misses the patch."""
         raise NotImplementedError
 
     def chart_steps(self):
@@ -303,36 +303,58 @@ class SpherePatch(SurfacePatch):
         return ([self.u_range[0], 0.5 * sum(self.u_range), self.u_range[1]],
                 [self.v_range[0], 0.5 * sum(self.v_range), self.v_range[1]])
 
-    def support_windows(self, center, radius):
-        """Chart windows covering the intersection with a support ball."""
-        c = np.asarray(center, dtype=float) - self.center
-        d = np.linalg.norm(c)
+    def support_batch(self, center, radius, level):
+        """The cap inside the support, in a chart about the cap's axis whose
+        theta = omega line is the cap rim; None when the support holds the
+        whole sphere (the full rule then applies)."""
+        c = center - self.center
+        d = float(np.linalg.norm(c))
         a = self.radius
-        if d >= a + radius or d <= a - radius and a > radius:
-            if abs(a - d) >= radius:
-                return 'empty'
+        if abs(d - a) >= radius:
+            return _empty_batch(self)
         if d < 1e-12:
             return None
-        # angular radius of the cap cut out on the sphere
         arg = (a * a + d * d - radius * radius) / (2.0 * a * d)
-        if arg >= 1.0:
-            return 'empty'
         if arg <= -1.0:
             return None
-        omega = np.arccos(arg) * 1.0000001
-        theta_c = np.arccos(np.clip(c[2] / d, -1, 1))
-        phi_c = np.mod(np.arctan2(c[1], c[0]), 2 * np.pi)
-        t0 = max(0.0, theta_c - omega)
-        t1 = min(np.pi, theta_c + omega)
-        theta_win = [(t0, t1)]
-        sin_min = min(np.sin(t0), np.sin(t1))
-        if t0 <= 1e-9 or t1 >= np.pi - 1e-9 or sin_min <= 1e-9:
-            return (theta_win, None)
-        lam = np.arcsin(min(1.0, np.sin(omega) / sin_min)) * 1.0000001
-        return (theta_win, _wrap_windows(phi_c, lam, 0.0, 2.0 * np.pi))
+        omega = float(np.arccos(np.clip(arg, -1.0, 1.0)))
+        cap = SpherePatch(a, self.center, self.orientation,
+                          u_range=(0.0, omega), v_range=(0.0, 2 * np.pi),
+                          frame=_frame_for_axis(c))
+        return _polar_support_batch(cap, omega, level)
 
 
-class PlanePolarPatch(SurfacePatch):
+class _PlanarPatch(SurfacePatch):
+    """Flat patch (zero shape operator); a test support cuts a disk from it.
+    Subclasses say whether a disk in their plane lies inside them
+    (``_holds_disk(center, radius)``)."""
+
+    def shape_operator(self, U, V):
+        shp = np.broadcast(np.asarray(U), np.asarray(V)).shape
+        return np.zeros(shp + (3, 3))
+
+    def support_batch(self, center, radius, level):
+        """The disk the support cuts from the plane, in a polar chart about
+        the disk's center whose rho = radius line is the disk rim.
+
+        A valid test support lies strictly inside the domain and every
+        catalog plane spans its domain's cross-section, so the disk lies
+        inside the patch; one that leaves it raises ``GeometryError``.
+        """
+        origin, normal = self.point(0.0, 0.0), self.normal(0.0, 0.0)
+        dn = float((center - origin) @ normal)
+        if abs(dn) >= radius:
+            return _empty_batch(self)
+        rp = np.sqrt(radius ** 2 - dn ** 2)
+        cc = center - dn * normal
+        if not self._holds_disk(cc, rp):
+            raise GeometryError(f"support disk (center {cc}, radius "
+                                f"{rp:.6g}) leaves the planar patch")
+        return _polar_support_batch(_RecenteredDiskPatch(cc, normal, rp), rp,
+                                    level)
+
+
+class PlanePolarPatch(_PlanarPatch):
     """Plane z = z0 with polar chart (rho, phi); normal fixed to +e3."""
 
     def __init__(self, z0, rho_range, center_xy=(0.0, 0.0)):
@@ -363,33 +385,16 @@ class PlanePolarPatch(SurfacePatch):
         return np.broadcast_to(np.asarray(U, dtype=float),
                                np.broadcast(np.asarray(U), np.asarray(V)).shape)
 
-    def shape_operator(self, U, V):
-        shp = np.broadcast(np.asarray(U), np.asarray(V)).shape
-        return np.zeros(shp + (3, 3))
-
     def base_breaks(self):
         u0, u1 = self.u_range
         ub = [u0, 0.5 * (u0 + u1), u1] if u0 > 0 else [u0, 0.5 * u1, u1]
         return (ub, [0.0, np.pi, 2.0 * np.pi])
 
-    def support_windows(self, center, radius):
-        c = np.asarray(center, dtype=float)
-        dz = c[2] - self.z0
-        if abs(dz) >= radius:
-            return 'empty'
-        rp = np.sqrt(radius ** 2 - dz ** 2) * 1.0000001
-        cxy = c[:2] - self.center_xy
-        rho_c = np.linalg.norm(cxy)
-        u0, u1 = self.u_range
-        lo, hi = max(u0, rho_c - rp), min(u1, rho_c + rp)
-        if lo >= hi:
-            return 'empty'
-        rho_win = [(lo, hi)]
-        if rho_c <= rp:
-            return (rho_win, None)
-        phi_c = np.mod(np.arctan2(cxy[1], cxy[0]), 2 * np.pi)
-        lam = np.arcsin(min(1.0, rp / rho_c)) * 1.0000001
-        return (rho_win, _wrap_windows(phi_c, lam, 0.0, 2.0 * np.pi))
+    def _holds_disk(self, cc, rp):
+        rho = float(np.hypot(*(cc[:2] - self.center_xy)))
+        lo, hi = self.u_range
+        return ((lo <= 1e-12 or rho - rp >= lo - 1e-12)
+                and rho + rp <= hi + 1e-12)
 
 
 class CylinderPatch(SurfacePatch):
@@ -433,24 +438,31 @@ class CylinderPatch(SurfacePatch):
         v0, v1 = self.v_range
         return ([0.0, np.pi, 2.0 * np.pi], [v0, 0.5 * (v0 + v1), v1])
 
-    def support_windows(self, center, radius):
+    def support_batch(self, center, radius, level):
+        """Edge-graded chart windows (phi, z) around the support: no chart
+        line of the cylinder follows the support boundary, so cells are
+        kept where they overlap the windows."""
         c = np.asarray(center, dtype=float)
         rho_c = np.hypot(c[0], c[1])
-        if abs(rho_c - self.radius) >= radius:
-            return 'empty'
         v0, v1 = self.v_range
         lo, hi = max(v0, c[2] - radius), min(v1, c[2] + radius)
-        if lo >= hi:
-            return 'empty'
-        z_win = [(lo, hi)]
-        if rho_c <= 1e-12:
-            return (None, z_win)
-        phi_c = np.mod(np.arctan2(c[1], c[0]), 2 * np.pi)
-        lam = np.arcsin(min(1.0, radius / self.radius)) * 1.3
-        return (_wrap_windows(phi_c, lam, 0.0, 2 * np.pi), z_win)
+        if abs(rho_c - self.radius) >= radius or lo >= hi:
+            return _empty_batch(self)
+        ub, vb = self.base_breaks()
+        u_win = [(ub[0], ub[-1])]
+        if rho_c > 1e-12:
+            phi_c = np.mod(np.arctan2(c[1], c[0]), 2 * np.pi)
+            lam = np.arcsin(min(1.0, radius / self.radius)) * 1.3
+            u_win = _wrap_windows(phi_c, lam, 0.0, 2 * np.pi) or u_win
+        v_win = [(lo, hi)]
+        depth = level + SURFACE_GRADE_OFFSET
+        ug = _graded_breaks(u_win, depth, ub, ub[0], ub[-1])
+        vg = _graded_breaks(v_win, depth, vb, vb[0], vb[-1])
+        return _tensor_batch(self, _gauss_cells(ug, 0, u_win),
+                             _gauss_cells(vg, 0, v_win))
 
 
-class RectPatch(SurfacePatch):
+class RectPatch(_PlanarPatch):
     """Planar rectangle origin + u*eu + v*ev with a fixed unit normal."""
 
     def __init__(self, origin, eu, ev, normal, u_range, v_range):
@@ -478,29 +490,17 @@ class RectPatch(SurfacePatch):
         shp = np.broadcast(np.asarray(U), np.asarray(V)).shape
         return np.ones(shp)
 
-    def shape_operator(self, U, V):
-        shp = np.broadcast(np.asarray(U), np.asarray(V)).shape
-        return np.zeros(shp + (3, 3))
-
     def base_breaks(self):
         u0, u1 = self.u_range
         v0, v1 = self.v_range
         return ([u0, 0.5 * (u0 + u1), u1], [v0, 0.5 * (v0 + v1), v1])
 
-    def support_windows(self, center, radius):
-        c = np.asarray(center, dtype=float) - self.origin
-        dn = float(c @ self._normal)
-        if abs(dn) >= radius:
-            return 'empty'
-        rp = np.sqrt(radius ** 2 - dn ** 2) * 1.0000001
-        uc, vc = float(c @ self.eu), float(c @ self.ev)
-        u0, u1 = self.u_range
-        v0, v1 = self.v_range
-        uw = (max(u0, uc - rp), min(u1, uc + rp))
-        vw = (max(v0, vc - rp), min(v1, vc + rp))
-        if uw[0] >= uw[1] or vw[0] >= vw[1]:
-            return 'empty'
-        return ([uw], [vw])
+    def _holds_disk(self, cc, rp):
+        d = cc - self.origin
+        u, v = float(d @ self.eu), float(d @ self.ev)
+        (u0, u1), (v0, v1) = self.u_range, self.v_range
+        return (u - rp >= u0 - 1e-12 and u + rp <= u1 + 1e-12
+                and v - rp >= v0 - 1e-12 and v + rp <= v1 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -586,73 +586,27 @@ def _tensor_batch(patch, u_rule, v_rule):
     return batch
 
 
+def _full_batch(patch, level):
+    """Tensor rule over a whole patch: its base cells, each split into
+    2**level Gauss cells per axis."""
+    return _tensor_batch(patch, *(_gauss_cells(b, level)
+                                  for b in patch.base_breaks()))
+
+
 def _tensor_weights(*weights):
     """Weights of the tensor product of 1-D rules, raveled with the first
     axis slowest (``meshgrid(..., indexing='ij')`` order)."""
     return functools.reduce(np.outer, weights).ravel()
 
 
-def _aligned_support_batch(patch, center, radius, level):
-    """Support-aligned surface quadrature: the integrand's support boundary
-    becomes a chart line, so edge-graded cells resolve its steep layers.
-
-    Returns None when no aligned chart is available for the patch.
-    """
-    depth = level + SURFACE_GRADE_OFFSET
-    if isinstance(patch, SpherePatch):
-        c = center - patch.center
-        d = float(np.linalg.norm(c))
-        a = patch.radius
-        if abs(d - a) >= radius:
-            return _empty_batch(patch)
-        if d < 1e-12:
-            return None
-        arg = (a * a + d * d - radius * radius) / (2.0 * a * d)
-        if arg <= -1.0:
-            return None                      # support swallows the sphere
-        omega = float(np.arccos(np.clip(arg, -1.0, 1.0)))
-        cap = SpherePatch(a, patch.center, patch.orientation,
-                          u_range=(0.0, min(np.pi, omega)),
-                          v_range=(0.0, 2 * np.pi),
-                          frame=_frame_for_axis(c))
-        ub = _graded_breaks([(0.0, omega)], depth, [], 0.0, np.pi)
-        vb = np.linspace(0.0, 2 * np.pi, 4 + level + 1)
-        return _tensor_batch(cap, _gauss_cells(ub, 0), _gauss_cells(vb, 0))
-    if isinstance(patch, (PlanePolarPatch, RectPatch)):
-        if isinstance(patch, PlanePolarPatch):
-            z0, nrm = patch.z0, patch.normal(np.zeros(1), np.zeros(1))[0]
-            origin = np.array([patch.center_xy[0], patch.center_xy[1], z0])
-            eu = np.array([1.0, 0.0, 0.0])
-            ev = np.array([0.0, 1.0, 0.0])
-        else:
-            nrm = patch._normal
-            origin = patch.origin
-            eu, ev = patch.eu, patch.ev
-        dn = float((center - origin) @ nrm)
-        if abs(dn) >= radius:
-            return _empty_batch(patch)
-        rp = np.sqrt(radius ** 2 - dn ** 2)
-        cc = center - dn * nrm
-        if not _disk_inside_patch(patch, cc, rp, origin, eu, ev):
-            return None
-        disk = _RecenteredDiskPatch(cc, nrm, rp)
-        ub = _graded_breaks([(0.0, rp)], depth, [], 0.0, rp)
-        vb = np.linspace(0.0, 2 * np.pi, 4 + level + 1)
-        return _tensor_batch(disk, _gauss_cells(ub, 0), _gauss_cells(vb, 0))
-    return None
-
-
-def _disk_inside_patch(patch, cc, rp, origin, eu, ev):
-    d = cc - origin
-    if isinstance(patch, PlanePolarPatch):
-        rho = float(np.hypot(d[0], d[1]))
-        lo, hi = patch.u_range
-        inner_ok = True if lo <= 1e-12 else rho - rp >= lo - 1e-12
-        return inner_ok and rho + rp <= hi + 1e-12
-    u, v = float(d @ eu), float(d @ ev)
-    (u0, u1), (v0, v1) = patch.u_range, patch.v_range
-    return (u - rp >= u0 - 1e-12 and u + rp <= u1 + 1e-12
-            and v - rp >= v0 - 1e-12 and v + rp <= v1 + 1e-12)
+def _polar_support_batch(patch, rim, level):
+    """Rule on a polar-type chart (u from 0 at the support's axis to ``rim``
+    at its boundary, v the angle about the axis): u cells edge-graded
+    toward the rim, 4 + level angular cells."""
+    ub = _graded_breaks([(0.0, rim)], level + SURFACE_GRADE_OFFSET, [], 0.0,
+                        rim)
+    vb = np.linspace(0.0, 2 * np.pi, 4 + level + 1)
+    return _tensor_batch(patch, _gauss_cells(ub, 0), _gauss_cells(vb, 0))
 
 
 class _RecenteredDiskPatch(SurfacePatch):
@@ -904,48 +858,31 @@ class Interface:
     def surface_quadrature(self, level=DEFAULT_SURFACE_LEVEL, support=None):
         """Gauss-Legendre batch over the surface.
 
-        ``support = (center, radius)`` clips and refines the chart cells to
-        the part of the surface a compactly supported integrand can see;
-        an empty intersection yields a zero-node batch.  Full batches are
-        kept per level, and the last few support batches per (level,
-        center, radius).  Batches are shared and must not be modified.
+        ``support = (center, radius)`` gives the rule the patch builds for
+        the part of the surface a compactly supported integrand can see
+        (``SurfacePatch.support_batch``): support-aligned caps and disks,
+        graded chart windows on a cylinder, the full rule when the support
+        holds the whole surface, and a zero-node batch when it misses it.
+        Full batches are kept per level, and the last few support batches
+        per (level, center, radius).  Batches are shared and must not be
+        modified.
         """
         if support is None:
-            key = ('quad', level)
-            if key not in self._quad_cache:
-                self._quad_cache[key] = self._build_surface_quad(level, None)
-            return self._quad_cache[key]
+            return self._full_quad(level)
         return self._support_batches.get(
             (level, support_key(support)),
             lambda: self._build_support_quad(level, support))
 
-    def _build_support_quad(self, level, support):
-        center = np.asarray(support[0], dtype=float)
-        radius = float(support[1])
-        aligned = _aligned_support_batch(self.patch, center, radius, level)
-        if aligned is not None:
-            return aligned
-        win = self.patch.support_windows(center, radius)
-        if win == 'empty':
-            return _empty_batch(self.patch)
-        return self._build_surface_quad(level, win)
+    def _full_quad(self, level):
+        key = ('quad', level)
+        if key not in self._quad_cache:
+            self._quad_cache[key] = _full_batch(self.patch, level)
+        return self._quad_cache[key]
 
-    def _build_surface_quad(self, level, windows):
-        ub, vb = self.patch.base_breaks()
-        if windows is None:
-            return _tensor_batch(self.patch, _gauss_cells(ub, level),
-                                 _gauss_cells(vb, level))
-        # graded support cells: `level` plays the role of grading depth
-        depth = level + SURFACE_GRADE_OFFSET
-        uwin, vwin = windows
-        if uwin is None:
-            uwin = [(ub[0], ub[-1])]
-        if vwin is None:
-            vwin = [(vb[0], vb[-1])]
-        ug = _graded_breaks(uwin, depth, ub, ub[0], ub[-1])
-        vg = _graded_breaks(vwin, depth, vb, vb[0], vb[-1])
-        return _tensor_batch(self.patch, _gauss_cells(ug, 0, uwin),
-                             _gauss_cells(vg, 0, vwin))
+    def _build_support_quad(self, level, support):
+        batch = self.patch.support_batch(np.asarray(support[0], dtype=float),
+                                         float(support[1]), level)
+        return self._full_quad(level) if batch is None else batch
 
     def samples(self, n):
         """Deterministic quasi-uniform surface samples (no weights)."""
@@ -1111,10 +1048,8 @@ class BoundarySurface:
 
     def quadrature(self, level=DEFAULT_SURFACE_LEVEL):
         if level not in self._cache:
-            self._cache[level] = [
-                _tensor_batch(p, *(_gauss_cells(b, level)
-                                   for b in p.base_breaks()))
-                for p in self.patches]
+            self._cache[level] = [_full_batch(p, level)
+                                  for p in self.patches]
         return self._cache[level]
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _tensor as T
-from .distributions import BDist, CDist, CompositeDist, FDist
+from .distributions import BDist, CDist, CompositeDist, FDist, refined
 from .equilibrium import Check, EquilibriumScenario, Tolerances
 from .errors import ConfigError, FieldError, StressDistError
 from .fields import (CallableField, PiecewiseField, PolyField, SurfaceField,
@@ -418,6 +418,7 @@ def global_conditions(triple_or_sigma, domain, interface=None,
                 raise ConfigError(
                     f"interface touches unknown boundary component {comp}")
 
+    level = refined(level)
     forces, moments = [], []
     for i in range(domain.k):
         force, moment = boundary_force_moment(domain, i, sigma, level, origin)

@@ -194,11 +194,45 @@ class TestRun:
                    geometry={"domain": {"kind": "spherical-shell",
                                         "inner_radius": 1.0,
                                         "outer_radius": 2.0}})
-        assert validate_scenario(cfg) == []
+        assert validate_scenario(cfg) == [
+            "$.geometry.interface: missing; operation check-equilibrium "
+            "needs an interface"]
         code, report = run(_write(tmp_path, "kelvin.json", cfg),
                            out=str(tmp_path / "r.json"))
         assert code == 2 and report is None
         assert "$.geometry.interface" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", [
+        "mollify-C-box", "identity1-B-ball", "identity1-C-ball",
+        "identity1-F-ball", "identity2-C-annulus", "cauchy-flux-disjoint",
+        "stress-function-ball", "global-conditions-shell",
+    ])
+    def test_missing_interface_exits_2(self, tmp_path, capsys, name):
+        with open(os.path.join(SCENARIO_DIR, name + ".json")) as fh:
+            cfg = json.load(fh)
+        del cfg["geometry"]["interface"]
+        code, report = run(_write(tmp_path, "bare.json", cfg),
+                           out=str(tmp_path / "r.json"))
+        assert code == 2 and report is None
+        assert "$.geometry.interface: missing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("operation, fields", [
+        ("stress-function", {"preset": "kelvin"}),
+        ("global-conditions", {"potential": {"kind": "smooth-polynomial",
+                                             "seed": 1}}),
+        ("cauchy-flux", {"sigma": {"kind": "hessian-harmonic",
+                                   "amplitude": 0.5}}),
+    ])
+    def test_interface_free_fields_need_no_interface(self, operation, fields):
+        # smooth fields: the kelvin necessity witness, a one-sided
+        # potential's global conditions, a bulk flux
+        cfg = {"schema_version": 1, "operation": operation, "seed": 1,
+               "geometry": {"domain": {"kind": "spherical-shell",
+                                       "inner_radius": 1.0,
+                                       "outer_radius": 2.0}},
+               "fields": fields}
+        assert validate_scenario(cfg) == []
+        assert run_scenario(cfg)["checks"]
 
     def test_internal_error_exits_3(self, tmp_path, capsys, monkeypatch):
         from stressdist import catalog
@@ -412,7 +446,57 @@ class TestBatch:
         assert seen == {"A": DEFAULT_VOLUME_LEVEL + 1, "B": DEFAULT_VOLUME_LEVEL}
 
 
+# one shipped scenario per operation
+OPERATION_SCENARIOS = ["identity1-C-ball", "soap-film-sphere",
+                       "dipole-limit-ball", "stress-function-ball",
+                       "global-conditions-shell", "mollify-C-box",
+                       "cauchy-flux-disjoint"]
+
+
+class TestRefine:
+    @pytest.mark.parametrize("name", OPERATION_SCENARIOS)
+    def test_refine_raises_every_rule_level(self, monkeypatch, name):
+        import inspect
+        from stressdist import distributions, geometry
+        levels = []
+
+        def record(owner, attr):
+            build = getattr(owner, attr)
+            sig = inspect.signature(build)
+
+            def recorded(*args, **kwargs):
+                bound = sig.bind(*args, **kwargs)
+                bound.apply_defaults()
+                levels.append((attr, bound.arguments["level"]))
+                return build(*args, **kwargs)
+            monkeypatch.setattr(owner, attr, recorded)
+
+        record(geometry.Interface, "surface_quadrature")
+        record(geometry.Domain, "volume_quadrature")
+        record(geometry.BoundarySurface, "quadrature")
+        record(distributions, "support_volume_quad")
+        with open(os.path.join(SCENARIO_DIR, name + ".json")) as fh:
+            cfg = json.load(fh)
+        if "suite" in cfg:
+            cfg["suite"]["count"] = 1
+        by_refine = []
+        for refine in (0, 1):
+            levels.clear()
+            run_scenario(cfg, refine=refine)
+            by_refine.append(sorted(levels))
+        assert by_refine[0]
+        assert by_refine[1] == [(a, lv + 1) for a, lv in by_refine[0]]
+
+
 class TestIdentityScenario:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_identity_on_raised_plane(self, seed):
+        # crossing supports sit at the plane's height, inside the ball
+        with open(os.path.join(SCENARIO_DIR, "identity1-C-ball.json")) as fh:
+            cfg = json.load(fh)
+        cfg["geometry"]["interface"] = {"kind": "plane-disk", "z": 0.5}
+        assert run_scenario(cfg, seed_override=seed)["summary"]["pass"]
+
     def test_verify_identity_runs(self, tmp_path):
         cfg = {
             "schema_version": 1,

@@ -278,6 +278,26 @@ class TestCylinderInterface:
             rhs = identity1_rhs(d, psi)
             assert close(lhs.value, rhs.value), type(d).__name__
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bulk_dual_path_on_cylinder_patch(self, seed):
+        # no fiber rule follows a 'rho' interface: the volume pairings run
+        # on the support-windowed cylindrical grid of the domain
+        from stressdist.geometry import (CylinderAnnulus,
+                                         cylinder_patch_interface)
+        from stressdist.equilibrium import _crossing_bump_geometry
+        dom = CylinderAnnulus(0.5, 1.5, 2.0)
+        itf = cylinder_patch_interface(dom, 1.0)
+        rng = np.random.default_rng(seed)
+        dist = BDist(dom, itf, PiecewiseField(
+            1, PolyField.random_vector(rng, 3), PolyField.random_vector(rng, 3),
+            itf))
+        c, r = _crossing_bump_geometry(dom, itf, rng)
+        psi = make_bump(dom, c, r, rank=0, rng=rng, degree=3)
+        assert support_volume_quad(itf, c, r, 1) is None
+        lhs = distributional_div(dist, psi)
+        rhs = identity1_rhs(dist, psi)
+        assert close(lhs.value, rhs.value)
+
 
 class TestIdentity2:
     def test_ball_reduces_to_interior(self, ball, sphere_half, rng):

@@ -8,7 +8,8 @@ from stressdist._tensor import loglog_slope
 from stressdist.catalog import (dilatational_dipole, flat_tension,
                                 kelvin_scenario, soap_film)
 from stressdist.equilibrium import (EquilibriumScenario, _interface_sums,
-                                    bulk_residual, dipole_limit,
+                                    _crossing_bump_geometry, bulk_residual,
+                                    dipole_limit,
                                     interface_residuals, local_report,
                                     make_test_suite, weak_equals_local,
                                     weak_residuals)
@@ -16,6 +17,7 @@ from stressdist.errors import FieldError, GeometryError
 from stressdist.fields import (CallableField, PiecewiseField, PolyField,
                                SurfaceField, chart_tangent,
                                dilatational_surface, normal_dyad)
+from stressdist.geometry import plane_disk_interface
 
 
 @pytest.fixture(scope="module")
@@ -287,6 +289,17 @@ class TestWeakEqualsLocal:
         assert rep.consistent
 
 
+class TestBumpPlacement:
+    @pytest.mark.parametrize("z", [0.0, 0.5, 0.7])
+    def test_plane_crossing_supports_inside_domain(self, ball, z):
+        itf = plane_disk_interface(ball, z=z)
+        rng = np.random.default_rng(0)
+        for _ in range(40):
+            c, r = _crossing_bump_geometry(ball, itf, rng)
+            assert ball.contains_ball(c, r)
+            assert abs(c[2] - z) < r
+
+
 class TestDipoleLimit:
     def test_first_order_fraction(self, big_ball):
         sigma0 = np.diag([1.0, -0.5, 0.0])
@@ -333,6 +346,24 @@ class TestDipoleLimit:
         rep = dipole_limit(big_ball, sigma0, [0.2, 0.1, 0.05], tests=[drum],
                            z0=0.05)
         assert max(rep.errors[0]) < 1e-3
+
+    def test_supports_off_the_mid_plane_stay_inside(self, big_ball,
+                                                    monkeypatch):
+        # carrier planes at z0 = 1.2: each support is placed at the planes'
+        # height, so it lies inside the ball and cuts a disk from each plane
+        from stressdist import equilibrium
+        made = []
+
+        class Recording(equilibrium.BumpSymTensor):
+            def __init__(self, center, radius, polys):
+                super().__init__(center, radius, polys)
+                made.append((np.array(center), radius))
+
+        monkeypatch.setattr(equilibrium, "BumpSymTensor", Recording)
+        rep = dipole_limit(big_ball, np.diag([1.0, -0.5, 0.0]),
+                           [0.2, 0.1, 0.05], z0=1.2, n_tests=10, seed=0)
+        assert len(made) == 10 and len(rep.orders) == 10
+        assert all(big_ball.contains_ball(c, r) for c, r in made)
 
     def test_zero_strength(self, big_ball):
         rep = dipole_limit(big_ball, np.zeros((3, 3)), [0.2, 0.1],

@@ -325,6 +325,42 @@ class TestSupportQuadrature:
         b = unit_sphere.surface_quadrature(1, support=(np.zeros(3), 0.3))
         assert len(b) == 0
 
+    @pytest.mark.parametrize("center", [(0.0, 0.0, 0.0), (0.1, -0.05, 0.2)])
+    def test_support_holding_sphere_uses_full_rule(self, center):
+        itf = sphere_interface(0.5)
+        b = itf.surface_quadrature(1, support=(np.array(center), 0.8))
+        assert b is itf.surface_quadrature(1)
+        assert abs(b.weights.sum() - np.pi) < 1e-12
+
+    @pytest.mark.parametrize("make, center, radius", [
+        (lambda: plane_disk_interface(Ball(1.0), z=0.3),
+         (0.2, -0.3, 0.42), 0.25),
+        (lambda: Box([1.0, 0.8, 0.6]).plane_interface(0.1),
+         (0.5, -0.4, 0.0), 0.3),
+        (lambda: equatorial_annulus_interface(SphericalShell(1.0, 2.0)),
+         (0.0, 1.5, -0.1), 0.3),
+    ], ids=["plane-disk", "plane-rect", "annulus"])
+    def test_support_disk_area(self, make, center, radius):
+        # the recentered disk integrates the cut disk's area exactly
+        itf = make()
+        c = np.array(center)
+        dz = c[2] - itf.value
+        b = itf.surface_quadrature(1, support=(c, radius))
+        assert np.allclose(b.points[:, 2], itf.value, atol=1e-15, rtol=0)
+        assert abs(b.weights.sum() - np.pi * (radius ** 2 - dz ** 2)) < 1e-12
+
+    @pytest.mark.parametrize("make, center", [
+        (lambda: plane_disk_interface(Ball(1.0), z=0.0), (0.95, 0.0, 0.05)),
+        (lambda: Box([1.0, 0.8, 0.6]).plane_interface(0.1),
+         (0.0, 0.75, 0.0)),
+        (lambda: equatorial_annulus_interface(SphericalShell(1.0, 2.0)),
+         (0.0, 1.05, 0.0)),
+    ], ids=["plane-disk", "plane-rect", "annulus"])
+    def test_support_disk_leaving_plane_patch_raises(self, make, center):
+        # a valid test support never cuts a disk reaching past the patch
+        with pytest.raises(GeometryError, match="leaves the planar patch"):
+            make().surface_quadrature(1, support=(np.array(center), 0.2))
+
 
 class TestQuadratureMemos:
     def test_lru_memo_evicts_least_recently_used(self):
