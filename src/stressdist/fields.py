@@ -648,11 +648,17 @@ def shaped_divergence(value, grad, batch):
 # compactly supported smooth test functions
 
 
+def _in_support(q):
+    """The bump support, q = |x-c|^2/r^2 < 1 - 1e-9: beta and all its
+    q-derivatives are exactly 0 wherever this is False."""
+    return q < 1.0 - 1e-9
+
+
 def _bump_radial(q, order):
     """[beta, d beta/dq, d2 beta/dq2][:order + 1] with
-    beta(q) = exp(1 - 1/(1-q)) for q < 1 else 0."""
+    beta(q) = exp(1 - 1/(1-q)) inside the support (``_in_support``), else 0."""
     q = np.asarray(q, dtype=float)
-    m = q < 1.0 - 1e-9
+    m = _in_support(q)
     om = 1.0 - q[m]
     e = np.exp(1.0 - 1.0 / om)
     inside = [e]
@@ -685,7 +691,10 @@ class _ComponentBump:
     derivative of order k, alone or in a ``jet`` with the lower orders,
     then costs one radial factor with its first k q-derivatives and one
     ``Poly3.value`` call on the order-k rows, and ``_pick`` maps the
-    distinct rows onto the components.
+    distinct rows onto the components.  Both run only at the points inside
+    the support (``_in_support``), and every other point gets exact zeros;
+    a scalar bump's value alone evaluates its polynomial everywhere, so
+    that each point keeps the bits it has in the whole batch.
     """
 
     def __init__(self, center, radius, polys, shape):
@@ -712,13 +721,34 @@ class _ComponentBump:
 
     def _orders(self, pts, orders):
         """Value (0), gradient (1) and Hessian (2) for the ascending
-        ``orders``, from one radial factor and one ``Poly3.value`` call on
-        the rows of the highest order; hess q is (2/r^2) I."""
-        top = orders[-1]
+        ``orders``, as C-contiguous (N, distinct, ...) rows mapped by
+        ``_components``; zero outside the support."""
         pts = np.asarray(pts, dtype=float)
         d = pts - self.center
-        radial = _bump_radial(np.einsum('ni,ni->n', d, d) / self.radius ** 2,
-                              top)
+        q = np.einsum('ni,ni->n', d, d) / self.radius ** 2
+        idx = np.flatnonzero(_in_support(q))
+        u = len(self._value.coefs)
+        # Poly3.value gives a point the same bits in any batch only as a
+        # matrix product: a single row (a scalar's value) or a single point
+        # runs as a matrix-vector product, whose sums depend on the batch
+        if len(idx) == len(q) or (orders[-1] == 0 and u == 1):
+            out = self._inside_orders(pts, d, q, orders)
+        else:
+            out = [np.zeros((len(q), u) + (3,) * k) for k in orders]
+            if len(idx):
+                if len(idx) == 1:
+                    idx = np.repeat(idx, 2)
+                rows = self._inside_orders(pts[idx], d[idx], q[idx], orders)
+                for full, part in zip(out, rows):
+                    full[idx] = part
+        return [self._components(a) for a in out]
+
+    def _inside_orders(self, pts, d, q, orders):
+        """``_orders`` at points inside the support (or, unmasked, at any
+        points), from one radial factor and one ``Poly3.value`` call on the
+        rows of the highest order; hess q is (2/r^2) I."""
+        top = orders[-1]
+        radial = _bump_radial(q, top)
         beta = radial[0]
         rows = (self._value, self._gradient, self._hessian)[top].value(pts)
         u = len(self._value.coefs)
@@ -745,7 +775,7 @@ class _ComponentBump:
                 * dq[..., None, :]
             h += (P * b1[:, None, None, None]) * hq * T.I3
             out.append(h)
-        return [self._components(a) for a in out]
+        return out
 
     def jet(self, pts, order):
         """[value, gradient, hessian][:order + 1]."""

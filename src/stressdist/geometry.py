@@ -667,6 +667,14 @@ def support_volume_quad(interface, center, radius, level):
 
 
 def _build_fiber_quad(interface, center, radius, level):
+    layout = _fiber_layout(interface, center, radius, level)
+    return None if layout is None else _fiber_nodes(center, *layout)
+
+
+def _fiber_layout(interface, center, radius, level):
+    """(dirs, w_ang, breaks): the D fiber directions, their angular weights
+    and each fiber's sorted radial breaks (D, B), or None for coordinate
+    'rho'."""
     coordinate = interface.coordinate if interface is not None else None
     if coordinate == 'r' and np.linalg.norm(center) > 1e-12:
         axis = center
@@ -752,17 +760,25 @@ def _build_fiber_quad(interface, center, radius, level):
 
     breaks = np.sort(np.concatenate(
         [np.broadcast_to(fixed, (D, len(fixed))), roots], axis=1), axis=1)
-    lo, hi = breaks[:, :-1], breaks[:, 1:]
+    return dirs, w_ang, breaks
+
+
+def _fiber_nodes(center, dirs, w_ang, breaks):
+    """Gauss nodes on every radial cell of every fiber, in (fiber, cell,
+    node) order, with weights w_ang * half * wg * s^2."""
+    # a fiber without a crossing repeats ``radius`` as a break: drop the
+    # zero-width cells this leaves
+    live = breaks[:, 1:] > breaks[:, :-1]
+    fiber = np.nonzero(live)[0]
+    lo, hi = breaks[:, :-1][live], breaks[:, 1:][live]
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     xg, wg = np.polynomial.legendre.leggauss(GAUSS_NODES_PER_CELL)
-    s_nodes = mid[..., None] + half[..., None] * xg          # (D, C, 8)
-    w_s = half[..., None] * wg * s_nodes ** 2
-    pts = center + s_nodes[..., None] * dirs[:, None, None, :]
-    weights = w_ang[:, None, None] * w_s
-    pts = pts.reshape(-1, 3)
-    weights = weights.reshape(-1)
-    keep = weights != 0.0
-    return VolumeQuad(points=pts[keep], weights=weights[keep])
+    s_nodes = mid[:, None] + half[:, None] * xg               # (cells, 8)
+    weights = w_ang[fiber, None] * (half[:, None] * wg * s_nodes ** 2)
+    pts = np.empty(s_nodes.shape + (3,))
+    for k in range(3):
+        pts[..., k] = center[k] + s_nodes * dirs[fiber, k][:, None]
+    return VolumeQuad(points=pts.reshape(-1, 3), weights=weights.reshape(-1))
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from stressdist.fields import (BumpScalar, ConstantField, ModulatedTest,
                                SquaredDistanceFactor, SurfaceField, make_bump,
                                make_gradient_test_field, normal_dyad,
                                surface_polynomial)
-from stressdist.geometry import BLOCK, integrate_surface, integrate_volume, \
-    sphere_interface, support_volume_quad
+from stressdist.geometry import BLOCK, Domain, integrate_surface, \
+    integrate_volume, sphere_interface, support_volume_quad
 
 
 class TestPairingBasics:
@@ -461,6 +461,46 @@ class TestMollification:
         tab = mollify_convergence(cd, psi, [0.06, 0.03, 0.015], domain=shell)
         assert all(b < a for a, b in zip(tab.errors, tab.errors[1:]))
         assert tab.order > 1.8
+
+    def _parts(self, ball, sphere_half, rng):
+        c = CDist(sphere_half, surface_polynomial(rng, 2, sphere_half, 1))
+        f = FDist(sphere_half, surface_polynomial(rng, 2, sphere_half, 1))
+        b = BDist(ball, sphere_half, PiecewiseField(
+            2, PolyField.random_symmetric(rng, 2),
+            PolyField.random_symmetric(rng, 2),
+            sphere_half))
+        return {"C": c, "F": f, "B+C+F": CompositeDist(b=b, c=c, f=f)}
+
+    @pytest.mark.parametrize("part", ["C", "F", "B+C+F"])
+    def test_table_values_equal_mollified_pairings(self, ball, sphere_half,
+                                                   rng, part):
+        dist = self._parts(ball, sphere_half, rng)[part]
+        psi = make_bump(ball, [0.45, 0.0, 0.1], 0.25, rank=2, rng=rng,
+                        degree=2)
+        rhos = [0.04, 0.02, 0.01]
+        tab = mollify_convergence(dist, psi, rhos, domain=ball)
+        want = [mollified_pair(dist, psi, rho, domain=ball).value
+                for rho in rhos]
+        assert np.array_equal(np.array(tab.values).view(np.uint64),
+                              np.array(want).view(np.uint64))
+
+    @pytest.mark.parametrize("part", ["C", "F"])
+    def test_table_builds_one_rule_per_width(self, ball, sphere_half, rng,
+                                             part, monkeypatch):
+        # the two-level estimate of a width is never read, so its coarse
+        # rule is never built
+        dist = self._parts(ball, sphere_half, rng)[part]
+        psi = make_bump(ball, [0.45, 0.0, 0.1], 0.25, rank=2, rng=rng,
+                        degree=2)
+        real, levels = Domain.volume_quadrature, []
+
+        def counting(self, *args, **kwargs):
+            levels.append(args[1] if len(args) > 1 else kwargs['level'])
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Domain, 'volume_quadrature', counting)
+        mollify_convergence(dist, psi, [0.04, 0.02, 0.01], domain=ball)
+        assert levels == [ADAPTED_LEVEL] * 3
 
     def test_rho_too_large(self, ball, sphere_half, rng):
         cd = CDist(sphere_half, surface_polynomial(rng, 1, sphere_half, 1))

@@ -221,6 +221,58 @@ class TestBumpKernel:
                 tol = 1e-12 * (np.max(np.abs(want)) + 1.0)
                 assert np.max(np.abs(got[k] - want)) <= tol
 
+    @pytest.mark.parametrize("where", ["straddling", "one-inside",
+                                       "outside", "empty"])
+    def test_support_mask_matches_unmasked_formula(self, rng, where):
+        # outside the support only exact zeros are written; inside, every
+        # entry has the bits of the formula evaluated at all points, and
+        # _components sees the same C-contiguous layout
+        c, r = np.array([0.1, -0.05, 0.2]), 0.5
+        pts = {"straddling": _rand_points(rng, 400, scale=0.6, center=c),
+               "one-inside": np.vstack([c + 0.1, c + 1.1 * r * np.eye(3)[0],
+                                        c + 2 * r, c - 2 * r]),
+               "outside": c + r * (1.0 + rng.random((50, 3))),
+               "empty": np.zeros((0, 3))}[where]
+        polys = [Poly3.random(rng, 3) for _ in range(6)]
+        d = pts - c
+        q = np.einsum('ni,ni->n', d, d) / r ** 2
+        inside = fields._in_support(q)
+        if where == "one-inside":
+            assert np.count_nonzero(inside) == 1
+        for bump in (BumpScalar(c, r, polys[0]), BumpVector(c, r, polys[:3]),
+                     BumpSymTensor(c, r, polys)):
+            for orders in ((0,), (1,), (2,), (0, 1), (0, 1, 2)):
+                want = [bump._components(a)
+                        for a in bump._inside_orders(pts, d, q, orders)]
+                got = bump._orders(pts, orders)
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape and g.strides == w.strides
+                    assert g.flags.c_contiguous == w.flags.c_contiguous
+                    # + 0.0 equates the signed zeros of P * 0 outside
+                    assert np.array_equal((g + 0.0).view(np.uint64),
+                                          (w + 0.0).view(np.uint64))
+                    assert not np.any(g[~inside])
+
+    def test_polynomial_rows_run_inside_the_support_only(self, rng,
+                                                         monkeypatch):
+        c, r = np.array([0.1, -0.05, 0.2]), 0.5
+        pts = _rand_points(rng, 400, scale=0.6, center=c)
+        inside = np.count_nonzero(
+            fields._in_support(np.sum((pts - c) ** 2, axis=1) / r ** 2))
+        assert 1 < inside < len(pts)
+        real, sizes = Poly3.value, []
+
+        def counting(self, x):
+            sizes.append(len(x))
+            return real(self, x)
+
+        monkeypatch.setattr(Poly3, 'value', counting)
+        bump = BumpSymTensor(c, r, [Poly3.random(rng, 3) for _ in range(6)])
+        bump.value(pts)
+        bump.jet(pts, 2)
+        bump.value(c + 2 * r + pts[:5])
+        assert sizes == [inside, inside]
+
     def test_shared_polynomials_compile_once(self, ball, rng):
         t = make_bump(ball, [0.0, 0.0, 0.0], 0.5, rank=2, rng=rng)
         assert t._value.coefs.shape[0] == 6      # one row per distinct poly

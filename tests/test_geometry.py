@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from stressdist import distributions
+from stressdist import distributions, geometry
 from stressdist._memo import LruMemo
 from stressdist.errors import EvaluationError, GeometryError
 from stressdist.fields import KelvinStressField, PiecewiseField
@@ -360,6 +360,46 @@ class TestSupportQuadrature:
         # a valid test support never cuts a disk reaching past the patch
         with pytest.raises(GeometryError, match="leaves the planar patch"):
             make().surface_quadrature(1, support=(np.array(center), 0.2))
+
+
+def _fiber_oracle(center, dirs, w_ang, breaks):
+    """The fiber rule as every (fiber, cell, node) broadcast, compacted to
+    the nonzero weights: the reference for ``geometry._fiber_nodes``."""
+    lo, hi = breaks[:, :-1], breaks[:, 1:]
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    xg, wg = np.polynomial.legendre.leggauss(geometry.GAUSS_NODES_PER_CELL)
+    s_nodes = mid[..., None] + half[..., None] * xg
+    w_s = half[..., None] * wg * s_nodes ** 2
+    pts = center + s_nodes[..., None] * dirs[:, None, None, :]
+    weights = w_ang[:, None, None] * w_s
+    pts = pts.reshape(-1, 3)
+    weights = weights.reshape(-1)
+    keep = weights != 0.0
+    return pts[keep], weights[keep], len(keep)
+
+
+class TestFiberAssembly:
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    @pytest.mark.parametrize("make, center, radius", [
+        (lambda: sphere_interface(0.5), (0.2, 0.1, 0.0), 0.4),
+        (lambda: sphere_interface(0.5), (0.6, 0.1, 0.2), 0.3),
+        (lambda: sphere_interface(0.5), (0.8, 0.0, 0.0), 0.3),
+        (lambda: sphere_interface(0.5), (0.1, 0.0, 0.0), 0.4),
+        (lambda: plane_disk_interface(Ball(1.0), z=0.0), (0.1, 0.2, 0.1), 0.3),
+        (lambda: None, (0.1, 0.0, 0.2), 0.3),
+    ], ids=["sphere-centre-inside", "sphere-centre-outside",
+            "sphere-tangent-outside", "sphere-tangent-inside", "z-plane",
+            "no-interface"])
+    def test_equals_broadcast_and_compact(self, make, center, radius, level):
+        itf, c = make(), np.array(center)
+        rule = support_volume_quad(itf, c, radius, level)
+        pts, weights, broadcast = _fiber_oracle(
+            c, *geometry._fiber_layout(itf, c, radius, level))
+        assert np.array_equal(rule.points, pts)
+        assert np.array_equal(rule.weights, weights)
+        assert rule.points.flags.c_contiguous
+        assert len(rule.weights) == len(weights) < broadcast
+        assert np.all(rule.weights != 0.0)
 
 
 class TestQuadratureMemos:
