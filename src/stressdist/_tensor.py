@@ -24,10 +24,6 @@ I3 = np.eye(3)
 CENTRAL_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
 CENTRAL_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
 
-# 4th-order one-sided first-derivative stencil (offsets 0..4 in units of h).
-ONESIDED_OFFSETS = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
-ONESIDED_WEIGHTS = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-
 
 def cross_matrix(n):
     """Matrix N with N v = n x v, vectorized over leading axes of n."""

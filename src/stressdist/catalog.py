@@ -15,8 +15,8 @@ from .equilibrium import EquilibriumScenario, Tolerances
 from .errors import ConfigError
 from .fields import (ConstantField, HessianInverseR, KelvinStressField,
                      PiecewiseField, PolyField, Poly3, SurfaceField,
-                     dilatational_surface, normal_dyad, surface_polynomial,
-                     uniform_tension)
+                     chart_tangent, dilatational_surface, normal_dyad,
+                     surface_polynomial, uniform_tension)
 from .geometry import (Ball, Box, CylinderAnnulus, SphericalShell,
                        cylinder_patch_interface, equatorial_annulus_interface,
                        plane_disk_interface, sphere_interface)
@@ -256,10 +256,15 @@ def build_surface_vector(cfg, interface):
     if kind == "matched-dipole":
         p2 = cfg.number("p2")
 
+        # kappa is constant on every catalog patch (``shape_divergence``)
         def ev(batch):
             return p2 * batch.kappa[:, None] * batch.normals
 
-        return SurfaceField(ev, 1, interface)
+        def dchart(batch, axis):
+            _, dn = chart_tangent(batch, axis)
+            return p2 * batch.kappa[:, None] * dn
+
+        return SurfaceField(ev, 1, interface, dchart=dchart)
     if kind == "polynomial":
         rng, deg = _seeded(cfg, 2)
         return surface_polynomial(rng, 1, interface, deg,

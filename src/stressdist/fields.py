@@ -2,12 +2,12 @@
 
 Every catalog field carries its own derivative: polynomial fields, the
 point-force stress and the Hessian of 1/r have closed-form gradients, test
-functions closed-form gradients and Hessians, and catalog surface fields a
-closed-form in-chart derivative (``dchart``).  Finite differences are left
-in two places only: ``CallableField`` differentiates a plain world
-evaluator (4th-order central), and ``_chart_partial`` differentiates a
-surface field without ``dchart`` in its chart (4th order, one-sided near
-chart edges).
+functions closed-form gradients and Hessians, and surface fields a
+closed-form in-chart derivative (``dchart``), the chain rule on a world
+gradient for the restrictions ``SurfaceField.from_world`` builds.  Finite
+differences are left in one place only: ``CallableField`` differentiates a
+plain world evaluator (4th-order central).  A surface field without
+``dchart`` cannot be differentiated.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 
 from . import _tensor as T
 from .errors import FieldError, RankMismatchError
-from .geometry import make_surface_batch
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +159,8 @@ class PolyField:
     rank 0: scalar; rank 1: components (3,); rank 2: components (3, 3).
     The constructor compiles the components onto one closed exponent table;
     value, gradient and divergence are coefficient rows over it, one
-    ``Poly3.value`` call each.  The derived curl, transpose and double-curl
-    fields are built on first use and kept.
+    ``Poly3.value`` call each.  The Hessian rows and the derived curl,
+    transpose and double-curl fields are built on first use and kept.
     """
 
     def __init__(self, components, rank):
@@ -202,6 +201,12 @@ class PolyField:
         if self._divergence is None:
             raise RankMismatchError("divergence needs a vector or tensor field")
         return self._divergence.value(pts)
+
+    def hessian(self, pts):
+        """(N,) + (3,) * rank + (3, 3): d_k d_l of each component."""
+        return self._kept('_hessian', lambda: self._value.with_coefs(
+            _derivative_rows(self._value.exps, self._gradient.coefs))
+        ).value(pts)
 
     def _kept(self, name, build):
         # Write-once: a concurrent first use may build twice; one copy is kept.
@@ -449,10 +454,6 @@ class PiecewiseField:
             raise RankMismatchError("divergence needs rank 1 or 2")
         return self._per_side(pts, 'divergence', -1)
 
-    def side_gradient(self, pts, side):
-        f = self.plus if side > 0 else self.minus
-        return np.asarray(f.gradient(pts))
-
 
 def _side_call(f, method, pts):
     """``f.<method>(pts)``; a side without ``divergence`` gets the trace of
@@ -476,9 +477,10 @@ def jump(field, point):
 class SurfaceField:
     """Smooth field on an interface, evaluated on SurfaceBatch objects.
 
-    ``dchart`` optionally supplies analytic in-chart partial derivatives
-    (batch, axis) -> values; fields without it are differentiated by
-    4th-order finite differences in the chart.
+    ``dchart`` supplies the closed-form in-chart partial derivatives
+    (batch, axis) -> values that every surface derivative is built from;
+    ``from_world`` gives one to the restriction of any world field.  A
+    field without ``dchart`` can be evaluated but not differentiated.
     """
 
     def __init__(self, evaluator, rank, interface=None, dchart=None):
@@ -489,17 +491,18 @@ class SurfaceField:
 
     @classmethod
     def from_world(cls, fn, rank, interface=None):
-        """Restriction of a world field (or a plain evaluator) to the
-        surface; a field with ``gradient`` gets the chain rule as dchart."""
-        dchart = None
-        if hasattr(fn, 'gradient'):
-            def dchart(batch, axis):
-                xu, xv = batch.patch.tangents(batch.U, batch.V)
-                tang = xu if axis == 0 else xv
-                g = np.asarray(fn.gradient(batch.points))
-                return np.einsum('n...k,nk->n...', g, tang)
-        value = fn.value if hasattr(fn, 'value') else fn
-        return cls(lambda batch: np.asarray(value(batch.points)), rank,
+        """Restriction of a world field to the surface, with the chain rule
+        grad f . x_u (x_v) as dchart; a plain evaluator is wrapped in
+        ``CallableField``, whose gradient is by finite differences."""
+        field = fn if hasattr(fn, 'gradient') else CallableField(fn, rank)
+
+        def dchart(batch, axis):
+            xu, xv = batch.patch.tangents(batch.U, batch.V)
+            tang = xu if axis == 0 else xv
+            g = np.asarray(field.gradient(batch.points))
+            return np.einsum('n...k,nk->n...', g, tang)
+
+        return cls(lambda batch: np.asarray(field.value(batch.points)), rank,
                    interface, dchart=dchart)
 
     @classmethod
@@ -526,69 +529,15 @@ def chart_tangent(batch, axis):
     return t, np.einsum('nij,nj->ni', batch.shape_ops, t)
 
 
-def _shifted_batch(batch, du, dv):
-    patch = batch.patch
-    U = batch.U + du
-    V = batch.V + dv
-    if getattr(patch, 'periodic_v', False):
-        lo, hi = patch.v_range
-        V = lo + np.mod(V - lo, hi - lo)
-    if getattr(patch, 'periodic_u', False):
-        lo, hi = patch.u_range
-        U = lo + np.mod(U - lo, hi - lo)
-    return make_surface_batch(patch, U, V)
-
-
-def _chart_partial(field, batch, axis):
-    """4th-order in-chart partial derivative, one-sided near chart edges."""
-    patch = batch.patch
-    hu, hv = patch.chart_steps()
-    h = hu if axis == 0 else hv
-    coord = batch.U if axis == 0 else batch.V
-    periodic = getattr(patch, 'periodic_v' if axis == 1 else 'periodic_u', False)
-    lo, hi = patch.u_range if axis == 0 else patch.v_range
-
-    def val_at(offsets_scaled):
-        du = offsets_scaled if axis == 0 else 0.0
-        dv = offsets_scaled if axis == 1 else 0.0
-        return field.value(_shifted_batch(batch, du, dv))
-
-    if periodic:
-        acc = 0.0
-        for off, w in zip(T.CENTRAL_OFFSETS, T.CENTRAL_WEIGHTS):
-            acc = acc + w * val_at(off * h)
-        return acc / h
-
-    near_lo = coord - 2 * h < lo
-    near_hi = coord + 2 * h > hi
-    central = ~(near_lo | near_hi)
-    direction = np.where(near_lo, 1.0, -1.0)
-    out = None              # shaped by the first stencil evaluation
-    if np.any(central):
-        acc = 0.0
-        for off, w in zip(T.CENTRAL_OFFSETS, T.CENTRAL_WEIGHTS):
-            du = np.where(central, off * h, 0.0)
-            acc = acc + w * val_at(du)
-        out = np.zeros_like(acc)
-        out[central] = (acc / h)[central]
-    onesided = ~central
-    if np.any(onesided):
-        acc = 0.0
-        for off, w in zip(T.ONESIDED_OFFSETS, T.ONESIDED_WEIGHTS):
-            du = np.where(onesided, direction * off * h, 0.0)
-            acc = acc + w * val_at(du)
-        if out is None:
-            out = np.zeros_like(acc)
-        d = direction.reshape((-1,) + (1,) * (acc.ndim - 1))
-        out[onesided] = (acc / (d * h))[onesided]
-    return out if out is not None else np.asarray(field.value(batch))
-
-
 def chart_derivatives(field, batch):
-    """(df/du, df/dv) of a surface field along the chart axes."""
-    if getattr(field, 'dchart', None) is not None:
-        return field.dchart(batch, 0), field.dchart(batch, 1)
-    return _chart_partial(field, batch, 0), _chart_partial(field, batch, 1)
+    """(df/du, df/dv) of a surface field along the chart axes, from its
+    ``dchart``."""
+    if getattr(field, 'dchart', None) is None:
+        raise FieldError(
+            "surface field has no dchart to differentiate: restrict a world "
+            "field with SurfaceField.from_world, or give it a closed-form "
+            "dchart")
+    return field.dchart(batch, 0), field.dchart(batch, 1)
 
 
 def dual_tangents(batch):
@@ -1136,21 +1085,18 @@ def uniform_tension(gamma, interface):
     return dilatational_surface(gamma, interface)
 
 
-def dilatational_surface(p_fn, interface):
-    """p(x) (I - n@n) for a scalar function (or constant) on the surface;
-    a constant p gets the dchart -p (dn@n + n@dn)."""
+def dilatational_surface(p, interface):
+    """p (I - n@n) for a constant p, with the dchart -p (dn@n + n@dn)."""
+    p = float(p)
 
     def ev(batch):
-        p = p_fn(batch.points) if callable(p_fn) else np.full(len(batch), float(p_fn))
         nn = np.einsum('ni,nj->nij', batch.normals, batch.normals)
-        return p[:, None, None] * (T.I3 - nn)
+        return p * (T.I3 - nn)
 
-    dchart = None
-    if not callable(p_fn):
-        def dchart(batch, axis):
-            _, dn = chart_tangent(batch, axis)
-            dnn = np.einsum('ni,nj->nij', dn, batch.normals)
-            return -float(p_fn) * (dnn + np.swapaxes(dnn, -1, -2))
+    def dchart(batch, axis):
+        _, dn = chart_tangent(batch, axis)
+        dnn = np.einsum('ni,nj->nij', dn, batch.normals)
+        return -p * (dnn + np.swapaxes(dnn, -1, -2))
 
     return SurfaceField(ev, rank=2, interface=interface, dchart=dchart)
 

@@ -217,7 +217,6 @@ class SurfacePatch:
 
     u_range: tuple
     v_range: tuple
-    periodic_v: bool = False
 
     def point(self, U, V):
         raise NotImplementedError
@@ -242,12 +241,6 @@ class SurfacePatch:
         grading); a zero-node batch when the support misses the patch."""
         raise NotImplementedError
 
-    def chart_steps(self):
-        """FD steps (hu, hv) for in-chart differentiation."""
-        su = self.u_range[1] - self.u_range[0]
-        sv = self.v_range[1] - self.v_range[0]
-        return 5e-4 * su, 5e-4 * sv
-
 
 def _frame_for_axis(axis):
     """Orthonormal columns (e1, e2, axis)."""
@@ -270,7 +263,6 @@ class SpherePatch(SurfacePatch):
         self.orientation = float(orientation)
         self.u_range = u_range
         self.v_range = v_range
-        self.periodic_v = abs((v_range[1] - v_range[0]) - 2 * np.pi) < 1e-12
         self.frame = np.eye(3) if frame is None else np.asarray(frame, dtype=float)
 
     def _radial(self, U, V):
@@ -362,7 +354,6 @@ class PlanePolarPatch(_PlanarPatch):
         self.center_xy = np.asarray(center_xy, dtype=float)
         self.u_range = (float(rho_range[0]), float(rho_range[1]))
         self.v_range = (0.0, 2.0 * np.pi)
-        self.periodic_v = True
 
     def point(self, U, V):
         x = self.center_xy[0] + U * np.cos(V)
@@ -405,8 +396,6 @@ class CylinderPatch(SurfacePatch):
         self.orientation = float(orientation)
         self.u_range = (0.0, 2.0 * np.pi)
         self.v_range = (float(z_range[0]), float(z_range[1]))
-        self.periodic_v = False
-        self.periodic_u = True
 
     def point(self, U, V):
         return np.stack([self.radius * np.cos(U), self.radius * np.sin(U),
@@ -619,7 +608,6 @@ class _RecenteredDiskPatch(SurfacePatch):
         self.e1, self.e2 = f[:, 0], f[:, 1]
         self.u_range = (0.0, float(rho_max))
         self.v_range = (0.0, 2 * np.pi)
-        self.periodic_v = True
 
     def point(self, U, V):
         U = np.asarray(U, dtype=float)
@@ -838,8 +826,9 @@ class Interface:
                                    - self.value)
 
     def distance_jet(self, pts, order=2):
-        """[s, grad s, hess s][:order + 1] of the signed distance at
-        points ``(N, 3)``."""
+        """[s, grad s, hess s, grad hess s][:order + 1] of the signed
+        distance at points ``(N, 3)``; the last is (N, i, j, k) =
+        d_k d_i d_j s."""
         pts = np.asarray(pts, dtype=float)
         q = _coordinate(self.coordinate, pts)
         o = self.orientation
@@ -861,6 +850,15 @@ class Interface:
         out.append(o * grad)
         if order >= 2:
             out.append(o * hess)
+        if order >= 3:
+            # d_k H_ij = -(H_ik g_j + H_jk g_i + H_ij g_k) / q for q = r or
+            # rho (g, H unoriented); every third derivative of z vanishes
+            third = np.zeros((len(pts), 3, 3, 3))
+            if self.coordinate != 'z':
+                hg = hess[:, :, :, None] * grad[:, None, None, :]
+                third -= hg + hg.transpose(0, 1, 3, 2) + hg.transpose(0, 3, 2, 1)
+                third /= q[:, None, None, None]
+            out.append(o * third)
         return out
 
     def side(self, pts):

@@ -12,6 +12,7 @@ the per-component global force and moment integrals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -20,49 +21,31 @@ from .distributions import BDist, CDist, CompositeDist, FDist, refined
 from .equilibrium import Check, EquilibriumScenario, Tolerances
 from .errors import ConfigError, FieldError, StressDistError
 from .fields import (CallableField, PiecewiseField, PolyField, SurfaceField,
-                     _tensor_field, chart_derivatives, chart_tangent,
-                     dual_tangents, make_gradient_test_field,
-                     tangential_gradient)
+                     _tensor_field, chart_derivatives, dual_tangents,
+                     make_gradient_test_field, tangential_gradient)
 from .geometry import (DEFAULT_SURFACE_LEVEL, boundary_force_moment,
                        curve_force_moment)
 
 LEMMA2_TOL = 1e-6
 CURL_ASYMMETRY_TOL = 1e-6
 INC_FD_STEP = 2e-3      # outer FD curl of a non-polynomial potential
+DENSITY_SLICE = 512     # points per slice of the extracted-density jet
 
 
 class StressFunction:
-    """Piecewise-smooth symmetric tensor potential across an interface."""
+    """Piecewise-smooth symmetric tensor potential across an interface;
+    the constructor checks both sides for symmetry at three points."""
 
-    def __init__(self, plus, minus=None, interface=None, check_symmetry=True):
+    def __init__(self, plus, minus=None, interface=None):
         self.pw = PiecewiseField(2, plus, minus, interface)
         self.interface = interface
-        if check_symmetry:
-            pts = np.array([[0.21, -0.13, 0.08], [-0.4, 0.31, -0.22],
-                            [0.05, 0.17, 0.33]])
-            for side in (1, -1):
-                v = self.pw.side_value(pts, side)
-                asym = np.max(np.abs(v - np.swapaxes(v, -1, -2)))
-                if asym > 1e-12 * max(1.0, np.max(np.abs(v))):
-                    raise FieldError("stress function must be symmetric")
-
-    def jump(self, batch):
-        return self.pw.jump(batch)
-
-    def jump_gradient(self, pts):
-        return (self.pw.side_gradient(pts, 1)
-                - self.pw.side_gradient(pts, -1))
-
-    def curl_jump(self, batch):
-        pts = batch.points
-        return self._curl_side(pts, 1) - self._curl_side(pts, -1)
-
-    def _curl_side(self, pts, side):
-        f = self.pw.plus if side > 0 else self.pw.minus
-        if isinstance(f, PolyField):
-            return f.curl_rows_field().value(pts)
-        grad = self.pw.side_gradient(pts, side)
-        return T.tensor_curl_rows_from_gradient(grad)
+        pts = np.array([[0.21, -0.13, 0.08], [-0.4, 0.31, -0.22],
+                        [0.05, 0.17, 0.33]])
+        for side in (1, -1):
+            v = self.pw.side_value(pts, side)
+            asym = np.max(np.abs(v - np.swapaxes(v, -1, -2)))
+            if asym > 1e-12 * max(1.0, np.max(np.abs(v))):
+                raise FieldError("stress function must be symmetric")
 
     @property
     def inc(self):
@@ -152,76 +135,136 @@ class DensityTriple:
 def extract_densities(potential, interface):
     """Bulk, surface, and dipole stress densities of a piecewise potential.
 
-    With the jump taken toward-side minus away-side and N the cross matrix
-    of the normal:
+    With the jump J taken toward-side minus away-side and N the cross
+    matrix of the normal:
 
-    * sigma2 = -N^T [phi] N (tangential, automatically killing the normal);
-    * sigma1 = -([curl phi])^T x n - (curl_S((phi jump x n)^T))^T + kappa sigma2;
+    * sigma2 = -N^T J N (tangential, automatically killing the normal);
+    * sigma1 = -(curl J)^T x n - (curl_S((J x n)^T))^T + kappa sigma2,
+      symmetrized;
     * sigma  = double curl of the side potentials off the interface
       (``potential.inc``, split at the potential's own interface, which
       ``interface`` must be).
+
+    sigma1 and sigma2 are world fields (``_DensityJet``, so the sides must
+    have a ``hessian``) restricted by ``SurfaceField.from_world``.
     """
     if not isinstance(potential, StressFunction):
         raise FieldError("extract_densities needs a StressFunction")
-    sigma = potential.inc
+    plus, minus = potential.pw.plus, potential.pw.minus
+    if not (hasattr(plus, 'hessian') and hasattr(minus, 'hessian')):
+        raise FieldError("extract_densities needs potential sides with a "
+                         "closed-form hessian, such as PolyField")
+    latest = [(None, None)]     # (points array, its jet) as one tuple
 
-    # One-entry memo of the jump and its gradient on the latest batch object:
-    # sigma1, sigma2 and both chart axes of their derivatives share them.
-    latest = [(None, None)]
+    def jet(pts):
+        held, out = latest[0]
+        if held is not pts:
+            out = _DensityJet(plus, minus, interface, pts)
+            latest[0] = (pts, out)
+        return out
 
-    def _on_batch(batch, name, compute):
-        held, values = latest[0]
-        if held is not batch:
-            values = {}
-            latest[0] = (batch, values)
-        if name not in values:
-            values[name] = compute(batch.points)
-        return values[name]
+    def world(k):
+        return SimpleNamespace(value=lambda p: jet(p).values[k],
+                               gradient=lambda p: jet(p).gradients()[k])
 
-    def _jump(batch):
-        return _on_batch(batch, 'jump', potential.jump)
+    return DensityTriple(
+        sigma=potential.inc,
+        sigma1=SurfaceField.from_world(world(0), 2, interface),
+        sigma2=SurfaceField.from_world(world(1), 2, interface),
+        interface=interface)
 
-    def _chart_pieces(batch, axis):
-        t, dn = chart_tangent(batch, axis)
-        jg = _on_batch(batch, 'jump_gradient', potential.jump_gradient)
-        return np.einsum('nijk,nk->nij', jg, t), dn
 
-    def sigma2_ev(batch):
-        N = T.cross_matrix(batch.normals)
-        j = _jump(batch)
-        return -np.einsum('nla,nlm,nmd->nad', N, j, N)
+class _DensityJet:
+    """sigma1 and sigma2 at one points array, and on first request their
+    gradients (N, i, j, k): both densities and both chart axes of their
+    derivatives share one evaluation of the potential's value and
+    gradient; its Hessian is evaluated only for the gradients, in slices
+    of ``DENSITY_SLICE`` points that bound the temporaries."""
 
-    def sigma2_dchart(batch, axis):
-        N = T.cross_matrix(batch.normals)
-        j = _jump(batch)
-        dj, dn = _chart_pieces(batch, axis)
-        dN = T.cross_matrix(dn)
-        return -(np.einsum('nla,nlm,nmd->nad', dN, j, N)
-                 + np.einsum('nla,nlm,nmd->nad', N, dj, N)
-                 + np.einsum('nla,nlm,nmd->nad', N, j, dN))
+    def __init__(self, plus, minus, interface, pts):
+        self.sides, self.interface = (plus, minus), interface
+        self.pts = np.asarray(pts, dtype=float)
+        self.J = self._jump('value', self.pts)
+        self.dJ = self._jump('gradient', self.pts)
+        self.values = _densities(self.J, self.dJ,
+                                 *interface.distance_jet(self.pts, 2)[1:])
+        self._gradients = None
 
-    def jump_cross_dchart(batch, axis):
-        dj, dn = _chart_pieces(batch, axis)
-        return np.swapaxes(
-            T.row_cross(dj, batch.normals)
-            + T.row_cross(_jump(batch), dn), -1, -2)
+    def _jump(self, method, pts):
+        plus, minus = self.sides
+        return (np.asarray(getattr(plus, method)(pts))
+                - np.asarray(getattr(minus, method)(pts)))
 
-    sigma2 = SurfaceField(sigma2_ev, 2, interface, dchart=sigma2_dchart)
+    def gradients(self):
+        # write-once: a concurrent first request may compute them twice
+        if self._gradients is None:
+            parts = []
+            for lo in range(0, max(len(self.pts), 1), DENSITY_SLICE):
+                cut = slice(lo, lo + DENSITY_SLICE)
+                pts = self.pts[cut]
+                _, g, H, G = self.interface.distance_jet(pts, 3)
+                parts.append(_densities(self.J[cut], self.dJ[cut], g, H,
+                                        self._jump('hessian', pts), G))
+            self._gradients = tuple(np.concatenate(c) for c in zip(*parts))
+        return self._gradients
 
-    jump_cross = SurfaceField(
-        lambda b: np.swapaxes(T.row_cross(_jump(b), b.normals), -1, -2),
-        2, interface, dchart=jump_cross_dchart)
 
-    def sigma1_ev(batch):
-        jc = potential.curl_jump(batch)
-        term_a = -T.row_cross(np.swapaxes(jc, -1, -2), batch.normals)
-        term_c = -np.swapaxes(surface_curl(jump_cross, batch), -1, -2)
-        term_b = batch.kappa[:, None, None] * sigma2_ev(batch)
-        return T.sym(term_a + term_b + term_c)
+def _densities(J, dJ, g, H, hJ=None, G=None):
+    """(sigma1, sigma2) from the jump J and its gradient and from n = g
+    and H of the signed distance s (n = grad s, H = hess s, the shape
+    operator on the surface, kappa = tr H); with the Hessian hJ of J and
+    the third derivatives G of s, their gradients (N, i, j, k) instead.
 
-    sigma1 = SurfaceField(sigma1_ev, 2, interface)
-    return DensityTriple(sigma=sigma, sigma1=sigma1, sigma2=sigma2,
-                         interface=interface)
+    With N the cross matrix of n, sigma2 = N J N.  In sigma1, the surface
+    curl C of a = (J x n)^T = -N J follows from grad_S a = (grad a)(I - n n)
+    and H n = 0 (|n| = 1 off the surface too):
+    C^T = -N curl J - N (d_n J) N - M(H, J), with ``_double_cross`` M, so
+    sigma1 = -2 sym((curl J)^T N) + kappa sigma2 + N (d_n J) N + M(H, J).
+    """
+    N = T.cross_matrix(g)
+    kappa = np.trace(H, axis1=1, axis2=2)
+    dnJ = (dJ @ g[:, None, :, None])[..., 0]
+    # curl J_ij = eps_jkl d_k J_il, as differences over eps_{j c1 c2} = 1
+    c1, c2 = [1, 2, 0], [2, 0, 1]
+    curlT = np.swapaxes(dJ[..., c2, c1] - dJ[..., c1, c2], 1, 2)
+    s2 = N @ J @ N
+    if hJ is None:
+        X = curlT @ N
+        s1 = (-(X + np.swapaxes(X, 1, 2)) + kappa[:, None, None] * s2
+              + N @ dnJ @ N + _double_cross(H, J))
+        return s1, s2
+
+    # d_k along axis 1: of J, of N (H is symmetric), of H (G is symmetric)
+    dJk = np.moveaxis(dJ, 3, 1)
+    dN = T.cross_matrix(H)
+    Ns = N[:, None]
+    dkappa = np.trace(G, axis1=2, axis2=3)
+
+    def nxn(X, dX):
+        """d_k (N X N) from X and d_k X."""
+        return dN @ (X @ N)[:, None] + Ns @ dX @ Ns + (N @ X)[:, None] @ dN
+
+    ds2 = nxn(J, dJk)
+    ddnJ = (hJ @ g[:, None, None, :, None])[..., 0] + dJ @ H[:, None]
+    dcurl = np.moveaxis(hJ[:, :, c2, c1] - hJ[:, :, c1, c2], 3, 1)
+    dX = np.swapaxes(dcurl, 2, 3) @ Ns + curlT[:, None] @ dN
+    ds1 = (-(dX + np.swapaxes(dX, 2, 3))
+           + dkappa[..., None, None] * s2[:, None]
+           + kappa[:, None, None, None] * ds2
+           + nxn(dnJ, np.moveaxis(ddnJ, 3, 1))
+           + _double_cross(G, J[:, None]) + _double_cross(H[:, None], dJk))
+    return np.moveaxis(ds1, 1, -1), np.moveaxis(ds2, 1, -1)
+
+
+def _double_cross(A, B):
+    """eps_rbc eps_ikl A_bk B_cl of symmetric (..., 3, 3) stacks, bilinear:
+    A B + B A - (tr B) A - (tr A) B + (tr A tr B - A:B) I."""
+    AB = A @ B
+    trA = np.trace(A, axis1=-2, axis2=-1)[..., None, None]
+    trB = np.trace(B, axis1=-2, axis2=-1)[..., None, None]
+    trAB = np.trace(AB, axis1=-2, axis2=-1)[..., None, None]
+    return AB + np.swapaxes(AB, -1, -2) - trB * A - trA * B \
+        + (trA * trB - trAB) * T.I3
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stressdist.fields import dual_tangents, surface_trace, tangential_gradient
 from stressdist.geometry import (Ball, Box, CylinderAnnulus, SphericalShell,
                                  equatorial_annulus_interface,
-                                 plane_disk_interface, sphere_interface)
+                                 make_surface_batch, plane_disk_interface,
+                                 sphere_interface)
 
 
 @pytest.fixture(scope="session")
@@ -61,6 +63,36 @@ def ball_disk(ball):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def _chart_difference(field, batch, axis, h=1e-3):
+    """4th-order central difference of a surface field's values along one
+    chart axis: a derivative oracle independent of ``dchart``.  Every
+    catalog chart map is analytic past its range, so no point needs a
+    one-sided stencil."""
+    acc = 0.0
+    for off, w in ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0)):
+        du, dv = (off * h, 0.0) if axis == 0 else (0.0, off * h)
+        shifted = make_surface_batch(batch.patch, batch.U + du, batch.V + dv)
+        acc = acc + w * np.asarray(field.value(shifted))
+    return acc / (12.0 * h)
+
+
+def _chart_difference_divergence(field, batch):
+    """div_S of a rank-1 or rank-2 surface field from ``_chart_difference``."""
+    fu, fv = (_chart_difference(field, batch, axis) for axis in (0, 1))
+    return surface_trace(tangential_gradient(fu, fv, dual_tangents(batch)),
+                         field.rank)
+
+
+@pytest.fixture(scope="session")
+def chart_difference():
+    return _chart_difference
+
+
+@pytest.fixture(scope="session")
+def chart_difference_divergence():
+    return _chart_difference_divergence
 
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"

@@ -13,7 +13,8 @@ from stressdist.distributions import (ADAPTED_LEVEL, BDist, CDist,
 from stressdist.errors import RankMismatchError, StressDistError
 from stressdist.fields import (BumpScalar, ConstantField, ModulatedTest,
                                PiecewiseField, Poly3, PolyField,
-                               SquaredDistanceFactor, SurfaceField, make_bump,
+                               SquaredDistanceFactor, SurfaceField,
+                               chart_tangent, make_bump,
                                make_gradient_test_field, normal_dyad,
                                surface_polynomial)
 from stressdist.geometry import BLOCK, Domain, integrate_surface, \
@@ -231,7 +232,8 @@ class TestDivergenceIdentity1:
     def test_normal_density_on_sphere(self, big_ball, unit_sphere):
         # density = the normal itself; for a radial test the surface term
         # cancels and only the normal-derivative term survives
-        n_field = SurfaceField(lambda b: b.normals.copy(), 1, unit_sphere)
+        n_field = SurfaceField(lambda b: b.normals.copy(), 1, unit_sphere,
+                               dchart=lambda b, axis: chart_tangent(b, axis)[1])
         cd = CDist(unit_sphere, n_field)
         bump = BumpScalar(np.zeros(3), 1.8)
         lhs = distributional_div(cd, bump).value

@@ -277,11 +277,16 @@ class TestWeakEqualsLocal:
     def test_sigma2_normal_violation_detected(self, big_ball, unit_sphere):
         # a dipole density with nonzero normal action fails the closure
         # condition and some dipole-sensitive weak residual
+        def dchart(batch, axis):
+            dnn = np.einsum('ni,nj->nij', chart_tangent(batch, axis)[1],
+                            batch.normals)
+            return dnn + np.swapaxes(dnn, 1, 2)
+
         scn = EquilibriumScenario(
             domain=big_ball, interface=unit_sphere,
             sigma2=SurfaceField(
                 lambda b: np.einsum('ni,nj->nij', b.normals, b.normals), 2,
-                unit_sphere))
+                unit_sphere, dchart=dchart))
         _, _, rd = interface_residuals(scn, n=200)
         assert rd > 0.99
         rep = weak_equals_local(scn, n_suite=9, seed=13)

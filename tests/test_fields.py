@@ -1,5 +1,7 @@
 """Field evaluators, analytic derivatives, jumps, and surface operators."""
 
+import inspect
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -11,14 +13,16 @@ from scipy import integrate
 from stressdist import _tensor as T
 from stressdist import fields
 from stressdist._tensor import fd_gradient
-from stressdist.catalog import _poly_times, _radial_pressure_field
+from stressdist.catalog import (_poly_times, _radial_pressure_field,
+                                build_surface_tensor, build_surface_vector,
+                                random_stress_function)
 from stressdist.errors import FieldError
 from stressdist.fields import (BumpScalar, BumpSymTensor, BumpVector,
                                CallableField, ConstantField, HessianInverseR,
                                KelvinStressField, ModulatedTest,
                                PiecewiseField, PlateauFactor, Poly3, PolyField,
                                SmoothStepProfile, SquaredDistanceFactor,
-                               SurfaceField, _chart_partial,
+                               SurfaceField, chart_derivatives, chart_tangent,
                                dilatational_surface, jump, make_bump,
                                make_gradient_test_field, normal_dyad,
                                shaped_divergence, surface_divergence,
@@ -27,8 +31,9 @@ from stressdist.fields import (BumpScalar, BumpSymTensor, BumpVector,
 from stressdist.geometry import (Ball, Box, CylinderAnnulus, Interface,
                                  SphericalShell, cylinder_patch_interface,
                                  equatorial_annulus_interface,
-                                 integrate_volume, make_surface_batch,
-                                 plane_disk_interface, sphere_interface)
+                                 integrate_volume, plane_disk_interface,
+                                 sphere_interface)
+from stressdist.stressfn import extract_densities
 
 
 def _rand_points(rng, n, scale=0.4, center=(0, 0, 0)):
@@ -570,7 +575,8 @@ class TestSurfaceOperators:
 
     def test_div_normal_is_curvature(self, unit_sphere):
         batch = unit_sphere.samples(200)
-        n = SurfaceField(lambda b: b.normals.copy(), 1, unit_sphere)
+        n = SurfaceField(lambda b: b.normals.copy(), 1, unit_sphere,
+                         dchart=lambda b, axis: chart_tangent(b, axis)[1])
         div = surface_divergence(n, batch)
         assert np.max(np.abs(div - 2.0)) < 1e-8
 
@@ -596,37 +602,31 @@ class TestSurfaceOperators:
         normal_part = np.einsum('ni,ni->n', g, batch.normals)
         assert np.max(np.abs(normal_part)) < 1e-8
 
-    def test_analytic_dchart_matches_fd(self, unit_sphere, rng):
+    def test_analytic_dchart_matches_fd(self, unit_sphere, rng,
+                                        chart_difference_divergence):
         pf = PolyField.random_vector(rng, 3)
         with_grad = SurfaceField.from_world(pf, 1, unit_sphere)
         plain = SurfaceField(lambda b: pf.value(b.points), 1, unit_sphere)
         batch = unit_sphere.samples(120)
         d1 = surface_divergence(with_grad, batch)
-        d2 = surface_divergence(plain, batch)
+        d2 = chart_difference_divergence(plain, batch)
         assert np.max(np.abs(d1 - d2)) < 1e-7
 
-    @pytest.mark.parametrize("axis", [0, 1])
-    def test_chart_partial_evaluates_only_stencil_points(self, unit_sphere,
-                                                         axis):
-        # sphere chart: u (polar angle) is bounded, v (azimuth) is periodic;
-        # u = 1e-3 lies within two steps of the pole, so axis 0 needs both
-        # the central and the one-sided stencil
-        batch = make_surface_batch(unit_sphere.patch,
-                                   [1e-3, 0.5, 1.5, 2.9], [0.2, 1.0, 2.0, 6.0])
-        calls = []
+    def test_field_without_dchart_is_not_differentiated(self, unit_sphere):
+        plain = SurfaceField(lambda b: b.points.copy(), 1, unit_sphere)
+        batch = unit_sphere.samples(20)
+        assert plain.value(batch).shape == (20, 3)
+        for op in (chart_derivatives, surface_gradient, surface_divergence):
+            with pytest.raises(FieldError, match="SurfaceField.from_world"):
+                op(plain, batch)
 
-        def ev(b):
-            calls.append(len(b))
-            return b.points[:, 0] * b.points[:, 2] + b.points[:, 1]
-
-        got = _chart_partial(SurfaceField(ev, 0, unit_sphere), batch, axis)
-        periodic = axis == 1
-        assert unit_sphere.patch.periodic_v and not getattr(
-            unit_sphere.patch, 'periodic_u', False)
-        want = (len(T.CENTRAL_OFFSETS) if periodic
-                else len(T.CENTRAL_OFFSETS) + len(T.ONESIDED_OFFSETS))
-        assert len(calls) == want
-        assert got.shape == (4,)
+    def test_from_world_gives_a_plain_evaluator_a_dchart(self, unit_sphere):
+        f = SurfaceField.from_world(lambda p: p[:, 0] * p[:, 1], 0,
+                                    unit_sphere)
+        batch = unit_sphere.samples(50)
+        xu, _ = batch.patch.tangents(batch.U, batch.V)
+        want = xu[:, 0] * batch.points[:, 1] + batch.points[:, 0] * xu[:, 1]
+        assert np.max(np.abs(f.dchart(batch, 0) - want)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -709,6 +709,8 @@ CATALOG_PATCHES = _catalog_patches()
 class TestCatalogSurfaceDerivatives:
     def _fields(self, itf):
         rng = np.random.default_rng(11)
+        triple = extract_densities(
+            random_stress_function(rng, itf, None, degree=3, scale=0.3), itf)
         return [uniform_tension(0.7, itf), dilatational_surface(-1.3, itf),
                 normal_dyad([0.2, -0.5, 0.9], itf),
                 SurfaceField.constant(np.array([[1.0, 0.2, 0.0],
@@ -716,20 +718,24 @@ class TestCatalogSurfaceDerivatives:
                                                 [0.0, 0.3, 0.5]]), 2, itf),
                 SurfaceField.constant(0.4, 0, itf),
                 surface_polynomial(rng, 1, itf),
-                surface_polynomial(rng, 2, itf, symmetric=False)]
+                surface_polynomial(rng, 2, itf, symmetric=False),
+                build_surface_vector({"kind": "matched-dipole", "p2": 0.6},
+                                     itf),
+                triple.sigma1, triple.sigma2]
 
-    def test_dchart_matches_chart_fd(self, label, itf):
+    def test_dchart_matches_chart_fd(self, label, itf, chart_difference):
         batch = itf.samples(90)
         for field in self._fields(itf):
             assert field.dchart is not None
             for axis in (0, 1):
                 got = field.dchart(batch, axis)
-                want = _chart_partial(field, batch, axis)
+                want = chart_difference(field, batch, axis)
                 scale = max(1.0, np.max(np.abs(want)))
                 assert np.max(np.abs(got - want)) < 1e-8 * scale, \
                     (label, axis)
 
-    def test_shaped_divergence_matches_fd_product(self, label, itf):
+    def test_shaped_divergence_matches_fd_product(
+            self, label, itf, chart_difference_divergence):
         # div_S(f grad_S n) by the product rule against the chart FD of the
         # field f grad_S n itself
         batch = itf.samples(90)
@@ -740,7 +746,42 @@ class TestCatalogSurfaceDerivatives:
                 'n...j,njk->n...k', f.value(b), b.shape_ops), f.rank, itf)
             got = shaped_divergence(f.value(batch), surface_gradient(f, batch),
                                     batch)
-            want = surface_divergence(fS, batch)
+            want = chart_difference_divergence(fS, batch)
             scale = max(1.0, np.max(np.abs(want)))
             assert np.max(np.abs(got - want)) < 1e-7 * scale, label
 
+
+# Every field kind the catalog builds, by builder; a new kind must be added
+# here, so that no catalog path can reach the missing-dchart error.
+SURFACE_KINDS = {
+    build_surface_tensor: [
+        {"kind": "uniform-tension", "gamma": 0.7},
+        {"kind": "dilatational", "p": -1.3},
+        {"kind": "normal-dyad", "a": [0.2, -0.5, 0.9]},
+        {"kind": "constant", "value": [[1.0, 0.2, 0.0], [0.2, -1.0, 0.3],
+                                       [0.0, 0.3, 0.5]]},
+        {"kind": "polynomial", "seed": 3}],
+    build_surface_vector: [
+        {"kind": "constant-vector", "value": [0.3, -1.0, 2.0]},
+        {"kind": "matched-dipole", "p2": 0.6},
+        {"kind": "polynomial", "seed": 3}],
+}
+
+
+@pytest.mark.parametrize("label,itf", CATALOG_PATCHES,
+                         ids=[lab for lab, _ in CATALOG_PATCHES])
+def test_every_catalog_surface_field_has_a_dchart(label, itf):
+    batch = itf.samples(12)
+    for build, configs in SURFACE_KINDS.items():
+        kinds = set(re.findall(r'kind == "([\w-]+)"', inspect.getsource(build)))
+        assert kinds - {"zero"} == {c["kind"] for c in configs}, build
+        assert build({"kind": "zero"}, itf) is None
+        for cfg in configs:
+            field = build(cfg, itf)
+            assert field.dchart is not None, (label, cfg["kind"])
+            chart_derivatives(field, batch)
+    triple = extract_densities(
+        random_stress_function(np.random.default_rng(0), itf, None), itf)
+    for field in (triple.sigma1, triple.sigma2):
+        assert field.dchart is not None
+        chart_derivatives(field, batch)

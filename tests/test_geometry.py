@@ -14,7 +14,7 @@ from stressdist._memo import LruMemo
 from stressdist.errors import EvaluationError, GeometryError
 from stressdist.fields import KelvinStressField, PiecewiseField
 from stressdist.geometry import (BLOCK, Ball, Box, CylinderAnnulus,
-                                 SphericalShell, blocked_sum,
+                                 Interface, SphericalShell, blocked_sum,
                                  boundary_force_moment,
                                  equatorial_annulus_interface, integrate_curve,
                                  integrate_surface, integrate_volume,
@@ -536,6 +536,34 @@ class TestLevelSetInterfaces:
             fd2 = (itf.distance_jet(pts + e, 1)[1]
                    - itf.distance_jet(pts - e, 1)[1]) / (2 * h)
             assert np.allclose(hess[:, :, ax], fd2, atol=1e-7)
+
+    @pytest.mark.parametrize("orientation", [1.0, -1.0])
+    @pytest.mark.parametrize("coordinate,value", [("r", 0.8), ("z", 0.3),
+                                                  ("rho", 1.1)])
+    def test_distance_jet_matches_sympy(self, coordinate, value, orientation,
+                                        rng):
+        import sympy as sp
+        x = sp.symbols('x0:3')
+        q = {"r": sp.sqrt(x[0] ** 2 + x[1] ** 2 + x[2] ** 2), "z": x[2],
+             "rho": sp.sqrt(x[0] ** 2 + x[1] ** 2)}[coordinate]
+        s = orientation * (q - value)
+        itf = Interface("level-set", None, True, coordinate, value, None,
+                        orientation=orientation)
+        pts = rng.uniform(-1.5, 1.5, (25, 3))
+        jet = itf.distance_jet(pts, 3)
+        assert len(jet) == 4
+        for i, j, k in np.ndindex(3, 3, 3):
+            want = sp.lambdify(x, sp.diff(s, x[i], x[j], x[k]), 'numpy')
+            got = jet[3][:, i, j, k]
+            assert np.allclose(got, np.broadcast_to(want(*pts.T), got.shape),
+                               rtol=1e-12, atol=1e-12), (i, j, k)
+        for i, j in np.ndindex(3, 3):
+            want = sp.lambdify(x, sp.diff(s, x[i], x[j]), 'numpy')
+            assert np.allclose(jet[2][:, i, j], want(*pts.T), rtol=1e-12,
+                               atol=1e-12)
+        lower = itf.distance_jet(pts, 2)
+        for a, b in zip(lower, jet):
+            assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("case", _level_set_cases(), ids=lambda c: c[0])
     def test_clearance_matches_hand_formula(self, case):

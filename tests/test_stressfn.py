@@ -3,6 +3,8 @@
 import gc
 import json
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,10 +18,15 @@ from stressdist.equilibrium import bulk_residual, interface_residuals, \
     make_test_suite
 from stressdist.errors import FieldError, StressDistError
 from stressdist.fields import (CallableField, PiecewiseField, Poly3, PolyField,
-                               SurfaceField, chart_derivatives, make_bump,
-                               surface_polynomial)
-from stressdist.geometry import make_surface_batch, sphere_interface
-from stressdist.stressfn import (DensityTriple, ForceMomentTest, MomentTest,
+                               SurfaceField, chart_derivatives, chart_tangent,
+                               make_bump, surface_polynomial)
+from stressdist.geometry import (Ball, Box, CylinderAnnulus, SphericalShell,
+                                 cylinder_patch_interface,
+                                 equatorial_annulus_interface,
+                                 make_surface_batch, plane_disk_interface,
+                                 sphere_interface)
+from stressdist.stressfn import (DENSITY_SLICE, DensityTriple,
+                                 ForceMomentTest, MomentTest,
                                  StressFunction, check_lemma2_conditions,
                                  curl_curl, default_lemma2_suite,
                                  extract_densities,
@@ -134,16 +141,24 @@ class TestSurfaceCurl:
         from stressdist import _tensor as T
         for _ in range(10):
             d = rng.normal(size=3)
-            crossed = SurfaceField(lambda b, dd=d: T.row_cross(a.value(b), dd),
-                                   2, unit_sphere)
+            # crossing with a fixed vector commutes with the chart
+            # derivative
+            crossed = SurfaceField(
+                lambda b, dd=d: T.row_cross(a.value(b), dd), 2, unit_sphere,
+                dchart=lambda b, axis, dd=d: T.row_cross(a.dchart(b, axis),
+                                                         dd))
             rhs = surface_divergence(crossed, batch)
             lhs = np.einsum('nji,j->ni', curl_a, d)
             assert np.max(np.abs(lhs - rhs)) < 1e-8
 
     def test_projector_field_against_chart_fd(self, unit_sphere):
+        def dchart(b, axis):
+            dnn = np.einsum('ni,nj->nij', chart_tangent(b, axis)[1], b.normals)
+            return -(dnn + np.swapaxes(dnn, 1, 2))
+
         a = SurfaceField(
             lambda b: np.eye(3) - np.einsum('ni,nj->nij', b.normals, b.normals),
-            2, unit_sphere)
+            2, unit_sphere, dchart=dchart)
         batch = unit_sphere.samples(40)
         got = surface_curl(a, batch)
         # crude independent chart finite differences of div_S(a x d)
@@ -243,25 +258,83 @@ class TestExtraction:
         assert bk < 1e-10
         assert rb < 1e-6 and rc < 1e-7 and rd < 1e-10
 
-    def test_jump_gradient_once_per_batch(self, ball, sphere_half, rng):
+    def test_one_potential_jet_per_batch(self, ball, sphere_half, rng):
         phi = random_stress_function(rng, sphere_half, ball, degree=3,
                                      scale=0.2)
-        batches = []
-        jump_gradient = phi.jump_gradient
-
-        def counted(pts):
-            batches.append(pts)
-            return jump_gradient(pts)
-
-        phi.jump_gradient = counted
+        calls = []
+        for side in (phi.pw.plus, phi.pw.minus):
+            for name in ('value', 'gradient', 'hessian'):
+                def counted(pts, f=getattr(side, name), name=name):
+                    calls.append((name, len(pts)))
+                    return f(pts)
+                setattr(side, name, counted)
         triple = extract_densities(phi, sphere_half)
-        batch = sphere_half.surface_quadrature(1)
-        triple.sigma1.value(batch)
-        triple.sigma2.dchart(batch, 0)
-        triple.sigma2.dchart(batch, 1)
-        assert len(batches) == 1
-        triple.sigma1.value(sphere_half.surface_quadrature(0))
-        assert len(batches) == 2
+        fine = sphere_half.surface_quadrature(1)
+        n = len(fine)
+        assert n > DENSITY_SLICE            # the Hessian runs in slices
+        for field in (triple.sigma1, triple.sigma2):
+            field.value(fine)
+            chart_derivatives(field, fine)
+        assert sorted(c for c in calls if c[0] != 'hessian') == \
+            [('gradient', n)] * 2 + [('value', n)] * 2
+        hessian = [m for name, m in calls if name == 'hessian']
+        assert sum(hessian) == 2 * n and max(hessian) <= DENSITY_SLICE
+        # values alone never evaluate the Hessian
+        calls.clear()
+        coarse = sphere_half.surface_quadrature(0)
+        triple.sigma1.value(coarse)
+        triple.sigma2.value(coarse)
+        assert sorted(calls) == [('gradient', len(coarse))] * 2 + \
+            [('value', len(coarse))] * 2
+
+    def test_concurrent_batches_keep_their_own_values(self, ball, sphere_half,
+                                                      rng):
+        phi = random_stress_function(rng, sphere_half, ball, degree=3,
+                                     scale=0.2)
+        batches = [sphere_half.surface_quadrature(0),
+                   sphere_half.surface_quadrature(1),
+                   sphere_half.samples(50), sphere_half.samples(70)]
+
+        def read(triple, b):
+            return triple.sigma1.value(b), triple.sigma2.dchart(b, 0)
+
+        serial = extract_densities(phi, sphere_half)
+        want = [read(serial, b) for b in batches]
+        shared = extract_densities(phi, sphere_half)
+        wrong = []
+
+        def work(i):
+            for r in range(40):
+                k = (i + r) % len(batches)
+                try:
+                    got = read(shared, batches[k])
+                except Exception as exc:    # a torn memo mixes shapes
+                    wrong.append((k, exc))
+                    continue
+                if not all(np.array_equal(a, b) for a, b in zip(got, want[k])):
+                    wrong.append(k)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong
+
+    def test_sides_without_hessian_rejected(self, sphere_half, rng):
+        f = PolyField.random_symmetric(rng, 2)
+        for plus, minus in ((CallableField(f.value, 2), f),
+                            (f, CallableField(f.value, 2))):
+            phi = StressFunction(plus, minus, sphere_half)
+            with pytest.raises(FieldError, match="hessian"):
+                extract_densities(phi, sphere_half)
 
     def test_sigma2_kills_normal(self, ball, sphere_half, rng):
         phi = random_stress_function(rng, sphere_half, ball, degree=4)
@@ -484,3 +557,97 @@ class TestStressFunctionValidation:
         bad = PolyField(comp, 2)
         with pytest.raises(FieldError):
             StressFunction(bad, bad, sphere_half)
+
+
+# ---------------------------------------------------------------------------
+# extracted densities against their batch formulas
+
+
+def _catalog_interfaces():
+    """(label, domain, interface) for every catalog patch kind, both sphere
+    orientations."""
+    ball, shell = Ball(1.0), SphericalShell(1.0, 2.0)
+    cyl, box = CylinderAnnulus(0.5, 1.5, 2.0), Box([1.0, 0.8, 1.0])
+    return [("sphere+", ball, sphere_interface(0.7)),
+            ("sphere-", ball, sphere_interface(0.7, orientation=-1.0)),
+            ("disk", ball, plane_disk_interface(ball, z=0.2)),
+            ("annulus", shell, equatorial_annulus_interface(shell)),
+            ("cylinder", cyl, cylinder_patch_interface(cyl, 1.0)),
+            ("rect", box, box.plane_interface(-0.1))]
+
+
+CATALOG_INTERFACES = _catalog_interfaces()
+
+
+def _batch_formula_densities(phi, interface):
+    """(sigma1, sigma2) from the surface batch: jump and jump gradient of
+    the sides, the batch normals and curvature, and ``surface_curl`` of
+    (J x n)^T with its closed-form chart derivative.  The oracle for the
+    world-field densities of ``extract_densities``."""
+    pw = phi.pw
+
+    def jump_gradient(b):
+        return (np.asarray(pw.plus.gradient(b.points))
+                - np.asarray(pw.minus.gradient(b.points)))
+
+    def sigma2(b):
+        N = T.cross_matrix(b.normals)
+        return -np.einsum('nla,nlm,nmd->nad', N, pw.jump(b), N)
+
+    def jump_cross_dchart(b, axis):
+        t, dn = chart_tangent(b, axis)
+        dj = np.einsum('nijk,nk->nij', jump_gradient(b), t)
+        return np.swapaxes(T.row_cross(dj, b.normals)
+                           + T.row_cross(pw.jump(b), dn), -1, -2)
+
+    jump_cross = SurfaceField(
+        lambda b: np.swapaxes(T.row_cross(pw.jump(b), b.normals), -1, -2),
+        2, interface, dchart=jump_cross_dchart)
+
+    def sigma1(b):
+        curl = T.tensor_curl_rows_from_gradient(jump_gradient(b))
+        term_a = -T.row_cross(np.swapaxes(curl, -1, -2), b.normals)
+        term_c = -np.swapaxes(surface_curl(jump_cross, b), -1, -2)
+        return T.sym(term_a + b.kappa[:, None, None] * sigma2(b) + term_c)
+
+    return SurfaceField(sigma1, 2, interface), SurfaceField(sigma2, 2, interface)
+
+
+@pytest.mark.parametrize("label,domain,itf", CATALOG_INTERFACES,
+                         ids=[c[0] for c in CATALOG_INTERFACES])
+class TestExtractedDensities:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_interface_conditions_hold_to_rounding(self, label, domain, itf,
+                                                   seed):
+        phi = random_stress_function(np.random.default_rng(seed), itf, domain,
+                                     degree=4, scale=0.2)
+        triple = extract_densities(phi, itf)
+        rb, rc, rd = interface_residuals(triple.scenario(domain), n=400)
+        assert rb <= 1e-12 and rc <= 1e-12 and rd <= 1e-12, (rb, rc, rd)
+
+    def test_values_match_batch_formulas(self, label, domain, itf):
+        phi = random_stress_function(np.random.default_rng(5), itf, domain,
+                                     degree=4, scale=0.2)
+        triple = extract_densities(phi, itf)
+        batch = itf.samples(300)
+        for got, want in zip((triple.sigma1, triple.sigma2),
+                             _batch_formula_densities(phi, itf)):
+            w = want.value(batch)
+            scale = np.max(np.abs(w))
+            assert scale > 1e-3
+            assert np.max(np.abs(got.value(batch) - w)) <= 1e-13 * scale
+
+    def test_dchart_matches_richardson_chart_difference(
+            self, label, domain, itf, chart_difference):
+        phi = random_stress_function(np.random.default_rng(6), itf, domain,
+                                     degree=4, scale=0.2)
+        triple = extract_densities(phi, itf)
+        batch = itf.samples(60)
+        h = 2e-3
+        for got, oracle in zip((triple.sigma1, triple.sigma2),
+                               _batch_formula_densities(phi, itf)):
+            for axis in (0, 1):
+                coarse = chart_difference(oracle, batch, axis, h)
+                fine = chart_difference(oracle, batch, axis, h / 2)
+                want = (16.0 * fine - coarse) / 15.0
+                assert np.max(np.abs(got.dchart(batch, axis) - want)) <= 1e-9
