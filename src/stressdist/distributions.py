@@ -30,9 +30,9 @@ from .errors import ConfigError, RankMismatchError, StressDistError
 from .fields import (shaped_divergence, surface_divergence, surface_gradient,
                      surface_trace)
 from .geometry import (DEFAULT_SURFACE_LEVEL, DEFAULT_VOLUME_LEVEL,
-                       PairingValue, blocked_sum, boundary_force_moment,
-                       curve_force_moment, support_key, support_volume_quad,
-                       two_level)
+                       PairingValue, blocked_sum, blocked_values,
+                       boundary_force_moment, curve_force_moment, support_key,
+                       support_volume_quad, two_level)
 
 ABS_TOL = 1e-7
 REL_TOL = 1e-5
@@ -155,7 +155,8 @@ class BDist:
         """Streamed quadrature of ``field.<method> : test_value`` over a rule
         from ``_volume_quad``.
 
-        Field values are kept whole per value key when the rule has one and
+        Field values are kept whole per value key when the rule has one
+        (evaluated block by block on the pool, ``blocked_values``) and
         sliced per block; on other rules both sides are evaluated one block
         at a time.
         """
@@ -165,7 +166,7 @@ class BDist:
                                lambda x: _contract(evaluate(x), test_value(x)),
                                quad.points)
         vals = self._memo.get((method,) + key,
-                              lambda: np.asarray(evaluate(quad.points)))
+                              lambda: blocked_values(evaluate, quad.points))
         return blocked_sum(quad.weights,
                            lambda x, v: _contract(v, test_value(x)),
                            quad.points, vals)

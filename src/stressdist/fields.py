@@ -49,7 +49,10 @@ class Poly3:
     ``value`` returns (N,) + coefs.shape[:-1].  The constructor compiles the
     table once: the coefficients are summed onto the monomials dividing a
     term, and ``value`` builds each of those from its parent with one
-    multiply per point, then applies one matrix product for all rows.
+    multiply per point, then applies one matrix product for all rows.  A
+    point gets the same bits in any batch of two or more, unless the
+    polynomial is a single (scalar) row: numpy then runs a matrix-vector
+    product, whose sums depend on the batch.
     """
 
     def __init__(self, exps, coefs):
@@ -94,6 +97,10 @@ class Poly3:
     def value(self, pts):
         pts = np.asarray(pts, dtype=float)
         n = len(pts)
+        if n == 1:
+            # a one-point product would run as a matrix-vector product:
+            # evaluate the point as a pair to keep its bits
+            return self.value(np.repeat(pts, 2, axis=0))[:1]
         cols = np.ascontiguousarray(pts.T)
         mono = np.empty((len(self._basis), n))
         mono[0] = 1.0
@@ -426,10 +433,13 @@ class PiecewiseField:
             # wholly on one side, as most blocks of a rule are
             f = self.plus if n_plus else self.minus
             return np.asarray(_side_call(f, method, pts))
-        out = np.empty((len(pts),) + (3,) * (self.rank + order))
+        # gather each side's points and scatter its values as whole rows
+        out = np.empty((len(pts), 3 ** (self.rank + order)))
         for f, m in ((self.plus, plus_mask), (self.minus, ~plus_mask)):
-            out[m] = np.asarray(_side_call(f, method, pts[m]))
-        return out
+            idx = np.flatnonzero(m)
+            vals = np.asarray(_side_call(f, method, np.take(pts, idx, axis=0)))
+            out[idx] = vals.reshape(len(idx), -1)
+        return out.reshape((len(pts),) + (3,) * (self.rank + order))
 
     def value(self, pts):
         return self._per_side(pts, 'value', 0)
@@ -493,14 +503,19 @@ class SurfaceField:
     def from_world(cls, fn, rank, interface=None):
         """Restriction of a world field to the surface, with the chain rule
         grad f . x_u (x_v) as dchart; a plain evaluator is wrapped in
-        ``CallableField``, whose gradient is by finite differences."""
+        ``CallableField``, whose gradient is by finite differences.  The
+        world gradient and the tangents of the latest batch are held, so
+        both chart axes of one batch evaluate them once."""
         field = fn if hasattr(fn, 'gradient') else CallableField(fn, rank)
+        latest = [(None, None)]     # (batch, (gradient, xu, xv)) as one tuple
 
         def dchart(batch, axis):
-            xu, xv = batch.patch.tangents(batch.U, batch.V)
-            tang = xu if axis == 0 else xv
-            g = np.asarray(field.gradient(batch.points))
-            return np.einsum('n...k,nk->n...', g, tang)
+            held, parts = latest[0]
+            if held is not batch:
+                parts = (np.asarray(field.gradient(batch.points)),
+                         *batch.patch.tangents(batch.U, batch.V))
+                latest[0] = (batch, parts)
+            return np.einsum('n...k,nk->n...', parts[0], parts[1 + axis])
 
         return cls(lambda batch: np.asarray(field.value(batch.points)), rank,
                    interface, dchart=dchart)
@@ -643,7 +658,7 @@ class _ComponentBump:
     distinct rows onto the components.  Both run only at the points inside
     the support (``_in_support``), and every other point gets exact zeros;
     a scalar bump's value alone evaluates its polynomial everywhere, so
-    that each point keeps the bits it has in the whole batch.
+    that each point keeps the bits it has in the whole batch (``Poly3``).
     """
 
     def __init__(self, center, radius, polys, shape):
@@ -662,67 +677,91 @@ class _ComponentBump:
         self._gradient = self._value.with_coefs(np.concatenate([P, G]))
         self._hessian = self._value.with_coefs(np.concatenate([P, G, H]))
 
-    def _components(self, rows):
-        """(N, distinct, ...) rows -> (N,) + shape + (...)."""
-        if self._pick is not None:
-            rows = rows[:, self._pick]
-        return rows.reshape((len(rows),) + self.shape + rows.shape[2:])
+    def _components(self, planes):
+        """Node-last (distinct, ..., N) planes -> (N,) + shape + (...)
+        arrays in the memory layout ``_orders`` states."""
+        if self._pick is None:
+            return self._shaped(np.ascontiguousarray(np.moveaxis(planes, -1, 0)))
+        rows = np.ascontiguousarray(np.moveaxis(planes, -1, 1))[self._pick]
+        return self._shaped(np.moveaxis(rows, 0, 1))
+
+    def _shaped(self, rows):
+        """(N, components, ...) -> (N,) + shape + (...), as a view."""
+        return rows.reshape(rows.shape[:1] + self.shape + rows.shape[2:])
 
     def _orders(self, pts, orders):
         """Value (0), gradient (1) and Hessian (2) for the ascending
-        ``orders``, as C-contiguous (N, distinct, ...) rows mapped by
-        ``_components``; zero outside the support."""
+        ``orders``, as (N,) + shape + (3,) * order arrays, zero outside the
+        support.
+
+        The memory layout is node-major (C-contiguous), or component-major
+        (components, N, ...) when components share a distinct polynomial
+        (``_pick``): numpy reductions downstream (``einsum``) choose their
+        summation order by the strides, so the layout is part of every
+        pairing's bits.
+        """
         pts = np.asarray(pts, dtype=float)
         d = pts - self.center
         q = np.einsum('ni,ni->n', d, d) / self.radius ** 2
         idx = np.flatnonzero(_in_support(q))
-        u = len(self._value.coefs)
-        # Poly3.value gives a point the same bits in any batch only as a
-        # matrix product: a single row (a scalar's value) or a single point
-        # runs as a matrix-vector product, whose sums depend on the batch
-        if len(idx) == len(q) or (orders[-1] == 0 and u == 1):
-            out = self._inside_orders(pts, d, q, orders)
-        else:
-            out = [np.zeros((len(q), u) + (3,) * k) for k in orders]
-            if len(idx):
-                if len(idx) == 1:
-                    idx = np.repeat(idx, 2)
-                rows = self._inside_orders(pts[idx], d[idx], q[idx], orders)
-                for full, part in zip(out, rows):
-                    full[idx] = part
-        return [self._components(a) for a in out]
+        n = len(q)
+        # a scalar's value (one polynomial row) runs as a matrix-vector
+        # product, whose sums depend on the batch: it is never masked
+        if len(idx) == n or (orders[-1] == 0 and len(self._value.coefs) == 1):
+            return [self._components(p)
+                    for p in self._inside_orders(pts, d, q, orders)]
+        # gather the inside points, scatter their values as whole rows
+        planes = (self._inside_orders(np.take(pts, idx, axis=0),
+                                      np.take(d, idx, axis=0), q[idx], orders)
+                  if len(idx) else [None] * len(orders))
+        out = []
+        for p, k in zip(planes, orders):
+            if self._pick is None:
+                full = np.zeros((n, len(self.polys) * 3 ** k))
+                if p is not None:
+                    full[idx] = p.reshape(-1, len(idx)).T
+                full = full.reshape((n, len(self.polys)) + (3,) * k)
+            else:
+                full = np.zeros((len(self.polys), n) + (3,) * k)
+                if p is not None:
+                    full[:, idx] = np.moveaxis(p, -1, 1)[self._pick]
+                full = np.moveaxis(full, 0, 1)
+            out.append(self._shaped(full))
+        return out
 
     def _inside_orders(self, pts, d, q, orders):
         """``_orders`` at points inside the support (or, unmasked, at any
         points), from one radial factor and one ``Poly3.value`` call on the
-        rows of the highest order; hess q is (2/r^2) I."""
+        rows of the highest order; hess q is (2/r^2) I.  Returned as
+        node-last planes (distinct, ..., N), so that the product rule runs
+        along whole rows of nodes."""
         top = orders[-1]
         radial = _bump_radial(q, top)
         beta = radial[0]
-        rows = (self._value, self._gradient, self._hessian)[top].value(pts)
-        u = len(self._value.coefs)
-        P = rows[:, :u]
+        rows = np.ascontiguousarray(
+            (self._value, self._gradient, self._hessian)[top].value(pts).T)
+        n, u = len(q), len(self._value.coefs)
+        P = rows[:u]
         out = []
         if 0 in orders:
-            out.append(P * beta[:, None])
+            out.append(P * beta)
         if top >= 1:
             b1 = radial[1]
-            dq = 2.0 * d / self.radius ** 2
-            gP = rows[:, u:4 * u].reshape(-1, u, 3)
+            dq = 2.0 * np.ascontiguousarray(d.T) / self.radius ** 2
+            gP = rows[u:4 * u].reshape(u, 3, n)
         if 1 in orders:
-            g = beta[:, None, None] * gP
-            g += (P * b1[:, None])[:, :, None] * dq[:, None, :]
+            g = beta * gP
+            g += (P * b1)[:, None] * dq
             out.append(g)
         if 2 in orders:
             hq = 2.0 / self.radius ** 2
-            P = P[:, :, None, None]
-            h = beta[:, None, None, None] * rows[:, 4 * u:].reshape(-1, u, 3, 3)
-            dq = dq[:, None, :]
-            h += b1[:, None, None, None] * (gP[..., :, None] * dq[..., None, :]
-                                            + dq[..., :, None] * gP[..., None, :])
-            h += (P * radial[2][:, None, None, None]) * dq[..., :, None] \
-                * dq[..., None, :]
-            h += (P * b1[:, None, None, None]) * hq * T.I3
+            h = beta * rows[4 * u:].reshape(u, 3, 3, n)
+            sym = gP[:, :, None] * dq
+            sym += dq[:, None] * gP[:, None]
+            sym *= b1
+            h += sym
+            h += (P * radial[2])[:, None, None] * dq[:, None] * dq
+            h += ((P * b1) * hq)[:, None, None] * T.I3[:, :, None]
             out.append(h)
         return out
 
@@ -812,8 +851,15 @@ class ModulatedTest:
         lead = (-1,) + (1,) * (v[0].ndim - 1)
         out = [m[0].reshape(lead) * v[0]]
         if order >= 1:
-            out.append(m[0].reshape(lead + (1,)) * v[1]
-                       + v[0][..., None] * m[1].reshape(lead + (3,)))
+            # on node-last planes (..., 3, N), so that the product rule runs
+            # along whole rows of nodes; copied back once, into the memory
+            # layout of the base's gradient (see ``_ComponentBump._orders``)
+            g = m[0] * np.ascontiguousarray(np.moveaxis(v[1], 0, -1))
+            g += (np.ascontiguousarray(np.moveaxis(v[0], 0, -1))[..., None, :]
+                  * np.ascontiguousarray(m[1].T))
+            grad = np.empty_like(v[1])
+            np.moveaxis(grad, 0, -1)[...] = g
+            out.append(grad)
         if order >= 2:
             h = m[0].reshape(lead + (1, 1)) * v[2]
             h += v[1][..., :, None] * m[1].reshape(lead + (1, 3))

@@ -19,6 +19,7 @@ Orientation conventions (all signs downstream derive from these):
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -113,33 +114,53 @@ def two_level(run, level):
     return PairingValue(value, abs(value - coarse))
 
 
+def _gauss_rule(n):
+    """Read-only n-point Gauss-Legendre nodes and weights on [-1, 1]."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
+# the per-cell rules, built once at import
+GAUSS_RULE = _gauss_rule(GAUSS_NODES_PER_CELL)
+SMALL_CELL_RULE = _gauss_rule(4)
+
+
 def _gauss_cells(breaks, level, windows=None, small_cell=None):
     """1-D composite Gauss-Legendre nodes/weights on cells given by breaks.
 
-    ``windows`` optionally restricts to cells overlapping any (lo, hi)
-    interval; integrands known to vanish outside the windows are then
-    integrated exactly on the kept cells only.  Cells narrower than
-    ``small_cell`` get a reduced 4-point rule (graded ladders).
+    Each cell is split into ``2 ** level`` equal subcells (with the edges
+    ``np.linspace`` gives) carrying ``GAUSS_RULE``.  ``windows`` optionally
+    restricts to cells overlapping any (lo, hi) interval; integrands known
+    to vanish outside the windows are then integrated exactly on the kept
+    cells only.  Subcells narrower than ``small_cell`` get
+    ``SMALL_CELL_RULE`` instead (graded ladders).
     """
-    base_x, base_w = np.polynomial.legendre.leggauss(GAUSS_NODES_PER_CELL)
-    few_x, few_w = np.polynomial.legendre.leggauss(4)
-    xs, ws = [], []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        if windows is not None and not any(
-                hi > a + 1e-14 and lo < b - 1e-14 for lo, hi in windows):
-            continue
-        edges = np.linspace(a, b, 2 ** level + 1)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-            if small_cell is not None and (hi - lo) < small_cell:
-                xs.append(mid + half * few_x)
-                ws.append(half * few_w)
-            else:
-                xs.append(mid + half * base_x)
-                ws.append(half * base_w)
-    if not xs:
-        return np.zeros(0), np.zeros(0)
-    return np.concatenate(xs), np.concatenate(ws)
+    a = np.asarray(breaks, dtype=float)
+    a, b = a[:-1], a[1:]
+    if windows is not None:
+        keep = np.zeros(len(a), dtype=bool)
+        for lo, hi in windows:
+            keep |= (hi > a + 1e-14) & (lo < b - 1e-14)
+        a, b = a[keep], b[keep]
+    m = 2 ** level
+    # linspace(a, b, m + 1): a + k * ((b - a) / m), with the last edge b
+    edges = a[:, None] + np.arange(m + 1) * ((b - a) / m)[:, None]
+    edges[:, -1] = b
+    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    xs = mid[:, None] + half[:, None] * GAUSS_RULE[0]
+    ws = half[:, None] * GAUSS_RULE[1]
+    few = (hi - lo) < small_cell if small_cell is not None else None
+    if few is None or not few.any():
+        return xs.ravel(), ws.ravel()
+    k = len(SMALL_CELL_RULE[0])
+    xs[few, :k] = mid[few, None] + half[few, None] * SMALL_CELL_RULE[0]
+    ws[few, :k] = half[few, None] * SMALL_CELL_RULE[1]
+    used = np.ones(xs.shape, dtype=bool)
+    used[few, k:] = False
+    return xs[used], ws[used]
 
 
 def _graded_breaks(windows, depth, base_breaks, lo, hi):
@@ -753,19 +774,28 @@ def _fiber_layout(interface, center, radius, level):
 
 def _fiber_nodes(center, dirs, w_ang, breaks):
     """Gauss nodes on every radial cell of every fiber, in (fiber, cell,
-    node) order, with weights w_ang * half * wg * s^2."""
+    node) order, with weights w_ang * half * wg * s^2.  The nodes are
+    written into preallocated arrays a block of ``BLOCK`` nodes at a time,
+    on the pool (``_pool.map_blocks``)."""
     # a fiber without a crossing repeats ``radius`` as a break: drop the
     # zero-width cells this leaves
     live = breaks[:, 1:] > breaks[:, :-1]
     fiber = np.nonzero(live)[0]
     lo, hi = breaks[:, :-1][live], breaks[:, 1:][live]
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    xg, wg = np.polynomial.legendre.leggauss(GAUSS_NODES_PER_CELL)
-    s_nodes = mid[:, None] + half[:, None] * xg               # (cells, 8)
-    weights = w_ang[fiber, None] * (half[:, None] * wg * s_nodes ** 2)
-    pts = np.empty(s_nodes.shape + (3,))
-    for k in range(3):
-        pts[..., k] = center[k] + s_nodes * dirs[fiber, k][:, None]
+    xg, wg = GAUSS_RULE
+    cells = BLOCK // len(xg)
+    pts = np.empty((len(mid), len(xg), 3))
+    weights = np.empty((len(mid), len(xg)))
+
+    def fill(k):
+        c = slice(k * cells, (k + 1) * cells)
+        s_nodes = mid[c, None] + half[c, None] * xg               # (cells, 8)
+        weights[c] = w_ang[fiber[c], None] * (half[c, None] * wg * s_nodes ** 2)
+        for a in range(3):
+            pts[c, :, a] = center[a] + s_nodes * dirs[fiber[c], a][:, None]
+
+    _pool.map_blocks(fill, -(-len(mid) // cells))
     return VolumeQuad(points=pts.reshape(-1, 3), weights=weights.reshape(-1))
 
 
@@ -838,18 +868,21 @@ class Interface:
         if self.coordinate == 'z':
             grad = np.zeros_like(pts)
             grad[:, 2] = 1.0
-            hess = np.zeros((len(pts), 3, 3))
         else:
             grad = pts / q[:, None]
             if self.coordinate == 'rho':
                 grad[:, 2] = 0.0
+        out.append(o * grad)
+        if order == 1:
+            return out
+        if self.coordinate == 'z':
+            hess = np.zeros((len(pts), 3, 3))
+        else:
             hess = ((I3 - np.einsum('ni,nj->nij', grad, grad))
                     / q[:, None, None])
             if self.coordinate == 'rho':
                 hess[:, 2, 2] -= 1.0 / q
-        out.append(o * grad)
-        if order >= 2:
-            out.append(o * hess)
+        out.append(o * hess)
         if order >= 3:
             # d_k H_ij = -(H_ik g_j + H_jk g_i + H_ij g_k) / q for q = r or
             # rho (g, H unoriented); every third derivative of z vanishes
@@ -1506,6 +1539,33 @@ def blocked_sum(weights, integrand, *arrays):
     if isinstance(total, tuple):
         return tuple(_as_sum(t) for t in total)
     return _as_sum(total)
+
+
+def blocked_values(fn, points):
+    """``fn(points)`` evaluated block by block into one preallocated array.
+
+    The blocks are those of ``blocked_sum`` and are evaluated on the same
+    bounded pool (``_pool.map_blocks``), so ``fn`` must be pointwise and
+    safe to call from several threads at once, as an integrand must.  The
+    array is allocated by the first block to finish, from its shape and
+    dtype; no per-block results are kept or joined.
+    """
+    n = len(points)
+    if n == 0:
+        return np.asarray(fn(points))
+    held = []
+    lock = threading.Lock()
+
+    def fill(k):
+        lo = k * BLOCK
+        v = np.asarray(fn(points[lo:lo + BLOCK]))
+        with lock:
+            if not held:
+                held.append(np.empty((n,) + v.shape[1:], dtype=v.dtype))
+        held[0][lo:lo + len(v)] = v
+
+    _pool.map_blocks(fill, -(-n // BLOCK))
+    return held[0]
 
 
 def _weighted_reduce(w, f):

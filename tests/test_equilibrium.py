@@ -370,6 +370,51 @@ class TestDipoleLimit:
         assert len(made) == 10 and len(rep.orders) == 10
         assert all(big_ball.contains_ball(c, r) for c, r in made)
 
+    def test_lower_plane_paired_once_per_test(self, big_ball, monkeypatch):
+        # the z0 pairings do not depend on h: each test's value and gradient
+        # are evaluated once on the z0 plane, its value once per upper
+        # plane; the report equals re-pairing z0 for every h
+        from stressdist import equilibrium
+        from stressdist.geometry import blocked_sum
+        made, calls = [], []
+
+        class Counting(equilibrium.BumpSymTensor):
+            def __init__(self, center, radius, polys):
+                super().__init__(center, radius, polys)
+                made.append(self)
+
+            def value(self, pts):
+                calls.append((self, 'value', float(pts[0, 2])))
+                return super().value(pts)
+
+            def gradient(self, pts):
+                calls.append((self, 'gradient', float(pts[0, 2])))
+                return super().gradient(pts)
+
+        monkeypatch.setattr(equilibrium, "BumpSymTensor", Counting)
+        sigma0 = np.diag([1.0, -0.5, 0.0])
+        hs = [0.2, 0.1, 0.05]
+        rep = dipole_limit(big_ball, sigma0, hs, n_tests=4, seed=3)
+        assert len(made) == 4
+        for t in made:
+            mine = sorted((m, z) for u, m, z in calls if u is t)
+            assert mine == sorted([('gradient', 0.0), ('value', 0.0)]
+                                  + [('value', h) for h in hs])
+
+        def plane(z, fn, t):
+            b = plane_disk_interface(big_ball, z=z).surface_quadrature(
+                2, support=(t.center, t.radius))
+            return blocked_sum(b.weights, None, fn(b)) if len(b) else 0.0
+
+        for j, t in enumerate(made):
+            exact = plane(0.0, lambda b: np.einsum(
+                'ij,nij->n', sigma0,
+                np.einsum('nijk,nk->nij', t.gradient(b.points), b.normals)), t)
+            conc = lambda b: np.einsum('ij,nij->n', sigma0, t.value(b.points))
+            want = [abs((plane(h, conc, t) - plane(0.0, conc, t)) / h - exact)
+                    for h in hs]
+            assert rep.errors[j] == want
+
     def test_zero_strength(self, big_ball):
         rep = dipole_limit(big_ball, np.zeros((3, 3)), [0.2, 0.1],
                            n_tests=2, seed=1)

@@ -23,11 +23,12 @@ from stressdist.fields import (BumpScalar, BumpSymTensor, BumpVector,
                                PiecewiseField, PlateauFactor, Poly3, PolyField,
                                SmoothStepProfile, SquaredDistanceFactor,
                                SurfaceField, chart_derivatives, chart_tangent,
-                               dilatational_surface, jump, make_bump,
-                               make_gradient_test_field, normal_dyad,
-                               shaped_divergence, surface_divergence,
-                               surface_gradient, surface_polynomial,
-                               uniform_tension)
+                               dilatational_surface, dual_tangents, jump,
+                               make_bump, make_gradient_test_field,
+                               normal_dyad, shaped_divergence,
+                               surface_divergence, surface_gradient,
+                               surface_polynomial, surface_trace,
+                               tangential_gradient, uniform_tension)
 from stressdist.geometry import (Ball, Box, CylinderAnnulus, Interface,
                                  SphericalShell, cylinder_patch_interface,
                                  equatorial_annulus_interface,
@@ -51,6 +52,19 @@ class TestPoly3:
         pts = _rand_points(rng, 40)
         assert np.allclose(p.value(pts), f(*pts.T), atol=1e-13)
         assert np.allclose(p.derivative(0).value(pts), dfx(*pts.T), atol=1e-12)
+
+    @pytest.mark.parametrize("rows", [3, 9])
+    def test_one_point_batch_keeps_its_bits(self, rng, rows):
+        # a one-point batch is evaluated as a pair: numpy would otherwise
+        # run a matrix-vector product, whose sums differ in the last bits
+        poly = Poly3.random(rng, 3).with_coefs(
+            rng.uniform(-1, 1, (rows, 20)))
+        pts = _rand_points(rng, 64, scale=1.3)
+        whole = poly.value(pts)
+        for i in range(len(pts)):
+            one = poly.value(pts[i:i + 1])
+            assert one.shape == (1, rows)
+            assert one[0].tobytes() == whole[i].tobytes(), i
 
     def test_times_coordinate(self, rng):
         p = Poly3.random(rng, 2)
@@ -619,6 +633,31 @@ class TestSurfaceOperators:
         for op in (chart_derivatives, surface_gradient, surface_divergence):
             with pytest.raises(FieldError, match="SurfaceField.from_world"):
                 op(plain, batch)
+
+    def test_from_world_evaluates_the_gradient_once_per_batch(
+            self, unit_sphere, rng, monkeypatch):
+        real, calls = PolyField.gradient, []
+
+        def counting(self, pts):
+            calls.append(len(pts))
+            return real(self, pts)
+
+        monkeypatch.setattr(PolyField, 'gradient', counting)
+        field = surface_polynomial(np.random.default_rng(7), 2, unit_sphere,
+                                   degree=2)
+        batch, other = unit_sphere.samples(80), unit_sphere.samples(30)
+        got = surface_divergence(field, batch)
+        assert calls == [80]
+        surface_divergence(field, other)
+        assert calls == [80, 30]
+        # both chart axes from one gradient, each axis as the chain rule
+        pf = PolyField.random_symmetric(np.random.default_rng(7), 2)
+        g = real(pf, batch.points)
+        xu, xv = batch.patch.tangents(batch.U, batch.V)
+        fu, fv = (np.einsum('n...k,nk->n...', g, t) for t in (xu, xv))
+        want = surface_trace(tangential_gradient(fu, fv, dual_tangents(batch)),
+                             2)
+        assert got.tobytes() == want.tobytes()
 
     def test_from_world_gives_a_plain_evaluator_a_dchart(self, unit_sphere):
         f = SurfaceField.from_world(lambda p: p[:, 0] * p[:, 1], 0,

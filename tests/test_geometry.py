@@ -12,9 +12,10 @@ from scipy import integrate
 from stressdist import distributions, geometry
 from stressdist._memo import LruMemo
 from stressdist.errors import EvaluationError, GeometryError
-from stressdist.fields import KelvinStressField, PiecewiseField
+from stressdist.fields import KelvinStressField, PiecewiseField, PolyField
 from stressdist.geometry import (BLOCK, Ball, Box, CylinderAnnulus,
                                  Interface, SphericalShell, blocked_sum,
+                                 blocked_values,
                                  boundary_force_moment,
                                  equatorial_annulus_interface, integrate_curve,
                                  integrate_surface, integrate_volume,
@@ -402,6 +403,84 @@ class TestFiberAssembly:
         assert np.all(rule.weights != 0.0)
 
 
+def _gauss_cells_oracle(breaks, level, windows=None, small_cell=None):
+    """The per-cell loop that ``geometry._gauss_cells`` replaced: the
+    reference it must equal bit for bit."""
+    base_x, base_w = np.polynomial.legendre.leggauss(
+        geometry.GAUSS_NODES_PER_CELL)
+    few_x, few_w = np.polynomial.legendre.leggauss(4)
+    xs, ws = [], []
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        if windows is not None and not any(
+                hi > a + 1e-14 and lo < b - 1e-14 for lo, hi in windows):
+            continue
+        edges = np.linspace(a, b, 2 ** level + 1)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+            if small_cell is not None and (hi - lo) < small_cell:
+                xs.append(mid + half * few_x)
+                ws.append(half * few_w)
+            else:
+                xs.append(mid + half * base_x)
+                ws.append(half * base_w)
+    if not xs:
+        return np.zeros(0), np.zeros(0)
+    return np.concatenate(xs), np.concatenate(ws)
+
+
+class TestGaussCells:
+    BREAKS = {
+        "graded": geometry._graded_breaks([(0.1, 0.9)], 7, [0.5], 0.0, 1.0),
+        "uniform": np.linspace(0.0, 2 * np.pi, 6),
+        "ladder": sorted({0.0, np.pi, 1.2} | {1.2 + 0.5 ** k for k in
+                                               range(1, 9)}),
+        "random": np.sort(np.random.default_rng(3).uniform(-2.0, 3.0, 12)),
+        "one-cell": [-0.3, 0.7],
+        "no-cell": [0.4],
+    }
+
+    WINDOWS = [None, [(0.2, 0.45)], [(-1.0, 0.05), (1.3, 1.4)], []]
+
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    def test_equals_per_cell_loop(self, level):
+        for name, breaks in self.BREAKS.items():
+            for windows in self.WINDOWS:
+                for small_cell in (None, 0.06):
+                    case = (name, windows, small_cell)
+                    x, w = geometry._gauss_cells(breaks, level, windows,
+                                                 small_cell)
+                    want_x, want_w = _gauss_cells_oracle(
+                        breaks, level, windows, small_cell)
+                    assert x.shape == want_x.shape, case
+                    assert x.tobytes() == want_x.tobytes(), case
+                    assert w.tobytes() == want_w.tobytes(), case
+
+    def test_rules_are_built_once(self, monkeypatch):
+        # the Gauss-Legendre rules are read-only constants: building volume,
+        # fiber and surface rules after import never calls leggauss
+        for rule in (geometry.GAUSS_RULE, geometry.SMALL_CELL_RULE):
+            assert all(not a.flags.writeable for a in rule)
+
+        def fail(n):
+            raise AssertionError(f"leggauss({n}) called after import")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", fail)
+        ball, shell = Ball(1.1), SphericalShell(1.0, 2.0)
+        sphere = sphere_interface(0.55)
+        assert len(ball.volume_quadrature(sphere, 1)) > 0
+        assert len(shell.volume_quadrature(None, 0)) > 0
+        c = np.array([0.3, 0.1, -0.2])
+        for level in (0, 2):
+            assert len(support_volume_quad(sphere, c, 0.41, level)) > 0
+        assert len(sphere.surface_quadrature(1)) > 0
+        assert len(sphere.surface_quadrature(1, support=(c, 0.41))) > 0
+        disk = plane_disk_interface(ball, z=0.05)
+        assert len(disk.surface_quadrature(1, support=(c, 0.41))) > 0
+        cyl = cylinder_patch_interface(CylinderAnnulus(0.5, 1.5, 2.0), 1.0)
+        assert len(cyl.surface_quadrature(1, support=(
+            np.array([1.0, 0.0, 0.1]), 0.3))) > 0
+
+
 class TestQuadratureMemos:
     def test_lru_memo_evicts_least_recently_used(self):
         memo = LruMemo(2)
@@ -565,6 +644,21 @@ class TestLevelSetInterfaces:
         for a, b in zip(lower, jet):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("orientation", [1.0, -1.0])
+    @pytest.mark.parametrize("coordinate,value", [("r", 0.8), ("z", 0.3),
+                                                  ("rho", 1.1)])
+    def test_lower_orders_are_prefixes(self, coordinate, value, orientation,
+                                       rng):
+        itf = Interface("level-set", None, True, coordinate, value, None,
+                        orientation=orientation)
+        pts = rng.uniform(-1.5, 1.5, (25, 3))
+        full = itf.distance_jet(pts, 3)
+        for order in range(4):
+            jet = itf.distance_jet(pts, order)
+            assert len(jet) == order + 1
+            for a, b in zip(jet, full):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
     @pytest.mark.parametrize("case", _level_set_cases(), ids=lambda c: c[0])
     def test_clearance_matches_hand_formula(self, case):
         _, domain, itf, expected, _ = case
@@ -637,6 +731,51 @@ class TestBlockedSum:
         assert abs(direct - math.fsum(w * f)) <= 1e-13 * math.fsum(np.abs(w * f))
         assert abs(paired - math.fsum(w * f * g[:, 0])) <= 1e-13 * n
         assert blocked_sum(np.zeros(0), None, np.zeros(0)) == 0.0
+
+
+class TestBlockedValues:
+    def _two_sided(self, rng):
+        itf = sphere_interface(0.5)
+        return itf, PiecewiseField(2, PolyField.random_symmetric(rng, 3),
+                                   PolyField.random_symmetric(rng, 3), itf)
+
+    def _rule_points(self, itf, lone):
+        """A full-domain rule's nodes, rolled so that block 1 holds exactly
+        ``lone`` plus-side nodes (the others minus-side)."""
+        q = Ball(1.0).volume_quadrature(itf, 1)
+        s = itf.signed_distance(q.points)
+        pts = q.points[np.argsort(s, kind="stable")]
+        first_plus = int(np.count_nonzero(s < 0.0))
+        pts = np.roll(pts, 2 * BLOCK - lone - first_plus, axis=0)
+        assert len(pts) > 3 * BLOCK
+        plus = itf.signed_distance(pts[BLOCK:2 * BLOCK]) >= 0.0
+        assert np.count_nonzero(plus) == lone
+        return pts
+
+    @pytest.mark.parametrize("width", ["1", "2"])
+    @pytest.mark.parametrize("lone", [1, 2])
+    def test_equals_whole_evaluation(self, rng, monkeypatch, width, lone):
+        monkeypatch.setenv("STRESSDIST_THREADS", width)
+        itf, field = self._two_sided(rng)
+        pts = self._rule_points(itf, lone)
+        for method in (field.value, field.divergence):
+            sizes = []
+
+            def fn(x):
+                sizes.append(len(x))
+                return method(x)
+
+            got = blocked_values(fn, pts)
+            want = method(pts)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            assert max(sizes) == BLOCK and sum(sizes) == len(pts)
+            assert len(sizes) == -(-len(pts) // BLOCK)
+
+    def test_empty_rule(self, rng):
+        _, field = self._two_sided(rng)
+        got = blocked_values(field.value, np.zeros((0, 3)))
+        assert got.shape == (0, 3, 3)
 
 
 class TestBlockPool:
