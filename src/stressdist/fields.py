@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import copy
 import math
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -1005,33 +1007,107 @@ class PlateauFactor:
 # curl-free tensor test fields (gradients of vector potentials)
 
 
-class GradientTestField:
-    """psi = grad u for a smooth vector potential u that equals a constant
-    vector on a neighborhood of each boundary component (zero on component 0).
+@dataclass(frozen=True)
+class RadialProfile:
+    """phi(x) = 1 - step((|x| - a) / (b - a)): identically 1 for |x| <= a,
+    0 for |x| >= b, C-infinity between (``SmoothStepProfile``).  Profiles
+    compare by value, so tests built apart can share one evaluation."""
 
-    Curl-free by construction; value, gradient (= hess u) and the potential
-    itself are all analytic.  ``volume_breaks`` exposes the radial structure
-    of the profile so pairings can resolve its transition layers.
+    a: float
+    b: float
+    _step: ClassVar[SmoothStepProfile] = SmoothStepProfile()
+
+    def _t(self, r):
+        return (r - self.a) / (self.b - self.a)
+
+    def _radius(self, pts):
+        pts = np.asarray(pts, dtype=float)
+        r = np.linalg.norm(pts, axis=-1)
+        return r, pts / r[:, None]
+
+    def _d1(self, r):
+        return -self._step.d1(self._t(r)) / (self.b - self.a)
+
+    def value(self, pts):
+        r = np.linalg.norm(np.asarray(pts, dtype=float), axis=-1)
+        return 1.0 - self._step.value(self._t(r))
+
+    def gradient(self, pts):
+        r, er = self._radius(pts)
+        return self._d1(r)[:, None] * er
+
+    def hessian(self, pts):
+        r, er = self._radius(pts)
+        ee = np.einsum('nj,nk->njk', er, er)
+        radial = (-self._step.d2(self._t(r))
+                  / (self.b - self.a) ** 2)[:, None, None] * ee
+        return radial + (self._d1(r) / r)[:, None, None] * (T.I3 - ee)
+
+
+class PotentialStack:
+    """Scalar potentials evaluated together: ``orders(pts, orders)`` gives
+    the gradient (order 1) and the Hessian (order 2) of each, as (N, m, 3)
+    and (N, m, 3, 3) arrays with potential t along axis 1.
+
+    Bumps on one support run as one ``_ComponentBump`` with a row per bump:
+    one radial factor and one ``Poly3`` call for all of them, each row
+    bit-identical to the bump's own.  Any other potential is evaluated on
+    its own.
+    """
+
+    def __init__(self, potentials):
+        self.potentials = list(potentials)
+        self._joint = None
+        first = self.potentials[0]
+        if len(self.potentials) > 1 and all(
+                isinstance(p, BumpScalar) and p.radius == first.radius
+                and np.array_equal(p.center, first.center)
+                for p in self.potentials):
+            self._joint = _ComponentBump(first.center, first.radius,
+                                         [p.poly for p in self.potentials],
+                                         (len(self.potentials),))
+
+    def orders(self, pts, orders):
+        if self._joint is not None:
+            return self._joint._orders(pts, orders)
+        per = [[(p.gradient, p.hessian)[k - 1](pts) for k in orders]
+               for p in self.potentials]
+        if len(per) == 1:
+            return [a[:, None] for a in per[0]]
+        return [np.stack(arrays, axis=1) for arrays in zip(*per)]
+
+
+class GradientTestField:
+    """psi = grad u for the vector potential u = c phi: a constant direction
+    c times a smooth scalar ``potential`` phi that is constant on a
+    neighborhood of each boundary component.  ``constants`` holds the value
+    of u there (zero on component 0).
+
+    Curl-free by construction; psi = c (x) grad phi, its gradient
+    c (x) hess phi and the potential itself are all analytic.
+    ``volume_breaks`` exposes the radial structure of the potential so
+    pairings can resolve its transition layers.
     """
 
     rank = 2
 
-    def __init__(self, u_value, psi_value, psi_gradient, constants,
-                 volume_breaks=None):
-        self._u = u_value
-        self._psi = psi_value
-        self._grad = psi_gradient
+    def __init__(self, direction, potential, constants, volume_breaks=None):
+        self.direction = np.asarray(direction, dtype=float)
+        self.potential = potential
         self.constants = [np.asarray(c, dtype=float) for c in constants]
         self.volume_breaks = volume_breaks
 
     def u(self, pts):
-        return self._u(np.asarray(pts, dtype=float))
+        pts = np.asarray(pts, dtype=float)
+        return self.direction[None, :] * self.potential.value(pts)[:, None]
 
     def value(self, pts):
-        return self._psi(np.asarray(pts, dtype=float))
+        return np.einsum('i,nj->nij', self.direction,
+                         self.potential.gradient(np.asarray(pts, dtype=float)))
 
     def gradient(self, pts):
-        return self._grad(np.asarray(pts, dtype=float))
+        return np.einsum('i,njk->nijk', self.direction,
+                         self.potential.hessian(np.asarray(pts, dtype=float)))
 
     def curl_residual(self, pts):
         """max |curl of each row| (zero identically for gradients)."""
@@ -1062,63 +1138,23 @@ def make_gradient_test_field(domain, constants, margin=0.12, rng=None,
             raise FieldError("interior gradient test needs a bump center and radius")
         poly = Poly3.constant(1.0) if rng is None else Poly3.random(rng, 2)
         bump = make_bump(domain, center, radius, rank=0, poly=poly)
-        d = np.asarray(direction if direction is not None else [1.0, 0.0, 0.0],
-                       dtype=float)
-
-        def u_val(pts):
-            return d[None, :] * bump.value(pts)[:, None]
-
-        def psi_val(pts):
-            return np.einsum('i,nj->nij', d, bump.gradient(pts))
-
-        def psi_grad(pts):
-            return np.einsum('i,njk->nijk', d, bump.hessian(pts))
-
-        g = GradientTestField(u_val, psi_val, psi_grad, constants)
+        d = direction if direction is not None else [1.0, 0.0, 0.0]
+        g = GradientTestField(d, bump, constants)
         g.center = bump.center
         g.radius = bump.radius
         return g
 
     if domain.kind != 'spherical-shell':
         raise FieldError("boundary-constant gradient tests need a spherical shell")
-    c1 = constants[1]
     r0, r1 = domain.inner_radius, domain.outer_radius
     a = r0 + margin * (r1 - r0)
     b = r1 - margin * (r1 - r0)
-    step = SmoothStepProfile()
-
-    def prof(r):
-        return 1.0 - step.value((r - a) / (b - a))
-
-    def prof1(r):
-        return -step.d1((r - a) / (b - a)) / (b - a)
-
-    def prof2(r):
-        return -step.d2((r - a) / (b - a)) / (b - a) ** 2
-
-    def u_val(pts):
-        r = np.linalg.norm(pts, axis=-1)
-        return c1[None, :] * prof(r)[:, None]
-
-    def psi_val(pts):
-        r = np.linalg.norm(pts, axis=-1)
-        er = pts / r[:, None]
-        return np.einsum('i,nj->nij', c1, prof1(r)[:, None] * er)
-
-    def psi_grad(pts):
-        r = np.linalg.norm(pts, axis=-1)
-        er = pts / r[:, None]
-        ee = np.einsum('nj,nk->njk', er, er)
-        radial = prof2(r)[:, None, None] * ee
-        tangential = (prof1(r) / r)[:, None, None] * (T.I3 - ee)
-        return np.einsum('i,njk->nijk', c1, radial + tangential)
-
     # graded radial breaks resolving the profile's transition layers
     w = b - a
     breaks = sorted({a, b, 0.5 * (a + b)}
                     | {a + w * 0.5 ** k for k in range(1, 9)}
                     | {b - w * 0.5 ** k for k in range(1, 9)})
-    return GradientTestField(u_val, psi_val, psi_grad, constants,
+    return GradientTestField(constants[1], RadialProfile(a, b), constants,
                              volume_breaks=breaks)
 
 

@@ -17,14 +17,16 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import _tensor as T
-from .distributions import BDist, CDist, CompositeDist, FDist, refined
+from .distributions import (BDist, CDist, CompositeDist, FDist, _test_layout,
+                            refined)
 from .equilibrium import Check, EquilibriumScenario, Tolerances
 from .errors import ConfigError, FieldError, StressDistError
-from .fields import (CallableField, PiecewiseField, PolyField, SurfaceField,
-                     _tensor_field, chart_derivatives, dual_tangents,
+from .fields import (CallableField, GradientTestField, PiecewiseField,
+                     PolyField, PotentialStack, SurfaceField, _tensor_field,
+                     chart_derivatives, dual_tangents,
                      make_gradient_test_field, tangential_gradient)
 from .geometry import (DEFAULT_SURFACE_LEVEL, boundary_force_moment,
-                       curve_force_moment)
+                       curve_force_moment, support_key)
 
 LEMMA2_TOL = 1e-6
 CURL_ASYMMETRY_TOL = 1e-6
@@ -297,31 +299,10 @@ def _eps_x(pts, psi):
     return out
 
 
-class MomentTest:
-    """x-weighted pairing partner implementing the moment distribution.
-
-    value[j,q] = eps_ipq x_p psi_ij; its normal derivative automatically
-    produces the dipole correction term.
-    """
-
-    rank = 2
-
-    def __init__(self, base):
-        self.base = base
-
-    def value(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        return _eps_x(pts, np.asarray(self.base.value(pts)))
-
-    def gradient(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        return _moment_gradient(pts, np.asarray(self.base.value(pts)),
-                                np.asarray(self.base.gradient(pts)))
-
-
 def _moment_gradient(pts, v, grad):
-    """d_k value[j,q] = eps_ikq psi_ij + eps_ipq x_p d_k psi_ij, from the
-    base test's value ``v`` and gradient ``grad``."""
+    """d_k value[j,q] = eps_ikq psi_ij + eps_ipq x_p d_k psi_ij, the
+    gradient of the moment column ``_eps_x(pts, psi)``, from the test's
+    value ``v`` and gradient ``grad``."""
     out = _eps_x(pts, grad)
     for q, ((p1, i1), (p2, i2)) in enumerate(_EPS_TERMS):
         out[:, :, q, p1] += v[:, i1]
@@ -329,31 +310,118 @@ def _moment_gradient(pts, v, grad):
     return out
 
 
+def _axis_column(d, w):
+    """e_d (x) w as a dense (N, 3, ...) array, bit for bit as
+    ``einsum('i,nj...->nij...', e_d, w)`` builds it (-0.0 turns +0.0)."""
+    out = np.zeros((len(w), 3) + w.shape[1:])
+    np.add(w, 0.0, out=out[:, d])
+    return out
+
+
+def _axis_eps_x(pts, d, w):
+    """``_eps_x`` of psi = e_d (x) w, bit for bit: of the two products per
+    entry only x_p w_j is non-zero, so the moment column is
+    out[n, j, q] = +-x_p w[n, j, ...] on the two q with eps_dpq != 0 and
+    zero on the third, one product per entry and no epsilon loop."""
+    n = len(pts)
+    lead = (n,) + (1,) * (w.ndim - 1)
+    out = np.moveaxis(np.zeros((n,) + w.shape[1:] + (3,)), -1, 2)
+    for q, ((p1, i1), (p2, i2)) in enumerate(_EPS_TERMS):
+        col = out[:, :, q]
+        if i1 == d:
+            np.multiply(pts[:, p1].reshape(lead), w, out=col)
+        elif i2 == d:
+            np.multiply(pts[:, p2].reshape(lead), w, out=col)
+            np.negative(col, out=col)
+    out += 0.0
+    return out
+
+
+def _axis_moment_gradient(pts, d, w, h):
+    """``_moment_gradient`` of psi = e_d (x) w with gradient e_d (x) h, bit
+    for bit: ``_axis_eps_x`` of h plus w on the two entries where
+    eps_dkq != 0."""
+    out = _axis_eps_x(pts, d, h)
+    for q, ((p1, i1), (p2, i2)) in enumerate(_EPS_TERMS):
+        if i1 == d:
+            out[:, :, q, p1] += w
+        elif i2 == d:
+            out[:, :, q, p2] -= w
+    return out
+
+
+def _unit_axis(test):
+    """d when ``test`` is a ``GradientTestField`` e_d (x) grad phi, else None."""
+    if not isinstance(test, GradientTestField):
+        return None
+    nonzero = np.flatnonzero(test.direction)
+    if len(nonzero) != 1 or test.direction[nonzero[0]] != 1.0:
+        return None
+    return int(nonzero[0])
+
+
 class ForceMomentTest:
-    """A test and its ``MomentTest`` as one column test: one pairing walk
-    gives (force, moment), each column summed as in a pairing of its own,
-    from one evaluation of the base test per point set."""
+    """The force and moment columns of one or more tests as one column
+    test: one pairing walk gives (force_0, moment_0, force_1, ...), each
+    column summed as in a pairing of its own.
 
-    columns = 2
+    The moment partner of a test psi is value[j,q] = eps_ipq x_p psi_ij;
+    paired with a stress it gives the x-cross (moment) pairing, and its
+    normal derivative produces the dipole correction term.  Members
+    e_d (x) grad phi (``GradientTestField`` along a coordinate axis) are
+    rank one: each distinct phi is evaluated once per point set
+    (``PotentialStack``), and the moment column is one product per entry
+    (``_axis_eps_x``).  Any other member is evaluated on its own and takes
+    the generic ``_eps_x`` columns.  The members must share one rule layout
+    (``distributions._test_layout``), read from the first.
+    """
 
-    def __init__(self, base):
-        self.base = base
+    def __init__(self, *members):
+        self.members = members
+        self.base = members[0]
+        self.columns = 2 * len(members)
+        potentials, self._slots = [], []    # (axis, stack row) or None
+        for g in members:
+            d = _unit_axis(g)
+            if d is None:
+                self._slots.append(None)
+                continue
+            if g.potential not in potentials:
+                potentials.append(g.potential)
+            self._slots.append((d, potentials.index(g.potential)))
+        self._stack = PotentialStack(potentials) if potentials else None
 
     def value(self, pts):
         pts = np.asarray(pts, dtype=float)
-        v = np.asarray(self.base.value(pts))
-        return v, _eps_x(pts, v)
+        if self._stack is not None:
+            grads, = self._stack.orders(pts, (1,))
+        out = []
+        for g, slot in zip(self.members, self._slots):
+            if slot is None:
+                v = np.asarray(g.value(pts))
+                out += [v, _eps_x(pts, v)]
+                continue
+            d, t = slot
+            w = grads[:, t]
+            out += [_axis_column(d, w), _axis_eps_x(pts, d, w)]
+        return tuple(out)
 
     def gradient(self, pts):
         pts = np.asarray(pts, dtype=float)
-        v = np.asarray(self.base.value(pts))
-        grad = np.asarray(self.base.gradient(pts))
-        return grad, _moment_gradient(pts, v, grad)
-
-
-def moment_pair(dist, test, level=None):
-    """Pairing of the x-cross-stress distribution with a tensor test."""
-    return dist.pair(MomentTest(test), level)
+        if self._stack is not None:
+            grads, hessians = self._stack.orders(pts, (1, 2))
+        out = []
+        for g, slot in zip(self.members, self._slots):
+            if slot is None:
+                v = np.asarray(g.value(pts))
+                grad = np.asarray(g.gradient(pts))
+                out += [grad, _moment_gradient(pts, v, grad)]
+                continue
+            d, t = slot
+            h = hessians[:, t]
+            out += [_axis_column(d, h),
+                    _axis_moment_gradient(pts, d, grads[:, t], h)]
+        return tuple(out)
 
 
 def default_lemma2_suite(domain, rng=None):
@@ -401,17 +469,28 @@ def check_lemma2_conditions(dist, domain, suite=None, level=2,
 
     All pairings vanish (to tolerance) exactly when a stress function
     exists; a nonzero value against a boundary-constant member exposes the
-    per-component force or moment obstruction.
+    per-component force or moment obstruction.  Members that share a rule
+    layout are paired in one walk (``ForceMomentTest``), so the stress is
+    evaluated once per block for all of them; the checks keep suite order.
     """
-    if suite is None:
-        suite = default_lemma2_suite(domain, rng)
-    checks = []
-    for label, g in suite:
-        probe = domain.interior_samples(32, None, 0.0)
+    suite = list(default_lemma2_suite(domain, rng) if suite is None
+                 else suite)
+    probe = domain.interior_samples(32, None, 0.0)
+    groups = {}
+    for k, (label, g) in enumerate(suite):
         if g.curl_residual(probe) > 1e-9:
             raise FieldError(f"suite member {label} is not curl-free")
-        force, moment = dist.pair(ForceMomentTest(g), level)
-        for kind, v in (("force", force), ("moment", moment)):
+        support, breaks = _test_layout(g)
+        groups.setdefault((support_key(support), breaks), []).append(k)
+    columns = {}
+    for members in groups.values():
+        values = dist.pair(ForceMomentTest(*(suite[k][1] for k in members)),
+                           level)
+        for i, k in enumerate(members):
+            columns[k] = values[2 * i:2 * i + 2]
+    checks = []
+    for k, (label, _) in enumerate(suite):
+        for kind, v in zip(("force", "moment"), columns[k]):
             checks.append(Check(f"{kind}:{label}", v.value,
                                 max(tol, 10.0 * v.error),
                                 extra={"estimate": v.error}))

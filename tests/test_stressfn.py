@@ -13,25 +13,29 @@ import sympy as sp
 from stressdist import _tensor as T
 from stressdist.catalog import kelvin_scenario, random_stress_function
 from stressdist.cli import run_scenario
-from stressdist.distributions import BDist, CompositeDist
+from stressdist.distributions import BDist, CDist, CompositeDist, FDist
 from stressdist.equilibrium import bulk_residual, interface_residuals, \
     make_test_suite
 from stressdist.errors import FieldError, StressDistError
-from stressdist.fields import (CallableField, PiecewiseField, Poly3, PolyField,
-                               SurfaceField, chart_derivatives, chart_tangent,
-                               make_bump, surface_polynomial)
+from stressdist.fields import (BumpScalar, CallableField, GradientTestField,
+                               PiecewiseField, Poly3, PolyField,
+                               PotentialStack, RadialProfile, SurfaceField,
+                               chart_derivatives, chart_tangent, make_bump,
+                               surface_polynomial)
 from stressdist.geometry import (Ball, Box, CylinderAnnulus, SphericalShell,
                                  cylinder_patch_interface,
                                  equatorial_annulus_interface,
                                  make_surface_batch, plane_disk_interface,
                                  sphere_interface)
 from stressdist.stressfn import (DENSITY_SLICE, DensityTriple,
-                                 ForceMomentTest, MomentTest,
-                                 StressFunction, check_lemma2_conditions,
+                                 ForceMomentTest, StressFunction,
+                                 _axis_column, _axis_eps_x,
+                                 _axis_moment_gradient, _eps_x,
+                                 _moment_gradient, check_lemma2_conditions,
                                  curl_curl, default_lemma2_suite,
                                  extract_densities,
                                  global_conditions, lemma2_algebraic_identity,
-                                 moment_pair, surface_curl, trace_curl_check)
+                                 surface_curl, trace_curl_check)
 
 
 def _sympy_inc(phi_exprs, x, y, z):
@@ -448,12 +452,17 @@ class TestLemma2AndGlobal:
         # the x-weighted pairing of the Kelvin field reproduces the moment
         scn = kelvin_scenario(shell, force=[0.3, 0, 1.0])
         dist = CompositeDist(b=BDist(shell, None, scn.sigma))
-        suite = default_lemma2_suite(shell)
-        gm = {lab: moment_pair(dist, g).value for lab, g in suite}
+        gm = {c.id: c.residual for c in check_lemma2_conditions(dist, shell)}
         gc = global_conditions(scn.sigma, shell)
         inner_moment = gc.moments[1]
-        got = np.array([gm[f"component1-e{d}"] for d in range(3)])
+        got = np.array([gm[f"moment:component1-e{d}"] for d in range(3)])
         assert np.linalg.norm(got - inner_moment) < 1e-6
+
+
+def _signed_zeros(rng, *arrays):
+    for a in arrays:                  # exact zeros of both signs
+        a[rng.random(a.shape) < 0.1] = 0.0
+        a[rng.random(a.shape) < 0.1] = -0.0
 
 
 class TestMomentTest:
@@ -462,45 +471,175 @@ class TestMomentTest:
         x = rng.normal(size=(n, 3))
         psi = rng.normal(size=(n, 3, 3))
         dpsi = rng.normal(size=(n, 3, 3, 3))
-        for a in (x, psi, dpsi):          # exact zeros of both signs
-            a[rng.random(a.shape) < 0.1] = 0.0
-            a[rng.random(a.shape) < 0.1] = -0.0
-
-        class Base:
-            def value(self, pts):
-                return psi
-
-            def gradient(self, pts):
-                return dpsi
-
-        m = MomentTest(Base())
+        _signed_zeros(rng, x, psi, dpsi)
         want_value = np.einsum('ipq,np,nij->njq', T.EPS, x, psi)
         want_grad = np.einsum('ikq,nij->njqk', T.EPS, psi)
         want_grad += np.einsum('ipq,np,nijk->njqk', T.EPS, x, dpsi)
-        for got, want in ((m.value(x), want_value),
-                          (m.gradient(x), want_grad)):
+        for got, want in ((_eps_x(x, psi), want_value),
+                          (_moment_gradient(x, psi, dpsi), want_grad)):
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
             # same layout, so reductions over trailing axes sum alike
             assert got.strides == want.strides
 
+    @pytest.mark.parametrize("n", [1, 2000])
+    def test_axis_columns_match_generic_bit_for_bit(self, rng, n):
+        # e_d (x) w: the rank-one columns equal the generic ones on the
+        # dense test, zero signs and memory layout included
+        x = rng.normal(size=(n, 3))
+        stack = rng.normal(size=(n, 3, 3))
+        hstack = rng.normal(size=(n, 3, 3, 3))
+        _signed_zeros(rng, x, stack, hstack)
+        for d in range(3):
+            e = np.eye(3)[d]
+            w, h = stack[:, d], hstack[:, d]     # strided, as from a stack
+            psi = np.einsum('i,nj->nij', e, w)
+            dpsi = np.einsum('i,njk->nijk', e, h)
+            for got, want in (
+                    (_axis_column(d, w), psi), (_axis_column(d, h), dpsi),
+                    (_axis_eps_x(x, d, w), _eps_x(x, psi)),
+                    (_axis_moment_gradient(x, d, w, h),
+                     _moment_gradient(x, psi, dpsi))):
+                assert got.tobytes() == want.tobytes()
+                assert got.strides == want.strides
+
+
+class _Moment:
+    """Generic moment partner of a test: eps_ipq x_p psi_ij (oracle)."""
+
+    def __init__(self, base):
+        self.base = base
+
+    def value(self, pts):
+        return _eps_x(pts, np.asarray(self.base.value(pts)))
+
+    def gradient(self, pts):
+        return _moment_gradient(pts, np.asarray(self.base.value(pts)),
+                                np.asarray(self.base.gradient(pts)))
+
+
+def _pairs(dist, test):
+    """(value, error) of each column of a pairing (one for a plain test)."""
+    values = dist.pair(test)
+    if not isinstance(values, tuple):
+        values = (values,)
+    return [(v.value, v.error) for v in values]
+
 
 class TestForceMomentTest:
-    def test_columns_equal_separate_pairings_bit_for_bit(self, ball,
-                                                          sphere_half, rng):
-        phi = random_stress_function(rng, sphere_half, ball, degree=3,
-                                     scale=0.3)
-        comp = extract_densities(phi, sphere_half).composite(ball)
+    @pytest.fixture(scope="class")
+    def ball_comp(self, ball, sphere_half):
+        phi = random_stress_function(np.random.default_rng(3), sphere_half,
+                                     ball, degree=3, scale=0.3)
+        return extract_densities(phi, sphere_half).composite(ball)
+
+    @pytest.fixture(scope="class")
+    def shell_comp(self, shell, shell_sphere):
+        phi = random_stress_function(np.random.default_rng(5), shell_sphere,
+                                     shell, degree=3, scale=0.2)
+        return extract_densities(phi, shell_sphere).composite(shell)
+
+    def test_columns_equal_separate_pairings_bit_for_bit(self, ball_comp,
+                                                          ball, rng):
         (_, g), = default_lemma2_suite(ball, np.random.default_rng(4))[:1]
         # a support that misses the interface: empty surface rules
         away = make_bump(ball, [0.0, 0.0, 0.75], 0.15, rank=2, rng=rng)
         for test in (g, away):
-            force, moment = comp.pair(ForceMomentTest(test))
-            for got, want in ((force, comp.pair(test)),
-                              (moment, moment_pair(comp, test))):
+            force, moment = ball_comp.pair(ForceMomentTest(test))
+            for got, want in ((force, ball_comp.pair(test)),
+                              (moment, ball_comp.pair(_Moment(test)))):
                 assert (got.value, got.error) == (want.value, want.error)
-        assert comp.c.pair(ForceMomentTest(away)) == (
-            comp.c.pair(away), moment_pair(comp.c, away))
+        assert ball_comp.c.pair(ForceMomentTest(away)) == (
+            ball_comp.c.pair(away), ball_comp.c.pair(_Moment(away)))
+
+    @pytest.mark.parametrize("geometry", ["ball", "shell"])
+    def test_suite_columns_equal_member_pairings(self, request, geometry):
+        # the ball's interior suite runs as one joint bump, the shell's
+        # boundary-constant suite on one shared profile; each column equals
+        # the member's own pairing, on B (values) and on C and F (the F part
+        # pairs the gradient columns)
+        domain = request.getfixturevalue(geometry)
+        comp = request.getfixturevalue(geometry + "_comp")
+        members = [g for _, g in default_lemma2_suite(
+            domain, np.random.default_rng(4))]
+        suite = ForceMomentTest(*members)
+        assert len(suite._stack.potentials) == (3 if geometry == "ball"
+                                                else 1)
+        want = []
+        for g in members:
+            one = _pairs(comp, ForceMomentTest(g))
+            assert one == _pairs(comp, g) + _pairs(comp, _Moment(g))
+            want += one
+        assert _pairs(comp, suite) == want
+
+    @pytest.mark.parametrize("c, r", [([0.0, 0.0, 0.0], 0.55),
+                                      ([0.0, 0.0, 0.75], 0.15)])
+    def test_fallback_members_share_the_walk(self, ball_comp, ball, rng,
+                                             c, r):
+        # a member that is not rank-one (a direction off the axes) and a
+        # tensor bump take the generic columns in the same walk as two
+        # axis members; the second support misses the interface, so its
+        # surface rules are empty
+        c = np.array(c)
+
+        def member(direction):
+            g = GradientTestField(direction,
+                                  BumpScalar(c, r, Poly3.random(rng, 2)),
+                                  [np.zeros(3)])
+            g.center, g.radius = c, r
+            return g
+
+        members = [member([0.0, 1.0, 0.0]), member([0.6, -0.8, 0.0]),
+                   make_bump(ball, c, r, rank=2, rng=rng),
+                   member([0.0, 0.0, 1.0])]
+        suite = ForceMomentTest(*members)
+        assert [s is None for s in suite._slots] == [False, True, True, False]
+        want = []
+        for g in members:
+            want += _pairs(ball_comp, g) + _pairs(ball_comp, _Moment(g))
+        assert _pairs(ball_comp, suite) == want
+
+    def test_stacked_potentials_bit_for_bit(self, rng):
+        # each row of a stack has the bits of its potential's own call
+        c, r = np.array([0.1, 0.0, -0.05]), 0.6
+        bumps = [BumpScalar(c, r, Poly3.random(rng, 2)) for _ in range(3)]
+        profile = RadialProfile(1.12, 1.88)
+        assert PotentialStack(bumps)._joint is not None
+        assert profile == RadialProfile(1.12, 1.88)
+        for n in (1, 7, 9000):
+            pts = rng.uniform(-1.0, 1.0, (n, 3))
+            pts[:, 0] += 1.5       # through the profile's transition layer
+            for potentials in (bumps, [profile], [bumps[0], profile]):
+                grads, hessians = PotentialStack(potentials).orders(pts,
+                                                                    (1, 2))
+                for t, phi in enumerate(potentials):
+                    for got, want in ((grads[:, t], phi.gradient(pts)),
+                                      (hessians[:, t], phi.hessian(pts))):
+                        assert got.tobytes() == np.ascontiguousarray(
+                            want).tobytes()
+
+    def test_one_pair_call_per_part_for_a_suite(self, ball_comp, ball,
+                                                monkeypatch):
+        # a 3-member suite on one layout is one walk: one pairing per part,
+        # and the curl-free probe is drawn once
+        calls = {}
+
+        def counted(cls, name):
+            orig = getattr(cls, name)
+
+            def wrapper(*args, **kwargs):
+                calls[cls.__name__ + "." + name] = calls.get(
+                    cls.__name__ + "." + name, 0) + 1
+                return orig(*args, **kwargs)
+            monkeypatch.setattr(cls, name, wrapper)
+
+        for cls in (BDist, CDist, FDist):
+            counted(cls, "pair")
+        counted(type(ball), "interior_samples")
+        checks = check_lemma2_conditions(ball_comp, ball)
+        assert len(checks) == 6
+        assert calls == {"BDist.pair": 1, "CDist.pair": 1, "FDist.pair": 1,
+                         type(ball).__name__ + ".interior_samples": 1}
 
 
 def test_stress_function_run_leaves_no_reference_cycles():
