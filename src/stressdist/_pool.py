@@ -1,14 +1,16 @@
-"""One process-wide budget of evaluating threads, and the block helpers
+"""One process-wide budget of evaluating threads, and the task helpers
 that run on it.
 
 ``thread_bound()`` is the number of threads that may evaluate integrands
 at once: ``STRESSDIST_THREADS`` when set and nonzero, else the usable CPU
 count.  The budget holds that many lanes.  A ``batch`` worker holds one
-lane per scenario (``holding_lane`` waits for it).  ``map_blocks`` lets
-the calling thread evaluate blocks itself and adds helper threads only on
-lanes it takes without waiting, so a caller that finds no free lane does
-all the work alone and no thread ever waits for a lane while holding one:
-the pool cannot deadlock.  Within stressdist no more threads than the
+lane per scenario (``holding_lane`` waits for it).  ``map_blocks`` runs
+indexed pool tasks; ``geometry`` makes each task one integrand call on
+one or more whole sum blocks (``geometry._task_size``), so the bound also
+sets how large a task is.  It lets the calling thread evaluate tasks
+itself and adds helper threads only on lanes it takes without waiting, so
+a caller that finds no free lane does all the work alone and no thread
+ever waits for a lane while holding one: the pool cannot deadlock.  Within stressdist no more threads than the
 bound evaluate at once; threads a library caller starts itself count only
 while they hold lanes.
 

@@ -19,6 +19,7 @@ Orientation conventions (all signs downstream derive from these):
 from __future__ import annotations
 
 import functools
+import itertools
 import threading
 from dataclasses import dataclass
 from typing import Optional
@@ -48,12 +49,20 @@ FIBER_MEMO_SIZE = 17
 FIBER_MEMO_NODES = 1_000_000
 SUPPORT_BATCH_MEMO_SIZE = 4
 
-# quadrature nodes per block of a streamed sum (``blocked_sum``): a block's
-# points, weights and (N, 3, 3) integrand temporaries stay in cache.  16384
-# runs refined work about 10% faster on two threads, but its different
-# summation order moves the soap-film weak residuals by 3.5e-6 of their
-# 1e-12-scale tolerances, so the block is kept.
+# quadrature nodes per block of a streamed sum (``blocked_sum``), the unit
+# of summation: each block is reduced on its own and the partials are added
+# in block order.  A different block changes the summation order, which
+# moves the soap-film weak residuals by 3.5e-6 of their 1e-12-scale
+# tolerances, so the block is kept.
 BLOCK = 8192
+# whole blocks one pool task evaluates at most in one integrand call
+# (``_task_size``).  The task, not the block, sets the per-call cost that
+# lanes contend for: 2-block tasks run refined work about 12% faster on
+# two threads with the same sums, and golden work about 5% faster.  On one
+# thread they ran golden work about 6% slower, so one lane keeps 1-block
+# tasks; 4-block tasks slowed the small rules of the sufficiency loop and
+# raised its peak memory.
+TASK_BLOCKS = 2
 
 
 def support_key(support):
@@ -775,8 +784,8 @@ def _fiber_layout(interface, center, radius, level):
 def _fiber_nodes(center, dirs, w_ang, breaks):
     """Gauss nodes on every radial cell of every fiber, in (fiber, cell,
     node) order, with weights w_ang * half * wg * s^2.  The nodes are
-    written into preallocated arrays a block of ``BLOCK`` nodes at a time,
-    on the pool (``_pool.map_blocks``)."""
+    written into preallocated arrays task by task (``_task_size``), on the
+    pool (``_pool.map_blocks``)."""
     # a fiber without a crossing repeats ``radius`` as a break: drop the
     # zero-width cells this leaves
     live = breaks[:, 1:] > breaks[:, :-1]
@@ -784,7 +793,7 @@ def _fiber_nodes(center, dirs, w_ang, breaks):
     lo, hi = breaks[:, :-1][live], breaks[:, 1:][live]
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     xg, wg = GAUSS_RULE
-    cells = BLOCK // len(xg)
+    cells = _task_size(len(mid) * len(xg)) // len(xg)
     pts = np.empty((len(mid), len(xg), 3))
     weights = np.empty((len(mid), len(xg)))
 
@@ -1498,40 +1507,59 @@ def _finite(vals, pts, what):
     return vals
 
 
+def _task_size(n):
+    """Nodes one pool task evaluates for a rule of ``n`` nodes: a whole
+    number of blocks, at most ``TASK_BLOCKS``, and few enough that every
+    lane of the pool still gets two tasks.  A pool of one lane keeps one
+    block per task: it has no lanes contending per call, and larger tasks
+    only spill its temporaries out of cache."""
+    lanes = _pool.thread_bound()
+    if lanes == 1:
+        return BLOCK
+    blocks = -(-n // BLOCK)
+    return BLOCK * max(1, min(TASK_BLOCKS, blocks // (2 * lanes)))
+
+
 def blocked_sum(weights, integrand, *arrays):
     """Sum over a quadrature rule of ``weights[n] * f[n]``, block by block.
 
-    The rule is walked in blocks of ``BLOCK`` nodes; each array in
-    ``arrays`` is cut into the same blocks as ``weights`` and
-    ``f = integrand(*blocks)`` is evaluated on one block at a time, so the
-    integrand must be pointwise.  With ``integrand=None`` the one array is
-    ``f`` itself.  ``f`` is ``(N,)`` for a scalar sum (returned as a float)
-    or ``(N, ...)`` for a vector or tensor sum (returned as an array).  Each
-    block is reduced by ``np.add.reduce(w[:, None, ...] * f, axis=0)`` and
-    the partials are added in block order: the sum depends only on the rule
-    and ``BLOCK``, never on the BLAS thread count or the pool width.
+    The rule is summed in blocks of ``BLOCK`` nodes.  Each array in
+    ``arrays`` is cut into the same tasks as ``weights``, whole blocks at a
+    time (``_task_size``), and ``f = integrand(*chunks)`` is evaluated once
+    per task, so the integrand must be pointwise.  With ``integrand=None``
+    the one array is ``f`` itself, walked one block at a time.  ``f`` is
+    ``(N,)`` for a scalar sum (returned as a float) or ``(N, ...)`` for a
+    vector or tensor sum (returned as an array).  Each block of ``f`` is
+    reduced by ``np.add.reduce(w[:, None, ...] * f, axis=0)`` and the
+    partials are added in block order: the sum depends only on the rule and
+    ``BLOCK``, never on the task size, the BLAS thread count or the pool
+    width.
 
-    The blocks of an integrand are evaluated on the bounded thread pool
+    The tasks of an integrand are evaluated on the bounded thread pool
     (``_pool.map_blocks``), so the integrand must also be safe to call
     from several threads at once.  An integrand may return a tuple of
     arrays: each entry is then summed as its own column, bit-identical to
     a call of its own, and a tuple of sums is returned.
     """
-    starts = range(0, len(weights), BLOCK)
+    size = BLOCK if integrand is None else _task_size(len(weights))
+    starts = range(0, len(weights), size)
 
-    def partial(k):
+    def partials(k):
         lo = starts[k]
-        blocks = [a[lo:lo + BLOCK] for a in arrays]
-        f = blocks[0] if integrand is None else integrand(*blocks)
-        w = weights[lo:lo + BLOCK]
+        chunks = [a[lo:lo + size] for a in arrays]
+        f = chunks[0] if integrand is None else integrand(*chunks)
+        w = weights[lo:lo + size]
+        blocks = range(0, len(w), BLOCK)
         if isinstance(f, tuple):
-            return tuple(_weighted_reduce(w, c) for c in f)
-        return _weighted_reduce(w, f)
+            return [tuple(_weighted_reduce(w[b:b + BLOCK], c[b:b + BLOCK])
+                          for c in f) for b in blocks]
+        return [_weighted_reduce(w[b:b + BLOCK], f[b:b + BLOCK])
+                for b in blocks]
 
-    partials = (_pool.map_blocks(partial, len(starts)) if integrand is not None
-                else map(partial, range(len(starts))))
+    tasks = (_pool.map_blocks(partials, len(starts)) if integrand is not None
+             else map(partials, range(len(starts))))
     total = 0.0
-    for p in partials:
+    for p in itertools.chain.from_iterable(tasks):
         if isinstance(p, tuple):
             total = tuple(t + q for t, q in zip(total or (0.0,) * len(p), p))
         else:
@@ -1542,29 +1570,30 @@ def blocked_sum(weights, integrand, *arrays):
 
 
 def blocked_values(fn, points):
-    """``fn(points)`` evaluated block by block into one preallocated array.
+    """``fn(points)`` evaluated task by task into one preallocated array.
 
-    The blocks are those of ``blocked_sum`` and are evaluated on the same
-    bounded pool (``_pool.map_blocks``), so ``fn`` must be pointwise and
-    safe to call from several threads at once, as an integrand must.  The
-    array is allocated by the first block to finish, from its shape and
-    dtype; no per-block results are kept or joined.
+    The tasks are those of ``blocked_sum`` (``_task_size``) and are
+    evaluated on the same bounded pool (``_pool.map_blocks``), so ``fn``
+    must be pointwise and safe to call from several threads at once, as an
+    integrand must.  The array is allocated by the first task to finish,
+    from its shape and dtype; no per-task results are kept or joined.
     """
     n = len(points)
     if n == 0:
         return np.asarray(fn(points))
+    size = _task_size(n)
     held = []
     lock = threading.Lock()
 
     def fill(k):
-        lo = k * BLOCK
-        v = np.asarray(fn(points[lo:lo + BLOCK]))
+        lo = k * size
+        v = np.asarray(fn(points[lo:lo + size]))
         with lock:
             if not held:
                 held.append(np.empty((n,) + v.shape[1:], dtype=v.dtype))
         held[0][lo:lo + len(v)] = v
 
-    _pool.map_blocks(fill, -(-n // BLOCK))
+    _pool.map_blocks(fill, -(-n // size))
     return held[0]
 
 

@@ -270,11 +270,16 @@ class TestRun:
             assert a == b, name
 
     def test_reports_do_not_depend_on_pool_width(self):
-        # identity1-B-ball's volume rules span 14 to 41 blocks
-        names = ["identity1-B-ball"]
+        # the width sets how many blocks a pool task holds; identity1-B-ball's
+        # volume rules span 14 to 41 blocks, the others add soap-film weak
+        # residuals, mollified sums and lemma-2 column tests
+        names = ["identity1-B-ball", "soap-film-sphere", "mollify-C-box",
+                 "stress-function-shell"]
         one = _reports_under_blas_threads(1, names, pool_width=1)
-        two = _reports_under_blas_threads(1, names, pool_width=2)
-        assert one == two
+        for width in (2, 3):
+            other = _reports_under_blas_threads(1, names, pool_width=width)
+            for name, a, b in zip(names, one, other):
+                assert a == b, (name, width)
 
     def test_seed_override_changes_suite(self, tmp_path):
         path = _write(tmp_path, "soap.json", SOAP)

@@ -17,8 +17,10 @@ from stressdist.fields import (BumpScalar, ConstantField, ModulatedTest,
                                chart_tangent, make_bump,
                                make_gradient_test_field, normal_dyad,
                                surface_polynomial)
-from stressdist.geometry import BLOCK, Domain, integrate_surface, \
-    integrate_volume, sphere_interface, support_volume_quad
+from stressdist import geometry
+from stressdist._memo import LruMemo
+from stressdist.geometry import BLOCK, TASK_BLOCKS, Domain, \
+    integrate_surface, integrate_volume, sphere_interface, support_volume_quad
 
 
 class TestPairingBasics:
@@ -537,13 +539,42 @@ class TestStreamedPairings:
         with refinement(2):
             first = bd.pair(psi)
             fine = ADAPTED_LEVEL + 2
-            nodes = sum(len(support_volume_quad(sphere_half, psi.center,
-                                                psi.radius, lv))
-                        for lv in (fine, fine - 1))
-            assert max(psi.sizes) <= BLOCK
-            assert sum(psi.sizes) == nodes
+            rules = [len(support_volume_quad(sphere_half, psi.center,
+                                             psi.radius, lv))
+                     for lv in (fine, fine - 1)]
+            # whole blocks per call, at most TASK_BLOCKS of them, except
+            # the last call of each rule
+            assert max(psi.sizes) <= TASK_BLOCKS * BLOCK
+            assert sum(psi.sizes) == sum(rules)
+            assert (sorted(s % BLOCK for s in psi.sizes if s % BLOCK)
+                    == sorted(n % BLOCK for n in rules if n % BLOCK))
             again = bd.pair(psi)
         assert (again.value, again.error) == (first.value, first.error)
+
+    @pytest.mark.parametrize("task_blocks", [1, 3])
+    def test_pairing_does_not_depend_on_task_size(self, ball, sphere_half,
+                                                  monkeypatch, task_blocks):
+        # a vector bump modulated to vanish on the sphere it straddles, on
+        # fiber rules rebuilt under each task size
+        monkeypatch.setenv("STRESSDIST_THREADS", "2")
+
+        def pairing():
+            rng = np.random.default_rng(5)
+            field = PiecewiseField(1, PolyField.random_vector(rng, 3),
+                                   PolyField.random_vector(rng, 3),
+                                   sphere_half)
+            psi = ModulatedTest(make_bump(ball, [0.45, 0.0, 0.1], 0.25,
+                                          rank=1, rng=rng),
+                                SquaredDistanceFactor(sphere_half))
+            monkeypatch.setattr(geometry, "_FIBER_CACHE",
+                                LruMemo(geometry.FIBER_MEMO_SIZE))
+            with refinement(2):
+                p = BDist(ball, sphere_half, field).pair(psi)
+            return p.value.hex(), p.error.hex()
+
+        want = pairing()
+        monkeypatch.setattr(geometry, "TASK_BLOCKS", task_blocks)
+        assert pairing() == want
 
 
 class TestCauchyFlux:

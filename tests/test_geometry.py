@@ -13,8 +13,9 @@ from stressdist import distributions, geometry
 from stressdist._memo import LruMemo
 from stressdist.errors import EvaluationError, GeometryError
 from stressdist.fields import KelvinStressField, PiecewiseField, PolyField
-from stressdist.geometry import (BLOCK, Ball, Box, CylinderAnnulus,
-                                 Interface, SphericalShell, blocked_sum,
+from stressdist.geometry import (BLOCK, TASK_BLOCKS, Ball, Box,
+                                 CylinderAnnulus, Interface, SphericalShell,
+                                 blocked_sum,
                                  blocked_values,
                                  boundary_force_moment,
                                  equatorial_annulus_interface, integrate_curve,
@@ -716,7 +717,12 @@ class TestBlockedSum:
 
         got = blocked_sum(q.weights, f, q.points)
         assert len(q) > 10 * BLOCK
-        assert max(sizes) <= BLOCK and sum(sizes) == len(q)
+        # whole blocks per call, at most TASK_BLOCKS of them, except the
+        # last call
+        assert max(sizes) <= TASK_BLOCKS * BLOCK and sum(sizes) == len(q)
+        tail = len(q) % BLOCK
+        assert [s % BLOCK for s in sizes if s % BLOCK] == ([tail] if tail
+                                                           else [])
         ref = math.fsum(q.weights * f(q.points))
         assert abs(got - ref) <= 1e-14 * abs(ref)
 
@@ -769,8 +775,9 @@ class TestBlockedValues:
             want = method(pts)
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
-            assert max(sizes) == BLOCK and sum(sizes) == len(pts)
-            assert len(sizes) == -(-len(pts) // BLOCK)
+            size = geometry._task_size(len(pts))
+            assert max(sizes) == size and sum(sizes) == len(pts)
+            assert len(sizes) == -(-len(pts) // size)
 
     def test_empty_rule(self, rng):
         _, field = self._two_sided(rng)
@@ -836,7 +843,10 @@ class TestBlockPool:
         finally:
             sys.setswitchinterval(old)
         assert [g.hex() for g in got] == [want.hex()] * 5
-        assert sorted(calls) == sorted(list(x[::BLOCK]) * 5)
+        # each task runs once
+        size = geometry._task_size(n)
+        assert size > BLOCK
+        assert sorted(calls) == sorted(list(x[::size]) * 5)
 
     def test_lowest_failing_block_raises(self, rng, monkeypatch):
         monkeypatch.setenv("STRESSDIST_THREADS", "3")
@@ -844,11 +854,13 @@ class TestBlockPool:
         index = np.repeat(np.arange(self.N_BLOCKS), BLOCK)[:len(w)]
 
         def f(p, k):
-            k = int(k[0])
-            if k == 3:
+            # a task raises for the lowest failing block it holds
+            held = np.unique(k)
+            if 3 in held:
                 time.sleep(0.05)        # later blocks fail first
-            if k in (3, 4, 7):
-                raise EvaluationError(f"block {k}")
+            for b in held:
+                if b in (3, 4, 7):
+                    raise EvaluationError(f"block {b}")
             return p[:, 0]
 
         for _ in range(3):
@@ -857,20 +869,25 @@ class TestBlockPool:
 
     def test_nested_sum_in_an_integrand_completes(self, rng, monkeypatch):
         w, x = self._rule(rng)
+        index = np.repeat(np.arange(self.N_BLOCKS), BLOCK)[:len(w)]
 
-        def inner(p):
+        def inner(k):
             return blocked_sum(np.ones(2 * BLOCK + 1), lambda q: q,
-                               np.full(2 * BLOCK + 1, p[0, 0]))
+                               np.full(2 * BLOCK + 1, x[k * BLOCK, 0]))
 
-        def outer(p):
-            return p[:, 0] * inner(p)
+        def outer(p, k):
+            # one nested sum per block the call holds: the integrand stays
+            # pointwise in (p, k), whatever the task size
+            held = np.unique(k)
+            inners = np.array([inner(b) for b in held])
+            return p[:, 0] * inners[np.searchsorted(held, k)]
 
         monkeypatch.setenv("STRESSDIST_THREADS", "1")
-        want = blocked_sum(w, outer, x)
+        want = blocked_sum(w, outer, x, index)
         monkeypatch.setenv("STRESSDIST_THREADS", "3")
         got = []
         t = threading.Thread(target=lambda: got.append(
-            blocked_sum(w, outer, x)))
+            blocked_sum(w, outer, x, index)))
         t.start()
         t.join(timeout=60)
         assert not t.is_alive()
@@ -890,3 +907,76 @@ class TestBlockPool:
             blocked_sum(w, f, x)
         assert len(levels) == 2
         assert set(levels.values()) == {distributions._lv(None, False) + 3}
+
+
+class TestTaskSize:
+    """A pool task evaluates up to ``TASK_BLOCKS`` whole blocks in one call;
+    the blocks stay the unit of summation, so no bit depends on the task
+    size."""
+
+    @pytest.mark.parametrize("width, blocks, calls",
+                             [("2", 12, 6), ("2", 3, 3), ("1", 12, 12)])
+    def test_integrand_calls_per_rule(self, rng, monkeypatch, width, blocks,
+                                      calls):
+        # every lane keeps two tasks: a large rule is cut into tasks of
+        # TASK_BLOCKS blocks, a small one keeps one block per task, and so
+        # does a pool of one lane
+        monkeypatch.setenv("STRESSDIST_THREADS", width)
+        n = blocks * BLOCK - 5
+        sizes = []
+
+        def f(p):
+            sizes.append(len(p))
+            return p
+
+        blocked_sum(np.ones(n), f, rng.uniform(-1.0, 1.0, n))
+        assert len(sizes) == calls
+
+    @pytest.mark.parametrize("task_blocks", [1, 3])
+    def test_sums_do_not_depend_on_task_size(self, rng, monkeypatch,
+                                             task_blocks):
+        monkeypatch.setenv("STRESSDIST_THREADS", "2")
+        n = 12 * BLOCK - 5
+        w, x = rng.uniform(0.0, 1.0, n), rng.uniform(-1.0, 1.0, (n, 3))
+
+        def sums():
+            scalar = blocked_sum(w, lambda p: np.exp(p[:, 0]) * p[:, 1], x)
+            col, vec = blocked_sum(w, lambda p: (p[:, 2] ** 3, p), x)
+            tensor = blocked_sum(w, lambda p: p[:, :, None] * p[:, None, :],
+                                 x)
+            return (scalar.hex(), col.hex(), vec.tobytes(), tensor.tobytes())
+
+        want = sums()
+        monkeypatch.setattr(geometry, "TASK_BLOCKS", task_blocks)
+        assert geometry._task_size(n) == task_blocks * BLOCK
+        assert sums() == want
+
+    @pytest.mark.parametrize("task_blocks", [1, 3])
+    def test_values_do_not_depend_on_task_size(self, rng, monkeypatch,
+                                               task_blocks):
+        # a lone plus-side node ends the second block (and so a 2-block
+        # task); the rule is repeated to 13 blocks so 3-block tasks occur
+        monkeypatch.setenv("STRESSDIST_THREADS", "2")
+        itf, field = TestBlockedValues()._two_sided(rng)
+        pts = TestBlockedValues()._rule_points(itf, 1)
+        pts = np.concatenate([pts, pts, pts, pts[:17]])
+        want = [blocked_values(m, pts).tobytes()
+                for m in (field.value, field.divergence)]
+        monkeypatch.setattr(geometry, "TASK_BLOCKS", task_blocks)
+        assert geometry._task_size(len(pts)) == task_blocks * BLOCK
+        assert [blocked_values(m, pts).tobytes()
+                for m in (field.value, field.divergence)] == want
+
+    @pytest.mark.parametrize("task_blocks", [1, 3])
+    def test_fiber_nodes_do_not_depend_on_task_size(self, sphere_half,
+                                                    monkeypatch, task_blocks):
+        monkeypatch.setenv("STRESSDIST_THREADS", "2")
+        center = np.array([0.45, 0.0, 0.1])
+        layout = geometry._fiber_layout(sphere_half, center, 0.25,
+                                        TestBlockedSum.LEVEL)
+        want = geometry._fiber_nodes(center, *layout)
+        monkeypatch.setattr(geometry, "TASK_BLOCKS", task_blocks)
+        assert geometry._task_size(len(want)) == task_blocks * BLOCK
+        got = geometry._fiber_nodes(center, *layout)
+        assert got.points.tobytes() == want.points.tobytes()
+        assert got.weights.tobytes() == want.weights.tobytes()
