@@ -354,7 +354,7 @@ def run_scenario(cfg, refine=0, seed_override=None):
     if seed_override is not None:
         cfg = dict(cfg)
         cfg["seed"] = int(seed_override)
-    t0 = time.time()
+    t0 = time.perf_counter()
     block = catalog.ConfigBlock(cfg)
     with distributions.refinement(refine):
         domain, interface = _build_geometry(block)
@@ -377,7 +377,7 @@ def run_scenario(cfg, refine=0, seed_override=None):
         },
         "timing": {
             "timestamp": datetime.now(timezone.utc).isoformat(),
-            "wall_time_s": round(time.time() - t0, 3),
+            "wall_time_s": round(time.perf_counter() - t0, 3),
         },
     }
     return report

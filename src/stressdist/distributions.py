@@ -27,8 +27,8 @@ import numpy as np
 from . import _tensor as T
 from ._memo import LruMemo
 from .errors import ConfigError, RankMismatchError, StressDistError
-from .fields import (shaped_divergence, surface_divergence, surface_gradient,
-                     surface_trace)
+from .fields import (ConstantField, PiecewiseField, shaped_divergence,
+                     surface_divergence, surface_gradient, surface_trace)
 from .geometry import (DEFAULT_SURFACE_LEVEL, DEFAULT_VOLUME_LEVEL,
                        PairingValue, blocked_sum, blocked_values,
                        boundary_force_moment, curve_force_moment, support_key,
@@ -173,11 +173,65 @@ class BDist:
 
     def pair(self, test, level=None):
         support, breaks = _test_layout(test)
+        sides = _constant_sides(self.field, test)
+        if sides is not None:
+            return self._pair_constant_sides(test.base.contract_gradient,
+                                             sides, support, breaks, level)
 
         def run(lv):
             q, key = _volume_quad(self, lv, support, breaks)
             return self._pair_sum(q, key, 'value', test.value)
         return two_level(run, _lv(level, support is not None))
+
+    def _pair_constant_sides(self, hook, sides, support, breaks, level):
+        """``pair`` of constant sides with a gradient test: sum_side
+        C_side : grad psi by the base's ``contract_gradient`` hook, on the
+        rules, sum blocks and estimate of the generic path.
+
+        Each node takes the side ``PiecewiseField.plus_side`` assigns it; a
+        zero side gets exact zeros without evaluating the test, and when
+        every side is zero no rule is built.
+        """
+        if not any(np.any(C) for C in sides):
+            return PairingValue(0.0, 0.0)
+        field = self.field
+
+        def integrand(x):
+            if len(sides) == 1:
+                return hook(sides[0], x)[0]
+            plus = field.plus_side(x)
+            out = np.zeros(len(x))
+            for C, mask in zip(sides, (plus, ~plus)):
+                if not np.any(C):
+                    continue
+                idx = np.flatnonzero(mask)
+                if len(idx) == len(x):
+                    return hook(C, x)[0]
+                if len(idx):
+                    out[idx] = hook(C, np.take(x, idx, axis=0))[0]
+            return out
+
+        def run(lv):
+            q, _ = _volume_quad(self, lv, support, breaks)
+            return blocked_sum(q.weights, integrand, q.points)
+        return two_level(run, _lv(level, support is not None))
+
+
+def _constant_sides(field, test):
+    """The constants (plus, minus) of a rank-2 ``PiecewiseField`` with
+    ``ConstantField`` sides, or (value,) of one that is smooth, when
+    ``test`` is the ``GradTest`` of a vector test with a
+    ``contract_gradient`` hook; None for any other field or test."""
+    if not (isinstance(field, PiecewiseField) and isinstance(test, GradTest)
+            and test.base.rank == 1
+            and getattr(test.base, 'contract_gradient', None) is not None):
+        return None
+    ends = ((field.plus,) if field.interface is None
+            or field.minus is field.plus else (field.plus, field.minus))
+    if not all(isinstance(f, ConstantField) and f.constant.shape == (3, 3)
+               for f in ends):
+        return None
+    return tuple(f.constant for f in ends)
 
 
 class _SurfaceDist:

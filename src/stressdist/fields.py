@@ -20,6 +20,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import _tensor as T
+from ._memo import LruMemo
 from .errors import FieldError, RankMismatchError
 
 
@@ -277,9 +278,20 @@ class CallableField:
 
 
 class ConstantField:
+    """Field with one constant value everywhere and zero derivatives.
+
+    A ``PiecewiseField`` whose sides are constant fields pairs with the
+    gradient of a test that has a ``contract_gradient`` hook without
+    evaluating either (see ``BDist.pair``); ``constant`` is that value.
+    """
+
     def __init__(self, value, rank):
         self._value = np.asarray(value, dtype=float)
         self.rank = rank
+
+    @property
+    def constant(self):
+        return self._value
 
     def value(self, pts):
         n = len(np.asarray(pts))
@@ -429,7 +441,7 @@ class PiecewiseField:
         pts = np.asarray(pts, dtype=float)
         if self.interface is None or self.minus is self.plus:
             return np.asarray(_side_call(self.plus, method, pts))
-        plus_mask = self.interface.signed_distance(pts) >= 0.0
+        plus_mask = self.plus_side(pts)
         n_plus = int(np.count_nonzero(plus_mask))
         if n_plus in (0, len(pts)):
             # wholly on one side, as most blocks of a rule are
@@ -442,6 +454,11 @@ class PiecewiseField:
             vals = np.asarray(_side_call(f, method, np.take(pts, idx, axis=0)))
             out[idx] = vals.reshape(len(idx), -1)
         return out.reshape((len(pts),) + (3,) * (self.rank + order))
+
+    def plus_side(self, pts):
+        """True at the points that take the plus side's values: those at
+        signed distance >= 0 from the interface."""
+        return self.interface.signed_distance(pts) >= 0.0
 
     def value(self, pts):
         return self._per_side(pts, 'value', 0)
@@ -640,6 +657,11 @@ def _bump_radial(q, order):
     return out
 
 
+# contraction rows kept per bump, one per value of the constant it is
+# contracted with (``_ComponentBump.contract_gradient``)
+CONTRACTION_MEMO_SIZE = 4
+
+
 def jet(f, pts, order):
     """[value, gradient, hessian][:order + 1] of a test function or factor,
     from its own ``jet`` when it has one."""
@@ -678,6 +700,7 @@ class _ComponentBump:
         H = _derivative_rows(self._value.exps, G).reshape(-1, P.shape[1])
         self._gradient = self._value.with_coefs(np.concatenate([P, G]))
         self._hessian = self._value.with_coefs(np.concatenate([P, G, H]))
+        self._contractions = LruMemo(CONTRACTION_MEMO_SIZE)
 
     def _components(self, planes):
         """Node-last (distinct, ..., N) planes -> (N,) + shape + (...)
@@ -770,6 +793,61 @@ class _ComponentBump:
     def jet(self, pts, order):
         """[value, gradient, hessian][:order + 1]."""
         return self._orders(pts, range(order + 1))
+
+    def contract_gradient(self, C, pts):
+        """(C : grad psi, psi) for a constant C of shape ``shape + (3,)``,
+        zero outside the support.
+
+        With psi_i = beta(q) P_i and d = x - c,
+        C : grad psi = beta D + beta' (2/r^2) sum_i P_i (C d)_i, where
+        D = sum_ij C_ij dP_i/dx_j is compiled as one row after the distinct
+        P (kept per value of C): one radial factor and one ``Poly3.value``
+        call on u + 1 rows take the place of the gradient.
+        """
+        C = np.asarray(C, dtype=float)
+        if C.shape != self.shape + (3,):
+            raise RankMismatchError(
+                f"contraction shape mismatch: {C.shape} vs {self.shape + (3,)}")
+        rows, Cd = self._contractions.get(C.tobytes(),
+                                          lambda: self._contraction_rows(C))
+        pts = np.asarray(pts, dtype=float)
+        d = pts - self.center
+        q = np.einsum('ni,ni->n', d, d) / self.radius ** 2
+        idx = np.flatnonzero(_in_support(q))
+        n = len(q)
+        if len(idx) == n:
+            return self._contract_inside(rows, Cd, pts, d, q)
+        cg, psi = np.zeros(n), np.zeros((n,) + self.shape)
+        if len(idx):
+            cg[idx], psi[idx] = self._contract_inside(
+                rows, Cd, np.take(pts, idx, axis=0), np.take(d, idx, axis=0),
+                q[idx])
+        return cg, psi
+
+    def _contraction_rows(self, C):
+        """The u + 1 rows (P, D) over the bump's table, and C summed onto
+        the distinct rows as a (u, 3) array."""
+        P = self._value.coefs
+        u = len(P)
+        Cd = np.zeros((u, 3))
+        comps = np.arange(u) if self._pick is None else self._pick
+        np.add.at(Cd, comps, C.reshape(-1, 3))
+        G = self._gradient.coefs[u:].reshape(u, 3, -1)
+        D = np.einsum('kj,kjm->m', Cd, G)
+        return self._value.with_coefs(np.concatenate([P, D[None]])), Cd
+
+    def _contract_inside(self, rows, Cd, pts, d, q):
+        """``contract_gradient`` at points inside the support."""
+        beta, b1 = _bump_radial(q, 1)
+        u = len(Cd)
+        vals = rows.value(pts)
+        P = vals[:, :u]
+        cg = beta * vals[:, u]
+        cg += (2.0 / self.radius ** 2) * b1 * np.einsum('nk,nk->n', P, d @ Cd.T)
+        psi = beta[:, None] * P
+        if self._pick is not None:
+            psi = psi[:, self._pick]
+        return cg, psi.reshape((len(q),) + self.shape)
 
     def value(self, pts):
         return self._orders(pts, (0,))[0]
@@ -869,6 +947,26 @@ class ModulatedTest:
             h += v[0][..., None, None] * m[2].reshape(lead + (3, 3))
             out.append(h)
         return out
+
+    @property
+    def contract_gradient(self):
+        """The base's hook, ``contract_gradient(C, pts)`` -> (C : grad psi,
+        psi), carried through the product rule
+        C : grad(m phi) = m (C : grad phi) + phi . (C grad m) on one factor
+        jet and one base call; None when the base has no hook."""
+        base = getattr(self.base, 'contract_gradient', None)
+        if base is None:
+            return None
+
+        def hook(C, pts):
+            m = jet(self.factor, pts, 1)
+            cg, phi = base(C, pts)
+            Cm = m[1] @ np.asarray(C, dtype=float).reshape(-1, 3).T
+            lead = (-1,) + (1,) * (phi.ndim - 1)
+            return (m[0] * cg + np.einsum('nk,nk->n',
+                                          phi.reshape(len(cg), -1), Cm),
+                    m[0].reshape(lead) * phi)
+        return hook
 
     def value(self, pts):
         return self.jet(pts, 0)[0]

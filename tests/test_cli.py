@@ -271,15 +271,45 @@ class TestRun:
 
     def test_reports_do_not_depend_on_pool_width(self):
         # the width sets how many blocks a pool task holds; identity1-B-ball's
-        # volume rules span 14 to 41 blocks, the others add soap-film weak
-        # residuals, mollified sums and lemma-2 column tests
-        names = ["identity1-B-ball", "soap-film-sphere", "mollify-C-box",
-                 "stress-function-shell"]
+        # volume rules span 14 to 41 blocks, the others add weak residuals
+        # of constant pressure sides (soap film, dilatational dipole, flat
+        # tension), mollified sums and lemma-2 column tests
+        names = ["identity1-B-ball", "soap-film-sphere",
+                 "dilatational-dipole-sphere", "flat-tension-box",
+                 "mollify-C-box", "stress-function-shell"]
         one = _reports_under_blas_threads(1, names, pool_width=1)
         for width in (2, 3):
             other = _reports_under_blas_threads(1, names, pool_width=width)
             for name, a, b in zip(names, one, other):
                 assert a == b, (name, width)
+
+    @pytest.mark.parametrize("name", ["soap-film-sphere",
+                                      "dilatational-dipole-sphere",
+                                      "flat-tension-box"])
+    def test_constant_pressure_scenarios_pair_by_the_hook(self, name,
+                                                          monkeypatch):
+        # their bulk stress is a constant on each side: the weak residuals
+        # pair it through the tests' contract_gradient hook, and a zero
+        # side (all of flat tension) evaluates no test at all
+        from stressdist.distributions import BDist
+        from stressdist.fields import _ComponentBump
+        calls = {}
+        for owner, attr in ((BDist, "_pair_constant_sides"),
+                            (_ComponentBump, "contract_gradient")):
+            real = getattr(owner, attr)
+
+            def counting(*args, _real=real, _attr=attr, **kwargs):
+                calls[_attr] = calls.get(_attr, 0) + 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counting)
+        with open(os.path.join(SCENARIO_DIR, name + ".json"),
+                  encoding="utf-8") as fh:
+            report = run_scenario(json.load(fh), refine=0)
+        assert report["summary"]["pass"]
+        assert calls.get("_pair_constant_sides", 0) > 0
+        assert (calls.get("contract_gradient", 0) > 0) == (
+            name != "flat-tension-box")
 
     def test_seed_override_changes_suite(self, tmp_path):
         path = _write(tmp_path, "soap.json", SOAP)

@@ -1,25 +1,28 @@
 """Pairings, the dual-path divergence identities, mollification, Cauchy flux."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from stressdist import distributions
 from stressdist.distributions import (ADAPTED_LEVEL, BDist, CDist,
-                                      CompositeDist, FDist, PairingValue,
-                                      cauchy_flux, close,
+                                      CompositeDist, FDist, GradTest,
+                                      PairingValue, cauchy_flux, close,
                                       distributional_curl, distributional_div,
                                       identity1_rhs, identity2_rhs,
                                       mollified_pair, mollify_convergence,
                                       refinement)
 from stressdist.errors import RankMismatchError, StressDistError
-from stressdist.fields import (BumpScalar, ConstantField, ModulatedTest,
-                               PiecewiseField, Poly3, PolyField,
+from stressdist.fields import (BumpScalar, BumpVector, ConstantField,
+                               ModulatedTest, PiecewiseField, Poly3, PolyField,
                                SquaredDistanceFactor, SurfaceField,
                                chart_tangent, make_bump,
                                make_gradient_test_field, normal_dyad,
                                surface_polynomial)
 from stressdist import geometry
 from stressdist._memo import LruMemo
-from stressdist.geometry import BLOCK, TASK_BLOCKS, Domain, \
+from stressdist.geometry import BLOCK, TASK_BLOCKS, Ball, Domain, \
     integrate_surface, integrate_volume, sphere_interface, support_volume_quad
 
 
@@ -646,3 +649,199 @@ class TestTrivialCurlPairings:
 
         v = distributional_curl(bd, GradOfScalar())
         assert abs(v.value) < 1e-12
+
+
+class _WithoutHook:
+    """A user test class: value, gradient and Hessian of a base, and no
+    ``contract_gradient`` hook."""
+
+    def __init__(self, base):
+        self.base = base
+        self.rank = base.rank
+
+    def value(self, pts):
+        return self.base.value(pts)
+
+    def gradient(self, pts):
+        return self.base.gradient(pts)
+
+    def hessian(self, pts):
+        return self.base.hessian(pts)
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Count the calls of ``owner.name`` (still running it)."""
+    real = getattr(owner, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+_SUPPORTS = {
+    'sphere-crossing': ('sphere', [0.45, 0.0, 0.1], 0.25),
+    'plane-crossing': ('plane', [0.1, 0.2, 0.05], 0.25),
+    'plus-side': ('sphere', [0.8, 0.0, 0.0], 0.15),
+    'minus-side': ('sphere', [0.1, 0.1, 0.0], 0.2),
+}
+
+
+class TestConstantSides:
+    """Constant bulk sides paired with gradient tests through the tests'
+    ``contract_gradient`` hook, against the generic path."""
+
+    @staticmethod
+    def _test(kind, ball, interface, center, radius, rng):
+        if kind == 'shared':
+            p, q = Poly3.random(rng, 2), Poly3.random(rng, 2)
+            return BumpVector(center, radius, [p, q, p])
+        bump = make_bump(ball, center, radius, rank=1, rng=rng)
+        if kind == 'modulated':
+            return ModulatedTest(bump, SquaredDistanceFactor(interface))
+        return bump
+
+    @staticmethod
+    def _field(sides, interface, rng):
+        C = rng.normal(size=(3, 3))
+        if sides == 'pressure':
+            return PiecewiseField(2, ConstantField(-1.7 * np.eye(3), 2),
+                                  ConstantField(np.zeros((3, 3)), 2),
+                                  interface)
+        if sides == 'non-symmetric':
+            return PiecewiseField(2, ConstantField(C, 2),
+                                  ConstantField(rng.normal(size=(3, 3)), 2),
+                                  interface)
+        return PiecewiseField.smooth(ConstantField(C, 2), 2)
+
+    @pytest.mark.parametrize("sides", ['pressure', 'non-symmetric', 'smooth'])
+    @pytest.mark.parametrize("kind", ['bump', 'modulated', 'shared'])
+    @pytest.mark.parametrize("where", sorted(_SUPPORTS))
+    def test_hook_agrees_with_the_generic_path(self, ball, sphere_half,
+                                                 ball_disk, monkeypatch,
+                                                 sides, kind, where):
+        rng = np.random.default_rng(7)
+        surface, center, radius = _SUPPORTS[where]
+        interface = sphere_half if surface == 'sphere' else ball_disk
+        psi = self._test(kind, ball, interface, center, radius, rng)
+        bd = BDist(ball, interface, self._field(sides, interface, rng))
+        hooks = _count_calls(monkeypatch, BumpVector, 'contract_gradient')
+        got = bd.pair(GradTest(psi))
+        evaluated = len(hooks)
+        want = bd.pair(GradTest(_WithoutHook(psi)))
+        assert len(hooks) == evaluated
+        # only a support wholly on the zero side of the pressure skips it
+        assert (evaluated == 0) == (sides == 'pressure'
+                                    and where == 'minus-side')
+        tol = 1e-13 * max(1.0, abs(want.value))
+        assert abs(got.value - want.value) <= tol
+        assert abs(got.error - want.error) <= tol
+
+    @pytest.mark.parametrize("smooth", [False, True])
+    def test_zero_sides_build_no_rule(self, ball, sphere_half, monkeypatch,
+                                      rng, smooth):
+        def no_rule(*args, **kwargs):
+            raise AssertionError("a rule was built")
+
+        monkeypatch.setattr(distributions, "support_volume_quad", no_rule)
+        monkeypatch.setattr(Ball, "volume_quadrature", no_rule)
+        zero = ConstantField(np.zeros((3, 3)), 2)
+        field = (PiecewiseField.smooth(zero, 2) if smooth else
+                 PiecewiseField(2, zero, ConstantField(np.zeros((3, 3)), 2),
+                                sphere_half))
+        psi = make_bump(ball, [0.45, 0.0, 0.1], 0.25, rank=1, rng=rng)
+        for t in (psi, ModulatedTest(psi, SquaredDistanceFactor(sphere_half))):
+            v = BDist(ball, sphere_half, field).pair(GradTest(t))
+            assert v == PairingValue(0.0, 0.0)
+            assert np.copysign(1.0, v.value) == 1.0
+
+    def test_interface_nodes_take_the_plus_side(self, ball, ball_disk, rng,
+                                                monkeypatch):
+        # a rule whose nodes lie on the plane z = 0: PiecewiseField puts
+        # them on the plus side, and so must the pairing
+        psi = make_bump(ball, [0.1, 0.0, 0.0], 0.3, rank=1, rng=rng)
+        xy = rng.uniform(-0.15, 0.15, (40, 2))
+        pts = np.column_stack([0.1 + xy[:, 0], xy[:, 1], np.zeros(40)])
+        weights = rng.uniform(0.5, 1.0, 40)
+        rule = SimpleNamespace(points=pts, weights=weights)
+        monkeypatch.setattr(distributions, "_volume_quad",
+                            lambda *args: (rule, None))
+        C = rng.normal(size=(3, 3))
+        field = PiecewiseField(2, ConstantField(C, 2),
+                               ConstantField(np.zeros((3, 3)), 2), ball_disk)
+        got = BDist(ball, ball_disk, field).pair(GradTest(psi))
+        want = weights @ np.einsum('nij,ij->n', psi.gradient(pts), C)
+        assert abs(want) > 1e-3
+        assert abs(got.value - want) <= 1e-13 * abs(want)
+        assert got.error == 0.0
+
+    @staticmethod
+    def _assert_generic(monkeypatch, bd, test):
+        """``bd`` pairs ``GradTest(test)`` without the constant-side path,
+        bit for bit as a test without the hook."""
+        def no_hook(*args, **kwargs):
+            raise AssertionError("constant-side path taken")
+
+        with monkeypatch.context() as m:
+            m.setattr(BDist, "_pair_constant_sides", no_hook)
+            got = bd.pair(GradTest(test))
+        want = bd.pair(GradTest(_WithoutHook(test)))
+        assert (got.value.hex(), got.error.hex()) == \
+            (want.value.hex(), want.error.hex())
+
+    def test_other_tests_and_fields_take_the_generic_path(
+            self, ball, sphere_half, rng, monkeypatch):
+        vector = make_bump(ball, [0.45, 0.0, 0.1], 0.25, rank=1, rng=rng)
+        pressure = PiecewiseField(2, ConstantField(-np.eye(3), 2),
+                                  ConstantField(np.zeros((3, 3)), 2),
+                                  sphere_half)
+        # a user test class without the hook, also under a modulation
+        bd = BDist(ball, sphere_half, pressure)
+        self._assert_generic(monkeypatch, bd, _WithoutHook(vector))
+        self._assert_generic(
+            monkeypatch, bd,
+            ModulatedTest(_WithoutHook(vector),
+                          SquaredDistanceFactor(sphere_half)))
+        # a scalar bump under a rank-1 constant side
+        scalar = make_bump(ball, [0.45, 0.0, 0.1], 0.25, rank=0, rng=rng)
+        force = PiecewiseField(1, ConstantField([1.0, -2.0, 0.5], 1),
+                               ConstantField([0.0, 0.3, 0.0], 1), sphere_half)
+        self._assert_generic(monkeypatch, BDist(ball, sphere_half, force),
+                             scalar)
+        # a non-constant side
+        mixed = PiecewiseField(2, ConstantField(-np.eye(3), 2),
+                               PolyField.random_symmetric(rng, 2), sphere_half)
+        self._assert_generic(monkeypatch, BDist(ball, sphere_half, mixed),
+                             vector)
+
+    def test_rank_mismatch_raises_even_on_zero_sides(self, ball,
+                                                     sphere_half, rng):
+        zero = PiecewiseField(2, ConstantField(np.zeros((3, 3)), 2),
+                              ConstantField(np.zeros((3, 3)), 2), sphere_half)
+        bd = BDist(ball, sphere_half, zero)
+        for rank in (0, 2):
+            psi = make_bump(ball, [0.45, 0.0, 0.1], 0.25, rank=rank, rng=rng)
+            with pytest.raises(RankMismatchError):
+                bd.pair(GradTest(psi))
+
+    def test_hook_path_evaluates_neither_gradient_nor_field(
+            self, ball, sphere_half, rng, monkeypatch):
+        field = PiecewiseField(2, ConstantField(-np.eye(3), 2),
+                               ConstantField(rng.normal(size=(3, 3)), 2),
+                               sphere_half)
+        psi = make_bump(ball, [0.45, 0.0, 0.1], 0.25, rank=1, rng=rng)
+        tests = (psi, ModulatedTest(psi, SquaredDistanceFactor(sphere_half)))
+        counted = [_count_calls(monkeypatch, owner, name)
+                   for owner, name in ((BumpVector, '_orders'),
+                                       (ModulatedTest, 'jet'),
+                                       (PiecewiseField, '_per_side'),
+                                       (PiecewiseField, 'value'),
+                                       (ConstantField, 'value'))]
+        hooks = _count_calls(monkeypatch, BumpVector, 'contract_gradient')
+        for t in tests:
+            v = BDist(ball, sphere_half, field).pair(GradTest(t))
+            assert v.value != 0.0
+        assert hooks and not any(counted)

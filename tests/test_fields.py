@@ -4,6 +4,7 @@ import inspect
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from stressdist._tensor import fd_gradient
 from stressdist.catalog import (_poly_times, _radial_pressure_field,
                                 build_surface_tensor, build_surface_vector,
                                 random_stress_function)
-from stressdist.errors import FieldError
+from stressdist.errors import FieldError, RankMismatchError
 from stressdist.fields import (BumpScalar, BumpSymTensor, BumpVector,
                                CallableField, ConstantField, HessianInverseR,
                                KelvinStressField, ModulatedTest,
@@ -456,6 +457,90 @@ class TestBumps:
         assert np.max(np.abs(h - h_fd)) < 1e-4 * (np.max(np.abs(h_fd)) + 1)
 
 
+class TestContractGradient:
+    """``contract_gradient(C, pts)`` -> (C : grad psi, psi) against the
+    gradient and the value of the same test."""
+
+    @staticmethod
+    def _check(test, C, pts):
+        got, psi = test.contract_gradient(C, pts)
+        g = test.gradient(pts)
+        want = g.reshape(len(pts), -1) @ np.ravel(C)
+        assert got.shape == (len(pts),)
+        assert np.max(np.abs(got - want)) <= 1e-13 * (np.max(np.abs(want)) + 1)
+        assert psi.shape == g.shape[:-1]
+        assert np.max(np.abs(psi - test.value(pts))) <= 1e-14
+
+    def test_bumps_of_every_rank(self, rng):
+        # points inside and outside the support (exact zeros there)
+        c, r = np.array([0.1, -0.05, 0.2]), 0.6
+        pts = _rand_points(rng, 300, scale=0.55, center=c)
+        polys = [Poly3.random(rng, 3) for _ in range(6)]
+        for bump in (BumpScalar(c, r, polys[0]), BumpVector(c, r, polys[:3]),
+                     BumpSymTensor(c, r, polys)):
+            C = rng.normal(size=bump.shape + (3,))
+            self._check(bump, C, pts)
+            outside = np.linalg.norm(pts - c, axis=1) >= r
+            assert np.any(outside)
+            assert np.all(bump.contract_gradient(C, pts)[0][outside] == 0.0)
+
+    def test_shared_polynomials(self, rng):
+        # components sharing a polynomial compile it once (``_pick``); a
+        # non-symmetric C must still reach each component with its own row
+        c, r = np.array([0.0, 0.1, 0.0]), 0.5
+        p, q = Poly3.random(rng, 2), Poly3.random(rng, 2)
+        bump = BumpVector(c, r, [p, q, p])
+        assert bump._pick is not None
+        pts = _rand_points(rng, 200, scale=0.45, center=c)
+        self._check(bump, rng.normal(size=(3, 3)), pts)
+
+    def test_all_points_inside_and_none_inside(self, rng):
+        c, r = np.zeros(3), 0.5
+        bump = BumpVector(c, r, [Poly3.random(rng, 2) for _ in range(3)])
+        C = rng.normal(size=(3, 3))
+        self._check(bump, C, _rand_points(rng, 50, scale=0.25, center=c))
+        far = _rand_points(rng, 20, scale=0.1, center=[2.0, 0.0, 0.0])
+        got, psi = bump.contract_gradient(C, far)
+        assert np.all(got == 0.0) and np.all(psi == 0.0)
+        self._check(bump, C, np.array([[0.1, 0.0, 0.05]]))
+
+    def test_kept_per_value_of_the_constant(self, rng):
+        bump = BumpVector(np.zeros(3), 0.5,
+                          [Poly3.random(rng, 2) for _ in range(3)])
+        pts = _rand_points(rng, 40, scale=0.3)
+        first = rng.normal(size=(3, 3))
+        a = bump.contract_gradient(first, pts)[0]
+        self._check(bump, first.T, pts)
+        assert np.array_equal(bump.contract_gradient(first.copy(), pts)[0], a)
+        assert len(bump._contractions) == 2
+
+    def test_shape_mismatch(self, rng):
+        bump = BumpVector(np.zeros(3), 0.5,
+                          [Poly3.random(rng, 2) for _ in range(3)])
+        with pytest.raises(RankMismatchError):
+            bump.contract_gradient(np.eye(3)[0], np.zeros((2, 3)))
+
+    def test_modulated(self, rng, unit_sphere):
+        big = Ball(2.0)
+        c = np.array([1.0, 0.0, 0.2])
+        base = make_bump(big, c, 0.4, rank=1, rng=rng)
+        pts = _rand_points(rng, 150, scale=0.3, center=c)
+        C = rng.normal(size=(3, 3))
+        for factor in (SquaredDistanceFactor(unit_sphere),
+                       PlateauFactor(0.2, 0.1, 0.3)):
+            self._check(ModulatedTest(base, factor), C, pts)
+
+    def test_modulated_without_a_base_hook_has_none(self, rng, unit_sphere):
+        base = BumpVector(np.zeros(3), 0.5,
+                          [Poly3.random(rng, 2) for _ in range(3)])
+        m = ModulatedTest(SimpleNamespace(rank=1, value=base.value,
+                                          gradient=base.gradient),
+                          SquaredDistanceFactor(unit_sphere))
+        assert m.contract_gradient is None
+        assert ModulatedTest(base, SquaredDistanceFactor(unit_sphere)) \
+            .contract_gradient is not None
+
+
 def _eps():
     e = np.zeros((3, 3, 3))
     e[0, 1, 2] = e[1, 2, 0] = e[2, 0, 1] = 1
@@ -551,6 +636,15 @@ class TestPiecewiseField:
         below = ConstantField(np.array([0, 0, -1.0]), 1)
         b = PiecewiseField(1, above, below, pl)
         assert np.allclose(jump(b, [0.1, 0.2, 0.0]), [0, 0, 2.0], atol=1e-14)
+
+    def test_interface_points_take_the_plus_side(self, box):
+        pl = box.plane_interface(0.0)
+        b = PiecewiseField(1, ConstantField(np.array([0, 0, 1.0]), 1),
+                           ConstantField(np.array([0, 0, -1.0]), 1), pl)
+        pts = np.array([[0.1, 0.2, 0.0], [0.3, -0.2, 1e-300],
+                        [0.0, 0.0, -1e-300]])
+        assert list(b.plus_side(pts)) == [True, True, False]
+        assert np.array_equal(b.value(pts)[:, 2], [1.0, 1.0, -1.0])
 
     def test_guarded_fd_never_crosses(self, big_ball, unit_sphere):
         # sides with different polynomials behind FD-only evaluators:
