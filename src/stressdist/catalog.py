@@ -78,6 +78,16 @@ class ConfigBlock(dict):
             "a number" if ndim == 0 else f"a {ndim}-d array of numbers")
         raise ConfigError(f"{self.path}.{key}: must be {what}, got {value!r}")
 
+    def ladder(self, key, default):
+        """``number(key, default, ndim=1)`` holding two or more distinct
+        positive values (a convergence fit's widths or steps)."""
+        values = self.number(key, default, ndim=1)
+        if np.all(np.isfinite(values) & (values > 0)) and len(
+                np.unique(values)) > 1:
+            return values
+        raise ConfigError(f"{self.path}.{key}: must hold two or more distinct "
+                          f"positive numbers, got {values.tolist()!r}")
+
     def choice(self, key, default, choices):
         """``self.get(key, default)``, which must be one of ``choices``;
         any other value raises ``ConfigError``."""

@@ -230,8 +230,7 @@ def _op_dipole_limit(cfg, domain, interface, rng):
     params = cfg.get("parameters", {})
     sigma0 = params.number("sigma0", [[1, 0, 0], [0, -0.5, 0], [0, 0, 0]],
                            ndim=2)
-    h_values = params.number("h_values", [0.2, 0.1, 0.05, 0.025, 0.0125],
-                             ndim=1)
+    h_values = params.ladder("h_values", [0.2, 0.1, 0.05, 0.025, 0.0125])
     count = cfg.get("suite", {}).number("count", 10, integer=True)
     seed = cfg.get("suite", {}).number("seed", cfg.get("seed", 0),
                                        integer=True)
@@ -285,7 +284,7 @@ def _op_global_conditions(cfg, domain, interface, rng):
 def _op_mollify(cfg, domain, interface, rng):
     params = cfg.get("parameters", {})
     family = params.choice("family", "C", FAMILIES)
-    rhos = params.number("rhos", [0.08, 0.04, 0.02, 0.01], ndim=1).tolist()
+    rhos = params.ladder("rhos", [0.08, 0.04, 0.02, 0.01]).tolist()
     min_order = params.number("min_order", 1.0)
     dist = _random_dist(family, domain, interface, rng, rank=2)
     from .equilibrium import _crossing_bump_geometry
@@ -302,8 +301,7 @@ def _op_mollify(cfg, domain, interface, rng):
 
 def _op_cauchy_flux(cfg, domain, interface, rng):
     params = cfg.get("parameters", {})
-    rhos = params.number("rhos", [0.05, 0.025, 0.0125, 0.00625],
-                         ndim=1).tolist()
+    rhos = params.ladder("rhos", [0.05, 0.025, 0.0125, 0.00625]).tolist()
     expect = params.choice("expect", "converge", ("converge", "diverge"))
     probe_cfg = params.get("probe", {"kind": "sphere", "radius": 1.5})
     probe = catalog.build_interface(probe_cfg, domain)
@@ -426,7 +424,8 @@ def run(path, refine=0, seed=None, out=None, fmt="report"):
         print(f"internal error: {path}", file=sys.stderr)
         traceback.print_exc()
         return 3, None
-    out_path = out or (os.path.splitext(path)[0] + ".report.json")
+    suffix = ".report.json" if fmt == "report" else ".report.csv"
+    out_path = out or (os.path.splitext(path)[0] + suffix)
     _dump_report(report, out_path, fmt)
     return (0 if report["summary"]["pass"] else 1), report
 

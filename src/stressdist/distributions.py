@@ -85,19 +85,16 @@ def _test_layout(test):
 
 
 def _volume_quad(dist, lv, support, breaks):
-    """Support-adapted volume quadrature, falling back to the cached grid
+    """The fiber rule of a supported test, or the cached full-domain grid
     (broken at the radial ``breaks`` a global test advertises).
 
     Returns the rule and the value key of a full-domain grid, or None for
-    support-clipped rules, whose bulk values are not kept (they are large
-    and rarely reused).
+    fiber rules, whose bulk values are not kept (they are large and rarely
+    reused).
     """
     if support is not None:
-        q = support_volume_quad(dist.interface, support[0], support[1], lv)
-        if q is not None:
-            return q, None
-        return (dist.domain.volume_quadrature(dist.interface, lv,
-                                              support=support), None)
+        return (support_volume_quad(dist.interface, support[0], support[1],
+                                    lv), None)
     if breaks:
         # the graded radial breaks already resolve the profile layers, so a
         # coarser tensor level suffices
@@ -586,7 +583,11 @@ def _mollified_value(dist, test, rho, domain, level):
 
 def _mollified_sum(dist, test, rho, domain, level):
     """(run, level): ``run(lv)`` sums the Gaussian layer of width rho of a
-    surface or dipole part over the level-lv windowed volume rule."""
+    surface or dipole part over a level-lv volume rule: the normal-fiber
+    layer rule of a supported test, with the density read once per fiber
+    at its foot, or else the full grid broken at the layer's levels, with
+    every node projected.  ``level_breaks`` rejects interfaces without
+    such levels (a plane disk in a ball) either way."""
     if domain is None:
         raise ConfigError("mollified surface pairings need the domain")
     interface = dist.interface
@@ -613,9 +614,16 @@ def _mollified_sum(dist, test, rho, domain, level):
         return out
 
     def run(lv):
-        q = domain.volume_quadrature(interface, lv, extra_breaks=breaks,
-                                     support=support)
-        return blocked_sum(q.weights, layer, q.points)
+        if support is None:
+            q = domain.volume_quadrature(interface, lv, extra_breaks=breaks)
+            return blocked_sum(q.weights, layer, q.points)
+        q = support_volume_quad(interface, support[0], support[1], lv,
+                                layer=rho)
+        dens = np.asarray(dist.density.value(q.feet))
+        return blocked_sum(
+            q.weights, lambda x, s, foot: profile(s, rho) * _contract(
+                dens[foot], np.asarray(test.value(x))),
+            q.points, q.offset, q.foot)
 
     return run, vlevel
 

@@ -136,23 +136,15 @@ GAUSS_RULE = _gauss_rule(GAUSS_NODES_PER_CELL)
 SMALL_CELL_RULE = _gauss_rule(4)
 
 
-def _gauss_cells(breaks, level, windows=None, small_cell=None):
+def _gauss_cells(breaks, level, small_cell=None):
     """1-D composite Gauss-Legendre nodes/weights on cells given by breaks.
 
     Each cell is split into ``2 ** level`` equal subcells (with the edges
-    ``np.linspace`` gives) carrying ``GAUSS_RULE``.  ``windows`` optionally
-    restricts to cells overlapping any (lo, hi) interval; integrands known
-    to vanish outside the windows are then integrated exactly on the kept
-    cells only.  Subcells narrower than ``small_cell`` get
-    ``SMALL_CELL_RULE`` instead (graded ladders).
+    ``np.linspace`` gives) carrying ``GAUSS_RULE``.  Subcells narrower than
+    ``small_cell`` get ``SMALL_CELL_RULE`` instead (graded ladders).
     """
     a = np.asarray(breaks, dtype=float)
     a, b = a[:-1], a[1:]
-    if windows is not None:
-        keep = np.zeros(len(a), dtype=bool)
-        for lo, hi in windows:
-            keep |= (hi > a + 1e-14) & (lo < b - 1e-14)
-        a, b = a[keep], b[keep]
     m = 2 ** level
     # linspace(a, b, m + 1): a + k * ((b - a) / m), with the last edge b
     edges = a[:, None] + np.arange(m + 1) * ((b - a) / m)[:, None]
@@ -172,61 +164,17 @@ def _gauss_cells(breaks, level, windows=None, small_cell=None):
     return xs[used], ws[used]
 
 
-def _graded_breaks(windows, depth, base_breaks, lo, hi):
-    """Edge-graded cell partition of each window (bump-type integrands have
-    steep layers at their support edges), merged with base breaks inside."""
-    fr = {0.5}
-    for k in range(1, depth):
-        fr.add(0.5 ** k)
-        fr.add(1.0 - 0.5 ** k)
-    pts = set()
-    for a, b in windows:
-        a, b = max(a, lo), min(b, hi)
-        if b - a <= 1e-14:
-            continue
-        w = b - a
-        pts.add(a)
-        pts.add(b)
-        pts.update(a + w * f for f in fr)
-    for bb in base_breaks:
-        if any(a < bb < b for a, b in windows):
-            pts.add(bb)
-    return sorted(pts)
-
-
-def _wrap_windows(center, half, lo, hi):
-    """Angle window [center-half, center+half] split across the seam."""
-    if half >= 0.5 * (hi - lo):
-        return None
-    span = hi - lo
-    a = lo + np.mod(center - half - lo, span)
-    b = lo + np.mod(center + half - lo, span)
-    if a <= b:
-        return [(a, b)]
-    return [(lo, b), (a, hi)]
-
-
-def _spherical_support_windows(center, radius, r_lo, r_hi):
-    """(r, theta, phi) windows of B(center, radius) in spherical coordinates:
-    the radial shell it spans and the polar and azimuthal spans of the
-    cone it subtends at the origin (all angles when it holds the origin,
-    all azimuths when the cone reaches a pole)."""
-    c = np.asarray(center, dtype=float)
-    rc = float(np.linalg.norm(c))
-    r_win = [(max(r_lo, rc - radius), min(r_hi, rc + radius))]
-    if rc <= radius:
-        return (r_win, None, None)
-    theta_c = np.arccos(np.clip(c[2] / rc, -1.0, 1.0))
-    phi_c = np.mod(np.arctan2(c[1], c[0]), 2.0 * np.pi)
-    omega = np.arcsin(min(1.0, radius / rc)) * 1.0000001
-    t0 = max(0.0, theta_c - omega)
-    t1 = min(np.pi, theta_c + omega)
-    theta_win = [(t0, t1)]
-    sin_min = min(np.sin(t0), np.sin(t1))
-    if t0 <= 1e-9 or t1 >= np.pi - 1e-9 or sin_min <= 1e-9:
-        return (r_win, theta_win, None)
-    lam = np.arcsin(min(1.0, radius / (rc * sin_min))) * 1.0000001
-    return (r_win, theta_win, _wrap_windows(phi_c, lam, 0.0, 2.0 * np.pi))
+def _graded_breaks(lo, hi, depth):
+    """Breaks of [lo, hi] graded toward both ends, where bump-type
+    integrands have their steep layers: lo, hi and lo + (hi - lo) * f for
+    f = 1/2, 2**-k and 1 - 2**-k (0 < k < depth).  Arrays ``lo`` and ``hi``
+    give one row of breaks per interval."""
+    k = np.arange(1, depth)
+    fr = np.unique(np.concatenate([[0.5], 0.5 ** k, 1.0 - 0.5 ** k]))
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    return np.concatenate([lo[..., None],
+                           lo[..., None] + (hi - lo)[..., None] * fr,
+                           hi[..., None]], axis=-1)
 
 
 def _merge_breaks(breaks, extra, lo, hi):
@@ -340,9 +288,23 @@ class SpherePatch(SurfacePatch):
         if arg <= -1.0:
             return None
         omega = float(np.arccos(np.clip(arg, -1.0, 1.0)))
-        cap = SpherePatch(a, self.center, self.orientation,
+        return self._cap_batch(c, omega, level)
+
+    def shadow_batch(self, center, radius, level):
+        """The cap of the cone the support subtends at the sphere's center
+        (the whole sphere when the support holds the center)."""
+        c = center - self.center
+        d = float(np.linalg.norm(c))
+        return self._cap_batch(c if d > 1e-12 else np.array([0.0, 0.0, 1.0]),
+                               np.arcsin(radius / d) if d > radius else np.pi,
+                               level)
+
+    def _cap_batch(self, axis, omega, level):
+        """The cap of half-angle ``omega`` about ``axis``, in a chart about
+        the axis whose theta = omega line is the cap rim."""
+        cap = SpherePatch(self.radius, self.center, self.orientation,
                           u_range=(0.0, omega), v_range=(0.0, 2 * np.pi),
-                          frame=_frame_for_axis(c))
+                          frame=_frame_for_axis(axis))
         return _polar_support_batch(cap, omega, level)
 
 
@@ -363,12 +325,21 @@ class _PlanarPatch(SurfacePatch):
         catalog plane spans its domain's cross-section, so the disk lies
         inside the patch; one that leaves it raises ``GeometryError``.
         """
-        origin, normal = self.point(0.0, 0.0), self.normal(0.0, 0.0)
-        dn = float((center - origin) @ normal)
+        dn = float((center - self.point(0.0, 0.0)) @ self.normal(0.0, 0.0))
         if abs(dn) >= radius:
             return _empty_batch(self)
-        rp = np.sqrt(radius ** 2 - dn ** 2)
-        cc = center - dn * normal
+        return self._disk_batch(center, np.sqrt(radius ** 2 - dn ** 2), level)
+
+    def shadow_batch(self, center, radius, level):
+        """The disk of radius ``radius`` about the foot of the center."""
+        return self._disk_batch(center, radius, level)
+
+    def _disk_batch(self, center, rp, level):
+        """The disk of radius ``rp`` about the foot of ``center``, in a polar
+        chart whose rho = rp line is the disk rim; ``GeometryError`` if it
+        leaves the patch."""
+        normal = self.normal(0.0, 0.0)
+        cc = center - float((center - self.point(0.0, 0.0)) @ normal) * normal
         if not self._holds_disk(cc, rp):
             raise GeometryError(f"support disk (center {cc}, radius "
                                 f"{rp:.6g}) leaves the planar patch")
@@ -458,27 +429,39 @@ class CylinderPatch(SurfacePatch):
         return ([0.0, np.pi, 2.0 * np.pi], [v0, 0.5 * (v0 + v1), v1])
 
     def support_batch(self, center, radius, level):
-        """Edge-graded chart windows (phi, z) around the support: no chart
-        line of the cylinder follows the support boundary, so cells are
-        kept where they overlap the windows."""
-        c = np.asarray(center, dtype=float)
-        rho_c = np.hypot(c[0], c[1])
-        v0, v1 = self.v_range
-        lo, hi = max(v0, c[2] - radius), min(v1, c[2] + radius)
-        if abs(rho_c - self.radius) >= radius or lo >= hi:
+        """The (phi, z) rectangle of the support's cut: half-angle
+        arccos((a^2 + rho_c^2 - r^2) / (2 a rho_c)) about the center's
+        azimuth and half-height sqrt(r^2 - (rho_c - a)^2).  The cut's rim
+        crosses cells; the integrand vanishes beyond it."""
+        a, rho_c = self.radius, float(np.hypot(center[0], center[1]))
+        if abs(rho_c - a) >= radius:
             return _empty_batch(self)
-        ub, vb = self.base_breaks()
-        u_win = [(ub[0], ub[-1])]
-        if rho_c > 1e-12:
-            phi_c = np.mod(np.arctan2(c[1], c[0]), 2 * np.pi)
-            lam = np.arcsin(min(1.0, radius / self.radius)) * 1.3
-            u_win = _wrap_windows(phi_c, lam, 0.0, 2 * np.pi) or u_win
-        v_win = [(lo, hi)]
+        cos_half = ((a * a + rho_c * rho_c - radius * radius)
+                    / (2.0 * a * rho_c) if rho_c > 1e-12 else -1.0)
+        return self._rect_batch(center, np.arccos(np.clip(cos_half, -1, 1)),
+                                np.sqrt(radius ** 2 - (rho_c - a) ** 2),
+                                level)
+
+    def shadow_batch(self, center, radius, level):
+        """The (phi, z) rectangle of the cone the support subtends at the
+        axis (all azimuths when it holds the axis) and of its height."""
+        rho_c = float(np.hypot(center[0], center[1]))
+        half = np.arcsin(radius / rho_c) if rho_c > radius else np.pi
+        return self._rect_batch(center, half, radius, level)
+
+    def _rect_batch(self, center, half, height, level):
+        """Tensor rule on phi_c +- half (unwrapped) by z_c +- height
+        (clipped to the patch), graded toward the ends of both."""
+        v0, v1 = self.v_range
+        lo, hi = max(v0, center[2] - height), min(v1, center[2] + height)
+        if lo >= hi:
+            return _empty_batch(self)
+        phi_c = float(np.arctan2(center[1], center[0]))
         depth = level + SURFACE_GRADE_OFFSET
-        ug = _graded_breaks(u_win, depth, ub, ub[0], ub[-1])
-        vg = _graded_breaks(v_win, depth, vb, vb[0], vb[-1])
-        return _tensor_batch(self, _gauss_cells(ug, 0, u_win),
-                             _gauss_cells(vg, 0, v_win))
+        return _tensor_batch(
+            self, _gauss_cells(_graded_breaks(phi_c - half, phi_c + half,
+                                              depth), 0),
+            _gauss_cells(_graded_breaks(lo, hi, depth), 0))
 
 
 class RectPatch(_PlanarPatch):
@@ -580,8 +563,14 @@ class CurveBatch:
 
 @dataclass
 class VolumeQuad:
+    """Volume nodes and weights; a normal-fiber rule also keeps its feet p
+    and, per node, the index of its foot and its offset s along n(p)."""
+
     points: np.ndarray
     weights: np.ndarray
+    feet: Optional[SurfaceBatch] = None
+    foot: Optional[np.ndarray] = None
+    offset: Optional[np.ndarray] = None
 
     def __len__(self):
         return self.points.shape[0]
@@ -594,10 +583,8 @@ def _empty_batch(patch):
 
 def _tensor_batch(patch, u_rule, v_rule):
     """Tensor product of two 1-D rules ``(nodes, weights)`` over a patch
-    chart, weights times the area element; empty if either rule is."""
+    chart, weights times the area element."""
     (un, uw), (vn, vw) = u_rule, v_rule
-    if len(un) == 0 or len(vn) == 0:
-        return _empty_batch(patch)
     U, V = np.meshgrid(un, vn, indexing='ij')
     batch = make_surface_batch(patch, U, V)
     batch.weights = (_tensor_weights(uw, vw)
@@ -622,8 +609,7 @@ def _polar_support_batch(patch, rim, level):
     """Rule on a polar-type chart (u from 0 at the support's axis to ``rim``
     at its boundary, v the angle about the axis): u cells edge-graded
     toward the rim, 4 + level angular cells."""
-    ub = _graded_breaks([(0.0, rim)], level + SURFACE_GRADE_OFFSET, [], 0.0,
-                        rim)
+    ub = _graded_breaks(0.0, rim, level + SURFACE_GRADE_OFFSET)
     vb = np.linspace(0.0, 2 * np.pi, 4 + level + 1)
     return _tensor_batch(patch, _gauss_cells(ub, 0), _gauss_cells(vb, 0))
 
@@ -667,40 +653,71 @@ class _RecenteredDiskPatch(SurfacePatch):
 _FIBER_CACHE = LruMemo(FIBER_MEMO_SIZE, budget=FIBER_MEMO_NODES)
 
 
-def support_volume_quad(interface, center, radius, level):
-    """Bump-centered radial-fiber quadrature for compactly supported
-    volume integrands.
+def support_volume_quad(interface, center, radius, level, layer=None):
+    """Fiber quadrature for volume integrands supported in B(center, radius).
 
-    Fibers start at the support center; each fiber's radial cells conform
-    to the interface crossings and are edge-graded toward the support
-    boundary, so neither the jump nor the bump layer is ever straddled.
-    Returns None for interfaces of coordinate 'rho', which have no fiber
-    rule.  Recent rules are kept by (interface kind and parameters, center,
-    radius, level).
+    Pairings about no interface or an 'r' or 'z' one take center fibers:
+    radial fibers from the support center, their cells broken at the
+    interface crossings and edge-graded toward the support boundary.
+    Pairings about a 'rho' interface, and mollifier layers of width
+    ``layer``, take normal fibers x = p + s n(p) from the feet p of
+    ``Interface.shadow_batch``: cut to their chords of the ball, graded
+    toward the chord ends, broken at s = 0 (and at ``layer`` * (-6, -2, 2,
+    6), dropping cells beyond 6 ``layer``), weighed w_p (1 + kappa s + K
+    s^2).  They never reach the focal set (s = -a on a sphere or cylinder
+    of radius a): supports inside the domain and layers within the
+    clearance stay clear of it.  Rules without a layer are kept by
+    (interface kind and parameters, center, radius, level); a layer rule
+    serves one width once and is not kept.
     """
     center = np.asarray(center, dtype=float)
+    if layer is not None:
+        return _normal_fiber_quad(interface, center, radius, level, layer)
     key = (interface_key(interface), center.tobytes(), float(radius), level)
     return _FIBER_CACHE.get(
         key, lambda: _build_fiber_quad(interface, center, radius, level))
 
 
 def _build_fiber_quad(interface, center, radius, level):
-    layout = _fiber_layout(interface, center, radius, level)
-    return None if layout is None else _fiber_nodes(center, *layout)
+    if interface is not None and interface.coordinate == 'rho':
+        return _normal_fiber_quad(interface, center, radius, level)
+    return _fiber_nodes(center, *_fiber_layout(interface, center, radius,
+                                               level))
+
+
+def _normal_fiber_quad(interface, center, radius, level, layer=None):
+    feet = interface.shadow_batch(center, radius, level)
+    d = feet.points - center
+    b = np.einsum('ni,ni->n', feet.normals, d)
+    disc = b * b - (np.einsum('ni,ni->n', d, d) - radius * radius)
+    # |p + s n - center| = radius at s = -b -+ sqrt(disc); a foot on the
+    # shadow's rim gets an empty chord
+    sq = np.sqrt(np.maximum(disc, 0.0))
+    s0, s1 = -b - sq, -b + sq
+    ladder = _graded_breaks(s0, s1, level + VOLUME_GRADE_OFFSET)
+    cuts = np.array([0.0]) if layer is None else (
+        layer * np.array([-6.0, -2.0, 0.0, 2.0, 6.0]))
+    breaks = np.sort(np.concatenate(
+        [ladder, np.clip(cuts, s0[:, None], s1[:, None])], axis=1), axis=1)
+    if layer is not None:
+        # cells beyond the layer collapse to zero width and are dropped
+        breaks = np.clip(breaks, -6.0 * layer, 6.0 * layer)
+    kappa = feet.kappa
+    gauss = 0.5 * (kappa * kappa - np.einsum('nij,nji->n', feet.shape_ops,
+                                             feet.shape_ops))
+    quad = _fiber_nodes(feet.points, feet.normals, feet.weights, breaks,
+                        (kappa, gauss))
+    quad.feet = feet
+    return quad
 
 
 def _fiber_layout(interface, center, radius, level):
-    """(dirs, w_ang, breaks): the D fiber directions, their angular weights
-    and each fiber's sorted radial breaks (D, B), or None for coordinate
-    'rho'."""
+    """(dirs, w_ang, breaks) of center fibers about an interface of
+    coordinate 'r' or 'z' (or none): the D fiber directions, their angular
+    weights and each fiber's sorted radial breaks (D, B)."""
     coordinate = interface.coordinate if interface is not None else None
-    if coordinate == 'r' and np.linalg.norm(center) > 1e-12:
-        axis = center
-    elif coordinate in (None, 'r', 'z'):
-        axis = np.array([0.0, 0.0, 1.0])
-    else:
-        return None
-    R = _frame_for_axis(axis)
+    R = _frame_for_axis(center if coordinate == 'r' and np.linalg.norm(
+        center) > 1e-12 else np.array([0.0, 0.0, 1.0]))
 
     # structural polar angles: interface tangency and entry-exit circles get
     # geometrically graded neighborhoods (the crossing roots vary rapidly
@@ -753,9 +770,7 @@ def _fiber_layout(interface, center, radius, level):
     D = len(dirs)
 
     # radial breaks per fiber: graded support partition plus crossings
-    fixed = np.asarray(_graded_breaks([(0.0, radius)],
-                                      level + VOLUME_GRADE_OFFSET, [], 0.0,
-                                      radius))
+    fixed = _graded_breaks(0.0, radius, level + VOLUME_GRADE_OFFSET)
     roots = np.full((D, 2), radius)
     if coordinate == 'r':
         a = interface.value
@@ -781,13 +796,15 @@ def _fiber_layout(interface, center, radius, level):
     return dirs, w_ang, breaks
 
 
-def _fiber_nodes(center, dirs, w_ang, breaks):
-    """Gauss nodes on every radial cell of every fiber, in (fiber, cell,
-    node) order, with weights w_ang * half * wg * s^2.  The nodes are
-    written into preallocated arrays task by task (``_task_size``), on the
-    pool (``_pool.map_blocks``)."""
-    # a fiber without a crossing repeats ``radius`` as a break: drop the
-    # zero-width cells this leaves
+def _fiber_nodes(origin, dirs, w_fiber, breaks, curvature=None):
+    """Gauss nodes on every cell of every fiber origin + s dirs, in (fiber,
+    cell, node) order, weighed w_fiber * half * wg * J(s): J = s^2 for
+    center fibers (one ``origin``), 1 + kappa s + K s^2 for normal fibers
+    (an origin and ``curvature`` = (kappa, K) per fiber, whose nodes keep
+    their fiber and s).  The nodes are written into preallocated arrays
+    task by task (``_task_size``), on the pool (``_pool.map_blocks``)."""
+    # a fiber without a crossing repeats a break: drop the zero-width cells
+    # this leaves
     live = breaks[:, 1:] > breaks[:, :-1]
     fiber = np.nonzero(live)[0]
     lo, hi = breaks[:, :-1][live], breaks[:, 1:][live]
@@ -796,16 +813,29 @@ def _fiber_nodes(center, dirs, w_ang, breaks):
     cells = _task_size(len(mid) * len(xg)) // len(xg)
     pts = np.empty((len(mid), len(xg), 3))
     weights = np.empty((len(mid), len(xg)))
+    offset = None if curvature is None else np.empty((len(mid), len(xg)))
 
     def fill(k):
         c = slice(k * cells, (k + 1) * cells)
+        f = fiber[c]
         s_nodes = mid[c, None] + half[c, None] * xg               # (cells, 8)
-        weights[c] = w_ang[fiber[c], None] * (half[c, None] * wg * s_nodes ** 2)
+        if curvature is None:
+            jac = s_nodes ** 2
+        else:
+            jac = 1.0 + s_nodes * (curvature[0][f, None]
+                                   + curvature[1][f, None] * s_nodes)
+            offset[c] = s_nodes
+        weights[c] = w_fiber[f, None] * (half[c, None] * wg * jac)
         for a in range(3):
-            pts[c, :, a] = center[a] + s_nodes * dirs[fiber[c], a][:, None]
+            o = origin[a] if origin.ndim == 1 else origin[f, a][:, None]
+            pts[c, :, a] = o + s_nodes * dirs[f, a][:, None]
 
     _pool.map_blocks(fill, -(-len(mid) // cells))
-    return VolumeQuad(points=pts.reshape(-1, 3), weights=weights.reshape(-1))
+    quad = VolumeQuad(points=pts.reshape(-1, 3), weights=weights.reshape(-1))
+    if curvature is not None:
+        quad.foot = np.repeat(fiber, len(xg))
+        quad.offset = offset.reshape(-1)
+    return quad
 
 
 # ---------------------------------------------------------------------------
@@ -917,11 +947,11 @@ class Interface:
         ``support = (center, radius)`` gives the rule the patch builds for
         the part of the surface a compactly supported integrand can see
         (``SurfacePatch.support_batch``): support-aligned caps and disks,
-        graded chart windows on a cylinder, the full rule when the support
-        holds the whole surface, and a zero-node batch when it misses it.
-        Full batches are kept per level, and the last few support batches
-        per (level, center, radius).  Batches are shared and must not be
-        modified.
+        the cut's (phi, z) rectangle on a cylinder, the full rule when the
+        support holds the whole surface, and a zero-node batch when it
+        misses it.  Full batches are kept per level, and the last few
+        support batches per (level, center, radius).  Batches are shared
+        and must not be modified.
         """
         if support is None:
             return self._full_quad(level)
@@ -939,6 +969,13 @@ class Interface:
         batch = self.patch.support_batch(np.asarray(support[0], dtype=float),
                                          float(support[1]), level)
         return self._full_quad(level) if batch is None else batch
+
+    def shadow_batch(self, center, radius, level):
+        """Feet of the normal fibers through B(center, radius): a surface
+        rule on the points whose normal line meets it, graded like
+        ``surface_quadrature``'s support rules, built on demand."""
+        return self.patch.shadow_batch(np.asarray(center, dtype=float),
+                                       float(radius), level)
 
     def samples(self, n):
         """Deterministic quasi-uniform surface samples (no weights)."""
@@ -1184,57 +1221,26 @@ class Domain:
         raise GeometryError(f"{self.kind} has no plane-disk cross sections")
 
     def volume_quadrature(self, interface=None, level=DEFAULT_VOLUME_LEVEL,
-                          extra_breaks=None, support=None):
-        """Conforming tensor-product quadrature over the domain.
-
-        ``support = (center, radius)`` restricts and refines the cells to a
-        ball the integrand is supported in (exact for such integrands);
-        support-clipped quadratures are built on demand and not cached.
-        """
-        if support is not None:
-            windows = self.support_windows(np.asarray(support[0], dtype=float),
-                                           float(support[1]))
-            return self._build_volume_quad(interface, level, extra_breaks,
-                                           windows)
+                          extra_breaks=None):
+        """Conforming tensor-product quadrature over the whole domain, kept
+        per (interface, level, extra breaks).  Supported integrands take
+        ``support_volume_quad``."""
         key = (interface_key(interface), level,
                tuple(map(tuple, extra_breaks)) if extra_breaks else None)
         cache = getattr(self, '_vq_cache', None)
         if cache is None:
             cache = self._vq_cache = {}
         if key not in cache:
-            cache[key] = self._build_volume_quad(interface, level,
-                                                 extra_breaks, None)
+            axes, to_xyz, jac = self._conforming_cells(interface)
+            if extra_breaks:
+                axes = [_merge_breaks(b, e, b[0], b[-1])
+                        for b, e in zip(axes, extra_breaks)]
+            nodes, weights = zip(*(_gauss_cells(b, level) for b in axes))
+            A, B, C = (g.ravel() for g in np.meshgrid(*nodes, indexing='ij'))
+            cache[key] = VolumeQuad(
+                points=to_xyz(A, B, C),
+                weights=_tensor_weights(*weights) * jac(A, B, C))
         return cache[key]
-
-    def support_windows(self, center, radius):
-        """Per-axis windows (in domain coordinates) covering B(center, radius)."""
-        raise NotImplementedError
-
-    def _build_volume_quad(self, interface, level, extra_breaks, windows):
-        axes, to_xyz, jac = self._conforming_cells(interface)
-        if extra_breaks:
-            axes = [_merge_breaks(b, e, b[0], b[-1])
-                    for b, e in zip(axes, extra_breaks)]
-        nodes, weights = [], []
-        if windows is None:
-            for b in axes:
-                x, ww = _gauss_cells(b, level)
-                nodes.append(x)
-                weights.append(ww)
-        else:
-            depth = level + VOLUME_GRADE_OFFSET
-            for b, w in zip(axes, windows):
-                if w is None:
-                    w = [(b[0], b[-1])]
-                g = _graded_breaks(w, depth, b, b[0], b[-1])
-                x, ww = _gauss_cells(g, 0, w)
-                nodes.append(x)
-                weights.append(ww)
-        if any(len(x) == 0 for x in nodes):
-            return VolumeQuad(points=np.zeros((0, 3)), weights=np.zeros(0))
-        A, B, C = (g.ravel() for g in np.meshgrid(*nodes, indexing='ij'))
-        return VolumeQuad(points=to_xyz(A, B, C),
-                          weights=_tensor_weights(*weights) * jac(A, B, C))
 
     def interior_samples(self, n, interface=None, min_dist=0.0, max_tries=60):
         """Deterministic low-discrepancy interior points, kept off the interface."""
@@ -1274,9 +1280,6 @@ class _SphericalDomain(Domain):
     def bounding_box(self):
         r = self.r_range[1]
         return np.array([-r, -r, -r]), np.array([r, r, r])
-
-    def support_windows(self, center, radius):
-        return _spherical_support_windows(center, radius, *self.r_range)
 
     def _cells(self):
         r0, r1 = self.r_range
@@ -1372,15 +1375,6 @@ class Box(Domain):
     def bounding_box(self):
         return -self.half_widths, self.half_widths
 
-    def support_windows(self, center, radius):
-        c = np.asarray(center, dtype=float)
-        hw = self.half_widths
-        out = []
-        for ax in range(3):
-            out.append([(max(-hw[ax], c[ax] - radius),
-                         min(hw[ax], c[ax] + radius))])
-        return tuple(out)
-
     def plane_interface(self, z=0.0):
         """Full plane cross-section z = const with the boundary curve omitted.
 
@@ -1454,19 +1448,6 @@ class CylinderAnnulus(Domain):
         r = self.outer_radius
         return (np.array([-r, -r, self.z_range[0]]),
                 np.array([r, r, self.z_range[1]]))
-
-    def support_windows(self, center, radius):
-        c = np.asarray(center, dtype=float)
-        rho_c = np.hypot(c[0], c[1])
-        z0, z1 = self.z_range
-        rho_w = [(max(self.inner_radius, rho_c - radius),
-                  min(self.outer_radius, rho_c + radius))]
-        z_w = [(max(z0, c[2] - radius), min(z1, c[2] + radius))]
-        if rho_c <= radius:
-            return (rho_w, None, z_w)
-        phi_c = np.mod(np.arctan2(c[1], c[0]), 2 * np.pi)
-        lam = np.arcsin(min(1.0, radius / rho_c)) * 1.0000001
-        return (rho_w, _wrap_windows(phi_c, lam, 0.0, 2 * np.pi), z_w)
 
     def _cells(self):
         rb = [self.inner_radius,

@@ -189,6 +189,24 @@ class TestRun:
         assert code == 2 and report is None
         assert f"$.parameters.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,key,value", [
+        ("mollify-C-box", "rhos", []),
+        ("mollify-C-box", "rhos", [0.05]),
+        ("mollify-C-box", "rhos", [0.05, 0.05]),
+        ("dipole-limit-ball", "h_values", []),
+        ("dipole-limit-ball", "h_values", [0.1, -0.05]),
+        ("cauchy-flux-disjoint", "rhos", []),
+    ])
+    def test_short_ladder_exits_2(self, tmp_path, capsys, name, key, value):
+        # a convergence fit needs two distinct positive widths or steps
+        with open(os.path.join(SCENARIO_DIR, name + ".json")) as fh:
+            cfg = json.load(fh)
+        cfg["parameters"][key] = value
+        path = _write(tmp_path, "bad.json", cfg)
+        code, report = run(path, out=str(tmp_path / "r.json"))
+        assert code == 2 and report is None
+        assert f"$.parameters.{key}" in capsys.readouterr().err
+
     def test_equilibrium_without_interface_exits_2(self, tmp_path, capsys):
         cfg = dict(SOAP, fields={"preset": "kelvin"},
                    geometry={"domain": {"kind": "spherical-shell",
@@ -326,6 +344,16 @@ class TestRun:
         assert "id,residual,tolerance,pass" in text
         # RFC-4180-style: comma separated, '.' decimals
         assert re.search(r",\d+\.\d+e?-?\d*,", text) or "," in text
+
+    def test_csv_default_path(self, tmp_path):
+        # without --out a CSV goes beside the scenario, never into the
+        # JSON report's name
+        path = _write(tmp_path, "soap.json", SOAP)
+        code, _ = run(path, fmt="csv")
+        assert code == 0
+        assert not (tmp_path / "soap.report.json").exists()
+        text = (tmp_path / "soap.report.csv").read_text()
+        assert "id,residual,tolerance,pass" in text
 
     def test_report_embeds_tolerances(self, tmp_path):
         path = _write(tmp_path, "soap.json", SOAP)

@@ -22,7 +22,7 @@ from stressdist.fields import (BumpScalar, BumpVector, ConstantField,
                                surface_polynomial)
 from stressdist import geometry
 from stressdist._memo import LruMemo
-from stressdist.geometry import BLOCK, TASK_BLOCKS, Ball, Domain, \
+from stressdist.geometry import BLOCK, TASK_BLOCKS, Ball, \
     integrate_surface, integrate_volume, sphere_interface, support_volume_quad
 
 
@@ -285,10 +285,10 @@ class TestCylinderInterface:
             rhs = identity1_rhs(d, psi)
             assert close(lhs.value, rhs.value), type(d).__name__
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("seed", range(10))
     def test_bulk_dual_path_on_cylinder_patch(self, seed):
-        # no fiber rule follows a 'rho' interface: the volume pairings run
-        # on the support-windowed cylindrical grid of the domain
+        # no center fiber follows a 'rho' interface: the volume pairings run
+        # on normal fibers from the cylinder's shadow of the support
         from stressdist.geometry import (CylinderAnnulus,
                                          cylinder_patch_interface)
         from stressdist.equilibrium import _crossing_bump_geometry
@@ -300,7 +300,14 @@ class TestCylinderInterface:
             itf))
         c, r = _crossing_bump_geometry(dom, itf, rng)
         psi = make_bump(dom, c, r, rank=0, rng=rng, degree=3)
-        assert support_volume_quad(itf, c, r, 1) is None
+        q = support_volume_quad(itf, c, r, 1)
+        feet = q.feet
+        assert np.array_equal(q.points, feet.points[q.foot] + q.offset[:, None]
+                              * feet.normals[q.foot])
+        assert np.allclose(itf.signed_distance(q.points), q.offset,
+                           rtol=0, atol=1e-14)
+        assert np.min(np.abs(q.offset)) > 0.0
+        assert np.all(np.linalg.norm(q.points - c, axis=1) < r)
         lhs = distributional_div(dist, psi)
         rhs = identity1_rhs(dist, psi)
         assert close(lhs.value, rhs.value)
@@ -450,7 +457,7 @@ class TestMollification:
         assert abs(got1 - exact) < 5e-5 * max(1.0, abs(exact))
 
     def test_sphere_constant_second_order(self, ball, sphere_half, rng):
-        # the support-windowed spherical grid of a ball (Ball.support_windows)
+        # normal fibers from the cap a support in a ball subtends
         cd = CDist(sphere_half, SurfaceField.constant(
             np.array([0.5, 0.2, -1.0]), 1, sphere_half))
         psi = make_bump(ball, [0.45, 0.0, 0.1], 0.25, rank=1, rng=rng)
@@ -460,8 +467,7 @@ class TestMollification:
 
     def test_shell_sphere_constant_second_order(self, shell, shell_sphere,
                                                 rng):
-        # the support-windowed spherical grid of a shell
-        # (SphericalShell.support_windows)
+        # normal fibers from the cap a support in a shell subtends
         cd = CDist(shell_sphere, SurfaceField.constant(
             np.array([0.5, 0.2, -1.0]), 1, shell_sphere))
         psi = make_bump(shell, [1.4, 0.1, -0.15], 0.25, rank=1, rng=rng)
@@ -499,13 +505,14 @@ class TestMollification:
         dist = self._parts(ball, sphere_half, rng)[part]
         psi = make_bump(ball, [0.45, 0.0, 0.1], 0.25, rank=2, rng=rng,
                         degree=2)
-        real, levels = Domain.volume_quadrature, []
+        real, levels = support_volume_quad, []
 
-        def counting(self, *args, **kwargs):
-            levels.append(args[1] if len(args) > 1 else kwargs['level'])
-            return real(self, *args, **kwargs)
+        def counting(*args, **kwargs):
+            if kwargs.get('layer') is not None:
+                levels.append(args[3])
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(Domain, 'volume_quadrature', counting)
+        monkeypatch.setattr(distributions, 'support_volume_quad', counting)
         mollify_convergence(dist, psi, [0.04, 0.02, 0.01], domain=ball)
         assert levels == [ADAPTED_LEVEL] * 3
 

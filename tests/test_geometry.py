@@ -404,7 +404,95 @@ class TestFiberAssembly:
         assert np.all(rule.weights != 0.0)
 
 
-def _gauss_cells_oracle(breaks, level, windows=None, small_cell=None):
+def _radial_bump(q):
+    out = np.zeros_like(q)
+    inside = q < 1.0
+    out[inside] = np.exp(1.0 - 1.0 / (1.0 - q[inside]))
+    return out
+
+
+_CYLINDER = cylinder_patch_interface(CylinderAnnulus(0.5, 1.5, 2.0), 1.0)
+
+# (interface, support center, support radius): supports crossing a sphere
+# at ball and shell radii (both orientations), a plane and a cylinder patch,
+# one of them across the cylinder's chart seam phi = 0
+_NORMAL_FIBER_CASES = {
+    "sphere-ball": (sphere_interface(0.5), (0.42, 0.1, 0.15), 0.2),
+    "sphere-ball-inward": (sphere_interface(0.5, orientation=-1.0),
+                           (0.42, 0.1, 0.15), 0.2),
+    "sphere-shell": (sphere_interface(1.45), (1.3, 0.4, -0.2), 0.25),
+    "plane": (Box([1.0, 0.8, 0.6]).plane_interface(0.1), (0.3, -0.2, 0.15),
+              0.3),
+    "cylinder": (_CYLINDER, (0.1, 1.05, 0.3), 0.3),
+    "cylinder-seam": (_CYLINDER, (1.05, -0.01, -0.2), 0.3),
+}
+
+
+class TestNormalFibers:
+    @pytest.mark.parametrize("case", list(_NORMAL_FIBER_CASES))
+    def test_radial_bump_moments(self, case):
+        # int beta(|x - c|^2 / r^2) dx = 4 pi r^3 int_0^1 beta(t^2) t^2 dt
+        # over B(c, r), and the first moment is c times it
+        itf, c, r = _NORMAL_FIBER_CASES[case]
+        c = np.array(c)
+        ref = 4 * np.pi * r ** 3 * integrate.quad(
+            lambda t: t * t * _radial_bump(np.array([t * t]))[0], 0.0, 1.0,
+            epsabs=1e-15, limit=200)[0]
+        rule = geometry._normal_fiber_quad(itf, c, r, 2)
+        beta = _radial_bump(np.sum((rule.points - c) ** 2, axis=1) / r ** 2)
+        assert abs(rule.weights @ beta - ref) <= 1e-8 * ref
+        first = (rule.weights * beta) @ rule.points
+        assert (np.linalg.norm(first - ref * c)
+                <= 1e-8 * ref * np.linalg.norm(c))
+
+    @pytest.mark.parametrize("case", list(_NORMAL_FIBER_CASES))
+    def test_layer_nodes_stay_within_six_widths(self, case):
+        itf, c, r = _NORMAL_FIBER_CASES[case]
+        rho = 0.01
+        rule = support_volume_quad(itf, c, r, 1, layer=rho)
+        s = itf.signed_distance(rule.points)
+        assert len(rule) > 0
+        assert np.all(np.abs(s) <= 6.0 * rho * (1 + 1e-12))
+        assert np.allclose(s, rule.offset, rtol=0, atol=1e-14)
+        assert np.all(np.linalg.norm(rule.points - c, axis=1) < r)
+        # each width's rule serves once: it is not kept
+        assert support_volume_quad(itf, c, r, 1, layer=rho) is not rule
+
+    def test_rho_pairings_take_normal_fibers(self):
+        itf, c, r = _NORMAL_FIBER_CASES["cylinder"]
+        rule = support_volume_quad(itf, c, r, 2)
+        want = geometry._normal_fiber_quad(itf, np.array(c), r, 2)
+        assert np.array_equal(rule.points, want.points)
+        assert np.array_equal(rule.weights, want.weights)
+        assert support_volume_quad(itf, c, r, 2) is rule
+
+    def test_cylinder_support_is_the_cut_rectangle(self):
+        # the (phi, z) rectangle of the cut, unwrapped across the seam: its
+        # edge midpoints lie on the support sphere, and the bump over the
+        # cut matches an adaptive reference
+        itf, c, r = _NORMAL_FIBER_CASES["cylinder-seam"]
+        c = np.array(c)
+        phi_c, rho_c = np.arctan2(c[1], c[0]), np.hypot(c[0], c[1])
+        half = np.arccos((1.0 + rho_c ** 2 - r ** 2) / (2.0 * rho_c))
+        height = np.sqrt(r ** 2 - (rho_c - 1.0) ** 2)
+        for u, z in ((phi_c - half, c[2]), (phi_c + half, c[2]),
+                     (phi_c, c[2] - height), (phi_c, c[2] + height)):
+            assert abs(np.linalg.norm(itf.patch.point(u, z) - c) - r) < 1e-12
+        b = itf.surface_quadrature(1, support=(c, r))
+        assert np.all(np.abs(b.U - phi_c) < half)
+        assert np.all(np.abs(b.V - c[2]) < height)
+        ref = integrate.dblquad(
+            lambda z, u: _radial_bump(np.array([(
+                (np.cos(u) - c[0]) ** 2 + (np.sin(u) - c[1]) ** 2
+                + (z - c[2]) ** 2) / r ** 2]))[0],
+            phi_c - half, phi_c + half, c[2] - height, c[2] + height,
+            epsabs=1e-14, epsrel=1e-12)[0]
+        got = b.weights @ _radial_bump(
+            np.sum((b.points - c) ** 2, axis=1) / r ** 2)
+        assert abs(got - ref) <= 2e-8 * ref
+
+
+def _gauss_cells_oracle(breaks, level, small_cell=None):
     """The per-cell loop that ``geometry._gauss_cells`` replaced: the
     reference it must equal bit for bit."""
     base_x, base_w = np.polynomial.legendre.leggauss(
@@ -412,9 +500,6 @@ def _gauss_cells_oracle(breaks, level, windows=None, small_cell=None):
     few_x, few_w = np.polynomial.legendre.leggauss(4)
     xs, ws = [], []
     for a, b in zip(breaks[:-1], breaks[1:]):
-        if windows is not None and not any(
-                hi > a + 1e-14 and lo < b - 1e-14 for lo, hi in windows):
-            continue
         edges = np.linspace(a, b, 2 ** level + 1)
         for lo, hi in zip(edges[:-1], edges[1:]):
             mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
@@ -431,7 +516,7 @@ def _gauss_cells_oracle(breaks, level, windows=None, small_cell=None):
 
 class TestGaussCells:
     BREAKS = {
-        "graded": geometry._graded_breaks([(0.1, 0.9)], 7, [0.5], 0.0, 1.0),
+        "graded": geometry._graded_breaks(0.1, 0.9, 7),
         "uniform": np.linspace(0.0, 2 * np.pi, 6),
         "ladder": sorted({0.0, np.pi, 1.2} | {1.2 + 0.5 ** k for k in
                                                range(1, 9)}),
@@ -440,21 +525,17 @@ class TestGaussCells:
         "no-cell": [0.4],
     }
 
-    WINDOWS = [None, [(0.2, 0.45)], [(-1.0, 0.05), (1.3, 1.4)], []]
-
     @pytest.mark.parametrize("level", [0, 1, 2, 3])
     def test_equals_per_cell_loop(self, level):
         for name, breaks in self.BREAKS.items():
-            for windows in self.WINDOWS:
-                for small_cell in (None, 0.06):
-                    case = (name, windows, small_cell)
-                    x, w = geometry._gauss_cells(breaks, level, windows,
-                                                 small_cell)
-                    want_x, want_w = _gauss_cells_oracle(
-                        breaks, level, windows, small_cell)
-                    assert x.shape == want_x.shape, case
-                    assert x.tobytes() == want_x.tobytes(), case
-                    assert w.tobytes() == want_w.tobytes(), case
+            for small_cell in (None, 0.06):
+                case = (name, small_cell)
+                x, w = geometry._gauss_cells(breaks, level, small_cell)
+                want_x, want_w = _gauss_cells_oracle(breaks, level,
+                                                     small_cell)
+                assert x.shape == want_x.shape, case
+                assert x.tobytes() == want_x.tobytes(), case
+                assert w.tobytes() == want_w.tobytes(), case
 
     def test_rules_are_built_once(self, monkeypatch):
         # the Gauss-Legendre rules are read-only constants: building volume,
