@@ -43,6 +43,17 @@ _TOP_KEYS = {"schema_version", "name", "operation", "seed", "geometry",
              "fields", "suite", "tolerances", "parameters"}
 _GEOM_KEYS = {"domain", "interface"}
 _SUITE_KEYS = {"count", "seed"}
+# the $.parameters and $.tolerances keys each operation's driver reads
+_OPERATION_KEYS = {
+    "verify-identity": ({"family", "identity", "abs_tol", "rel_tol"}, ()),
+    "check-equilibrium": ((), {"local", "weak_factor"}),
+    "dipole-limit": ({"sigma0", "h_values", "z", "min_order",
+                      "min_fraction"}, ()),
+    "stress-function": ({"tol"}, ()),
+    "global-conditions": ({"tol"}, ()),
+    "mollify": ({"family", "rhos", "min_order"}, ()),
+    "cauchy-flux": ({"rhos", "expect", "probe"}, ()),
+}
 FAMILIES = ("B", "C", "F")
 
 # What needs $.geometry.interface: these operations always; the others only
@@ -85,13 +96,16 @@ def validate_scenario(cfg):
             if user is not None:
                 _fail(errors, "$.geometry.interface",
                       f"missing; {user} needs an interface")
-    suite = cfg.get("suite", {})
-    if not isinstance(suite, dict):
-        _fail(errors, "$.suite", "not an object")
-    else:
-        for k in suite:
-            if k not in _SUITE_KEYS:
-                _fail(errors, f"$.suite.{k}", "unknown key")
+    params, tols = _OPERATION_KEYS[op] if op in OPERATIONS else (None, None)
+    for section, keys in (("suite", _SUITE_KEYS), ("parameters", params),
+                          ("tolerances", tols)):
+        block = cfg.get(section, {})
+        if not isinstance(block, dict):
+            _fail(errors, f"$.{section}", "not an object")
+        elif keys is not None:
+            for k in block:
+                if k not in keys:
+                    _fail(errors, f"$.{section}.{k}", "unknown key")
     randomized = op in ("verify-identity", "check-equilibrium", "dipole-limit",
                         "mollify", "cauchy-flux", "stress-function")
     if randomized and not isinstance(cfg.get("seed"), int):
@@ -141,6 +155,16 @@ def _tolerances(cfg):
     return t
 
 
+def _suite_count(cfg, default):
+    """``$.suite.count`` (``default`` when absent), a positive integer."""
+    suite = cfg.get("suite", {})
+    count = suite.number("count", default, integer=True)
+    if count < 1:
+        raise ConfigError(f"{suite.path}.count: must be a positive integer, "
+                          f"got {count!r}")
+    return count
+
+
 # ---------------------------------------------------------------------------
 # operation drivers: each returns (checks, tables)
 
@@ -152,7 +176,7 @@ def _op_verify_identity(cfg, domain, interface, rng):
     if which not in (1, 2):
         raise ConfigError(f"{params.path}.identity: must be 1 or 2, "
                           f"got {which!r}")
-    count = cfg.get("suite", {}).number("count", 5, integer=True)
+    count = _suite_count(cfg, 5)
     abs_tol = params.number("abs_tol", distributions.ABS_TOL)
     rel_tol = params.number("rel_tol", distributions.REL_TOL)
     checks = []
@@ -218,7 +242,7 @@ def _op_check_equilibrium(cfg, domain, interface, rng):
     scn = catalog.build_scenario_fields(cfg.get("fields", {}), domain,
                                         interface, tol)
     scn.check_symmetry()
-    count = cfg.get("suite", {}).number("count", 9, integer=True)
+    count = _suite_count(cfg, 9)
     seed = cfg.get("suite", {}).number("seed", cfg.get("seed", 0),
                                        integer=True)
     tests = make_test_suite(domain, interface, count,
@@ -231,7 +255,7 @@ def _op_dipole_limit(cfg, domain, interface, rng):
     sigma0 = params.number("sigma0", [[1, 0, 0], [0, -0.5, 0], [0, 0, 0]],
                            ndim=2)
     h_values = params.ladder("h_values", [0.2, 0.1, 0.05, 0.025, 0.0125])
-    count = cfg.get("suite", {}).number("count", 10, integer=True)
+    count = _suite_count(cfg, 10)
     seed = cfg.get("suite", {}).number("seed", cfg.get("seed", 0),
                                        integer=True)
     min_order = params.number("min_order", 0.9)

@@ -47,7 +47,9 @@ VALUE_MEMO_SIZE = 8        # density values kept per distribution
 @contextlib.contextmanager
 def refinement(boost):
     """Raise every quadrature level by ``boost`` inside the block, for the
-    calling thread only."""
+    calling thread only; a negative boost raises ``ConfigError``."""
+    if int(boost) < 0:
+        raise ConfigError(f"refinement must be non-negative, got {boost!r}")
     token = _LEVEL_BOOST.set(int(boost))
     try:
         yield
@@ -554,11 +556,22 @@ def mollified_pair(dist, test, rho, domain=None, level=None):
 
     Bulk parts are already functions and pair exactly.  The surface part
     becomes a volume density c(project(x)) g_rho(s(x)); the dipole part
-    uses the negative derivative of the profile.  Errors if the truncated
-    layer (6 rho) does not fit inside the domain.
+    uses the negative derivative of the profile.  The test must be
+    compactly supported.  Errors if the truncated layer (6 rho) does not
+    fit inside the domain.
     """
+    _layer_support(test)
     return _over_parts(
         dist, lambda d: _mollified_part(d, test, rho, domain, level))
+
+
+def _layer_support(test):
+    """(center, radius) of a compactly supported test; mollified pairings
+    take no other."""
+    support, _ = _test_layout(test)
+    if support is None:
+        raise ConfigError("mollified pairings need a compactly supported test")
+    return support
 
 
 def _mollified_part(dist, test, rho, domain, level):
@@ -583,11 +596,8 @@ def _mollified_value(dist, test, rho, domain, level):
 
 def _mollified_sum(dist, test, rho, domain, level):
     """(run, level): ``run(lv)`` sums the Gaussian layer of width rho of a
-    surface or dipole part over a level-lv volume rule: the normal-fiber
-    layer rule of a supported test, with the density read once per fiber
-    at its foot, or else the full grid broken at the layer's levels, with
-    every node projected.  ``level_breaks`` rejects interfaces without
-    such levels (a plane disk in a ball) either way."""
+    surface or dipole part over the level-lv normal-fiber layer rule of the
+    test's support, with the density read once per fiber at its foot."""
     if domain is None:
         raise ConfigError("mollified surface pairings need the domain")
     interface = dist.interface
@@ -596,36 +606,17 @@ def _mollified_sum(dist, test, rho, domain, level):
             f"mollifier width {rho} too large: truncated layer leaves the domain")
 
     profile = _gauss_profile if isinstance(dist, CDist) else _gauss_profile_dneg
-    support, _ = _test_layout(test)
-    vlevel = _lv(level, support is not None)
-    breaks = domain.level_breaks(
-        interface, np.array([-6.0, -2.0, 0.0, 2.0, 6.0]) * rho)
-
-    def layer(x):
-        """Mollified density paired with the test, zero off the 6 rho layer."""
-        s = interface.signed_distance(x)
-        active = np.abs(s) <= 6.0 * rho
-        out = np.zeros(len(x))
-        if np.any(active):
-            pts = x[active]
-            dens = dist.density.value(interface.project_batch(pts))
-            out[active] = profile(s[active], rho) * _contract(
-                dens, np.asarray(test.value(pts)))
-        return out
+    center, radius = _layer_support(test)
 
     def run(lv):
-        if support is None:
-            q = domain.volume_quadrature(interface, lv, extra_breaks=breaks)
-            return blocked_sum(q.weights, layer, q.points)
-        q = support_volume_quad(interface, support[0], support[1], lv,
-                                layer=rho)
+        q = support_volume_quad(interface, center, radius, lv, layer=rho)
         dens = np.asarray(dist.density.value(q.feet))
         return blocked_sum(
             q.weights, lambda x, s, foot: profile(s, rho) * _contract(
                 dens[foot], np.asarray(test.value(x))),
             q.points, q.offset, q.foot)
 
-    return run, vlevel
+    return run, _lv(level, True)
 
 
 @dataclass
@@ -644,12 +635,14 @@ class ConvergenceTable:
 
 def mollify_convergence(dist, test, rhos, domain=None, level=None):
     """|mollified_pair - exact pairing| for each width, widest first, and
-    the observed order of convergence.
+    the observed order of convergence; the test must be compactly
+    supported.
 
     Each width's value equals ``mollified_pair(...).value`` but is summed
     once, without the two-level estimate nothing here reads; the exact
     pairing keeps its estimate, which sets the floor of the order fit.
     """
+    _layer_support(test)
     exact = dist.pair(test, level)
     values, errors = [], []
     for rho in sorted(rhos, reverse=True):
@@ -733,11 +726,3 @@ def cauchy_flux(dist, probe, rhos, domain=None, level=DEFAULT_SURFACE_LEVEL):
                       errors=errors, converged=bool(converged),
                       order=err_slope, divergence_slope=mag_slope)
 
-
-def pairing_table(dist, tests, level=None):
-    """Rows (test id, value, error) for CSV export of a pairing batch."""
-    rows = []
-    for j, t in enumerate(tests):
-        v = dist.pair(t, level)
-        rows.append((j, v.value, v.error))
-    return rows

@@ -661,7 +661,7 @@ def support_volume_quad(interface, center, radius, level, layer=None):
     interface crossings and edge-graded toward the support boundary.
     Pairings about a 'rho' interface, and mollifier layers of width
     ``layer``, take normal fibers x = p + s n(p) from the feet p of
-    ``Interface.shadow_batch``: cut to their chords of the ball, graded
+    ``patch.shadow_batch``: cut to their chords of the ball, graded
     toward the chord ends, broken at s = 0 (and at ``layer`` * (-6, -2, 2,
     6), dropping cells beyond 6 ``layer``), weighed w_p (1 + kappa s + K
     s^2).  They never reach the focal set (s = -a on a sphere or cylinder
@@ -686,7 +686,7 @@ def _build_fiber_quad(interface, center, radius, level):
 
 
 def _normal_fiber_quad(interface, center, radius, level, layer=None):
-    feet = interface.shadow_batch(center, radius, level)
+    feet = interface.patch.shadow_batch(center, float(radius), level)
     d = feet.points - center
     b = np.einsum('ni,ni->n', feet.normals, d)
     disc = b * b - (np.einsum('ni,ni->n', d, d) - radius * radius)
@@ -970,13 +970,6 @@ class Interface:
                                          float(support[1]), level)
         return self._full_quad(level) if batch is None else batch
 
-    def shadow_batch(self, center, radius, level):
-        """Feet of the normal fibers through B(center, radius): a surface
-        rule on the points whose normal line meets it, graded like
-        ``surface_quadrature``'s support rules, built on demand."""
-        return self.patch.shadow_batch(np.asarray(center, dtype=float),
-                                       float(radius), level)
-
     def samples(self, n):
         """Deterministic quasi-uniform surface samples (no weights)."""
         key = ('samples', n)
@@ -1209,13 +1202,6 @@ class Domain:
             b = self._cells()[0][self._axis(interface)]
             lo, hi = b[0], b[-1]
         return min(interface.value - lo, hi - interface.value)
-
-    def level_breaks(self, interface, offsets):
-        """``extra_breaks`` for ``volume_quadrature``: the levels value +
-        offsets on the interface's axis."""
-        extra = [(), (), ()]
-        extra[self._axis(interface)] = interface.value + np.asarray(offsets)
-        return tuple(extra)
 
     def cross_section_radius(self, z):
         raise GeometryError(f"{self.kind} has no plane-disk cross sections")

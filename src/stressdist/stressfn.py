@@ -278,38 +278,6 @@ def _double_cross(A, B):
 _EPS_TERMS = (((2, 1), (1, 2)), ((0, 2), (2, 0)), ((1, 0), (0, 1)))
 
 
-def _eps_x(pts, psi):
-    """out[n, j, q, ...] = eps_ipq x_p psi[n, i, j, ...], componentwise.
-
-    Forms the same two products and one difference per entry as the
-    einsum over EPS, so the result is bit-identical to it; the final
-    ``+= 0.0`` reproduces the einsum's zero-initialised accumulator (it
-    turns -0.0 into +0.0).  The memory layout is the einsum's too (q
-    fastest), so later reductions over trailing axes sum in the same order.
-    """
-    n = len(pts)
-    lead = (n,) + (1,) * (psi.ndim - 2)
-    out = np.moveaxis(np.empty((n, psi.shape[2]) + psi.shape[3:] + (3,)),
-                      -1, 2)
-    for q, ((p1, i1), (p2, i2)) in enumerate(_EPS_TERMS):
-        col = out[:, :, q]
-        np.multiply(pts[:, p1].reshape(lead), psi[:, i1], out=col)
-        col -= pts[:, p2].reshape(lead) * psi[:, i2]
-    out += 0.0
-    return out
-
-
-def _moment_gradient(pts, v, grad):
-    """d_k value[j,q] = eps_ikq psi_ij + eps_ipq x_p d_k psi_ij, the
-    gradient of the moment column ``_eps_x(pts, psi)``, from the test's
-    value ``v`` and gradient ``grad``."""
-    out = _eps_x(pts, grad)
-    for q, ((p1, i1), (p2, i2)) in enumerate(_EPS_TERMS):
-        out[:, :, q, p1] += v[:, i1]
-        out[:, :, q, p2] -= v[:, i2]
-    return out
-
-
 def _axis_column(d, w):
     """e_d (x) w as a dense (N, 3, ...) array, bit for bit as
     ``einsum('i,nj...->nij...', e_d, w)`` builds it (-0.0 turns +0.0)."""
@@ -319,10 +287,15 @@ def _axis_column(d, w):
 
 
 def _axis_eps_x(pts, d, w):
-    """``_eps_x`` of psi = e_d (x) w, bit for bit: of the two products per
-    entry only x_p w_j is non-zero, so the moment column is
+    """The moment column eps_ipq x_p psi_ij of psi = e_d (x) w, bit for bit
+    as ``einsum('ipq,np,nij...->njq...', EPS, pts, psi)`` builds it: of
+    the two products per entry only x_p w_j is non-zero, so
     out[n, j, q] = +-x_p w[n, j, ...] on the two q with eps_dpq != 0 and
-    zero on the third, one product per entry and no epsilon loop."""
+    zero on the third, one product per entry and no epsilon loop.  The
+    final ``+= 0.0`` reproduces the einsum's zero-initialised accumulator
+    (it turns -0.0 into +0.0), and the memory layout is the einsum's too
+    (q fastest), so later reductions over trailing axes sum in the same
+    order."""
     n = len(pts)
     lead = (n,) + (1,) * (w.ndim - 1)
     out = np.moveaxis(np.zeros((n,) + w.shape[1:] + (3,)), -1, 2)
@@ -338,8 +311,9 @@ def _axis_eps_x(pts, d, w):
 
 
 def _axis_moment_gradient(pts, d, w, h):
-    """``_moment_gradient`` of psi = e_d (x) w with gradient e_d (x) h, bit
-    for bit: ``_axis_eps_x`` of h plus w on the two entries where
+    """d_k of the moment column, eps_ikq psi_ij + eps_ipq x_p d_k psi_ij,
+    of psi = e_d (x) w with gradient e_d (x) h, bit for bit as the sum of
+    the two einsums: ``_axis_eps_x`` of h plus w on the two entries where
     eps_dkq != 0."""
     out = _axis_eps_x(pts, d, h)
     for q, ((p1, i1), (p2, i2)) in enumerate(_EPS_TERMS):
@@ -350,29 +324,28 @@ def _axis_moment_gradient(pts, d, w, h):
     return out
 
 
-def _unit_axis(test):
-    """d when ``test`` is a ``GradientTestField`` e_d (x) grad phi, else None."""
-    if not isinstance(test, GradientTestField):
-        return None
-    nonzero = np.flatnonzero(test.direction)
-    if len(nonzero) != 1 or test.direction[nonzero[0]] != 1.0:
-        return None
-    return int(nonzero[0])
+def _along(direction, column):
+    """``column(d)`` for a direction e_d; any other direction c takes
+    sum_d c_d column(d), the columns being linear in the direction."""
+    axis = np.flatnonzero(direction)
+    if len(axis) == 1 and direction[axis[0]] == 1.0:
+        return column(int(axis[0]))
+    return sum(c * column(d) for d, c in enumerate(direction))
 
 
 class ForceMomentTest:
-    """The force and moment columns of one or more tests as one column
-    test: one pairing walk gives (force_0, moment_0, force_1, ...), each
-    column summed as in a pairing of its own.
+    """The force and moment columns of one or more ``GradientTestField``
+    members c (x) grad phi as one column test: one pairing walk gives
+    (force_0, moment_0, force_1, ...), each column summed as in a pairing
+    of its own.
 
     The moment partner of a test psi is value[j,q] = eps_ipq x_p psi_ij;
     paired with a stress it gives the x-cross (moment) pairing, and its
-    normal derivative produces the dipole correction term.  Members
-    e_d (x) grad phi (``GradientTestField`` along a coordinate axis) are
-    rank one: each distinct phi is evaluated once per point set
-    (``PotentialStack``), and the moment column is one product per entry
-    (``_axis_eps_x``).  Any other member is evaluated on its own and takes
-    the generic ``_eps_x`` columns.  The members must share one rule layout
+    normal derivative produces the dipole correction term.  Each distinct
+    phi is evaluated once per point set (``PotentialStack``).  A member
+    along e_d is rank one, and its moment column is one product per entry
+    (``_axis_eps_x``); any other direction sums the axis columns
+    (``_along``).  The members must share one rule layout
     (``distributions._test_layout``), read from the first.
     """
 
@@ -380,47 +353,31 @@ class ForceMomentTest:
         self.members = members
         self.base = members[0]
         self.columns = 2 * len(members)
-        potentials, self._slots = [], []    # (axis, stack row) or None
+        potentials, self._slots = [], []    # (direction, stack row)
         for g in members:
-            d = _unit_axis(g)
-            if d is None:
-                self._slots.append(None)
-                continue
             if g.potential not in potentials:
                 potentials.append(g.potential)
-            self._slots.append((d, potentials.index(g.potential)))
-        self._stack = PotentialStack(potentials) if potentials else None
+            self._slots.append((g.direction, potentials.index(g.potential)))
+        self._stack = PotentialStack(potentials)
 
     def value(self, pts):
         pts = np.asarray(pts, dtype=float)
-        if self._stack is not None:
-            grads, = self._stack.orders(pts, (1,))
+        grads, = self._stack.orders(pts, (1,))
         out = []
-        for g, slot in zip(self.members, self._slots):
-            if slot is None:
-                v = np.asarray(g.value(pts))
-                out += [v, _eps_x(pts, v)]
-                continue
-            d, t = slot
+        for c, t in self._slots:
             w = grads[:, t]
-            out += [_axis_column(d, w), _axis_eps_x(pts, d, w)]
+            out += [_along(c, lambda d: _axis_column(d, w)),
+                    _along(c, lambda d: _axis_eps_x(pts, d, w))]
         return tuple(out)
 
     def gradient(self, pts):
         pts = np.asarray(pts, dtype=float)
-        if self._stack is not None:
-            grads, hessians = self._stack.orders(pts, (1, 2))
+        grads, hessians = self._stack.orders(pts, (1, 2))
         out = []
-        for g, slot in zip(self.members, self._slots):
-            if slot is None:
-                v = np.asarray(g.value(pts))
-                grad = np.asarray(g.gradient(pts))
-                out += [grad, _moment_gradient(pts, v, grad)]
-                continue
-            d, t = slot
-            h = hessians[:, t]
-            out += [_axis_column(d, h),
-                    _axis_moment_gradient(pts, d, grads[:, t], h)]
+        for c, t in self._slots:
+            w, h = grads[:, t], hessians[:, t]
+            out += [_along(c, lambda d: _axis_column(d, h)),
+                    _along(c, lambda d: _axis_moment_gradient(pts, d, w, h))]
         return tuple(out)
 
 
@@ -465,7 +422,8 @@ def check_lemma2_conditions(dist, domain, suite=None, level=2,
                             tol=LEMMA2_TOL, rng=None):
     """Checks ``force:<label>`` and ``moment:<label>``: pairings of the
     stress and its x-cross companion with curl-free tests, each with its
-    error estimate as ``estimate``.
+    error estimate as ``estimate``.  Suite members must be
+    ``GradientTestField``s c (x) grad phi; any other raises ``FieldError``.
 
     All pairings vanish (to tolerance) exactly when a stress function
     exists; a nonzero value against a boundary-constant member exposes the
@@ -478,6 +436,9 @@ def check_lemma2_conditions(dist, domain, suite=None, level=2,
     probe = domain.interior_samples(32, None, 0.0)
     groups = {}
     for k, (label, g) in enumerate(suite):
+        if not isinstance(g, GradientTestField):
+            raise FieldError(f"suite member {label} is not a gradient test "
+                             f"field c (x) grad phi")
         if g.curl_residual(probe) > 1e-9:
             raise FieldError(f"suite member {label} is not curl-free")
         support, breaks = _test_layout(g)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from stressdist.cli import batch, main, run, run_scenario, validate_scenario
+from stressdist.errors import ConfigError
 
 SOAP = {
     "schema_version": 1,
@@ -95,6 +96,40 @@ class TestValidation:
         cfg["geometry"] = {}
         errs = validate_scenario(cfg)
         assert any("$.geometry.domain" in e for e in errs)
+
+    @pytest.mark.parametrize("name,section,key", [
+        ("identity1-C-ball", "parameters", "familly"),
+        ("identity1-C-ball", "tolerances", "locl"),
+        ("soap-film-sphere", "parameters", "tol"),
+        ("soap-film-sphere", "tolerances", "locl"),
+        ("dipole-limit-ball", "parameters", "count"),
+        ("stress-function-ball", "tolerances", "local"),
+        ("global-conditions-shell", "parameters", "rhos"),
+        ("mollify-C-box", "parameters", "tol"),
+        ("cauchy-flux-disjoint", "parameters", "family"),
+    ])
+    def test_unknown_operation_key_rejected(self, name, section, key):
+        # each operation takes only the parameters its driver reads, and
+        # only check-equilibrium takes tolerances
+        with open(os.path.join(SCENARIO_DIR, name + ".json")) as fh:
+            cfg = json.load(fh)
+        cfg.setdefault(section, {})[key] = 1
+        assert validate_scenario(cfg) == [f"$.{section}.{key}: unknown key"]
+        with pytest.raises(ConfigError, match=re.escape(f"$.{section}.{key}")):
+            run_scenario(cfg)
+
+    def test_operation_blocks_must_be_objects(self):
+        for section in ("suite", "parameters", "tolerances"):
+            cfg = dict(SOAP, **{section: [1]})
+            assert validate_scenario(cfg) == [f"$.{section}: not an object"]
+
+    def test_shipped_scenarios_validate(self):
+        names = sorted(n for n in os.listdir(SCENARIO_DIR)
+                       if n.endswith(".json") and not n.endswith(".report.json"))
+        assert len(names) == 15
+        for name in names:
+            with open(os.path.join(SCENARIO_DIR, name)) as fh:
+                assert validate_scenario(json.load(fh)) == [], name
 
 
 class TestRun:
@@ -206,6 +241,31 @@ class TestRun:
         code, report = run(path, out=str(tmp_path / "r.json"))
         assert code == 2 and report is None
         assert f"$.parameters.{key}" in capsys.readouterr().err
+
+    def test_negative_refine_exits_2(self, tmp_path, capsys):
+        # a fine level below the default has no coarser rule to estimate by
+        path = _write(tmp_path, "soap.json", SOAP)
+        out = tmp_path / "r.json"
+        assert main(["run", path, "--refine", "-1", "--out", str(out)]) == 2
+        assert "refinement must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(ConfigError):
+            run_scenario(SOAP, refine=-1)
+
+    @pytest.mark.parametrize("name,count", [
+        ("identity1-C-ball", 0), ("identity1-C-ball", -2),
+        ("soap-film-sphere", -1), ("dipole-limit-ball", 0),
+    ])
+    def test_suite_count_below_one_exits_2(self, tmp_path, capsys, name,
+                                           count):
+        with open(os.path.join(SCENARIO_DIR, name + ".json")) as fh:
+            cfg = json.load(fh)
+        cfg["suite"]["count"] = count
+        code, report = run(_write(tmp_path, "bad.json", cfg),
+                           out=str(tmp_path / "r.json"))
+        assert code == 2 and report is None
+        assert "$.suite.count: must be a positive integer" in (
+            capsys.readouterr().err)
 
     def test_equilibrium_without_interface_exits_2(self, tmp_path, capsys):
         cfg = dict(SOAP, fields={"preset": "kelvin"},
@@ -459,6 +519,12 @@ class TestBatch:
                      "--refine", "1"]) in (0, 1)
         assert 1 <= peak[0] <= 2
 
+    def test_negative_refine_exits_2(self, tmp_path, capsys):
+        _write(tmp_path, "soap.json", SOAP)
+        assert main(["batch", str(tmp_path), "--refine", "-2"]) == 2
+        assert "refinement must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "soap.report.json").exists()
+
     def test_zero_thread_count_keeps_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("STRESSDIST_THREADS", "0")
         _write(tmp_path, "soap.json", SOAP)
@@ -617,6 +683,73 @@ class TestCatalogFields:
         assert np.max(np.abs(T.curl_from_gradient(grad.gradient(pts)))) < 1e-12
         with pytest.raises(ConfigError):
             build_bulk_vector({"kind": "vortex"}, ball, None)
+
+    def test_bulk_tensor_kinds(self, ball, sphere_half):
+        from stressdist.catalog import build_bulk_tensor
+        pts = ball.interior_samples(40, sphere_half, 0.05)
+        on = sphere_half.samples(32)
+        assert build_bulk_tensor({"kind": "zero"}, ball, sphere_half) is None
+        pressure = build_bulk_tensor({"kind": "uniform-pressure",
+                                      "p_plus": 1.4, "p_minus": -0.3},
+                                     ball, sphere_half)
+        assert np.allclose(pressure.jump(on), 1.7 * np.eye(3), atol=1e-15)
+        value = [[1.0, 0.2, 0.0], [0.2, -0.5, 0.3], [0.0, 0.3, 2.0]]
+        const = build_bulk_tensor({"kind": "constant", "value": value},
+                                  ball, None)
+        assert np.array_equal(const.value(pts), np.tile(value, (40, 1, 1)))
+        kelvin = build_bulk_tensor({"kind": "kelvin",
+                                    "force": [0.3, 0.0, 1.0]}, ball, None)
+        assert np.max(np.abs(kelvin.divergence(pts))) < 1e-10 * np.max(
+            np.abs(kelvin.gradient(pts)))
+        pw = build_bulk_tensor({"kind": "piecewise-polynomial", "seed": 2,
+                                "degree": 2}, ball, sphere_half)
+        v = pw.value(pts)
+        assert np.array_equal(v, np.swapaxes(v, 1, 2))
+        assert np.max(np.abs(pw.jump(on))) > 1e-3
+        # p_plus(r) - p_minus(r) on the sphere r = 0.5
+        radial = build_bulk_tensor({"kind": "radial-pressure",
+                                    "coeffs_plus": [1.0, 0.5],
+                                    "coeffs_minus": [0.2, 0.0, 4.0]},
+                                   ball, sphere_half)
+        want = (1.0 + 0.5 * 0.25) - (0.2 + 4.0 * 0.0625)
+        assert np.allclose(radial.jump(on), want * np.eye(3), atol=1e-14)
+
+    def test_catalog_cylinder_geometry(self):
+        from stressdist.catalog import build_domain, build_interface
+        from stressdist.geometry import (CylinderAnnulus,
+                                         cylinder_patch_interface,
+                                         interface_key)
+        domain = build_domain({"kind": "cylinder-annulus",
+                               "inner_radius": 0.5, "outer_radius": 1.5,
+                               "height": 2.0})
+        direct = CylinderAnnulus(0.5, 1.5, 2.0)
+        itf = build_interface({"kind": "cylinder-patch", "radius": 1.2},
+                              domain)
+        want = cylinder_patch_interface(direct, 1.2)
+        assert interface_key(itf) == interface_key(want)
+        for a, b in ((domain.volume_quadrature(itf, 0),
+                      direct.volume_quadrature(want, 0)),
+                     (itf.surface_quadrature(1), want.surface_quadrature(1))):
+            assert np.array_equal(a.points, b.points)
+            assert np.array_equal(a.weights, b.weights)
+
+    def test_explicit_blocks_reproduce_the_soap_film_preset(self):
+        # the preset is these two blocks plus the normal and tangential
+        # splits of 12b and 12c
+        with open(os.path.join(SCENARIO_DIR, "soap-film-sphere.json")) as fh:
+            cfg = json.load(fh)
+        preset = run_scenario(cfg)["checks"]
+        cfg["fields"] = {
+            "sigma": {"kind": "uniform-pressure", "p_plus": 1.4,
+                      "p_minus": 0.0},
+            "sigma1": {"kind": "uniform-tension", "gamma": 0.7}}
+        explicit = run_scenario(cfg)["checks"]
+        want = [c for c in preset
+                if not c["id"].endswith(("-normal", "-tangential"))]
+        assert [c["id"] for c in want] == [
+            "12a", "12b", "12c", "12d"] + [f"weak-{j}" for j in range(6)]
+        assert [(c["id"], c["residual"]) for c in explicit] == [
+            (c["id"], c["residual"]) for c in want]
 
     def test_airy_potential_scenario(self, tmp_path):
         cfg = {

@@ -13,7 +13,7 @@ from stressdist.distributions import (ADAPTED_LEVEL, BDist, CDist,
                                       identity1_rhs, identity2_rhs,
                                       mollified_pair, mollify_convergence,
                                       refinement)
-from stressdist.errors import RankMismatchError, StressDistError
+from stressdist.errors import ConfigError, RankMismatchError, StressDistError
 from stressdist.fields import (BumpScalar, BumpVector, ConstantField,
                                ModulatedTest, PiecewiseField, Poly3, PolyField,
                                SquaredDistanceFactor, SurfaceField,
@@ -23,7 +23,8 @@ from stressdist.fields import (BumpScalar, BumpVector, ConstantField,
 from stressdist import geometry
 from stressdist._memo import LruMemo
 from stressdist.geometry import BLOCK, TASK_BLOCKS, Ball, \
-    integrate_surface, integrate_volume, sphere_interface, support_volume_quad
+    integrate_surface, integrate_volume, plane_disk_interface, \
+    sphere_interface, support_volume_quad
 
 
 class TestPairingBasics:
@@ -418,12 +419,46 @@ class TestMollification:
         assert tab.errors[-1] < tab.errors[0]
         assert tab.order > 1.9
 
-    def test_plane_in_a_ball_is_rejected(self, ball, ball_disk, rng):
-        cd = CDist(ball_disk, SurfaceField.constant(np.array([0.5, 0.2, -1.0]),
-                                                    1, ball_disk))
-        psi = make_bump(ball, [0.1, 0.0, 0.05], 0.4, rank=1, rng=rng)
-        with pytest.raises(StressDistError):
-            mollified_pair(cd, psi, 0.01, domain=ball)
+    @pytest.mark.parametrize("z, center, radius",
+                             [(0.0, [0.1, 0.0, 0.05], 0.4),
+                              (0.3, [0.1, 0.0, 0.35], 0.3)])
+    def test_plane_in_a_ball_second_order(self, ball, rng, z, center,
+                                          radius):
+        # normal fibers from the disk the support casts on the plane, as on
+        # the box's plane
+        itf = plane_disk_interface(ball, z)
+        cd = CDist(itf, SurfaceField.constant(np.array([0.5, 0.2, -1.0]),
+                                              1, itf))
+        psi = make_bump(ball, center, radius, rank=1, rng=rng)
+        tab = mollify_convergence(cd, psi, [0.08, 0.04, 0.02, 0.01],
+                                  domain=ball)
+        assert all(b < a for a, b in zip(tab.errors, tab.errors[1:]))
+        assert tab.order > 1.9
+
+    def test_unsupported_test_rejected_before_any_rule(self, ball,
+                                                       sphere_half, rng,
+                                                       monkeypatch):
+        class Everywhere:
+            rank = 1
+
+            def value(self, pts):
+                return np.ones((len(pts), 3))
+
+        def no_rule(*args, **kwargs):
+            raise AssertionError("a rule was built")
+
+        monkeypatch.setattr(distributions, "support_volume_quad", no_rule)
+        monkeypatch.setattr(Ball, "volume_quadrature", no_rule)
+        dist = CompositeDist(
+            b=BDist(ball, sphere_half, PiecewiseField(
+                1, PolyField.random_vector(rng, 2),
+                PolyField.random_vector(rng, 2), sphere_half)),
+            c=CDist(sphere_half, surface_polynomial(rng, 1, sphere_half, 1)))
+        with pytest.raises(ConfigError, match="compactly supported"):
+            mollified_pair(dist, Everywhere(), 0.02, domain=ball)
+        with pytest.raises(ConfigError, match="compactly supported"):
+            mollify_convergence(dist, Everywhere(), [0.04, 0.02],
+                                domain=ball)
 
     def test_tangential_plateau_is_exact(self, box):
         from stressdist.fields import PlateauFactor
@@ -537,6 +572,12 @@ class _CountingTest:
         return self.base.value(pts)
 
 
+def test_negative_refinement_rejected():
+    with pytest.raises(ConfigError, match="non-negative"):
+        with refinement(-1):
+            pass
+
+
 class TestStreamedPairings:
     def test_refined_fiber_pairing_streams_and_repeats(self, ball,
                                                        sphere_half, rng):
@@ -615,16 +656,6 @@ class TestCauchyFlux:
 
 
 class TestExports:
-    def test_pairing_table_rows(self, ball, sphere_half, rng):
-        cd = CDist(sphere_half, surface_polynomial(rng, 1, sphere_half, 1))
-        tests = [make_bump(ball, [0.45, 0.0, 0.1], 0.2, rank=1, rng=rng)
-                 for _ in range(3)]
-        from stressdist.distributions import pairing_table
-        rows = pairing_table(cd, tests)
-        assert len(rows) == 3
-        for j, value, err in rows:
-            assert isinstance(j, int) and err >= 0.0
-
     def test_fdist_mollification_order(self, box, rng):
         pl = box.plane_interface(0.0)
         fd = FDist(pl, SurfaceField.constant(np.diag([1.0, -0.5, 0.2]), 2, pl))

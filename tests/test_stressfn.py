@@ -21,7 +21,7 @@ from stressdist.fields import (BumpScalar, CallableField, GradientTestField,
                                PiecewiseField, Poly3, PolyField,
                                PotentialStack, RadialProfile, SurfaceField,
                                chart_derivatives, chart_tangent, make_bump,
-                               surface_polynomial)
+                               make_gradient_test_field, surface_polynomial)
 from stressdist.geometry import (Ball, Box, CylinderAnnulus, SphericalShell,
                                  cylinder_patch_interface,
                                  equatorial_annulus_interface,
@@ -30,8 +30,8 @@ from stressdist.geometry import (Ball, Box, CylinderAnnulus, SphericalShell,
 from stressdist.stressfn import (DENSITY_SLICE, DensityTriple,
                                  ForceMomentTest, StressFunction,
                                  _axis_column, _axis_eps_x,
-                                 _axis_moment_gradient, _eps_x,
-                                 _moment_gradient, check_lemma2_conditions,
+                                 _axis_moment_gradient,
+                                 check_lemma2_conditions,
                                  curl_curl, default_lemma2_suite,
                                  extract_densities,
                                  global_conditions, lemma2_algebraic_identity,
@@ -430,6 +430,29 @@ class TestLemma2AndGlobal:
         with pytest.raises(FieldError):
             check_lemma2_conditions(dist, ball, suite=[("bad", Crooked())])
 
+    def test_non_gradient_members_rejected(self, ball, rng):
+        # the conditions pair curl-free tests c (x) grad phi: a tensor bump
+        # is no such member, and a potential with a skew Hessian gives a
+        # member that is not curl-free
+        dist = CompositeDist(b=BDist(ball, None, PiecewiseField.smooth(
+            PolyField.random_symmetric(rng, 2).inc_field(), 2)))
+        bump = make_bump(ball, [0.0, 0.0, 0.2], 0.4, rank=2, rng=rng)
+        with pytest.raises(FieldError, match="gradient test field"):
+            check_lemma2_conditions(dist, ball, suite=[("bump", bump)])
+
+        class Skew:
+            def gradient(self, pts):
+                return np.zeros((len(pts), 3))
+
+            def hessian(self, pts):
+                out = np.zeros((len(pts), 3, 3))
+                out[:, 0, 1] = 1.0
+                return out
+
+        skew = GradientTestField([1.0, 0.0, 0.0], Skew(), [np.zeros(3)])
+        with pytest.raises(FieldError, match="not curl-free"):
+            check_lemma2_conditions(dist, ball, suite=[("skew", skew)])
+
     def test_zero_stress_global(self, shell):
         zero = PiecewiseField.smooth(_const_polyfield(np.zeros((3, 3))), 2)
         gc = global_conditions(zero, shell)
@@ -465,27 +488,23 @@ def _signed_zeros(rng, *arrays):
         a[rng.random(a.shape) < 0.1] = -0.0
 
 
+def _eps_einsum(x, psi, dpsi=None):
+    """The moment column eps_ipq x_p psi_ij of a test (oracle), or with
+    its gradient dpsi the column's gradient
+    eps_ikq psi_ij + eps_ipq x_p d_k psi_ij."""
+    if dpsi is None:
+        return np.einsum('ipq,np,nij->njq', T.EPS, x, psi)
+    out = np.einsum('ikq,nij->njqk', T.EPS, psi)
+    out += np.einsum('ipq,np,nijk->njqk', T.EPS, x, dpsi)
+    return out
+
+
 class TestMomentTest:
     @pytest.mark.parametrize("n", [1, 2000])
-    def test_matches_eps_einsum_bit_for_bit(self, rng, n):
-        x = rng.normal(size=(n, 3))
-        psi = rng.normal(size=(n, 3, 3))
-        dpsi = rng.normal(size=(n, 3, 3, 3))
-        _signed_zeros(rng, x, psi, dpsi)
-        want_value = np.einsum('ipq,np,nij->njq', T.EPS, x, psi)
-        want_grad = np.einsum('ikq,nij->njqk', T.EPS, psi)
-        want_grad += np.einsum('ipq,np,nijk->njqk', T.EPS, x, dpsi)
-        for got, want in ((_eps_x(x, psi), want_value),
-                          (_moment_gradient(x, psi, dpsi), want_grad)):
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-            # same layout, so reductions over trailing axes sum alike
-            assert got.strides == want.strides
-
-    @pytest.mark.parametrize("n", [1, 2000])
-    def test_axis_columns_match_generic_bit_for_bit(self, rng, n):
-        # e_d (x) w: the rank-one columns equal the generic ones on the
-        # dense test, zero signs and memory layout included
+    def test_axis_columns_match_eps_einsum_bit_for_bit(self, rng, n):
+        # e_d (x) w: the rank-one columns equal the epsilon einsum on the
+        # dense test, zero signs and memory layout included (so reductions
+        # over trailing axes sum alike)
         x = rng.normal(size=(n, 3))
         stack = rng.normal(size=(n, 3, 3))
         hstack = rng.normal(size=(n, 3, 3, 3))
@@ -497,25 +516,26 @@ class TestMomentTest:
             dpsi = np.einsum('i,njk->nijk', e, h)
             for got, want in (
                     (_axis_column(d, w), psi), (_axis_column(d, h), dpsi),
-                    (_axis_eps_x(x, d, w), _eps_x(x, psi)),
+                    (_axis_eps_x(x, d, w), _eps_einsum(x, psi)),
                     (_axis_moment_gradient(x, d, w, h),
-                     _moment_gradient(x, psi, dpsi))):
+                     _eps_einsum(x, psi, dpsi))):
+                assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
                 assert got.strides == want.strides
 
 
 class _Moment:
-    """Generic moment partner of a test: eps_ipq x_p psi_ij (oracle)."""
+    """Moment partner of a test: eps_ipq x_p psi_ij (oracle)."""
 
     def __init__(self, base):
         self.base = base
 
     def value(self, pts):
-        return _eps_x(pts, np.asarray(self.base.value(pts)))
+        return _eps_einsum(pts, np.asarray(self.base.value(pts)))
 
     def gradient(self, pts):
-        return _moment_gradient(pts, np.asarray(self.base.value(pts)),
-                                np.asarray(self.base.gradient(pts)))
+        return _eps_einsum(pts, np.asarray(self.base.value(pts)),
+                           np.asarray(self.base.gradient(pts)))
 
 
 def _pairs(dist, test):
@@ -543,7 +563,9 @@ class TestForceMomentTest:
                                                           ball, rng):
         (_, g), = default_lemma2_suite(ball, np.random.default_rng(4))[:1]
         # a support that misses the interface: empty surface rules
-        away = make_bump(ball, [0.0, 0.0, 0.75], 0.15, rank=2, rng=rng)
+        away = make_gradient_test_field(ball, [np.zeros(3)], rng=rng,
+                                        center=[0.0, 0.0, 0.75], radius=0.15,
+                                        direction=[0.0, 1.0, 0.0])
         for test in (g, away):
             force, moment = ball_comp.pair(ForceMomentTest(test))
             for got, want in ((force, ball_comp.pair(test)),
@@ -574,12 +596,13 @@ class TestForceMomentTest:
 
     @pytest.mark.parametrize("c, r", [([0.0, 0.0, 0.0], 0.55),
                                       ([0.0, 0.0, 0.75], 0.15)])
-    def test_fallback_members_share_the_walk(self, ball_comp, ball, rng,
+    def test_off_axis_members_share_the_walk(self, ball_comp, ball, rng,
                                              c, r):
-        # a member that is not rank-one (a direction off the axes) and a
-        # tensor bump take the generic columns in the same walk as two
-        # axis members; the second support misses the interface, so its
-        # surface rules are empty
+        # members off the axes sum the axis columns in the same walk as two
+        # axis members, on one joint bump; the second support misses the
+        # interface, so its surface rules are empty.  Axis members keep
+        # their bits; off the axes the force columns keep theirs and the
+        # moment columns agree with the epsilon einsum to rounding
         c = np.array(c)
 
         def member(direction):
@@ -590,14 +613,29 @@ class TestForceMomentTest:
             return g
 
         members = [member([0.0, 1.0, 0.0]), member([0.6, -0.8, 0.0]),
-                   make_bump(ball, c, r, rank=2, rng=rng),
-                   member([0.0, 0.0, 1.0])]
+                   member([0.3, 0.2, -0.9]), member([0.0, 0.0, 1.0])]
         suite = ForceMomentTest(*members)
-        assert [s is None for s in suite._slots] == [False, True, True, False]
-        want = []
-        for g in members:
-            want += _pairs(ball_comp, g) + _pairs(ball_comp, _Moment(g))
-        assert _pairs(ball_comp, suite) == want
+        assert suite._stack._joint is not None
+        got = _pairs(ball_comp, suite)
+        x = c + rng.uniform(-r, r, (4000, 3))
+        values, gradients = suite.value(x), suite.gradient(x)
+        for i, g in enumerate(members):
+            force, moment = got[2 * i:2 * i + 2]
+            assert [force] == _pairs(ball_comp, g)
+            v, dv = g.value(x), g.gradient(x)
+            assert values[2 * i].tobytes() == v.tobytes()
+            assert gradients[2 * i].tobytes() == dv.tobytes()
+            (want,) = _pairs(ball_comp, _Moment(g))
+            if i in (0, 3):
+                assert moment == want
+                continue
+            for col, oracle in ((values[2 * i + 1], _eps_einsum(x, v)),
+                                (gradients[2 * i + 1],
+                                 _eps_einsum(x, v, dv))):
+                assert np.max(np.abs(col - oracle)) <= 1e-15 * np.max(
+                    np.abs(oracle))
+            assert abs(moment[0] - want[0]) <= 1e-14 * max(1.0, abs(want[0]))
+            assert abs(moment[1] - want[1]) <= 1e-14 * max(1.0, abs(want[1]))
 
     def test_stacked_potentials_bit_for_bit(self, rng):
         # each row of a stack has the bits of its potential's own call
