@@ -33,9 +33,9 @@ class ConfigBlock(dict):
     path (``$.geometry.domain.radius``), and nested blocks come back as
     ``ConfigBlock``s with the path extended (so do block defaults of
     ``get``), so every builder below reports an incomplete scenario as a
-    configuration error.  Numbers are read through ``number`` and named
-    alternatives through ``choice``, which report a wrong value the same
-    way.
+    configuration error.  Numbers are read through ``number``, named
+    alternatives through ``choice`` and nested objects through ``block``,
+    which report a wrong value the same way.
     """
 
     def __init__(self, data, path="$"):
@@ -60,6 +60,15 @@ class ConfigBlock(dict):
         if isinstance(default, dict):
             return ConfigBlock(default, f"{self.path}.{key}")
         return default
+
+    def block(self, key, default=_REQUIRED):
+        """``self[key]`` (``default`` when given and the key is missing),
+        which must be an object; any other value raises ``ConfigError``."""
+        value = self[key] if default is _REQUIRED else self.get(key, default)
+        if not isinstance(value, ConfigBlock):
+            raise ConfigError(f"{self.path}.{key}: must be an object, "
+                              f"got {value!r}")
+        return value
 
     def number(self, key, default=_REQUIRED, ndim=0, integer=False):
         """``self[key]`` (``default`` when given and the key is missing) as
@@ -348,17 +357,16 @@ def build_scenario_fields(cfg, domain, interface, tolerances=None):
         scn = kelvin_scenario(domain, cfg.number("force", (0, 0, 1), ndim=1),
                               cfg.number("nu", 0.25))
     elif preset is None:
+        zero = {"kind": "zero"}
         scn = EquilibriumScenario(
             domain=domain, interface=interface,
-            sigma=build_bulk_tensor(cfg.get("sigma", {"kind": "zero"}),
-                                    domain, interface),
-            sigma1=build_surface_tensor(cfg.get("sigma1", {"kind": "zero"}),
-                                        interface),
-            sigma2=build_surface_tensor(cfg.get("sigma2", {"kind": "zero"}),
-                                        interface),
-            b=build_bulk_vector(cfg.get("b", {"kind": "zero"}), domain, interface),
-            b1=build_surface_vector(cfg.get("b1", {"kind": "zero"}), interface),
-            b2=build_surface_vector(cfg.get("b2", {"kind": "zero"}), interface),
+            sigma=build_bulk_tensor(cfg.block("sigma", zero), domain,
+                                    interface),
+            sigma1=build_surface_tensor(cfg.block("sigma1", zero), interface),
+            sigma2=build_surface_tensor(cfg.block("sigma2", zero), interface),
+            b=build_bulk_vector(cfg.block("b", zero), domain, interface),
+            b1=build_surface_vector(cfg.block("b1", zero), interface),
+            b2=build_surface_vector(cfg.block("b2", zero), interface),
             tolerances=tolerances or Tolerances())
     else:
         raise ConfigError(f"unknown preset {preset!r}")

@@ -43,16 +43,19 @@ _TOP_KEYS = {"schema_version", "name", "operation", "seed", "geometry",
              "fields", "suite", "tolerances", "parameters"}
 _GEOM_KEYS = {"domain", "interface"}
 _SUITE_KEYS = {"count", "seed"}
-# the $.parameters and $.tolerances keys each operation's driver reads
+# the $.suite, $.parameters and $.tolerances keys each operation's driver
+# reads (verify-identity reads only suite.count, but shipped identity
+# scenarios set suite.seed)
 _OPERATION_KEYS = {
-    "verify-identity": ({"family", "identity", "abs_tol", "rel_tol"}, ()),
-    "check-equilibrium": ((), {"local", "weak_factor"}),
-    "dipole-limit": ({"sigma0", "h_values", "z", "min_order",
-                      "min_fraction"}, ()),
-    "stress-function": ({"tol"}, ()),
-    "global-conditions": ({"tol"}, ()),
-    "mollify": ({"family", "rhos", "min_order"}, ()),
-    "cauchy-flux": ({"rhos", "expect", "probe"}, ()),
+    "verify-identity": (_SUITE_KEYS,
+                        {"family", "identity", "abs_tol", "rel_tol"}, ()),
+    "check-equilibrium": (_SUITE_KEYS, (), {"local", "weak_factor"}),
+    "dipole-limit": (_SUITE_KEYS, {"sigma0", "h_values", "z", "min_order",
+                                   "min_fraction"}, ()),
+    "stress-function": ((), {"tol"}, ()),
+    "global-conditions": ((), {"tol"}, ()),
+    "mollify": ((), {"family", "rhos", "min_order"}, ()),
+    "cauchy-flux": ((), {"rhos", "expect", "probe"}, ()),
 }
 FAMILIES = ("B", "C", "F")
 
@@ -96,9 +99,11 @@ def validate_scenario(cfg):
             if user is not None:
                 _fail(errors, "$.geometry.interface",
                       f"missing; {user} needs an interface")
-    params, tols = _OPERATION_KEYS[op] if op in OPERATIONS else (None, None)
-    for section, keys in (("suite", _SUITE_KEYS), ("parameters", params),
-                          ("tolerances", tols)):
+        elif not isinstance(geom["interface"], dict):
+            _fail(errors, "$.geometry.interface", "not an object")
+    allowed = _OPERATION_KEYS[op] if op in OPERATIONS else (None,) * 3
+    for section, keys in zip(("suite", "parameters", "tolerances", "fields"),
+                             allowed + (None,)):
         block = cfg.get(section, {})
         if not isinstance(block, dict):
             _fail(errors, f"$.{section}", "not an object")
@@ -108,8 +113,12 @@ def validate_scenario(cfg):
                     _fail(errors, f"$.{section}.{k}", "unknown key")
     randomized = op in ("verify-identity", "check-equilibrium", "dipole-limit",
                         "mollify", "cauchy-flux", "stress-function")
-    if randomized and not isinstance(cfg.get("seed"), int):
+    seed = cfg.get("seed")
+    if "seed" not in cfg and randomized:
         _fail(errors, "$.seed", "an integer seed is mandatory")
+    elif "seed" in cfg and (isinstance(seed, bool)
+                            or not isinstance(seed, int)):
+        _fail(errors, "$.seed", f"must be an integer, got {seed!r}")
     return errors
 
 
@@ -275,7 +284,7 @@ def _op_stress_function(cfg, domain, interface, rng):
     fields_cfg = cfg.get("fields", {})
     if "potential" in fields_cfg:
         sigma = extract_densities(catalog.build_potential(
-            fields_cfg["potential"], domain, interface), interface)
+            fields_cfg.block("potential"), domain, interface), interface)
         checks = local_report(sigma.scenario(
             domain, tolerances=Tolerances(local=tol)))
         dist = sigma.composite(domain)
@@ -294,7 +303,7 @@ def _op_global_conditions(cfg, domain, interface, rng):
     fields_cfg = cfg.get("fields", {})
     if "potential" in fields_cfg:
         sigma = extract_densities(catalog.build_potential(
-            fields_cfg["potential"], domain, interface), interface)
+            fields_cfg.block("potential"), domain, interface), interface)
     else:
         sigma = catalog.build_scenario_fields(fields_cfg, domain,
                                               interface).sigma
@@ -327,14 +336,15 @@ def _op_cauchy_flux(cfg, domain, interface, rng):
     params = cfg.get("parameters", {})
     rhos = params.ladder("rhos", [0.05, 0.025, 0.0125, 0.00625]).tolist()
     expect = params.choice("expect", "converge", ("converge", "diverge"))
-    probe_cfg = params.get("probe", {"kind": "sphere", "radius": 1.5})
-    probe = catalog.build_interface(probe_cfg, domain)
+    probe = catalog.build_interface(
+        params.block("probe", {"kind": "sphere", "radius": 1.5}), domain)
     fields_cfg = cfg.get("fields", {})
-    b = catalog.build_bulk_tensor(fields_cfg.get("sigma", {"kind": "zero"}),
-                                  domain, interface)
-    c = catalog.build_surface_tensor(fields_cfg.get("sigma1", {"kind": "zero"}),
+    zero = {"kind": "zero"}
+    b = catalog.build_bulk_tensor(fields_cfg.block("sigma", zero), domain,
+                                  interface)
+    c = catalog.build_surface_tensor(fields_cfg.block("sigma1", zero),
                                      interface)
-    f = catalog.build_surface_tensor(fields_cfg.get("sigma2", {"kind": "zero"}),
+    f = catalog.build_surface_tensor(fields_cfg.block("sigma2", zero),
                                      interface)
     dist = CompositeDist(
         b=BDist(domain, interface, b) if b is not None else None,

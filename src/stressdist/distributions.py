@@ -30,9 +30,9 @@ from .errors import ConfigError, RankMismatchError, StressDistError
 from .fields import (ConstantField, PiecewiseField, shaped_divergence,
                      surface_divergence, surface_gradient, surface_trace)
 from .geometry import (DEFAULT_SURFACE_LEVEL, DEFAULT_VOLUME_LEVEL,
-                       PairingValue, blocked_sum, blocked_values,
-                       boundary_force_moment, curve_force_moment, support_key,
-                       support_volume_quad, two_level)
+                       PairingValue, blocked_sum, boundary_force_moment,
+                       curve_force_moment, support_key, support_volume_quad,
+                       two_level)
 
 ABS_TOL = 1e-7
 REL_TOL = 1e-5
@@ -41,7 +41,7 @@ REL_TOL = 1e-5
 # thread or context sees only the value its own refinement() block set
 _LEVEL_BOOST = contextvars.ContextVar("stressdist_level_boost", default=0)
 ADAPTED_LEVEL = 1          # support-clipped quadratures resolve locally
-VALUE_MEMO_SIZE = 8        # density values kept per distribution
+VALUE_MEMO_SIZE = 8        # density values kept per surface distribution
 
 
 @contextlib.contextmanager
@@ -88,22 +88,15 @@ def _test_layout(test):
 
 def _volume_quad(dist, lv, support, breaks):
     """The fiber rule of a supported test, or the cached full-domain grid
-    (broken at the radial ``breaks`` a global test advertises).
-
-    Returns the rule and the value key of a full-domain grid, or None for
-    fiber rules, whose bulk values are not kept (they are large and rarely
-    reused).
-    """
+    (broken at the radial ``breaks`` a global test advertises)."""
     if support is not None:
-        return (support_volume_quad(dist.interface, support[0], support[1],
-                                    lv), None)
+        return support_volume_quad(dist.interface, support[0], support[1], lv)
     if breaks:
         # the graded radial breaks already resolve the profile layers, so a
         # coarser tensor level suffices
         return dist.domain.volume_quadrature(
-            dist.interface, max(lv - 1, 0),
-            extra_breaks=(breaks, (), ())), (lv, breaks)
-    return dist.domain.volume_quadrature(dist.interface, lv), (lv, None)
+            dist.interface, max(lv - 1, 0), extra_breaks=(breaks, (), ()))
+    return dist.domain.volume_quadrature(dist.interface, lv)
 
 
 def close(lhs, rhs, abs_tol=ABS_TOL, rel_tol=REL_TOL):
@@ -148,27 +141,15 @@ class BDist:
         self.interface = interface
         self.field = field
         self.rank = field.rank
-        self._memo = LruMemo(VALUE_MEMO_SIZE)
 
-    def _pair_sum(self, quad, key, method, test_value):
+    def _pair_sum(self, quad, method, test_value):
         """Streamed quadrature of ``field.<method> : test_value`` over a rule
-        from ``_volume_quad``.
-
-        Field values are kept whole per value key when the rule has one
-        (evaluated block by block on the pool, ``blocked_values``) and
-        sliced per block; on other rules both sides are evaluated one block
-        at a time.
-        """
+        from ``_volume_quad``: both sides are evaluated one pool task at a
+        time, and nothing is kept."""
         evaluate = getattr(self.field, method)
-        if key is None:
-            return blocked_sum(quad.weights,
-                               lambda x: _contract(evaluate(x), test_value(x)),
-                               quad.points)
-        vals = self._memo.get((method,) + key,
-                              lambda: blocked_values(evaluate, quad.points))
         return blocked_sum(quad.weights,
-                           lambda x, v: _contract(v, test_value(x)),
-                           quad.points, vals)
+                           lambda x: _contract(evaluate(x), test_value(x)),
+                           quad.points)
 
     def pair(self, test, level=None):
         support, breaks = _test_layout(test)
@@ -178,8 +159,8 @@ class BDist:
                                              sides, support, breaks, level)
 
         def run(lv):
-            q, key = _volume_quad(self, lv, support, breaks)
-            return self._pair_sum(q, key, 'value', test.value)
+            return self._pair_sum(_volume_quad(self, lv, support, breaks),
+                                  'value', test.value)
         return two_level(run, _lv(level, support is not None))
 
     def _pair_constant_sides(self, hook, sides, support, breaks, level):
@@ -211,7 +192,7 @@ class BDist:
             return out
 
         def run(lv):
-            q, _ = _volume_quad(self, lv, support, breaks)
+            q = _volume_quad(self, lv, support, breaks)
             return blocked_sum(q.weights, integrand, q.points)
         return two_level(run, _lv(level, support is not None))
 
@@ -445,8 +426,8 @@ def _divergence_terms(dist, test, support, level):
         _, breaks = _test_layout(test)
 
         def run_vol(lv):
-            q, key = _volume_quad(dist, lv, support, breaks)
-            return dist._pair_sum(q, key, 'divergence', test.value)
+            return dist._pair_sum(_volume_quad(dist, lv, support, breaks),
+                                  'divergence', test.value)
 
         out = two_level(run_vol, level)
         if dist.interface is None:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -1534,34 +1533,6 @@ def blocked_sum(weights, integrand, *arrays):
     if isinstance(total, tuple):
         return tuple(_as_sum(t) for t in total)
     return _as_sum(total)
-
-
-def blocked_values(fn, points):
-    """``fn(points)`` evaluated task by task into one preallocated array.
-
-    The tasks are those of ``blocked_sum`` (``_task_size``) and are
-    evaluated on the same bounded pool (``_pool.map_blocks``), so ``fn``
-    must be pointwise and safe to call from several threads at once, as an
-    integrand must.  The array is allocated by the first task to finish,
-    from its shape and dtype; no per-task results are kept or joined.
-    """
-    n = len(points)
-    if n == 0:
-        return np.asarray(fn(points))
-    size = _task_size(n)
-    held = []
-    lock = threading.Lock()
-
-    def fill(k):
-        lo = k * size
-        v = np.asarray(fn(points[lo:lo + size]))
-        with lock:
-            if not held:
-                held.append(np.empty((n,) + v.shape[1:], dtype=v.dtype))
-        held[0][lo:lo + len(v)] = v
-
-    _pool.map_blocks(fill, -(-n // size))
-    return held[0]
 
 
 def _weighted_reduce(w, f):

@@ -107,10 +107,15 @@ class TestValidation:
         ("global-conditions-shell", "parameters", "rhos"),
         ("mollify-C-box", "parameters", "tol"),
         ("cauchy-flux-disjoint", "parameters", "family"),
+        ("stress-function-ball", "suite", "count"),
+        ("global-conditions-shell", "suite", "seed"),
+        ("mollify-C-box", "suite", "count"),
+        ("cauchy-flux-disjoint", "suite", "count"),
     ])
     def test_unknown_operation_key_rejected(self, name, section, key):
-        # each operation takes only the parameters its driver reads, and
-        # only check-equilibrium takes tolerances
+        # each operation takes only the parameters its driver reads, only
+        # check-equilibrium takes tolerances, and only the three suite
+        # drivers take a suite
         with open(os.path.join(SCENARIO_DIR, name + ".json")) as fh:
             cfg = json.load(fh)
         cfg.setdefault(section, {})[key] = 1
@@ -118,10 +123,35 @@ class TestValidation:
         with pytest.raises(ConfigError, match=re.escape(f"$.{section}.{key}")):
             run_scenario(cfg)
 
+    @pytest.mark.parametrize("name", ["identity1-C-ball", "soap-film-sphere",
+                                      "dipole-limit-ball"])
+    def test_suite_operations_take_count_and_seed(self, name):
+        with open(os.path.join(SCENARIO_DIR, name + ".json")) as fh:
+            cfg = json.load(fh)
+        cfg["suite"] = {"count": 2, "seed": 3}
+        assert validate_scenario(cfg) == []
+
     def test_operation_blocks_must_be_objects(self):
         for section in ("suite", "parameters", "tolerances"):
             cfg = dict(SOAP, **{section: [1]})
             assert validate_scenario(cfg) == [f"$.{section}: not an object"]
+
+    @pytest.mark.parametrize("name,seed", [
+        ("soap-film-sphere", True), ("soap-film-sphere", 1.0),
+        ("global-conditions-shell", "abc"), ("global-conditions-shell", None),
+    ])
+    def test_seed_must_be_an_integer(self, tmp_path, capsys, name, seed):
+        # a bool is not an integer seed, and a seed the operation does not
+        # need is still read as one
+        with open(os.path.join(SCENARIO_DIR, name + ".json")) as fh:
+            cfg = json.load(fh)
+        cfg["seed"] = seed
+        assert validate_scenario(cfg) == [
+            f"$.seed: must be an integer, got {seed!r}"]
+        code, report = run(_write(tmp_path, "bad.json", cfg),
+                           out=str(tmp_path / "r.json"))
+        assert code == 2 and report is None
+        assert "$.seed: must be an integer" in capsys.readouterr().err
 
     def test_shipped_scenarios_validate(self):
         names = sorted(n for n in os.listdir(SCENARIO_DIR)
@@ -187,6 +217,39 @@ class TestRun:
         code, report = run(path)
         assert code == 2 and report is None
         assert ".".join(("$",) + block + (key,)) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,block,key,value,path", [
+        ("soap-film-sphere", (), "fields", [1, 2], "$.fields"),
+        ("soap-film-sphere", ("geometry",), "interface", "sphere",
+         "$.geometry.interface"),
+        ("flat-tension-box", (), "fields", {"sigma": 3}, "$.fields.sigma"),
+        ("stress-function-ball", (), "fields", {"potential": "poly"},
+         "$.fields.potential"),
+        ("cauchy-flux-disjoint", ("parameters",), "probe", "sphere",
+         "$.parameters.probe"),
+    ])
+    def test_non_object_block_exits_2(self, tmp_path, capsys, name, block,
+                                      key, value, path):
+        with open(os.path.join(SCENARIO_DIR, name + ".json")) as fh:
+            cfg = json.load(fh)
+        target = cfg
+        for part in block:
+            target = target[part]
+        target[key] = value
+        code, report = run(_write(tmp_path, "bad.json", cfg),
+                           out=str(tmp_path / "r.json"))
+        assert code == 2 and report is None
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and "Traceback" not in err
+
+    def test_config_blocks(self):
+        from stressdist.catalog import ConfigBlock
+        block = ConfigBlock({"a": {"kind": "zero"}, "n": 3, "s": "x"}, "$.b")
+        assert block.block("a").path == "$.b.a"
+        assert block.block("missing", {"k": 1}) == {"k": 1}
+        for key in ("n", "s", "missing"):
+            with pytest.raises(ConfigError, match=r"\$\.b\." + key):
+                block.block(key)
 
     def test_config_numbers(self):
         from stressdist.catalog import ConfigBlock

@@ -628,6 +628,93 @@ class TestStreamedPairings:
         assert pairing() == want
 
 
+class TestStreamedBulkSums:
+    """A bulk pairing evaluates the field and the test one pool task at a
+    time; its sum equals the block sum of the whole rule's contraction
+    bit for bit."""
+
+    def _two_sided(self, rng):
+        itf = sphere_interface(0.5)
+        return itf, BDist(Ball(1.0), itf, PiecewiseField(
+            2, PolyField.random_symmetric(rng, 3),
+            PolyField.random_symmetric(rng, 3), itf))
+
+    def _rule_points(self, itf, lone):
+        """A full-domain rule's nodes, rolled so that block 1 holds exactly
+        ``lone`` plus-side nodes (the others minus-side)."""
+        q = Ball(1.0).volume_quadrature(itf, 1)
+        s = itf.signed_distance(q.points)
+        pts = q.points[np.argsort(s, kind="stable")]
+        first_plus = int(np.count_nonzero(s < 0.0))
+        pts = np.roll(pts, 2 * BLOCK - lone - first_plus, axis=0)
+        assert len(pts) > 3 * BLOCK
+        plus = itf.signed_distance(pts[BLOCK:2 * BLOCK]) >= 0.0
+        assert np.count_nonzero(plus) == lone
+        return pts
+
+    @staticmethod
+    def _sums(bd, pts, rng, sizes=None):
+        """(streamed, whole) sums of the field's value and divergence with
+        a test of matching rank, as hex strings."""
+        rule = SimpleNamespace(points=pts,
+                               weights=rng.uniform(0.5, 1.0, len(pts)))
+        out = []
+        for method, test in (
+                ('value', PolyField.random_symmetric(rng, 2).value),
+                ('divergence', PolyField.random_vector(rng, 2).value)):
+            def counted(x, test=test):
+                if sizes is not None:
+                    sizes.append(len(x))
+                return test(x)
+
+            got = bd._pair_sum(rule, method, counted)
+            # _contract needs a node to infer the component count
+            whole = (distributions._contract(getattr(bd.field, method)(pts),
+                                             test(pts))
+                     if len(pts) else np.zeros(0))
+            want = geometry.blocked_sum(rule.weights, None, whole)
+            out.append((got.hex(), want.hex()))
+        return out
+
+    @pytest.mark.parametrize("width", ["1", "2"])
+    @pytest.mark.parametrize("lone", [1, 2])
+    def test_equals_whole_evaluation(self, rng, monkeypatch, width, lone):
+        # a lone plus-side node ends the second block
+        monkeypatch.setenv("STRESSDIST_THREADS", width)
+        itf, bd = self._two_sided(rng)
+        pts = self._rule_points(itf, lone)
+        sizes = []
+        for got, want in self._sums(bd, pts, rng, sizes):
+            assert got == want
+        size = geometry._task_size(len(pts))
+        assert max(sizes) == size and sum(sizes) == 2 * len(pts)
+        assert len(sizes) == 2 * -(-len(pts) // size)
+
+    def test_empty_rule(self, rng):
+        _, bd = self._two_sided(rng)
+        sizes = []
+        for got, want in self._sums(bd, np.zeros((0, 3)), rng, sizes):
+            assert got == want == (0.0).hex()
+        assert sizes == []
+
+    @pytest.mark.parametrize("task_blocks", [1, 3])
+    def test_does_not_depend_on_task_size(self, rng, monkeypatch,
+                                          task_blocks):
+        # the rule is repeated to 13 blocks so 3-block tasks occur
+        monkeypatch.setenv("STRESSDIST_THREADS", "2")
+        itf, bd = self._two_sided(rng)
+        pts = self._rule_points(itf, 1)
+        pts = np.concatenate([pts, pts, pts, pts[:17]])
+        seed = int(rng.integers(2 ** 31))
+        want = self._sums(bd, pts, np.random.default_rng(seed))
+        monkeypatch.setattr(geometry, "TASK_BLOCKS", task_blocks)
+        assert geometry._task_size(len(pts)) == task_blocks * BLOCK
+        got = self._sums(bd, pts, np.random.default_rng(seed))
+        assert got == want
+        for streamed, whole in got:
+            assert streamed == whole
+
+
 class TestCauchyFlux:
     def test_disjoint_probe_converges_to_bulk_flux(self, big_ball,
                                                    unit_sphere, rng):
@@ -806,7 +893,7 @@ class TestConstantSides:
         weights = rng.uniform(0.5, 1.0, 40)
         rule = SimpleNamespace(points=pts, weights=weights)
         monkeypatch.setattr(distributions, "_volume_quad",
-                            lambda *args: (rule, None))
+                            lambda *args: rule)
         C = rng.normal(size=(3, 3))
         field = PiecewiseField(2, ConstantField(C, 2),
                                ConstantField(np.zeros((3, 3)), 2), ball_disk)

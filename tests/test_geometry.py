@@ -16,7 +16,6 @@ from stressdist.fields import KelvinStressField, PiecewiseField, PolyField
 from stressdist.geometry import (BLOCK, TASK_BLOCKS, Ball, Box,
                                  CylinderAnnulus, Interface, SphericalShell,
                                  blocked_sum,
-                                 blocked_values,
                                  boundary_force_moment,
                                  equatorial_annulus_interface, integrate_curve,
                                  integrate_surface, integrate_volume,
@@ -833,52 +832,6 @@ class TestBlockedSum:
         assert blocked_sum(np.zeros(0), None, np.zeros(0)) == 0.0
 
 
-class TestBlockedValues:
-    def _two_sided(self, rng):
-        itf = sphere_interface(0.5)
-        return itf, PiecewiseField(2, PolyField.random_symmetric(rng, 3),
-                                   PolyField.random_symmetric(rng, 3), itf)
-
-    def _rule_points(self, itf, lone):
-        """A full-domain rule's nodes, rolled so that block 1 holds exactly
-        ``lone`` plus-side nodes (the others minus-side)."""
-        q = Ball(1.0).volume_quadrature(itf, 1)
-        s = itf.signed_distance(q.points)
-        pts = q.points[np.argsort(s, kind="stable")]
-        first_plus = int(np.count_nonzero(s < 0.0))
-        pts = np.roll(pts, 2 * BLOCK - lone - first_plus, axis=0)
-        assert len(pts) > 3 * BLOCK
-        plus = itf.signed_distance(pts[BLOCK:2 * BLOCK]) >= 0.0
-        assert np.count_nonzero(plus) == lone
-        return pts
-
-    @pytest.mark.parametrize("width", ["1", "2"])
-    @pytest.mark.parametrize("lone", [1, 2])
-    def test_equals_whole_evaluation(self, rng, monkeypatch, width, lone):
-        monkeypatch.setenv("STRESSDIST_THREADS", width)
-        itf, field = self._two_sided(rng)
-        pts = self._rule_points(itf, lone)
-        for method in (field.value, field.divergence):
-            sizes = []
-
-            def fn(x):
-                sizes.append(len(x))
-                return method(x)
-
-            got = blocked_values(fn, pts)
-            want = method(pts)
-            assert got.shape == want.shape and got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
-            size = geometry._task_size(len(pts))
-            assert max(sizes) == size and sum(sizes) == len(pts)
-            assert len(sizes) == -(-len(pts) // size)
-
-    def test_empty_rule(self, rng):
-        _, field = self._two_sided(rng)
-        got = blocked_values(field.value, np.zeros((0, 3)))
-        assert got.shape == (0, 3, 3)
-
-
 class TestBlockPool:
     """``blocked_sum`` on the bounded thread pool: the width changes who
     evaluates a block, never the sum or the error raised."""
@@ -1044,22 +997,6 @@ class TestTaskSize:
         monkeypatch.setattr(geometry, "TASK_BLOCKS", task_blocks)
         assert geometry._task_size(n) == task_blocks * BLOCK
         assert sums() == want
-
-    @pytest.mark.parametrize("task_blocks", [1, 3])
-    def test_values_do_not_depend_on_task_size(self, rng, monkeypatch,
-                                               task_blocks):
-        # a lone plus-side node ends the second block (and so a 2-block
-        # task); the rule is repeated to 13 blocks so 3-block tasks occur
-        monkeypatch.setenv("STRESSDIST_THREADS", "2")
-        itf, field = TestBlockedValues()._two_sided(rng)
-        pts = TestBlockedValues()._rule_points(itf, 1)
-        pts = np.concatenate([pts, pts, pts, pts[:17]])
-        want = [blocked_values(m, pts).tobytes()
-                for m in (field.value, field.divergence)]
-        monkeypatch.setattr(geometry, "TASK_BLOCKS", task_blocks)
-        assert geometry._task_size(len(pts)) == task_blocks * BLOCK
-        assert [blocked_values(m, pts).tobytes()
-                for m in (field.value, field.divergence)] == want
 
     @pytest.mark.parametrize("task_blocks", [1, 3])
     def test_fiber_nodes_do_not_depend_on_task_size(self, sphere_half,
