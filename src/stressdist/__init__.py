@@ -58,6 +58,7 @@ from .distributions import (
     distributional_div,
     identity1_rhs,
     identity2_rhs,
+    identity_sides,
     interface_terms,
     mollified_pair,
     mollify_convergence,

@@ -87,6 +87,14 @@ class ConfigBlock(dict):
             "a number" if ndim == 0 else f"a {ndim}-d array of numbers")
         raise ConfigError(f"{self.path}.{key}: must be {what}, got {value!r}")
 
+    def seed(self, key, default=_REQUIRED):
+        """``number(key, default, integer=True)``, at least 0."""
+        value = self.number(key, default, integer=True)
+        if value >= 0:
+            return value
+        raise ConfigError(f"{self.path}.{key}: must be non-negative, "
+                          f"got {value}")
+
     def ladder(self, key, default):
         """``number(key, default, ndim=1)`` holding two or more distinct
         positive values (a convergence fit's widths or steps)."""
@@ -118,7 +126,7 @@ def _numeric(value, ndim, kind):
 
 def _seeded(cfg, degree):
     """(generator seeded by ``seed``, ``degree`` or its default)."""
-    return (np.random.default_rng(cfg.number("seed", integer=True)),
+    return (np.random.default_rng(cfg.seed("seed")),
             cfg.number("degree", degree, integer=True))
 
 

@@ -26,8 +26,7 @@ import numpy as np
 
 from . import __version__, _pool, catalog, distributions
 from .distributions import (BDist, CDist, CompositeDist, FDist, cauchy_flux,
-                            distributional_div, identity1_rhs, identity2_rhs,
-                            mollify_convergence)
+                            identity_sides, mollify_convergence)
 from .equilibrium import (Check, Tolerances, bulk_residual, dipole_limit,
                           local_report, make_test_suite, weak_residuals)
 from .errors import ConfigError, StressDistError
@@ -193,14 +192,9 @@ def _op_verify_identity(cfg, domain, interface, rng):
     for j in range(count):
         dist = _random_dist(family, domain, interface, rng,
                             rank=2 if which == 2 else 1)
-        if which == 1:
-            test = _random_scalar_bump(domain, interface, rng)
-            lhs = distributional_div(dist, test)
-            rhs = identity1_rhs(dist, test)
-        else:
-            test = _random_gradient_field(domain, rng)
-            lhs = dist.pair(test)
-            rhs = identity2_rhs(dist, test)
+        test = (_random_scalar_bump(domain, interface, rng) if which == 1
+                else _random_gradient_field(domain, rng))
+        lhs, rhs = identity_sides(dist, test, which)
         scale = max(abs(lhs.value), abs(rhs.value))
         tol = max(abs_tol, rel_tol * scale)
         checks.append(Check(f"identity{which}-{family}-{j}",
@@ -252,8 +246,7 @@ def _op_check_equilibrium(cfg, domain, interface, rng):
                                         interface, tol)
     scn.check_symmetry()
     count = _suite_count(cfg, 9)
-    seed = cfg.get("suite", {}).number("seed", cfg.get("seed", 0),
-                                       integer=True)
+    seed = cfg.get("suite", {}).seed("seed", cfg.get("seed", 0))
     tests = make_test_suite(domain, interface, count,
                             np.random.default_rng(seed))
     return local_report(scn) + weak_residuals(scn, tests), {}
@@ -265,8 +258,7 @@ def _op_dipole_limit(cfg, domain, interface, rng):
                            ndim=2)
     h_values = params.ladder("h_values", [0.2, 0.1, 0.05, 0.025, 0.0125])
     count = _suite_count(cfg, 10)
-    seed = cfg.get("suite", {}).number("seed", cfg.get("seed", 0),
-                                       integer=True)
+    seed = cfg.get("suite", {}).seed("seed", cfg.get("seed", 0))
     min_order = params.number("min_order", 0.9)
     rep = dipole_limit(domain, sigma0, h_values, z0=params.number("z", 0.0),
                        n_tests=count, seed=seed, min_order=min_order)
@@ -384,13 +376,16 @@ def run_scenario(cfg, refine=0, seed_override=None):
     if errors:
         raise ConfigError("; ".join(errors))
     if seed_override is not None:
+        if int(seed_override) < 0:
+            raise ConfigError(f"--seed: must be non-negative, "
+                              f"got {seed_override!r}")
         cfg = dict(cfg)
         cfg["seed"] = int(seed_override)
     t0 = time.perf_counter()
     block = catalog.ConfigBlock(cfg)
     with distributions.refinement(refine):
         domain, interface = _build_geometry(block)
-        rng = np.random.default_rng(int(cfg.get("seed", 0)))
+        rng = np.random.default_rng(block.seed("seed", 0))
         checks, tables = _DRIVERS[cfg["operation"]](block, domain, interface,
                                                     rng)
     passed = all(c.passed for c in checks)

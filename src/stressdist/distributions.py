@@ -414,14 +414,15 @@ def interface_terms(dist, batch, values=None):
             surface_trace(grad, dist.rank) - kappa_fn, -fn)
 
 
-def _divergence_terms(dist, test, support, level):
+def _divergence_terms(dist, test, support, level, bulk=None):
     """Closed-form Div T(test) of one family: the bulk divergence volume
-    term plus the interface integral of a0 psi + a1 d_n psi + a2 d_nn psi.
+    term (``bulk`` when the caller has summed it) plus the interface
+    integral of a0 psi + a1 d_n psi + a2 d_nn psi.
 
     ``support`` clips the rules to a compactly supported test; None uses
     full-domain rules (with the radial breaks the test advertises).
     """
-    out = None
+    out = bulk
     if isinstance(dist, BDist):
         _, breaks = _test_layout(test)
 
@@ -429,7 +430,7 @@ def _divergence_terms(dist, test, support, level):
             return dist._pair_sum(_volume_quad(dist, lv, support, breaks),
                                   'divergence', test.value)
 
-        out = two_level(run_vol, level)
+        out = two_level(run_vol, level) if out is None else out
         if dist.interface is None:
             return out
 
@@ -475,21 +476,69 @@ def identity2_rhs(dist, gfield, level=None):
     the component for B, and the line integrals along the interface
     boundary curves (in-plane conormal) for C and F.
     """
-    full_level = _lv(level, False)
-    # u as a test function; it has no center or radius, so even the
-    # interior (compactly supported) member integrates over full-domain rules
-    potential = SimpleNamespace(value=gfield.u, gradient=gfield.value,
-                                hessian=gfield.gradient,
-                                volume_breaks=gfield.volume_breaks)
+    lv, u = _lv(level, False), _potential(gfield)
+    return _over_parts(dist, lambda d: _identity2_terms(d, gfield, u, lv))
+
+
+def _potential(gfield):
+    """u as a test function; it has no center or radius, so even the
+    interior (compactly supported) member integrates over full-domain rules."""
+    return SimpleNamespace(value=gfield.u, gradient=gfield.value,
+                           hessian=gfield.gradient,
+                           volume_breaks=gfield.volume_breaks)
+
+
+def _identity2_terms(d, gfield, u, level, bulk=None):
+    if d.rank != 2:
+        raise RankMismatchError("identity 2 applies to tensor distributions")
+    bsum = _boundary_sum(d, gfield.constants, level)
+    return (-_divergence_terms(d, u, None, level, bulk)
+            + PairingValue(bsum, 0.0))
+
+
+def identity_sides(dist, test, which, level=None):
+    """(lhs, rhs) of identity ``which``, bit for bit: (distributional_div,
+    identity1_rhs) for 1, (dist.pair, identity2_rhs) for 2.  A bulk part
+    sums sigma : grad psi and div sigma . psi as two columns of one walk
+    per rule (``_bulk_sides``), unless the ``contract_gradient`` hook pairs
+    it or a supported identity-2 test puts its sides on different rules."""
+    if which not in (1, 2):
+        raise ConfigError(f"identity must be 1 or 2, got {which!r}")
+    support, breaks = _test_layout(test)
+    paired = GradTest(test) if which == 1 else test
+    walk = test if which == 1 else _potential(test)
+    lv = _lv(level, which == 1 and support is not None)
 
     def one(d):
-        if d.rank != 2:
-            raise RankMismatchError("identity 2 applies to tensor distributions")
-        bsum = _boundary_sum(d, gfield.constants, full_level)
-        return (-_divergence_terms(d, potential, None, full_level)
-                + PairingValue(bsum, 0.0))
+        shared = (isinstance(d, BDist) and (which == 1 or support is None)
+                  and _constant_sides(d.field, paired) is None)
+        pair, bulk = (_bulk_sides(d, walk, support, breaks, lv) if shared
+                      else (d.pair(paired, level), None))
+        if which == 1:
+            return pair, _divergence_terms(d, test, support, lv, bulk)
+        return pair, _identity2_terms(d, test, walk, lv, bulk)
 
-    return _over_parts(dist, one)
+    pair, total = _over_parts(dist, one)
+    return (-pair if which == 1 else pair), total
+
+
+def _bulk_sides(dist, test, support, breaks, level):
+    """(sigma : grad test, div sigma . test) over one rule per level, from
+    ``value_and_divergence`` and ``value_and_gradient`` where they exist."""
+    def both(f, first, second, x):
+        pair = getattr(f, f'{first}_and_{second}', None)
+        return (pair(x) if pair is not None
+                else (getattr(f, first)(x), getattr(f, second)(x)))
+
+    def integrand(x):
+        value, div = both(dist.field, 'value', 'divergence', x)
+        psi, grad = both(test, 'value', 'gradient', x)
+        return _contract(value, grad), _contract(div, psi)
+
+    def run(lv):
+        q = _volume_quad(dist, lv, support, breaks)
+        return blocked_sum(q.weights, integrand, q.points)
+    return two_level(run, level)
 
 
 def _boundary_sum(dist, constants, level):
@@ -555,24 +604,13 @@ def _layer_support(test):
     return support
 
 
-def _mollified_part(dist, test, rho, domain, level):
-    """``mollified_pair`` of one family."""
+def _mollified_part(dist, test, rho, domain, level, estimate=True):
+    """``mollified_pair`` of one family; without ``estimate`` a mollified
+    layer is summed once, at the fine level, and reports error 0."""
     if isinstance(dist, BDist):
         return dist.pair(test, level)
     run, vlevel = _mollified_sum(dist, test, rho, domain, level)
-    return two_level(run, vlevel)
-
-
-def _mollified_value(dist, test, rho, domain, level):
-    """``mollified_pair(...).value`` without the coarse pass of its
-    estimate: the mollified layers are summed once, at the fine level."""
-    def one(d):
-        if isinstance(d, BDist):
-            return d.pair(test, level)
-        run, vlevel = _mollified_sum(d, test, rho, domain, level)
-        return PairingValue(run(vlevel), 0.0)
-
-    return _over_parts(dist, one).value
+    return two_level(run, vlevel) if estimate else PairingValue(run(vlevel))
 
 
 def _mollified_sum(dist, test, rho, domain, level):
@@ -627,7 +665,8 @@ def mollify_convergence(dist, test, rhos, domain=None, level=None):
     exact = dist.pair(test, level)
     values, errors = [], []
     for rho in sorted(rhos, reverse=True):
-        v = _mollified_value(dist, test, rho, domain, level)
+        v = _over_parts(dist, lambda d: _mollified_part(
+            d, test, rho, domain, level, estimate=False)).value
         values.append(v)
         errors.append(abs(v - exact.value))
     rr = sorted(rhos, reverse=True)

@@ -51,11 +51,12 @@ class Poly3:
     one polynomial or (..., M) for stacked rows sharing the table, and
     ``value`` returns (N,) + coefs.shape[:-1].  The constructor compiles the
     table once: the coefficients are summed onto the monomials dividing a
-    term, and ``value`` builds each of those from its parent with one
-    multiply per point, then applies one matrix product for all rows.  A
-    point gets the same bits in any batch of two or more, unless the
-    polynomial is a single (scalar) row: numpy then runs a matrix-vector
-    product, whose sums depend on the batch.
+    term.  ``value`` is ``apply(monomials(pts))``: ``monomials`` builds each
+    of those from its parent with one multiply per point, and ``apply``
+    runs one matrix product for all rows, so Poly3s made by ``with_coefs``
+    can share one table.  A point gets the same bits in any batch of two or
+    more, unless the polynomial is a single (scalar) row: numpy then runs a
+    matrix-vector product, whose sums depend on the batch.
     """
 
     def __init__(self, exps, coefs):
@@ -97,19 +98,26 @@ class Poly3:
         coefs = rng.uniform(-1.0, 1.0, len(terms)) * scale
         return cls(terms, coefs)
 
-    def value(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        n = len(pts)
-        if n == 1:
-            # a one-point product would run as a matrix-vector product:
-            # evaluate the point as a pair to keep its bits
-            return self.value(np.repeat(pts, 2, axis=0))[:1]
-        cols = np.ascontiguousarray(pts.T)
-        mono = np.empty((len(self._basis), n))
+    def monomials(self, pts):
+        """The (K, N) table of the compiled monomials at the points."""
+        cols = np.ascontiguousarray(np.asarray(pts, dtype=float).T)
+        mono = np.empty((len(self._basis), cols.shape[1]))
         mono[0] = 1.0
         for m, (parent, axis) in enumerate(self._steps, 1):
             np.multiply(mono[parent], cols[axis], out=mono[m])
-        return (mono.T @ self._matrix).reshape((n,) + self.coefs.shape[:-1])
+        return mono
+
+    def apply(self, table):
+        """The rows at the points of a ``monomials`` table (or its columns)."""
+        n = table.shape[1]
+        if n == 1:
+            # a one-point product would run as a matrix-vector product:
+            # evaluate the point as a pair to keep its bits
+            return self.apply(np.repeat(table, 2, axis=1))[:1]
+        return (table.T @ self._matrix).reshape((n,) + self.coefs.shape[:-1])
+
+    def value(self, pts):
+        return self.apply(self.monomials(pts))
 
     def derivative(self, axis):
         return Poly3(np.maximum(self.exps - _UNIT[axis], 0),
@@ -211,6 +219,13 @@ class PolyField:
         if self._divergence is None:
             raise RankMismatchError("divergence needs a vector or tensor field")
         return self._divergence.value(pts)
+
+    def value_and_divergence(self, pts):
+        """(value, divergence) from one monomial table."""
+        if self._divergence is None:
+            raise RankMismatchError("divergence needs a vector or tensor field")
+        table = self._value.monomials(pts)
+        return self._value.apply(table), self._divergence.apply(table)
 
     def hessian(self, pts):
         """(N,) + (3,) * rank + (3, 3): d_k d_l of each component."""
@@ -435,25 +450,29 @@ class PiecewiseField:
     def smooth(cls, field, rank):
         return cls(rank, field, None, None)
 
-    def _per_side(self, pts, method, order):
-        """``method`` of the side field each point lies on; the result has
-        rank + order tensor axes."""
+    def _per_side(self, pts, method, orders):
+        """``_side_call`` of the side field each point lies on: entry k has
+        rank + orders[k] tensor axes."""
+        if -1 in orders and self.rank not in (1, 2):
+            raise RankMismatchError("divergence needs rank 1 or 2")
         pts = np.asarray(pts, dtype=float)
         if self.interface is None or self.minus is self.plus:
-            return np.asarray(_side_call(self.plus, method, pts))
+            return _side_call(self.plus, method, pts)
         plus_mask = self.plus_side(pts)
         n_plus = int(np.count_nonzero(plus_mask))
         if n_plus in (0, len(pts)):
             # wholly on one side, as most blocks of a rule are
             f = self.plus if n_plus else self.minus
-            return np.asarray(_side_call(f, method, pts))
+            return _side_call(f, method, pts)
         # gather each side's points and scatter its values as whole rows
-        out = np.empty((len(pts), 3 ** (self.rank + order)))
+        outs = [np.empty((len(pts), 3 ** (self.rank + k))) for k in orders]
         for f, m in ((self.plus, plus_mask), (self.minus, ~plus_mask)):
             idx = np.flatnonzero(m)
-            vals = np.asarray(_side_call(f, method, np.take(pts, idx, axis=0)))
-            out[idx] = vals.reshape(len(idx), -1)
-        return out.reshape((len(pts),) + (3,) * (self.rank + order))
+            for out, v in zip(outs, _side_call(f, method,
+                                               np.take(pts, idx, axis=0))):
+                out[idx] = v.reshape(len(idx), -1)
+        return [out.reshape((len(pts),) + (3,) * (self.rank + k))
+                for out, k in zip(outs, orders)]
 
     def plus_side(self, pts):
         """True at the points that take the plus side's values: those at
@@ -461,7 +480,7 @@ class PiecewiseField:
         return self.interface.signed_distance(pts) >= 0.0
 
     def value(self, pts):
-        return self._per_side(pts, 'value', 0)
+        return self._per_side(pts, 'value', (0,))[0]
 
     def __call__(self, pts):
         return self.value(pts)
@@ -476,20 +495,26 @@ class PiecewiseField:
                 - np.asarray(self.minus.value(pts)))
 
     def gradient(self, pts):
-        return self._per_side(pts, 'gradient', 1)
+        return self._per_side(pts, 'gradient', (1,))[0]
 
     def divergence(self, pts):
-        if self.rank not in (1, 2):
-            raise RankMismatchError("divergence needs rank 1 or 2")
-        return self._per_side(pts, 'divergence', -1)
+        return self._per_side(pts, 'divergence', (-1,))[0]
+
+    def value_and_divergence(self, pts):
+        """(value, divergence) with one side mask."""
+        return tuple(self._per_side(pts, 'value_and_divergence', (0, -1)))
 
 
 def _side_call(f, method, pts):
-    """``f.<method>(pts)``; a side without ``divergence`` gets the trace of
-    its gradient over the last two axes."""
+    """``f.<method>(pts)`` as a list of arrays; a side without
+    ``value_and_divergence`` makes two calls, and one without
+    ``divergence`` gets the trace of its gradient over the last two axes."""
+    if method == 'value_and_divergence' and not hasattr(f, method):
+        return _side_call(f, 'value', pts) + _side_call(f, 'divergence', pts)
     if method == 'divergence' and not hasattr(f, 'divergence'):
-        return np.einsum('n...jj->n...', np.asarray(f.gradient(pts)))
-    return getattr(f, method)(pts)
+        return [np.einsum('n...jj->n...', np.asarray(f.gradient(pts)))]
+    out = getattr(f, method)(pts)
+    return [np.asarray(v) for v in (out if isinstance(out, tuple) else (out,))]
 
 
 def jump(field, point):
@@ -678,11 +703,12 @@ class _ComponentBump:
     exponent table, as rows for P, for P and dP, and for P, dP and ddP; a
     derivative of order k, alone or in a ``jet`` with the lower orders,
     then costs one radial factor with its first k q-derivatives and one
-    ``Poly3.value`` call on the order-k rows, and ``_pick`` maps the
-    distinct rows onto the components.  Both run only at the points inside
-    the support (``_in_support``), and every other point gets exact zeros;
-    a scalar bump's value alone evaluates its polynomial everywhere, so
-    that each point keeps the bits it has in the whole batch (``Poly3``).
+    monomial table with one product on the order-k rows (``Poly3.apply``;
+    ``value_and_gradient`` applies two), and ``_pick`` maps the distinct
+    rows onto the components.  Both run only at the points inside the
+    support (``_in_support``), and every other point gets exact zeros; a
+    scalar bump's value alone evaluates its polynomial everywhere, so that
+    each point keeps the bits it has in the whole batch (``Poly3``).
     """
 
     def __init__(self, center, radius, polys, shape):
@@ -714,6 +740,13 @@ class _ComponentBump:
         """(N, components, ...) -> (N,) + shape + (...), as a view."""
         return rows.reshape(rows.shape[:1] + self.shape + rows.shape[2:])
 
+    def _support(self, pts):
+        """(points, offsets d = x - c, q, indices of the points inside)."""
+        pts = np.asarray(pts, dtype=float)
+        d = pts - self.center
+        q = np.einsum('ni,ni->n', d, d) / self.radius ** 2
+        return pts, d, q, np.flatnonzero(_in_support(q))
+
     def _orders(self, pts, orders):
         """Value (0), gradient (1) and Hessian (2) for the ascending
         ``orders``, as (N,) + shape + (3,) * order arrays, zero outside the
@@ -725,20 +758,18 @@ class _ComponentBump:
         summation order by the strides, so the layout is part of every
         pairing's bits.
         """
-        pts = np.asarray(pts, dtype=float)
-        d = pts - self.center
-        q = np.einsum('ni,ni->n', d, d) / self.radius ** 2
-        idx = np.flatnonzero(_in_support(q))
-        n = len(q)
+        pts, d, q, idx = self._support(pts)
+        n, top = len(q), orders[-1]
         # a scalar's value (one polynomial row) runs as a matrix-vector
         # product, whose sums depend on the batch: it is never masked
-        if len(idx) == n or (orders[-1] == 0 and len(self._value.coefs) == 1):
-            return [self._components(p)
-                    for p in self._inside_orders(pts, d, q, orders)]
+        if len(idx) == n or (top == 0 and len(self._value.coefs) == 1):
+            return [self._components(p) for p in self._inside_orders(
+                self._value.monomials(pts), d, _bump_radial(q, top), orders)]
         # gather the inside points, scatter their values as whole rows
-        planes = (self._inside_orders(np.take(pts, idx, axis=0),
-                                      np.take(d, idx, axis=0), q[idx], orders)
-                  if len(idx) else [None] * len(orders))
+        planes = (self._inside_orders(
+            self._value.monomials(np.take(pts, idx, axis=0)),
+            np.take(d, idx, axis=0), _bump_radial(q[idx], top), orders)
+            if len(idx) else [None] * len(orders))
         out = []
         for p, k in zip(planes, orders):
             if self._pick is None:
@@ -754,18 +785,17 @@ class _ComponentBump:
             out.append(self._shaped(full))
         return out
 
-    def _inside_orders(self, pts, d, q, orders):
+    def _inside_orders(self, table, d, radial, orders):
         """``_orders`` at points inside the support (or, unmasked, at any
-        points), from one radial factor and one ``Poly3.value`` call on the
-        rows of the highest order; hess q is (2/r^2) I.  Returned as
-        node-last planes (distinct, ..., N), so that the product rule runs
-        along whole rows of nodes."""
+        points), from their monomial table, offsets d = x - c and radial
+        factors, and one product with the rows of the highest order; hess q
+        is (2/r^2) I.  Returned as node-last planes (distinct, ..., N), so
+        that the product rule runs along whole rows of nodes."""
         top = orders[-1]
-        radial = _bump_radial(q, top)
         beta = radial[0]
         rows = np.ascontiguousarray(
-            (self._value, self._gradient, self._hessian)[top].value(pts).T)
-        n, u = len(q), len(self._value.coefs)
+            (self._value, self._gradient, self._hessian)[top].apply(table).T)
+        n, u = len(d), len(self._value.coefs)
         P = rows[:u]
         out = []
         if 0 in orders:
@@ -810,10 +840,7 @@ class _ComponentBump:
                 f"contraction shape mismatch: {C.shape} vs {self.shape + (3,)}")
         rows, Cd = self._contractions.get(C.tobytes(),
                                           lambda: self._contraction_rows(C))
-        pts = np.asarray(pts, dtype=float)
-        d = pts - self.center
-        q = np.einsum('ni,ni->n', d, d) / self.radius ** 2
-        idx = np.flatnonzero(_in_support(q))
+        pts, d, q, idx = self._support(pts)
         n = len(q)
         if len(idx) == n:
             return self._contract_inside(rows, Cd, pts, d, q)
@@ -854,6 +881,16 @@ class _ComponentBump:
 
     def gradient(self, pts):
         return self._orders(pts, (1,))[0]
+
+    def value_and_gradient(self, pts):
+        """(value, gradient) with their bits and strides, sharing one radial
+        factor and table when every point is inside the support."""
+        pts, d, q, idx = self._support(pts)
+        if len(idx) < len(q):
+            return self.value(pts), self.gradient(pts)
+        table, radial = self._value.monomials(pts), _bump_radial(q, 1)
+        return tuple(self._components(self._inside_orders(
+            table, d, radial, (k,))[0]) for k in (0, 1))
 
     def hessian(self, pts):
         return self._orders(pts, (2,))[0]

@@ -414,10 +414,12 @@ class TestRun:
         # the width sets how many blocks a pool task holds; identity1-B-ball's
         # volume rules span 14 to 41 blocks, the others add weak residuals
         # of constant pressure sides (soap film, dilatational dipole, flat
-        # tension), mollified sums and lemma-2 column tests
+        # tension), mollified sums, lemma-2 column tests and the two-column
+        # bulk walks of identities 1 and 2 on the shell
         names = ["identity1-B-ball", "soap-film-sphere",
                  "dilatational-dipole-sphere", "flat-tension-box",
-                 "mollify-C-box", "stress-function-shell"]
+                 "mollify-C-box", "stress-function-shell",
+                 "identity1-B-shell-annulus", "identity2-B-shell"]
         one = _reports_under_blas_threads(1, names, pool_width=1)
         for width in (2, 3):
             other = _reports_under_blas_threads(1, names, pool_width=width)
@@ -560,7 +562,7 @@ class TestBatch:
         monkeypatch.setenv("STRESSDIST_THREADS", "2")
         lock = threading.Lock()
         active, peak = set(), [0]
-        evaluate = fields.Poly3.value
+        evaluate = fields.Poly3.monomials
 
         def sampled(self, pts):
             me = threading.get_ident()
@@ -573,7 +575,7 @@ class TestBatch:
                 with lock:
                     active.discard(me)
 
-        monkeypatch.setattr(fields.Poly3, "value", sampled)
+        monkeypatch.setattr(fields.Poly3, "monomials", sampled)
         for name in ("identity1-B-ball", "soap-film-sphere",
                      "mollify-C-box"):
             with open(os.path.join(SCENARIO_DIR, name + ".json")) as fh:
@@ -827,3 +829,40 @@ class TestCatalogFields:
         }
         rep = run_scenario(cfg)
         assert rep["summary"]["pass"]
+
+
+def _shipped(name):
+    with open(os.path.join(SCENARIO_DIR, name + ".json"),
+              encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+class TestNegativeSeeds:
+    """A negative seed is a configuration error (exit 2) that names where
+    it was given, never an internal error from the random generator."""
+
+    @pytest.mark.parametrize("name,where", [
+        ("soap-film-sphere", "$.seed"),
+        ("soap-film-sphere", "$.suite.seed"),
+        ("stress-function-ball", "$.fields.potential.seed"),
+    ])
+    def test_scenario_seed(self, tmp_path, capsys, name, where):
+        cfg = _shipped(name)
+        block = cfg
+        for key in where.split(".")[1:-1]:
+            block = block.setdefault(key, {})
+        block["seed"] = -3 if "potential" in where else -1
+        path = _write(tmp_path, "s.json", cfg)
+        assert main(["run", path, "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert f"{where}: must be" in err and "non-negative" in err
+        assert "internal error" not in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_seed_option(self, tmp_path, capsys):
+        path = _write(tmp_path, "s.json", _shipped("soap-film-sphere"))
+        assert main(["run", path, "--seed", "-1",
+                     "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert "--seed: must be non-negative" in err
+        assert "internal error" not in err

@@ -11,8 +11,8 @@ from stressdist.distributions import (ADAPTED_LEVEL, BDist, CDist,
                                       PairingValue, cauchy_flux, close,
                                       distributional_curl, distributional_div,
                                       identity1_rhs, identity2_rhs,
-                                      mollified_pair, mollify_convergence,
-                                      refinement)
+                                      identity_sides, mollified_pair,
+                                      mollify_convergence, refinement)
 from stressdist.errors import ConfigError, RankMismatchError, StressDistError
 from stressdist.fields import (BumpScalar, BumpVector, ConstantField,
                                ModulatedTest, PiecewiseField, Poly3, PolyField,
@@ -970,3 +970,128 @@ class TestConstantSides:
             v = BDist(ball, sphere_half, field).pair(GradTest(t))
             assert v.value != 0.0
         assert hooks and not any(counted)
+
+
+def _hex(pairing):
+    return pairing.value.hex(), pairing.error.hex()
+
+
+class TestIdentitySides:
+    """``identity_sides`` walks the rule of a bulk part once per level and
+    returns what the single-sided functions return, bit for bit."""
+
+    @staticmethod
+    def _identity1_cases(ball, sphere_half):
+        rng = np.random.default_rng(11)
+        psi = make_bump(ball, [0.42, 0.12, 0.15], 0.22, rank=0, rng=rng)
+        vec = make_bump(ball, [0.45, 0.0, 0.1], 0.25, rank=1, rng=rng)
+        vector = PolyField.random_vector
+        b = BDist(ball, sphere_half, PiecewiseField(
+            1, vector(rng, 3), vector(rng, 3), sphere_half))
+        b2 = BDist(ball, sphere_half, PiecewiseField(
+            2, PolyField.random_symmetric(rng, 3),
+            PolyField.random_symmetric(rng, 3), sphere_half))
+        pressure = BDist(ball, sphere_half, PiecewiseField(
+            2, ConstantField(-1.7 * np.eye(3), 2),
+            ConstantField(np.zeros((3, 3)), 2), sphere_half))
+        c = CDist(sphere_half, surface_polynomial(rng, 1, sphere_half, 2))
+        f = FDist(sphere_half, surface_polynomial(rng, 1, sphere_half, 2))
+        return [("B", b, psi), ("C", c, psi), ("F", f, psi),
+                ("composite", CompositeDist(b, c, f), psi),
+                ("B-vector", b2, vec),
+                ("B-modulated", b2, ModulatedTest(
+                    vec, SquaredDistanceFactor(sphere_half))),
+                ("B-constant", pressure, vec)]
+
+    @staticmethod
+    def _identity2_cases(ball, shell, shell_sphere, annulus, sphere_half):
+        rng = np.random.default_rng(12)
+        g = make_gradient_test_field(shell,
+                                     [np.zeros(3), rng.uniform(-1, 1, 3)])
+        b = BDist(shell, shell_sphere, PiecewiseField(
+            2, PolyField.random_symmetric(rng, 2),
+            PolyField.random_symmetric(rng, 2), shell_sphere))
+        c = CDist(annulus, surface_polynomial(rng, 2, annulus, 2,
+                                              symmetric=False))
+        f = FDist(annulus, surface_polynomial(rng, 2, annulus, 2,
+                                              symmetric=False))
+        # a supported test pairs on its support rule, but the right side
+        # integrates over the whole domain: the sides share no rule
+        supported = make_gradient_test_field(
+            ball, [np.zeros(3)], rng=rng, center=np.zeros(3), radius=0.8,
+            direction=np.array([1.0, 0, 0]))
+        ball_b = BDist(ball, sphere_half, PiecewiseField(
+            2, PolyField.random_symmetric(rng, 2),
+            PolyField.random_symmetric(rng, 2), sphere_half))
+        return [("B", b, g), ("C", c, g), ("F", f, g),
+                ("composite", CompositeDist(b=b, c=c), g),
+                ("B-supported", ball_b, supported)]
+
+    @pytest.mark.parametrize("task_blocks", [1, 3])
+    @pytest.mark.parametrize("width", ["1", "2"])
+    def test_equals_the_single_sided_functions(
+            self, ball, shell, sphere_half, shell_sphere, annulus,
+            monkeypatch, width, task_blocks):
+        monkeypatch.setenv("STRESSDIST_THREADS", width)
+        monkeypatch.setattr(geometry, "TASK_BLOCKS", task_blocks)
+        for name, d, psi in self._identity1_cases(ball, sphere_half):
+            lhs, rhs = identity_sides(d, psi, 1)
+            assert _hex(lhs) == _hex(distributional_div(d, psi)), name
+            assert _hex(rhs) == _hex(identity1_rhs(d, psi)), name
+        for name, d, g in self._identity2_cases(ball, shell, shell_sphere,
+                                                annulus, sphere_half):
+            lhs, rhs = identity_sides(d, g, 2)
+            assert _hex(lhs) == _hex(d.pair(g)), name
+            assert _hex(rhs) == _hex(identity2_rhs(d, g)), name
+
+    def test_rejects_other_identities_and_ranks(self, ball, sphere_half):
+        _, b, psi = self._identity1_cases(ball, sphere_half)[0]
+        with pytest.raises(ConfigError):
+            identity_sides(b, psi, 3)
+        g = make_gradient_test_field(ball, [np.zeros(3)], center=np.zeros(3),
+                                     radius=0.5)
+        with pytest.raises(RankMismatchError):
+            identity_sides(b, g, 2)
+
+    def test_a_bulk_check_builds_half_the_tables(self, monkeypatch):
+        # identity1-B-ball's first check, as the CLI draws it; the
+        # single-sided functions build the tables the separate walks built
+        # before: sigma value, grad psi, div sigma and psi per node batch
+        import json
+        import os
+        from stressdist import cli, catalog
+        monkeypatch.setenv("STRESSDIST_THREADS", "1")
+        path = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "scenarios", "identity1-B-ball.json")
+        with open(path, encoding="utf-8") as fh:
+            cfg = catalog.ConfigBlock(json.load(fh))
+        domain, interface = cli._build_geometry(cfg)
+        rng = np.random.default_rng(cfg["seed"])
+        dist = cli._random_dist("B", domain, interface, rng, rank=1)
+        psi = cli._random_scalar_bump(domain, interface, rng)
+        walking, tables = [0], [0]
+        real_sum, real_table = distributions.blocked_sum, Poly3.monomials
+
+        def counted_sum(weights, integrand, *arrays):
+            if integrand is None:
+                return real_sum(weights, integrand, *arrays)
+
+            def counted(*chunks):
+                walking[0] += 1
+                try:
+                    return integrand(*chunks)
+                finally:
+                    walking[0] -= 1
+            return real_sum(weights, counted, *arrays)
+
+        def counted_table(self, pts):
+            tables[0] += walking[0] > 0
+            return real_table(self, pts)
+
+        monkeypatch.setattr(distributions, "blocked_sum", counted_sum)
+        monkeypatch.setattr(Poly3, "monomials", counted_table)
+        identity_sides(dist, psi, 1)
+        dual, tables[0] = tables[0], 0
+        distributional_div(dist, psi)
+        identity1_rhs(dist, psi)
+        assert dual > 0 and tables[0] == 2 * dual

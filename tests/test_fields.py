@@ -262,8 +262,9 @@ class TestBumpKernel:
         for bump in (BumpScalar(c, r, polys[0]), BumpVector(c, r, polys[:3]),
                      BumpSymTensor(c, r, polys)):
             for orders in ((0,), (1,), (2,), (0, 1), (0, 1, 2)):
-                want = [bump._components(a)
-                        for a in bump._inside_orders(pts, d, q, orders)]
+                want = [bump._components(a) for a in bump._inside_orders(
+                    bump._value.monomials(pts), d,
+                    fields._bump_radial(q, orders[-1]), orders)]
                 got = bump._orders(pts, orders)
                 for g, w in zip(got, want):
                     assert g.shape == w.shape and g.strides == w.strides
@@ -280,13 +281,13 @@ class TestBumpKernel:
         inside = np.count_nonzero(
             fields._in_support(np.sum((pts - c) ** 2, axis=1) / r ** 2))
         assert 1 < inside < len(pts)
-        real, sizes = Poly3.value, []
+        real, sizes = Poly3.monomials, []
 
         def counting(self, x):
             sizes.append(len(x))
             return real(self, x)
 
-        monkeypatch.setattr(Poly3, 'value', counting)
+        monkeypatch.setattr(Poly3, 'monomials', counting)
         bump = BumpSymTensor(c, r, [Poly3.random(rng, 3) for _ in range(6)])
         bump.value(pts)
         bump.jet(pts, 2)
@@ -298,6 +299,87 @@ class TestBumpKernel:
         assert t._value.coefs.shape[0] == 6      # one row per distinct poly
         tv = t.value(_rand_points(rng, 40, scale=0.45))
         assert np.array_equal(tv, np.swapaxes(tv, -1, -2))
+
+
+def _same_array(got, want):
+    """Equal shape, strides and bytes."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.strides == want.strides
+    assert got.tobytes() == want.tobytes()
+
+
+class TestSharedTables:
+    """One monomial table per node batch, to which each polynomial applies
+    its own rows: every result has the bits and strides of its own call."""
+
+    @pytest.mark.parametrize("rows", [(), (4,), (3, 3)])
+    def test_a_subset_of_the_table_gives_the_subset_values(self, rng, rows):
+        p = Poly3.random(rng, 3)
+        poly = p.with_coefs(rng.normal(size=rows + (len(p.exps),)))
+        other = poly.with_coefs(rng.normal(size=(2, len(p.exps))))
+        x = _rand_points(rng, 300)
+        table = poly.monomials(x)
+        for idx in (np.arange(300), np.flatnonzero(x[:, 0] > 0.1),
+                    np.array([17]), np.array([], dtype=int)):
+            sub = np.take(table, idx, axis=1)
+            _same_array(poly.apply(sub), poly.value(x[idx]))
+            _same_array(other.apply(sub), other.value(x[idx]))
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_polyfield_value_and_divergence(self, rng, rank):
+        f = (PolyField.random_vector(rng, 3) if rank == 1
+             else PolyField.random_symmetric(rng, 3))
+        for n in (200, 1):
+            x = _rand_points(rng, n)
+            value, div = f.value_and_divergence(x)
+            _same_array(value, f.value(x))
+            _same_array(div, f.divergence(x))
+
+    def test_piecewise_value_and_divergence(self, rng):
+        # a lone plus-side node among minus-side ones, and a side without
+        # value_and_divergence (a constant)
+        itf = sphere_interface(0.5)
+        inner = _rand_points(rng, 60, scale=0.25)
+        lone = np.vstack([inner[:30], [[0.0, 0.7, 0.1]], inner[30:]])
+        assert np.count_nonzero(itf.signed_distance(lone) >= 0.0) == 1
+        sym = PolyField.random_symmetric
+        for f in (PiecewiseField(2, sym(rng, 3), sym(rng, 3), itf),
+                  PiecewiseField(2, ConstantField(rng.normal(size=(3, 3)), 2),
+                                 sym(rng, 3), itf),
+                  PiecewiseField(1, PolyField.random_vector(rng, 3),
+                                 PolyField.random_vector(rng, 3), itf),
+                  PiecewiseField.smooth(sym(rng, 3), 2)):
+            for x in (lone, inner, lone[30:31], _rand_points(rng, 200, 0.8)):
+                value, div = f.value_and_divergence(x)
+                _same_array(value, f.value(x))
+                _same_array(div, f.divergence(x))
+
+    @pytest.mark.parametrize("kind", ["scalar", "vector", "tensor", "shared"])
+    @pytest.mark.parametrize("where", ["all", "some", "one", "none",
+                                       "single"])
+    def test_bump_value_and_gradient(self, rng, kind, where):
+        c, r = np.array([0.1, -0.05, 0.2]), 0.5
+        pts = {"all": _rand_points(rng, 200, scale=0.25, center=c),
+               "some": _rand_points(rng, 400, scale=0.6, center=c),
+               "one": np.vstack([c + 0.1, c + 2 * r, c - 2 * r,
+                                 c + 1.1 * r * np.eye(3)[0]]),
+               "none": c + r * (1.0 + rng.random((50, 3))),
+               "single": (c + 0.1)[None]}[where]
+        inside = np.count_nonzero(
+            fields._in_support(np.sum((pts - c) ** 2, axis=1) / r ** 2))
+        assert inside == {"all": len(pts), "one": 1, "none": 0,
+                          "single": 1}.get(where, inside)
+        assert where != "some" or 1 < inside < len(pts)
+        polys = [Poly3.random(rng, 3) for _ in range(6)]
+        bump = {"scalar": BumpScalar(c, r, polys[0]),
+                "vector": BumpVector(c, r, polys[:3]),
+                "tensor": BumpSymTensor(c, r, polys),
+                "shared": BumpVector(c, r, [polys[0], polys[1], polys[0]])
+                }[kind]
+        assert (bump._pick is not None) == (kind in ("tensor", "shared"))
+        value, grad = bump.value_and_gradient(pts)
+        _same_array(value, bump.value(pts))
+        _same_array(grad, bump.gradient(pts))
 
 
 def _modulated_product_rule(base, factor, pts):
@@ -347,18 +429,18 @@ class TestJets:
                           SquaredDistanceFactor(unit_sphere))
         pts = _rand_points(rng, 80, scale=0.3, center=[1.0, 0.0, 0.2])
         counts = {'poly': 0, 'distance': 0}
-        poly_value = Poly3.value
+        poly_table = Poly3.monomials
         distance = Interface.distance_jet
 
         def counting_poly(self, p):
             counts['poly'] += 1
-            return poly_value(self, p)
+            return poly_table(self, p)
 
         def counting_distance(*args, **kwargs):
             counts['distance'] += 1
             return distance(*args, **kwargs)
 
-        monkeypatch.setattr(Poly3, 'value', counting_poly)
+        monkeypatch.setattr(Poly3, 'monomials', counting_poly)
         monkeypatch.setattr(Interface, 'distance_jet', counting_distance)
         for meth in ('value', 'gradient', 'hessian'):
             counts.update(poly=0, distance=0)
