@@ -12,7 +12,7 @@ import numpy as np
 
 from . import _tensor as T
 from .equilibrium import EquilibriumScenario, Tolerances
-from .errors import ConfigError
+from .errors import ConfigError, GeometryError
 from .fields import (ConstantField, HessianInverseR, KelvinStressField,
                      PiecewiseField, PolyField, Poly3, SurfaceField,
                      chart_tangent, dilatational_surface, normal_dyad,
@@ -70,35 +70,41 @@ class ConfigBlock(dict):
                               f"got {value!r}")
         return value
 
-    def number(self, key, default=_REQUIRED, ndim=0, integer=False):
+    def number(self, key, default=_REQUIRED, integer=False, shape=()):
         """``self[key]`` (``default`` when given and the key is missing) as
-        a float, an int with ``integer``, or for ``ndim`` > 0 a float array
-        of that many dimensions; any other value raises ``ConfigError``."""
+        a float, an int with ``integer``, or a float array of ``shape``
+        (None for any length); any other value raises ``ConfigError``."""
         value = self[key] if default is _REQUIRED else self.get(key, default)
         kind = numbers.Integral if integer else numbers.Real
-        if _numeric(value, ndim, kind):
-            if ndim == 0:
+        if _numeric(value, len(shape), kind):
+            if not shape:
                 return int(value) if integer else float(value)
             try:
-                return np.asarray(value, dtype=float)
+                arr = np.asarray(value, dtype=float)
+                if arr.ndim == len(shape) and all(
+                        n in (None, m) for n, m in zip(shape, arr.shape)):
+                    return arr
             except ValueError:            # ragged nesting
                 pass
-        what = "an integer" if integer else (
-            "a number" if ndim == 0 else f"a {ndim}-d array of numbers")
+        what = ("an integer" if integer else "a number" if not shape else
+                "an array of shape " + str(shape).replace("None", "n"))
         raise ConfigError(f"{self.path}.{key}: must be {what}, got {value!r}")
 
-    def seed(self, key, default=_REQUIRED):
-        """``number(key, default, integer=True)``, at least 0."""
-        value = self.number(key, default, integer=True)
+    def non_negative(self, key, default=_REQUIRED, integer=False):
+        """``number(key, default, integer=integer)``, at least 0."""
+        value = self.number(key, default, integer=integer)
         if value >= 0:
             return value
         raise ConfigError(f"{self.path}.{key}: must be non-negative, "
                           f"got {value}")
 
+    def seed(self, key, default=_REQUIRED):
+        return self.non_negative(key, default, integer=True)
+
     def ladder(self, key, default):
-        """``number(key, default, ndim=1)`` holding two or more distinct
+        """``number(key, default, shape=(None,))``: two or more distinct
         positive values (a convergence fit's widths or steps)."""
-        values = self.number(key, default, ndim=1)
+        values = self.number(key, default, shape=(None,))
         if np.all(np.isfinite(values) & (values > 0)) and len(
                 np.unique(values)) > 1:
             return values
@@ -139,7 +145,7 @@ def build_domain(cfg):
         return SphericalShell(cfg.number("inner_radius"),
                               cfg.number("outer_radius"))
     if kind == "box":
-        return Box(cfg.number("half_widths", ndim=1))
+        return Box(cfg.number("half_widths", shape=(3,)))
     if kind == "cylinder-annulus":
         return CylinderAnnulus(cfg.number("inner_radius"),
                                cfg.number("outer_radius"),
@@ -153,7 +159,7 @@ def build_interface(cfg, domain):
     cfg = ConfigBlock.of(cfg)
     kind = cfg.get("kind")
     if kind == "sphere":
-        return sphere_interface(cfg.number("radius"))
+        return _inside(cfg, domain, sphere_interface)
     if kind == "plane-disk":
         return plane_disk_interface(domain, cfg.number("z", 0.0))
     if kind == "plane-rect":
@@ -161,8 +167,19 @@ def build_interface(cfg, domain):
     if kind == "equatorial-annulus":
         return equatorial_annulus_interface(domain)
     if kind == "cylinder-patch":
-        return cylinder_patch_interface(domain, cfg.number("radius"))
+        return _inside(cfg, domain,
+                       lambda r: cylinder_patch_interface(domain, r))
     raise ConfigError(f"unknown interface kind {kind!r}")
+
+
+def _inside(cfg, domain, make):
+    """``make(radius)``, with room to the boundary (``Domain.clearance``)."""
+    radius = cfg.number("radius")
+    interface = make(radius) if radius > 0 else None
+    if interface is None or domain.clearance(interface) <= 0:
+        raise GeometryError(f"{cfg.path}.radius: must be positive and inside "
+                            f"the {domain.kind}, got {radius}")
+    return interface
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +200,14 @@ def build_bulk_tensor(cfg, domain, interface):
                               _pressure_side(cfg.number("p_minus")), interface)
     if kind == "kelvin":
         return PiecewiseField.smooth(
-            KelvinStressField(cfg.number("force", ndim=1),
+            KelvinStressField(cfg.number("force", shape=(3,)),
                               cfg.number("nu", 0.25)), 2)
     if kind == "hessian-harmonic":
         return PiecewiseField.smooth(
             HessianInverseR(cfg.number("amplitude", 1.0)), 2)
     if kind == "constant":
         return PiecewiseField.smooth(
-            ConstantField(cfg.number("value", ndim=2), 2), 2)
+            ConstantField(cfg.number("value", shape=(3, 3)), 2), 2)
     if kind == "piecewise-polynomial":
         rng, deg = _seeded(cfg, 3)
         scale = cfg.number("scale", 1.0)
@@ -198,10 +215,10 @@ def build_bulk_tensor(cfg, domain, interface):
         minus = PolyField.random_symmetric(rng, deg, scale)
         return PiecewiseField(2, plus, minus, interface)
     if kind == "radial-pressure":
-        plus = _radial_pressure_field(cfg.number("coeffs_plus", ndim=1))
+        plus = _radial_pressure_field(cfg.number("coeffs_plus", shape=(None,)))
         if interface is None or "coeffs_minus" not in cfg:
             return PiecewiseField(2, plus, None, interface)
-        minus = _radial_pressure_field(cfg.number("coeffs_minus", ndim=1))
+        minus = _radial_pressure_field(cfg.number("coeffs_minus", shape=(None,)))
         return PiecewiseField(2, plus, minus, interface)
     raise ConfigError(f"unknown bulk stress kind {kind!r}")
 
@@ -235,7 +252,7 @@ def build_bulk_vector(cfg, domain, interface):
         return None
     if kind == "constant-vector":
         return PiecewiseField.smooth(
-            ConstantField(cfg.number("value", ndim=1), 1), 1)
+            ConstantField(cfg.number("value", shape=(3,)), 1), 1)
     if kind == "piecewise-polynomial":
         rng, deg = _seeded(cfg, 3)
         plus = PolyField.random_vector(rng, deg, cfg.number("scale", 1.0))
@@ -263,9 +280,9 @@ def build_surface_tensor(cfg, interface):
     if kind == "dilatational":
         return dilatational_surface(cfg.number("p"), interface)
     if kind == "normal-dyad":
-        return normal_dyad(cfg.number("a", ndim=1), interface)
+        return normal_dyad(cfg.number("a", shape=(3,)), interface)
     if kind == "constant":
-        return SurfaceField.constant(cfg.number("value", ndim=2), 2, interface)
+        return SurfaceField.constant(cfg.number("value", shape=(3, 3)), 2, interface)
     if kind == "polynomial":
         rng, deg = _seeded(cfg, 2)
         return surface_polynomial(rng, 2, interface, deg,
@@ -279,7 +296,7 @@ def build_surface_vector(cfg, interface):
     if kind == "zero":
         return None
     if kind == "constant-vector":
-        return SurfaceField.constant(cfg.number("value", ndim=1), 1, interface)
+        return SurfaceField.constant(cfg.number("value", shape=(3,)), 1, interface)
     if kind == "matched-dipole":
         p2 = cfg.number("p2")
 
@@ -362,7 +379,7 @@ def build_scenario_fields(cfg, domain, interface, tolerances=None):
     elif preset == "flat-tension":
         scn = flat_tension(domain, interface, cfg.number("gamma"), tolerances)
     elif preset == "kelvin":
-        scn = kelvin_scenario(domain, cfg.number("force", (0, 0, 1), ndim=1),
+        scn = kelvin_scenario(domain, cfg.number("force", (0, 0, 1), shape=(3,)),
                               cfg.number("nu", 0.25))
     elif preset is None:
         zero = {"kind": "zero"}
@@ -398,7 +415,7 @@ def build_potential(cfg, domain, interface):
         return StressFunction(f, None, interface)
     if kind == "airy":
         # planar potential f(x1, x2) e3 (x) e3: generates an in-plane stress
-        terms = cfg.number("terms", ndim=2)     # rows [i, j, coef]
+        terms = cfg.number("terms", shape=(None, 3))   # rows [i, j, coef]
         f = Poly3([[int(i), int(j), 0] for i, j, _ in terms],
                   [float(c) for _, _, c in terms])
         comp = np.empty((3, 3), dtype=object)

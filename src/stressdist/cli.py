@@ -154,13 +154,9 @@ def _build_geometry(cfg):
 
 
 def _tolerances(cfg):
-    t = Tolerances()
     over = cfg.get("tolerances", {})
-    if "local" in over:
-        t.local = over.number("local")
-    if "weak_factor" in over:
-        t.weak_factor = over.number("weak_factor")
-    return t
+    return Tolerances(**{k: over.non_negative(k)
+                         for k in ("local", "weak_factor") if k in over})
 
 
 def _suite_count(cfg, default):
@@ -185,8 +181,8 @@ def _op_verify_identity(cfg, domain, interface, rng):
         raise ConfigError(f"{params.path}.identity: must be 1 or 2, "
                           f"got {which!r}")
     count = _suite_count(cfg, 5)
-    abs_tol = params.number("abs_tol", distributions.ABS_TOL)
-    rel_tol = params.number("rel_tol", distributions.REL_TOL)
+    abs_tol = params.non_negative("abs_tol", distributions.ABS_TOL)
+    rel_tol = params.non_negative("rel_tol", distributions.REL_TOL)
     checks = []
     rows = []
     for j in range(count):
@@ -255,7 +251,7 @@ def _op_check_equilibrium(cfg, domain, interface, rng):
 def _op_dipole_limit(cfg, domain, interface, rng):
     params = cfg.get("parameters", {})
     sigma0 = params.number("sigma0", [[1, 0, 0], [0, -0.5, 0], [0, 0, 0]],
-                           ndim=2)
+                           shape=(3, 3))
     h_values = params.ladder("h_values", [0.2, 0.1, 0.05, 0.025, 0.0125])
     count = _suite_count(cfg, 10)
     seed = cfg.get("suite", {}).seed("seed", cfg.get("seed", 0))
@@ -272,7 +268,7 @@ def _op_dipole_limit(cfg, domain, interface, rng):
 
 
 def _op_stress_function(cfg, domain, interface, rng):
-    tol = cfg.get("parameters", {}).number("tol", 1e-6)
+    tol = cfg.get("parameters", {}).non_negative("tol", 1e-6)
     fields_cfg = cfg.get("fields", {})
     if "potential" in fields_cfg:
         sigma = extract_densities(catalog.build_potential(
@@ -291,7 +287,7 @@ def _op_stress_function(cfg, domain, interface, rng):
 
 
 def _op_global_conditions(cfg, domain, interface, rng):
-    tol = cfg.get("parameters", {}).number("tol", 1e-6)
+    tol = cfg.get("parameters", {}).non_negative("tol", 1e-6)
     fields_cfg = cfg.get("fields", {})
     if "potential" in fields_cfg:
         sigma = extract_densities(catalog.build_potential(

@@ -147,9 +147,8 @@ class BDist:
         from ``_volume_quad``: both sides are evaluated one pool task at a
         time, and nothing is kept."""
         evaluate = getattr(self.field, method)
-        return blocked_sum(quad.weights,
-                           lambda x: _contract(evaluate(x), test_value(x)),
-                           quad.points)
+        return blocked_sum(quad, lambda q: _contract(evaluate(q.points),
+                                                     test_value(q.points)))
 
     def pair(self, test, level=None):
         support, breaks = _test_layout(test)
@@ -176,7 +175,8 @@ class BDist:
             return PairingValue(0.0, 0.0)
         field = self.field
 
-        def integrand(x):
+        def integrand(nodes):
+            x = nodes.points
             if len(sides) == 1:
                 return hook(sides[0], x)[0]
             plus = field.plus_side(x)
@@ -192,8 +192,8 @@ class BDist:
             return out
 
         def run(lv):
-            q = _volume_quad(self, lv, support, breaks)
-            return blocked_sum(q.weights, integrand, q.points)
+            return blocked_sum(_volume_quad(self, lv, support, breaks),
+                               integrand)
         return two_level(run, _lv(level, support is not None))
 
 
@@ -530,14 +530,14 @@ def _bulk_sides(dist, test, support, breaks, level):
         return (pair(x) if pair is not None
                 else (getattr(f, first)(x), getattr(f, second)(x)))
 
-    def integrand(x):
+    def integrand(nodes):
+        x = nodes.points
         value, div = both(dist.field, 'value', 'divergence', x)
         psi, grad = both(test, 'value', 'gradient', x)
         return _contract(value, grad), _contract(div, psi)
 
     def run(lv):
-        q = _volume_quad(dist, lv, support, breaks)
-        return blocked_sum(q.weights, integrand, q.points)
+        return blocked_sum(_volume_quad(dist, lv, support, breaks), integrand)
     return two_level(run, level)
 
 
@@ -630,10 +630,8 @@ def _mollified_sum(dist, test, rho, domain, level):
     def run(lv):
         q = support_volume_quad(interface, center, radius, lv, layer=rho)
         dens = np.asarray(dist.density.value(q.feet))
-        return blocked_sum(
-            q.weights, lambda x, s, foot: profile(s, rho) * _contract(
-                dens[foot], np.asarray(test.value(x))),
-            q.points, q.offset, q.foot)
+        return blocked_sum(q, lambda n: profile(n.offset, rho) * _contract(
+            dens[n.foot], np.asarray(test.value(n.points))))
 
     return run, _lv(level, True)
 

@@ -41,9 +41,9 @@ VOLUME_GRADE_OFFSET = 4
 SURFACE_GRADE_OFFSET = 8
 
 # entries kept by the support-quadrature memos: fiber rules are shared by
-# all interfaces and also capped in total nodes (40 bytes each; a refined
-# rule holds up to 1.2M), which bounds what one scenario leaves resident for
-# the next; support batches are kept per interface
+# all interfaces and also capped in total nodes (an entry keeps 24 bytes of
+# cells per 8 nodes; a refined rule has up to 1.2M), which bounds what one
+# scenario leaves resident for the next; support batches are per interface
 FIBER_MEMO_SIZE = 17
 FIBER_MEMO_NODES = 1_000_000
 SUPPORT_BATCH_MEMO_SIZE = 4
@@ -562,17 +562,62 @@ class CurveBatch:
 
 @dataclass
 class VolumeQuad:
-    """Volume nodes and weights; a normal-fiber rule also keeps its feet p
-    and, per node, the index of its foot and its offset s along n(p)."""
+    """Volume nodes and weights: a full-domain grid, or one sum task of a
+    ``FiberRule`` (normal fibers: per node its foot and offset s along n)."""
 
     points: np.ndarray
     weights: np.ndarray
-    feet: Optional[SurfaceBatch] = None
     foot: Optional[np.ndarray] = None
     offset: Optional[np.ndarray] = None
 
     def __len__(self):
         return self.points.shape[0]
+
+    def nodes(self, lo, hi):
+        """Nodes lo..hi of a grid, as views."""
+        return VolumeQuad(self.points[lo:hi], self.weights[lo:hi])
+
+
+@dataclass
+class FiberRule:
+    """Cells of fibers origin + s dirs: per live cell its fiber, mid and
+    half-width; per fiber its direction, weight and origin (center fibers
+    share one) or foot, with curvature (kappa, K) and the feet batch for
+    normal fibers.  ``nodes(lo, hi)`` builds the nodes of one sum task."""
+
+    fiber: np.ndarray
+    mid: np.ndarray
+    half: np.ndarray
+    origin: np.ndarray
+    dirs: np.ndarray
+    w_fiber: np.ndarray
+    curvature: Optional[tuple] = None
+    feet: Optional[SurfaceBatch] = None
+
+    def __len__(self):
+        return len(self.mid) * GAUSS_NODES_PER_CELL
+
+    def nodes(self, lo, hi):
+        """Gauss nodes lo..hi (whole cells) in (fiber, cell, node) order,
+        weighed w_fiber * half * wg * J(s): J = s^2, or 1 + kappa s + K s^2
+        on normal fibers, whose nodes keep their fiber (``foot``) and s
+        (``offset``)."""
+        xg, wg = GAUSS_RULE
+        c = slice(lo // len(xg), hi // len(xg))
+        f, half = self.fiber[c], self.half[c, None]
+        s_nodes = self.mid[c, None] + half * xg               # (cells, 8)
+        jac = s_nodes ** 2 if self.curvature is None else 1.0 + s_nodes * (
+            self.curvature[0][f, None] + self.curvature[1][f, None] * s_nodes)
+        pts = np.empty(s_nodes.shape + (3,))
+        for a in range(3):
+            o = (self.origin[a] if self.origin.ndim == 1
+                 else self.origin[f, a][:, None])
+            pts[:, :, a] = o + s_nodes * self.dirs[f, a][:, None]
+        weights = self.w_fiber[f, None] * (half * wg * jac)
+        if self.curvature is None:
+            return VolumeQuad(pts.reshape(-1, 3), weights.reshape(-1))
+        return VolumeQuad(pts.reshape(-1, 3), weights.reshape(-1),
+                          np.repeat(f, len(xg)), s_nodes.reshape(-1))
 
 
 def _empty_batch(patch):
@@ -653,7 +698,7 @@ _FIBER_CACHE = LruMemo(FIBER_MEMO_SIZE, budget=FIBER_MEMO_NODES)
 
 
 def support_volume_quad(interface, center, radius, level, layer=None):
-    """Fiber quadrature for volume integrands supported in B(center, radius).
+    """A ``FiberRule`` for volume integrands supported in B(center, radius).
 
     Pairings about no interface or an 'r' or 'z' one take center fibers:
     radial fibers from the support center, their cells broken at the
@@ -680,8 +725,8 @@ def support_volume_quad(interface, center, radius, level, layer=None):
 def _build_fiber_quad(interface, center, radius, level):
     if interface is not None and interface.coordinate == 'rho':
         return _normal_fiber_quad(interface, center, radius, level)
-    return _fiber_nodes(center, *_fiber_layout(interface, center, radius,
-                                               level))
+    return _fiber_rule(center, *_fiber_layout(interface, center, radius,
+                                              level))
 
 
 def _normal_fiber_quad(interface, center, radius, level, layer=None):
@@ -704,10 +749,8 @@ def _normal_fiber_quad(interface, center, radius, level, layer=None):
     kappa = feet.kappa
     gauss = 0.5 * (kappa * kappa - np.einsum('nij,nji->n', feet.shape_ops,
                                              feet.shape_ops))
-    quad = _fiber_nodes(feet.points, feet.normals, feet.weights, breaks,
-                        (kappa, gauss))
-    quad.feet = feet
-    return quad
+    return _fiber_rule(feet.points, feet.normals, feet.weights, breaks,
+                       (kappa, gauss), feet)
 
 
 def _fiber_layout(interface, center, radius, level):
@@ -795,46 +838,15 @@ def _fiber_layout(interface, center, radius, level):
     return dirs, w_ang, breaks
 
 
-def _fiber_nodes(origin, dirs, w_fiber, breaks, curvature=None):
-    """Gauss nodes on every cell of every fiber origin + s dirs, in (fiber,
-    cell, node) order, weighed w_fiber * half * wg * J(s): J = s^2 for
-    center fibers (one ``origin``), 1 + kappa s + K s^2 for normal fibers
-    (an origin and ``curvature`` = (kappa, K) per fiber, whose nodes keep
-    their fiber and s).  The nodes are written into preallocated arrays
-    task by task (``_task_size``), on the pool (``_pool.map_blocks``)."""
+def _fiber_rule(origin, dirs, w_fiber, breaks, curvature=None, feet=None):
+    """The ``FiberRule`` of fibers origin + s dirs cut at sorted ``breaks``."""
     # a fiber without a crossing repeats a break: drop the zero-width cells
     # this leaves
     live = breaks[:, 1:] > breaks[:, :-1]
-    fiber = np.nonzero(live)[0]
     lo, hi = breaks[:, :-1][live], breaks[:, 1:][live]
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    xg, wg = GAUSS_RULE
-    cells = _task_size(len(mid) * len(xg)) // len(xg)
-    pts = np.empty((len(mid), len(xg), 3))
-    weights = np.empty((len(mid), len(xg)))
-    offset = None if curvature is None else np.empty((len(mid), len(xg)))
-
-    def fill(k):
-        c = slice(k * cells, (k + 1) * cells)
-        f = fiber[c]
-        s_nodes = mid[c, None] + half[c, None] * xg               # (cells, 8)
-        if curvature is None:
-            jac = s_nodes ** 2
-        else:
-            jac = 1.0 + s_nodes * (curvature[0][f, None]
-                                   + curvature[1][f, None] * s_nodes)
-            offset[c] = s_nodes
-        weights[c] = w_fiber[f, None] * (half[c, None] * wg * jac)
-        for a in range(3):
-            o = origin[a] if origin.ndim == 1 else origin[f, a][:, None]
-            pts[c, :, a] = o + s_nodes * dirs[f, a][:, None]
-
-    _pool.map_blocks(fill, -(-len(mid) // cells))
-    quad = VolumeQuad(points=pts.reshape(-1, 3), weights=weights.reshape(-1))
-    if curvature is not None:
-        quad.foot = np.repeat(fiber, len(xg))
-        quad.offset = offset.reshape(-1)
-    return quad
+    fiber = np.repeat(np.arange(len(breaks)), np.count_nonzero(live, axis=1))
+    return FiberRule(fiber, 0.5 * (hi + lo), 0.5 * (hi - lo), origin, dirs,
+                     w_fiber, curvature, feet)
 
 
 # ---------------------------------------------------------------------------
@@ -1357,6 +1369,12 @@ class Box(Domain):
     def contains_ball(self, center, radius):
         return bool(np.all(np.abs(center) + radius < self.half_widths))
 
+    def clearance(self, interface):
+        """``Domain.clearance``; a sphere's is the room to the nearest face."""
+        if interface.coordinate == 'r':
+            return float(np.min(self.half_widths)) - interface.value
+        return super().clearance(interface)
+
     def bounding_box(self):
         return -self.half_widths, self.half_widths
 
@@ -1506,15 +1524,24 @@ def blocked_sum(weights, integrand, *arrays):
     from several threads at once.  An integrand may return a tuple of
     arrays: each entry is then summed as its own column, bit-identical to
     a call of its own, and a tuple of sums is returned.
+
+    ``weights`` may instead be a ``VolumeQuad`` or ``FiberRule``, with no
+    arrays: each task then sums ``f = integrand(nodes)`` on the nodes of
+    ``rule.nodes(lo, hi)``, which a fiber rule builds there.
     """
+    rule = weights if isinstance(weights, (VolumeQuad, FiberRule)) else None
     size = BLOCK if integrand is None else _task_size(len(weights))
     starts = range(0, len(weights), size)
 
     def partials(k):
         lo = starts[k]
-        chunks = [a[lo:lo + size] for a in arrays]
-        f = chunks[0] if integrand is None else integrand(*chunks)
-        w = weights[lo:lo + size]
+        if rule is not None:
+            nodes = rule.nodes(lo, lo + size)
+            w, f = nodes.weights, integrand(nodes)
+        else:
+            chunks = [a[lo:lo + size] for a in arrays]
+            f = chunks[0] if integrand is None else integrand(*chunks)
+            w = weights[lo:lo + size]
         blocks = range(0, len(w), BLOCK)
         if isinstance(f, tuple):
             return [tuple(_weighted_reduce(w[b:b + BLOCK], c[b:b + BLOCK])

@@ -262,10 +262,11 @@ class TestRun:
         assert isinstance(block.number("x"), float)
         assert block.number("n", integer=True) == 3
         assert block.number("missing", 0.5) == 0.5
-        assert np.array_equal(block.number("v", ndim=1), [1.0, 2.5])
-        assert block.number("m", ndim=2).shape == (1, 2)
-        for key, kw in (("flag", {}), ("x", {"ndim": 1}), ("v", {}),
-                        ("ragged", {"ndim": 2}), ("words", {"ndim": 1}),
+        assert np.array_equal(block.number("v", shape=(None,)), [1.0, 2.5])
+        assert block.number("m", shape=(None, None)).shape == (1, 2)
+        for key, kw in (("flag", {}), ("x", {"shape": (None,)}), ("v", {}),
+                        ("ragged", {"shape": (None, None)}),
+                        ("words", {"shape": (None,)}),
                         ("f", {"integer": True}),
                         ("missing", {})):
             with pytest.raises(ConfigError, match=r"\$\.b\." + key):
@@ -866,3 +867,151 @@ class TestNegativeSeeds:
         err = capsys.readouterr().err
         assert "--seed: must be non-negative" in err
         assert "internal error" not in err
+
+
+def _run_with(tmp_path, name, where, value):
+    """(exit code, report) of the shipped scenario ``name`` with the value
+    at the keys ``where`` replaced."""
+    cfg = _shipped(name)
+    block = cfg
+    for key in where[:-1]:
+        block = block.setdefault(key, {})
+    block[where[-1]] = value
+    return run(_write(tmp_path, "s.json", cfg), out=str(tmp_path / "r.json"))
+
+
+class TestInterfaceInsideDomain:
+    """Sphere and cylinder-patch interfaces need a positive radius that
+    leaves room to the domain boundary: anything else is a geometry error
+    (exit 2) naming the radius."""
+
+    @pytest.mark.parametrize("name,radius", [
+        ("identity2-B-shell", 0.5),        # inside the cavity
+        ("identity2-B-shell", 2.5),        # outside the shell
+        ("identity2-B-shell", 2.0),        # on the outer boundary
+        ("stress-function-shell", 0.9),
+        ("soap-film-sphere", 0.0),
+        ("soap-film-sphere", -1.0),
+        ("soap-film-sphere", 2.0),
+    ])
+    def test_sphere(self, tmp_path, capsys, name, radius):
+        code, report = _run_with(tmp_path, name,
+                                 ("geometry", "interface", "radius"), radius)
+        assert code == 2 and report is None
+        err = capsys.readouterr().err
+        assert "$.geometry.interface.radius: " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, 0.2, 0.5, 1.5, 2.0])
+    def test_cylinder_patch(self, radius):
+        from stressdist.catalog import ConfigBlock, build_interface
+        from stressdist.errors import GeometryError
+        from stressdist.geometry import CylinderAnnulus
+        domain = CylinderAnnulus(0.5, 1.5, 2.0)
+
+        def block(r):
+            return ConfigBlock({"kind": "cylinder-patch", "radius": r},
+                               "$.geometry.interface")
+
+        with pytest.raises(GeometryError,
+                           match=r"\$\.geometry\.interface\.radius: "):
+            build_interface(block(radius), domain)
+        assert build_interface(block(1.0), domain).value == 1.0
+
+    @pytest.mark.parametrize("radius,room", [(1.5, True), (2.0, False),
+                                             (2.5, False)])
+    def test_sphere_in_a_box(self, radius, room):
+        # a box's room for a sphere is to its nearest face
+        from stressdist.catalog import ConfigBlock, build_interface
+        from stressdist.errors import GeometryError
+        from stressdist.geometry import Box
+        block = ConfigBlock({"kind": "sphere", "radius": radius},
+                            "$.parameters.probe")
+        box = Box([2.0, 3.0, 3.0])
+        if room:
+            assert box.clearance(build_interface(block, box)) == 0.5
+        else:
+            with pytest.raises(GeometryError,
+                               match=r"\$\.parameters\.probe\.radius: "):
+                build_interface(block, box)
+
+    def test_every_shipped_scenario_builds(self):
+        from stressdist import cli
+        from stressdist.catalog import ConfigBlock
+        for path in sorted(os.listdir(SCENARIO_DIR)):
+            if path.endswith(".json") and not path.endswith(".report.json"):
+                cli._build_geometry(ConfigBlock(_shipped(path[:-5])))
+
+
+class TestArrayShapes:
+    """Fixed-shape arrays are checked for their shape, not only their
+    dimensions: a wrong one is a configuration error (exit 2) naming the
+    path and the shape."""
+
+    @pytest.mark.parametrize("name,where,value,path,shape", [
+        ("dipole-limit-ball", ("parameters", "sigma0"), [[1, 0], [0, 1]],
+         "$.parameters.sigma0", "(3, 3)"),
+        ("cauchy-flux-disjoint", ("fields", "sigma"),
+         {"kind": "kelvin", "force": [0, 1]}, "$.fields.sigma.force", "(3,)"),
+        ("cauchy-flux-disjoint", ("fields", "sigma"),
+         {"kind": "constant", "value": [[1, 0], [0, 1]]},
+         "$.fields.sigma.value", "(3, 3)"),
+        ("cauchy-flux-disjoint", ("fields", "sigma1"),
+         {"kind": "normal-dyad", "a": [1, 0]}, "$.fields.sigma1.a", "(3,)"),
+        ("cauchy-flux-disjoint", ("fields", "sigma1"),
+         {"kind": "constant", "value": [[1, 0, 0]]}, "$.fields.sigma1.value",
+         "(3, 3)"),
+        ("soap-film-sphere", ("fields",),
+         {"b": {"kind": "constant-vector", "value": [1, 2]}},
+         "$.fields.b.value", "(3,)"),
+        ("soap-film-sphere", ("fields",),
+         {"b1": {"kind": "constant-vector", "value": [1, 2]}},
+         "$.fields.b1.value", "(3,)"),
+        ("soap-film-sphere", ("fields",), {"preset": "kelvin", "force": [0, 1]},
+         "$.fields.force", "(3,)"),
+        ("flat-tension-box", ("geometry", "domain", "half_widths"), [1, 1],
+         "$.geometry.domain.half_widths", "(3,)"),
+        ("stress-function-ball", ("fields", "potential"),
+         {"kind": "airy", "terms": [[1, 2]]}, "$.fields.potential.terms",
+         "(n, 3)"),
+    ])
+    def test_wrong_shape_exits_2(self, tmp_path, capsys, name, where, value,
+                                 path, shape):
+        code, report = _run_with(tmp_path, name, where, value)
+        assert code == 2 and report is None
+        err = capsys.readouterr().err
+        assert f"{path}: must be an array of shape {shape}" in err
+        assert "Traceback" not in err
+
+    def test_config_shapes(self):
+        from stressdist.catalog import ConfigBlock
+        block = ConfigBlock({"v": [1, 2, 3], "m": [[1, 2, 3], [4, 5, 6]],
+                             "e": []}, "$.b")
+        assert block.number("v", shape=(3,)).shape == (3,)
+        assert block.number("m", shape=(None, 3)).shape == (2, 3)
+        for key, shape in (("v", (2,)), ("m", (3, 3)), ("m", (None, 2)),
+                           ("e", (None, 3)), ("v", (3, 3))):
+            with pytest.raises(ConfigError, match=r"\$\.b\." + key):
+                block.number(key, shape=shape)
+
+
+class TestNegativeTolerances:
+    """A negative tolerance is a configuration error (exit 2) naming it."""
+
+    @pytest.mark.parametrize("name,where", [
+        ("stress-function-shell", ("parameters", "tol")),
+        ("global-conditions-shell", ("parameters", "tol")),
+        ("identity1-B-ball", ("parameters", "abs_tol")),
+        ("identity1-B-ball", ("parameters", "rel_tol")),
+        ("soap-film-sphere", ("tolerances", "local")),
+        ("soap-film-sphere", ("tolerances", "weak_factor")),
+    ])
+    def test_negative_exits_2(self, tmp_path, capsys, name, where):
+        code, report = _run_with(tmp_path, name, where, -1)
+        assert code == 2 and report is None
+        err = capsys.readouterr().err
+        assert "$." + ".".join(where) + ": must be non-negative" in err
+
+    def test_zero_is_allowed(self):
+        from stressdist.catalog import ConfigBlock
+        assert ConfigBlock({"tol": 0}).non_negative("tol") == 0.0

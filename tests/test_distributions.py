@@ -1,6 +1,6 @@
 """Pairings, the dual-path divergence identities, mollification, Cauchy flux."""
 
-from types import SimpleNamespace
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ from stressdist.fields import (BumpScalar, BumpVector, ConstantField,
                                surface_polynomial)
 from stressdist import geometry
 from stressdist._memo import LruMemo
-from stressdist.geometry import BLOCK, TASK_BLOCKS, Ball, \
+from stressdist.geometry import BLOCK, TASK_BLOCKS, Ball, VolumeQuad, \
     integrate_surface, integrate_volume, plane_disk_interface, \
     sphere_interface, support_volume_quad
 
@@ -301,8 +301,8 @@ class TestCylinderInterface:
             itf))
         c, r = _crossing_bump_geometry(dom, itf, rng)
         psi = make_bump(dom, c, r, rank=0, rng=rng, degree=3)
-        q = support_volume_quad(itf, c, r, 1)
-        feet = q.feet
+        rule = support_volume_quad(itf, c, r, 1)
+        feet, q = rule.feet, rule.nodes(0, len(rule))
         assert np.array_equal(q.points, feet.points[q.foot] + q.offset[:, None]
                               * feet.normals[q.foot])
         assert np.allclose(itf.signed_distance(q.points), q.offset,
@@ -602,6 +602,31 @@ class TestStreamedPairings:
             again = bd.pair(psi)
         assert (again.value, again.error) == (first.value, first.error)
 
+    def test_a_refined_pairing_never_holds_its_nodes(self, ball, sphere_half,
+                                                     rng, monkeypatch):
+        # fiber rules keep their cells and each task builds its own nodes,
+        # so a refine-2 pairing's traced peak stays far below the 32 bytes
+        # per node (points and weights) of the two rules it sums
+        monkeypatch.setenv("STRESSDIST_THREADS", "1")
+        monkeypatch.setattr(geometry, "_FIBER_CACHE",
+                            LruMemo(geometry.FIBER_MEMO_SIZE))
+        field = PiecewiseField(2, PolyField.random_symmetric(rng, 3),
+                               PolyField.random_symmetric(rng, 3),
+                               sphere_half)
+        psi = make_bump(ball, [0.5, 0.0, 0.1], 0.4, rank=2, rng=rng)
+        with refinement(2):
+            tracemalloc.start()
+            try:
+                BDist(ball, sphere_half, field).pair(psi)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            nodes = sum(len(support_volume_quad(sphere_half, psi.center,
+                                                psi.radius, lv))
+                        for lv in (ADAPTED_LEVEL + 2, ADAPTED_LEVEL + 1))
+        assert nodes > 10 ** 6
+        assert peak < nodes * 32 / 4
+
     @pytest.mark.parametrize("task_blocks", [1, 3])
     def test_pairing_does_not_depend_on_task_size(self, ball, sphere_half,
                                                   monkeypatch, task_blocks):
@@ -656,8 +681,8 @@ class TestStreamedBulkSums:
     def _sums(bd, pts, rng, sizes=None):
         """(streamed, whole) sums of the field's value and divergence with
         a test of matching rank, as hex strings."""
-        rule = SimpleNamespace(points=pts,
-                               weights=rng.uniform(0.5, 1.0, len(pts)))
+        rule = VolumeQuad(points=pts,
+                          weights=rng.uniform(0.5, 1.0, len(pts)))
         out = []
         for method, test in (
                 ('value', PolyField.random_symmetric(rng, 2).value),
@@ -891,7 +916,7 @@ class TestConstantSides:
         xy = rng.uniform(-0.15, 0.15, (40, 2))
         pts = np.column_stack([0.1 + xy[:, 0], xy[:, 1], np.zeros(40)])
         weights = rng.uniform(0.5, 1.0, 40)
-        rule = SimpleNamespace(points=pts, weights=weights)
+        rule = VolumeQuad(points=pts, weights=weights)
         monkeypatch.setattr(distributions, "_volume_quad",
                             lambda *args: rule)
         C = rng.normal(size=(3, 3))

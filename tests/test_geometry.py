@@ -22,7 +22,7 @@ from stressdist.geometry import (BLOCK, TASK_BLOCKS, Ball, Box,
                                  mean_curvature, plane_disk_interface,
                                  shape_operator, sphere_interface,
                                  support_volume_quad,
-                                 cylinder_patch_interface)
+                                 cylinder_patch_interface, VolumeQuad)
 
 
 def _double_factorial(n):
@@ -317,12 +317,13 @@ class TestSupportQuadrature:
         ref = 4 * np.pi * integrate.quad(
             lambda s: s ** 2 * np.exp(1 - 1 / (1 - (s / r) ** 2)) if s < r else 0.0,
             0, r, epsabs=1e-15, limit=200)[0]
-        q = support_volume_quad(sphere_half, c, r, 1)
+        q = _whole(support_volume_quad(sphere_half, c, r, 1))
         got = float(np.dot(q.weights, psi.value(q.points)))
         assert abs(got - ref) < 1e-12
 
     def test_fiber_conforms_to_interface(self, sphere_half):
-        q = support_volume_quad(sphere_half, np.array([0.5, 0.0, 0.0]), 0.2, 1)
+        q = _whole(support_volume_quad(sphere_half, np.array([0.5, 0.0, 0.0]),
+                                       0.2, 1))
         s = sphere_half.signed_distance(q.points)
         # nodes are never placed on the interface itself
         assert np.min(np.abs(s)) > 1e-13
@@ -394,6 +395,123 @@ def _fiber_oracle(center, dirs, w_ang, breaks):
     return pts[keep], weights[keep], len(keep)
 
 
+def _whole(rule):
+    """Every node of a fiber rule, built at once."""
+    return rule.nodes(0, len(rule))
+
+
+def _fill_oracle(origin, dirs, w_fiber, breaks, curvature=None, feet=None):
+    """Every node of a fiber rule at once, written into whole arrays by the
+    fill expressions: the reference for ``FiberRule.nodes``."""
+    live = breaks[:, 1:] > breaks[:, :-1]
+    fiber = np.nonzero(live)[0]
+    lo, hi = breaks[:, :-1][live], breaks[:, 1:][live]
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    xg, wg = geometry.GAUSS_RULE
+    pts = np.empty((len(mid), len(xg), 3))
+    weights = np.empty((len(mid), len(xg)))
+    offset = None if curvature is None else np.empty((len(mid), len(xg)))
+    c, f = slice(None), fiber
+    s_nodes = mid[c, None] + half[c, None] * xg
+    if curvature is None:
+        jac = s_nodes ** 2
+    else:
+        jac = 1.0 + s_nodes * (curvature[0][f, None]
+                               + curvature[1][f, None] * s_nodes)
+        offset[c] = s_nodes
+    weights[c] = w_fiber[f, None] * (half[c, None] * wg * jac)
+    for a in range(3):
+        o = origin[a] if origin.ndim == 1 else origin[f, a][:, None]
+        pts[c, :, a] = o + s_nodes * dirs[f, a][:, None]
+    quad = VolumeQuad(points=pts.reshape(-1, 3), weights=weights.reshape(-1))
+    if curvature is not None:
+        quad.foot = np.repeat(fiber, len(xg))
+        quad.offset = offset.reshape(-1)
+    return quad
+
+
+def _recorded_tasks(rule):
+    """The nodes ``blocked_sum`` takes from ``rule``, one ``(lo, hi,
+    nodes)`` per task in node order."""
+    tasks = {}
+    build = rule.nodes
+
+    def nodes(lo, hi):
+        tasks[lo] = (lo, hi, build(lo, hi))
+        return tasks[lo][2]
+
+    rule.nodes = nodes
+    try:
+        blocked_sum(rule, lambda q: q.weights)
+    finally:
+        del rule.nodes
+    return [tasks[lo] for lo in sorted(tasks)]
+
+
+_CELL_RULE_CASES = {
+    "sphere": lambda: (sphere_interface(0.5), (0.45, 0.0, 0.1), 0.25, None),
+    "plane-disk": lambda: (plane_disk_interface(Ball(1.0), z=0.0),
+                           (0.1, 0.2, 0.1), 0.3, None),
+    "none": lambda: (None, (0.1, 0.0, 0.2), 0.3, None),
+    "cylinder": lambda: (_CYLINDER, (0.1, 1.05, 0.3), 0.3, None),
+    "layer": lambda: (sphere_interface(0.5), (0.42, 0.1, 0.15), 0.2, 0.01),
+}
+
+
+class TestCellRules:
+    """A fiber rule keeps its cells; each sum task builds its own nodes,
+    byte-equal to the whole rule's fill."""
+
+    @pytest.mark.parametrize("width", ["1", "2"])
+    @pytest.mark.parametrize("task_blocks", [1, 2, 3])
+    @pytest.mark.parametrize("case", list(_CELL_RULE_CASES))
+    def test_tasks_equal_the_fill(self, monkeypatch, case, task_blocks,
+                                  width):
+        monkeypatch.setenv("STRESSDIST_THREADS", width)
+        monkeypatch.setattr(geometry, "TASK_BLOCKS", task_blocks)
+        monkeypatch.setattr(geometry, "_FIBER_CACHE",
+                            LruMemo(geometry.FIBER_MEMO_SIZE))
+        itf, center, radius, layer = _CELL_RULE_CASES[case]()
+        calls = []
+        build = geometry._fiber_rule
+
+        def spy(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(geometry, "_fiber_rule", spy)
+        rule = support_volume_quad(itf, center, radius, 3, layer=layer)
+        want = _fill_oracle(*calls[0])
+        tasks = _recorded_tasks(rule)
+        size = geometry._task_size(len(rule))
+        assert len(rule) == len(want) > 3 * size
+        assert [lo for lo, _, _ in tasks] == list(range(0, len(rule), size))
+        normal = case in ("cylinder", "layer")
+        for lo, hi, q in tasks:
+            for name in ("points", "weights", "foot", "offset"):
+                got, ref = getattr(q, name), getattr(want, name)
+                if not normal and name in ("foot", "offset"):
+                    assert got is None and ref is None
+                    continue
+                assert got.dtype == ref.dtype
+                assert got.tobytes() == ref[lo:hi].tobytes(), name
+            assert q.points.flags.c_contiguous
+
+    @pytest.mark.parametrize("curvature", [False, True])
+    def test_an_empty_rule_never_calls_its_integrand(self, curvature):
+        # every fiber repeats one break: no live cell
+        origin = np.zeros((4, 3)) if curvature else np.zeros(3)
+        rule = geometry._fiber_rule(
+            origin, np.eye(3)[[0, 1, 2, 0]], np.ones(4), np.full((4, 3), 0.2),
+            (np.zeros(4), np.zeros(4)) if curvature else None)
+
+        def never(nodes):
+            raise AssertionError("the integrand was called")
+
+        assert len(rule) == 0
+        assert blocked_sum(rule, never) == 0.0
+
+
 class TestFiberAssembly:
     @pytest.mark.parametrize("level", [0, 1, 2, 3])
     @pytest.mark.parametrize("make, center, radius", [
@@ -408,7 +526,7 @@ class TestFiberAssembly:
             "no-interface"])
     def test_equals_broadcast_and_compact(self, make, center, radius, level):
         itf, c = make(), np.array(center)
-        rule = support_volume_quad(itf, c, radius, level)
+        rule = _whole(support_volume_quad(itf, c, radius, level))
         pts, weights, broadcast = _fiber_oracle(
             c, *geometry._fiber_layout(itf, c, radius, level))
         assert np.array_equal(rule.points, pts)
@@ -452,7 +570,7 @@ class TestNormalFibers:
         ref = 4 * np.pi * r ** 3 * integrate.quad(
             lambda t: t * t * _radial_bump(np.array([t * t]))[0], 0.0, 1.0,
             epsabs=1e-15, limit=200)[0]
-        rule = geometry._normal_fiber_quad(itf, c, r, 2)
+        rule = _whole(geometry._normal_fiber_quad(itf, c, r, 2))
         beta = _radial_bump(np.sum((rule.points - c) ** 2, axis=1) / r ** 2)
         assert abs(rule.weights @ beta - ref) <= 1e-8 * ref
         first = (rule.weights * beta) @ rule.points
@@ -463,7 +581,7 @@ class TestNormalFibers:
     def test_layer_nodes_stay_within_six_widths(self, case):
         itf, c, r = _NORMAL_FIBER_CASES[case]
         rho = 0.01
-        rule = support_volume_quad(itf, c, r, 1, layer=rho)
+        rule = _whole(support_volume_quad(itf, c, r, 1, layer=rho))
         s = itf.signed_distance(rule.points)
         assert len(rule) > 0
         assert np.all(np.abs(s) <= 6.0 * rho * (1 + 1e-12))
@@ -475,9 +593,10 @@ class TestNormalFibers:
     def test_rho_pairings_take_normal_fibers(self):
         itf, c, r = _NORMAL_FIBER_CASES["cylinder"]
         rule = support_volume_quad(itf, c, r, 2)
-        want = geometry._normal_fiber_quad(itf, np.array(c), r, 2)
-        assert np.array_equal(rule.points, want.points)
-        assert np.array_equal(rule.weights, want.weights)
+        got = _whole(rule)
+        want = _whole(geometry._normal_fiber_quad(itf, np.array(c), r, 2))
+        assert np.array_equal(got.points, want.points)
+        assert np.array_equal(got.weights, want.weights)
         assert support_volume_quad(itf, c, r, 2) is rule
 
     def test_cylinder_support_is_the_cut_rectangle(self):
@@ -765,8 +884,8 @@ class TestLevelSetInterfaces:
             box.volume_quadrature(sphere_interface(0.5), level=0)
         with pytest.raises(GeometryError):
             ball.volume_quadrature(plane_disk_interface(ball, 0.3), level=0)
-        with pytest.raises(GeometryError):
-            box.clearance(sphere_interface(0.5))
+        # a box has no 'r' cells, but a sphere's room is to its nearest face
+        assert box.clearance(sphere_interface(0.5)) == 0.5
 
     def test_equatorial_plane_in_spherical_cells(self, ball, ball_disk):
         plain = ball.volume_quadrature(None, level=0)
@@ -808,7 +927,7 @@ class TestBlockedSum:
             sizes.append(len(x))
             return 1.0 + np.einsum('ni,ni->n', x, x)
 
-        got = blocked_sum(q.weights, f, q.points)
+        got = blocked_sum(q, lambda nodes: f(nodes.points))
         assert len(q) > 10 * BLOCK
         # whole blocks per call, at most TASK_BLOCKS of them, except the
         # last call
@@ -816,6 +935,7 @@ class TestBlockedSum:
         tail = len(q) % BLOCK
         assert [s % BLOCK for s in sizes if s % BLOCK] == ([tail] if tail
                                                            else [])
+        q = _whole(q)
         ref = math.fsum(q.weights * f(q.points))
         assert abs(got - ref) <= 1e-14 * abs(ref)
 
@@ -999,15 +1119,18 @@ class TestTaskSize:
         assert sums() == want
 
     @pytest.mark.parametrize("task_blocks", [1, 3])
-    def test_fiber_nodes_do_not_depend_on_task_size(self, sphere_half,
-                                                    monkeypatch, task_blocks):
+    def test_fiber_nodes_do_not_depend_on_task_size(
+            self, sphere_half, monkeypatch, task_blocks):
         monkeypatch.setenv("STRESSDIST_THREADS", "2")
         center = np.array([0.45, 0.0, 0.1])
-        layout = geometry._fiber_layout(sphere_half, center, 0.25,
-                                        TestBlockedSum.LEVEL)
-        want = geometry._fiber_nodes(center, *layout)
+        rule = geometry._fiber_rule(center, *geometry._fiber_layout(
+            sphere_half, center, 0.25, TestBlockedSum.LEVEL))
+        want = _recorded_tasks(rule)
         monkeypatch.setattr(geometry, "TASK_BLOCKS", task_blocks)
-        assert geometry._task_size(len(want)) == task_blocks * BLOCK
-        got = geometry._fiber_nodes(center, *layout)
-        assert got.points.tobytes() == want.points.tobytes()
-        assert got.weights.tobytes() == want.weights.tobytes()
+        assert geometry._task_size(len(rule)) == task_blocks * BLOCK
+        got = _recorded_tasks(rule)
+        for name in ("points", "weights"):
+            assert (np.concatenate([getattr(q, name) for *_, q in got])
+                    .tobytes() == np.concatenate([getattr(q, name)
+                                                  for *_, q in want])
+                    .tobytes())
