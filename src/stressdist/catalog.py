@@ -106,7 +106,7 @@ class ConfigBlock(dict):
         positive values (a convergence fit's widths or steps)."""
         values = self.number(key, default, shape=(None,))
         if np.all(np.isfinite(values) & (values > 0)) and len(
-                np.unique(values)) > 1:
+                set(values.tolist())) > 1:
             return values
         raise ConfigError(f"{self.path}.{key}: must hold two or more distinct "
                           f"positive numbers, got {values.tolist()!r}")

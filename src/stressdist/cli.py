@@ -430,9 +430,9 @@ def run(path, refine=0, seed=None, out=None, fmt="report"):
     """Run one scenario file.
 
     Exit codes: 0 pass, 1 failed checks, 2 configuration error (an
-    unreadable or malformed scenario, or one the library rejects with a
-    ``StressDistError``), 3 internal error (any other exception; its
-    traceback goes to stderr).
+    unreadable or malformed scenario, one the library rejects with a
+    ``StressDistError``, or a report path that cannot be written), 3
+    internal error (any other exception; its traceback goes to stderr).
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -451,7 +451,12 @@ def run(path, refine=0, seed=None, out=None, fmt="report"):
         return 3, None
     suffix = ".report.json" if fmt == "report" else ".report.csv"
     out_path = out or (os.path.splitext(path)[0] + suffix)
-    _dump_report(report, out_path, fmt)
+    try:
+        _dump_report(report, out_path, fmt)
+    except OSError as exc:
+        print(f"error: cannot write report {out_path}: {exc}",
+              file=sys.stderr)
+        return 2, None
     return (0 if report["summary"]["pass"] else 1), report
 
 
@@ -485,15 +490,22 @@ def batch(directory, refine=0, out=None, jobs=None):
             results.append((name, code, report))
 
     out_path = out or os.path.join(directory, "summary.csv")
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scenario", "exit_code", "pass", "n_pass", "n_fail"])
-        for name, code, report in results:
-            if report is None:
-                writer.writerow([name, code, "", "", ""])
-            else:
-                s = report["summary"]
-                writer.writerow([name, code, s["pass"], s["n_pass"], s["n_fail"]])
+    try:
+        with open(out_path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["scenario", "exit_code", "pass", "n_pass",
+                             "n_fail"])
+            for name, code, report in results:
+                if report is None:
+                    writer.writerow([name, code, "", "", ""])
+                else:
+                    s = report["summary"]
+                    writer.writerow([name, code, s["pass"], s["n_pass"],
+                                     s["n_fail"]])
+    except OSError as exc:
+        print(f"error: cannot write summary {out_path}: {exc}",
+              file=sys.stderr)
+        return 2, results
     worst = max(code for _, code, _ in results)
     return worst, results
 

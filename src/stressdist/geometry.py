@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -163,13 +164,20 @@ def _gauss_cells(breaks, level, small_cell=None):
     return xs[used], ws[used]
 
 
+def _grade_fractions(depth):
+    """The sorted distinct fractions 1/2, 2**-k and 1 - 2**-k (0 < k <
+    depth) of ``_graded_breaks``, built without ``np.unique``, whose first
+    call imports ``numpy.ma``."""
+    halves = [0.5 ** k for k in range(1, depth)]
+    return np.array(sorted({0.5, *halves, *(1.0 - h for h in halves)}))
+
+
 def _graded_breaks(lo, hi, depth):
     """Breaks of [lo, hi] graded toward both ends, where bump-type
     integrands have their steep layers: lo, hi and lo + (hi - lo) * f for
     f = 1/2, 2**-k and 1 - 2**-k (0 < k < depth).  Arrays ``lo`` and ``hi``
     give one row of breaks per interval."""
-    k = np.arange(1, depth)
-    fr = np.unique(np.concatenate([[0.5], 0.5 ** k, 1.0 - 0.5 ** k]))
+    fr = _grade_fractions(depth)
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     return np.concatenate([lo[..., None],
                            lo[..., None] + (hi - lo)[..., None] * fr,
@@ -562,8 +570,9 @@ class CurveBatch:
 
 @dataclass
 class VolumeQuad:
-    """Volume nodes and weights: a full-domain grid, or one sum task of a
-    ``FiberRule`` (normal fibers: per node its foot and offset s along n)."""
+    """Volume nodes and weights: the nodes one sum task receives from a
+    ``GridRule`` or ``FiberRule`` (normal fibers: per node its foot and
+    offset s along n).  A batch of given nodes is a rule of its own."""
 
     points: np.ndarray
     weights: np.ndarray
@@ -574,8 +583,32 @@ class VolumeQuad:
         return self.points.shape[0]
 
     def nodes(self, lo, hi):
-        """Nodes lo..hi of a grid, as views."""
+        """Nodes lo..hi, as views."""
         return VolumeQuad(self.points[lo:hi], self.weights[lo:hi])
+
+
+@dataclass
+class GridRule:
+    """Tensor grid over a domain's cells: per cell axis its 1-D Gauss rule
+    ``(nodes, weights)``, and the domain's coordinate map and Jacobian.
+    ``nodes(lo, hi)`` builds the nodes of one sum task."""
+
+    axes: tuple
+    to_xyz: Callable
+    jac: Callable
+
+    def __len__(self):
+        return math.prod(len(n) for n, _ in self.axes)
+
+    def nodes(self, lo, hi):
+        """Grid nodes lo..hi in ``meshgrid(..., indexing='ij')`` order,
+        weighed ``(w_a w_b) w_c`` (``_tensor_weights``) times the Jacobian."""
+        (a, wa), (b, wb), (c, wc) = self.axes
+        ij, k = np.divmod(np.arange(lo, min(hi, len(self))), len(c))
+        i, j = np.divmod(ij, len(b))
+        A, B, C = a[i], b[j], c[k]
+        return VolumeQuad(self.to_xyz(A, B, C),
+                          (wa[i] * wb[j]) * wc[k] * self.jac(A, B, C))
 
 
 @dataclass
@@ -1219,9 +1252,10 @@ class Domain:
 
     def volume_quadrature(self, interface=None, level=DEFAULT_VOLUME_LEVEL,
                           extra_breaks=None):
-        """Conforming tensor-product quadrature over the whole domain, kept
-        per (interface, level, extra breaks).  Supported integrands take
-        ``support_volume_quad``."""
+        """Conforming tensor-product rule over the whole domain, kept per
+        (interface, level, extra breaks): a ``GridRule`` that holds the
+        three 1-D rules of its cell axes, so each sum task builds its own
+        nodes.  Supported integrands take ``support_volume_quad``."""
         key = (interface_key(interface), level,
                tuple(map(tuple, extra_breaks)) if extra_breaks else None)
         cache = getattr(self, '_vq_cache', None)
@@ -1232,11 +1266,8 @@ class Domain:
             if extra_breaks:
                 axes = [_merge_breaks(b, e, b[0], b[-1])
                         for b, e in zip(axes, extra_breaks)]
-            nodes, weights = zip(*(_gauss_cells(b, level) for b in axes))
-            A, B, C = (g.ravel() for g in np.meshgrid(*nodes, indexing='ij'))
-            cache[key] = VolumeQuad(
-                points=to_xyz(A, B, C),
-                weights=_tensor_weights(*weights) * jac(A, B, C))
+            cache[key] = GridRule(
+                tuple(_gauss_cells(b, level) for b in axes), to_xyz, jac)
         return cache[key]
 
     def interior_samples(self, n, interface=None, min_dist=0.0, max_tries=60):
@@ -1525,11 +1556,13 @@ def blocked_sum(weights, integrand, *arrays):
     arrays: each entry is then summed as its own column, bit-identical to
     a call of its own, and a tuple of sums is returned.
 
-    ``weights`` may instead be a ``VolumeQuad`` or ``FiberRule``, with no
-    arrays: each task then sums ``f = integrand(nodes)`` on the nodes of
-    ``rule.nodes(lo, hi)``, which a fiber rule builds there.
+    ``weights`` may instead be a volume rule (``GridRule``, ``FiberRule``
+    or a ``VolumeQuad`` of given nodes: anything with ``len`` and
+    ``nodes(lo, hi)``), with no arrays: each task then sums ``f =
+    integrand(nodes)`` on the nodes ``rule.nodes(lo, hi)`` builds for it,
+    so no rule's nodes are held whole.
     """
-    rule = weights if isinstance(weights, (VolumeQuad, FiberRule)) else None
+    rule = weights if hasattr(weights, 'nodes') else None
     size = BLOCK if integrand is None else _task_size(len(weights))
     starts = range(0, len(weights), size)
 
@@ -1583,8 +1616,9 @@ def integrate_volume(domain, interface, integrand, level=DEFAULT_VOLUME_LEVEL,
         return _finite(integrand(pts), pts, "volume integrand")
 
     def run(lv):
-        q = domain.volume_quadrature(interface, lv, extra_breaks)
-        return blocked_sum(q.weights, f, q.points)
+        return blocked_sum(domain.volume_quadrature(interface, lv,
+                                                    extra_breaks),
+                           lambda q: f(q.points))
 
     return two_level(run, level)
 

@@ -395,6 +395,13 @@ class TestRun:
         code, _ = run(str(tmp_path / "missing.json"))
         assert code == 2
 
+    def test_unwritable_report_exits_2(self, tmp_path, capsys):
+        path = _write(tmp_path, "soap.json", SOAP)
+        out = str(tmp_path / "missing" / "r.json")
+        assert main(["run", path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert out in err and "Traceback" not in err
+
     def test_determinism_modulo_timing(self, tmp_path):
         path = _write(tmp_path, "soap.json", SOAP)
         o1, o2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
@@ -403,6 +410,23 @@ class TestRun:
         t1 = _strip_timing(open(o1).read())
         t2 = _strip_timing(open(o2).read())
         assert t1 == t2
+
+    def test_a_scenario_run_leaves_numpy_ma_unimported(self):
+        # the first np.unique of a process imports numpy.ma (about 13 ms);
+        # no pass should pay it
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.abspath(SRC_DIR)]
+            + [p for p in [env.get("PYTHONPATH")] if p])
+        code = ("import json, sys\n"
+                "from stressdist.cli import run_scenario\n"
+                "run_scenario(json.load(open(sys.argv[1])))\n"
+                "print('numpy.ma' in sys.modules)\n")
+        path = os.path.join(SCENARIO_DIR, "soap-film-sphere.json")
+        out = subprocess.run([sys.executable, "-c", code, path], env=env,
+                             capture_output=True, text=True, timeout=600,
+                             check=True)
+        assert out.stdout.split() == ["False"]
 
     def test_reports_do_not_depend_on_blas_threads(self):
         names = ["soap-film-sphere", "identity1-B-ball"]
@@ -542,6 +566,14 @@ class TestBatch:
     def test_main_entrypoint(self, tmp_path):
         path = _write(tmp_path, "soap.json", SOAP)
         assert main(["run", path, "--out", str(tmp_path / "r.json")]) == 0
+
+    def test_unwritable_summary_exits_2(self, tmp_path, capsys):
+        _write(tmp_path, "soap.json", SOAP)
+        out = str(tmp_path / "missing" / "s.csv")
+        assert main(["batch", str(tmp_path), "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert out in err and "Traceback" not in err
+        assert (tmp_path / "soap.report.json").exists()
 
     @pytest.mark.parametrize("threads,jobs", [("abc", None), ("-2", None),
                                               ("0", "-1")])
@@ -793,8 +825,9 @@ class TestCatalogFields:
                               domain)
         want = cylinder_patch_interface(direct, 1.2)
         assert interface_key(itf) == interface_key(want)
-        for a, b in ((domain.volume_quadrature(itf, 0),
-                      direct.volume_quadrature(want, 0)),
+        grids = [r.nodes(0, len(r)) for r in (
+            domain.volume_quadrature(itf, 0), direct.volume_quadrature(want, 0))]
+        for a, b in (grids,
                      (itf.surface_quadrature(1), want.surface_quadrature(1))):
             assert np.array_equal(a.points, b.points)
             assert np.array_equal(a.weights, b.weights)

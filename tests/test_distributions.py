@@ -22,8 +22,8 @@ from stressdist.fields import (BumpScalar, BumpVector, ConstantField,
                                surface_polynomial)
 from stressdist import geometry
 from stressdist._memo import LruMemo
-from stressdist.geometry import BLOCK, TASK_BLOCKS, Ball, VolumeQuad, \
-    integrate_surface, integrate_volume, plane_disk_interface, \
+from stressdist.geometry import BLOCK, TASK_BLOCKS, Ball, SphericalShell, \
+    VolumeQuad, integrate_surface, integrate_volume, plane_disk_interface, \
     sphere_interface, support_volume_quad
 
 
@@ -627,6 +627,29 @@ class TestStreamedPairings:
         assert nodes > 10 ** 6
         assert peak < nodes * 32 / 4
 
+    def test_a_grid_pairing_never_holds_its_nodes(self, rng, monkeypatch):
+        # full-domain grids keep their axes and each task builds its own
+        # nodes, so a shell pairing with a global gradient test stays far
+        # below the 32 bytes per node (points and weights) of its two grids;
+        # a fresh domain, since a domain keeps its grid rules
+        monkeypatch.setenv("STRESSDIST_THREADS", "1")
+        shell = SphericalShell(1.0, 2.0)
+        itf = sphere_interface(1.45)
+        field = PiecewiseField(2, PolyField.random_symmetric(rng, 2),
+                               PolyField.random_symmetric(rng, 2), itf)
+        psi = make_gradient_test_field(shell, [np.zeros(3), [0.3, -0.2, 1.0]])
+        tracemalloc.start()
+        try:
+            BDist(shell, itf, field).pair(psi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        breaks = (tuple(psi.volume_breaks), (), ())
+        nodes = sum(len(shell.volume_quadrature(itf, lv, breaks))
+                    for lv in (1, 0))
+        assert nodes > 3 * 10 ** 5
+        assert peak < nodes * 32 / 4
+
     @pytest.mark.parametrize("task_blocks", [1, 3])
     def test_pairing_does_not_depend_on_task_size(self, ball, sphere_half,
                                                   monkeypatch, task_blocks):
@@ -667,7 +690,8 @@ class TestStreamedBulkSums:
     def _rule_points(self, itf, lone):
         """A full-domain rule's nodes, rolled so that block 1 holds exactly
         ``lone`` plus-side nodes (the others minus-side)."""
-        q = Ball(1.0).volume_quadrature(itf, 1)
+        rule = Ball(1.0).volume_quadrature(itf, 1)
+        q = rule.nodes(0, len(rule))
         s = itf.signed_distance(q.points)
         pts = q.points[np.argsort(s, kind="stable")]
         first_plus = int(np.count_nonzero(s < 0.0))

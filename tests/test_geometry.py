@@ -100,7 +100,8 @@ class TestVolumes:
         assert abs(got - exact) < 1e-10 * exact
 
     def test_weights_positive_and_sum(self, ball, unit_sphere):
-        q = ball.volume_quadrature(None, 1)
+        rule = ball.volume_quadrature(None, 1)
+        q = rule.nodes(0, len(rule))
         assert np.all(q.weights > 0)
         assert abs(q.weights.sum() - 4 * np.pi / 3) < 1e-10 * 4 * np.pi / 3
         s = unit_sphere.surface_quadrature(1)
@@ -512,6 +513,69 @@ class TestCellRules:
         assert blocked_sum(rule, never) == 0.0
 
 
+def _grid_oracle(domain, interface, level, extra_breaks=None):
+    """The whole grid as one meshgrid, ``to_xyz`` and ``_tensor_weights``
+    build it: the reference for ``GridRule.nodes``."""
+    axes, to_xyz, jac = domain._conforming_cells(interface)
+    if extra_breaks:
+        axes = [geometry._merge_breaks(b, e, b[0], b[-1])
+                for b, e in zip(axes, extra_breaks)]
+    nodes, weights = zip(*(geometry._gauss_cells(b, level) for b in axes))
+    A, B, C = (g.ravel() for g in np.meshgrid(*nodes, indexing='ij'))
+    return to_xyz(A, B, C), geometry._tensor_weights(*weights) * jac(A, B, C)
+
+
+def _cylinder_grid(radius=None):
+    domain = CylinderAnnulus(0.5, 1.5, 2.0)
+    itf = None if radius is None else cylinder_patch_interface(domain, radius)
+    return domain, itf, None
+
+
+_SHELL_BREAKS = ((1.2, 1.3, 1.7), (), ())
+_GRID_CASES = {
+    "ball": lambda: (Ball(1.0), None, None),
+    "ball-sphere": lambda: (Ball(1.0), sphere_interface(0.6), None),
+    "shell-breaks": lambda: (SphericalShell(1.0, 2.0), None, _SHELL_BREAKS),
+    "shell-sphere-breaks": lambda: (SphericalShell(1.0, 2.0),
+                                    sphere_interface(1.45), _SHELL_BREAKS),
+    "box": lambda: (Box([1.0, 0.8, 0.6]), None, None),
+    "box-plane": lambda: (Box([1.0, 0.8, 0.6]),
+                          Box([1.0, 0.8, 0.6]).plane_interface(0.3), None),
+    "cylinder": _cylinder_grid,
+    "cylinder-patch": lambda: _cylinder_grid(1.2),
+    # three cells on every axis: 13.5 blocks, so the last task is short
+    "short-last": lambda: (Ball(1.0), sphere_interface(0.6),
+                           ((), (1.0,), (2.0,))),
+}
+
+
+class TestGridRules:
+    """A full-domain grid keeps its axes; each sum task builds its own
+    nodes, byte-equal to the whole grid's arrays."""
+
+    @pytest.mark.parametrize("width", ["1", "2"])
+    @pytest.mark.parametrize("task_blocks", [1, 2, 3])
+    @pytest.mark.parametrize("case", list(_GRID_CASES))
+    def test_tasks_equal_the_whole_grid(self, monkeypatch, case, task_blocks,
+                                        width):
+        monkeypatch.setenv("STRESSDIST_THREADS", width)
+        monkeypatch.setattr(geometry, "TASK_BLOCKS", task_blocks)
+        domain, itf, extra = _GRID_CASES[case]()
+        rule = domain.volume_quadrature(itf, 1, extra)
+        pts, weights = _grid_oracle(domain, itf, 1, extra)
+        tasks = _recorded_tasks(rule)
+        size = geometry._task_size(len(rule))
+        assert len(rule) == len(weights) > 3 * size
+        assert [lo for lo, _, _ in tasks] == list(range(0, len(rule), size))
+        assert (len(tasks[-1][2]) < size) == (case == "short-last")
+        for lo, hi, q in tasks:
+            assert q.foot is None and q.offset is None
+            for got, ref in ((q.points, pts), (q.weights, weights)):
+                assert got.dtype == ref.dtype
+                assert got.tobytes() == ref[lo:hi].tobytes()
+            assert q.points.flags.c_contiguous
+
+
 class TestFiberAssembly:
     @pytest.mark.parametrize("level", [0, 1, 2, 3])
     @pytest.mark.parametrize("make, center, radius", [
@@ -669,6 +733,13 @@ class TestGaussCells:
                 assert x.shape == want_x.shape, case
                 assert x.tobytes() == want_x.tobytes(), case
                 assert w.tobytes() == want_w.tobytes(), case
+
+    @pytest.mark.parametrize("depth", range(1, 13))
+    def test_grade_fractions_equal_unique(self, depth):
+        k = np.arange(1, depth)
+        want = np.unique(np.concatenate([[0.5], 0.5 ** k, 1.0 - 0.5 ** k]))
+        got = geometry._grade_fractions(depth)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_rules_are_built_once(self, monkeypatch):
         # the Gauss-Legendre rules are read-only constants: building volume,
@@ -888,8 +959,9 @@ class TestLevelSetInterfaces:
         assert box.clearance(sphere_interface(0.5)) == 0.5
 
     def test_equatorial_plane_in_spherical_cells(self, ball, ball_disk):
-        plain = ball.volume_quadrature(None, level=0)
-        split = ball.volume_quadrature(ball_disk, level=0)
+        plain, split = (r.nodes(0, len(r)) for r in (
+            ball.volume_quadrature(None, level=0),
+            ball.volume_quadrature(ball_disk, level=0)))
         assert np.array_equal(plain.points, split.points)
         assert np.array_equal(plain.weights, split.weights)
 
