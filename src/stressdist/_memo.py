@@ -1,4 +1,5 @@
-"""Bounded, value-keyed memo for quadrature rules and density values."""
+"""Bounded, value-keyed memo for quadrature rules and a bump's contraction
+rows."""
 
 from __future__ import annotations
 

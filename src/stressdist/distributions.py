@@ -25,14 +25,12 @@ from typing import Optional
 import numpy as np
 
 from . import _tensor as T
-from ._memo import LruMemo
 from .errors import ConfigError, RankMismatchError, StressDistError
 from .fields import (ConstantField, PiecewiseField, shaped_divergence,
                      surface_divergence, surface_gradient, surface_trace)
 from .geometry import (DEFAULT_SURFACE_LEVEL, DEFAULT_VOLUME_LEVEL,
                        PairingValue, blocked_sum, boundary_force_moment,
-                       curve_force_moment, support_key, support_volume_quad,
-                       two_level)
+                       curve_force_moment, support_volume_quad, two_level)
 
 ABS_TOL = 1e-7
 REL_TOL = 1e-5
@@ -41,7 +39,6 @@ REL_TOL = 1e-5
 # thread or context sees only the value its own refinement() block set
 _LEVEL_BOOST = contextvars.ContextVar("stressdist_level_boost", default=0)
 ADAPTED_LEVEL = 1          # support-clipped quadratures resolve locally
-VALUE_MEMO_SIZE = 8        # density values kept per surface distribution
 
 
 @contextlib.contextmanager
@@ -215,37 +212,26 @@ def _constant_sides(field, test):
 
 
 class _SurfaceDist:
-    """Density on the interface, evaluated once per quadrature batch."""
+    """Density on the interface, evaluated by each sum task on its nodes."""
 
     def __init__(self, interface, surface_field):
         self.interface = interface
         self.density = surface_field
         self.rank = surface_field.rank
-        self._memo = LruMemo(VALUE_MEMO_SIZE)
-
-    def _values(self, batch, level, support=None):
-        """Density values on ``interface.surface_quadrature(level, support)``.
-
-        Kept per (level, support) value key, so pairings that revisit a
-        batch (both levels of several tests sharing one support) evaluate
-        the density once.
-        """
-        return self._memo.get((level, support_key(support)),
-                              lambda: np.asarray(self.density.value(batch)))
 
     def _pair_surface(self, test, level, partner):
         """Two-level surface quadrature of ``density : partner(batch)`` on
         the part of the interface the test can see."""
         support, _ = _test_layout(test)
 
+        def integrand(b):
+            return _contract(np.asarray(self.density.value(b)), partner(b))
+
         def run(lv):
             b = self.interface.surface_quadrature(lv, support=support)
             if len(b) == 0:
                 return _empty_pairing(test)
-            vals = _contract(self._values(b, lv, support), partner(b))
-            if isinstance(vals, tuple):
-                return blocked_sum(b.weights, lambda *cols: cols, *vals)
-            return blocked_sum(b.weights, None, vals)
+            return blocked_sum(b, integrand)
         return two_level(run, _lv(level, support is not None))
 
 
@@ -386,7 +372,7 @@ def distributional_curl(dist, test, level=None):
 # closed-form divergence identities (dual path)
 
 
-def interface_terms(dist, batch, values=None):
+def interface_terms(dist, batch):
     """Coefficients (a0, a1, a2) of psi, d_n psi and d_nn psi in the
     interface part of Div T(psi) for one family, on a surface batch.
 
@@ -395,16 +381,15 @@ def interface_terms(dist, batch, values=None):
     * F (density f): a0 = -div_S(f grad_S n), a1 = div_S f - kappa f n,
       a2 = -f n.
 
-    A term the family does not have is None.  ``values`` are the density
-    values on the batch (evaluated here when None); B reads the jump of
-    its bulk field.
+    A term the family does not have is None.  C and F evaluate their
+    density on the batch; B reads the jump of its bulk field.
     """
     if isinstance(dist, BDist):
         return (np.einsum('n...j,nj->n...', dist.field.jump(batch),
                           batch.normals), None, None)
     if not isinstance(dist, _SurfaceDist):
         raise StressDistError(f"unknown distribution type {type(dist)!r}")
-    f = np.asarray(dist.density.value(batch)) if values is None else values
+    f = np.asarray(dist.density.value(batch))
     fn = np.einsum('n...j,nj->n...', f, batch.normals)
     kappa_fn = np.einsum('n...,n->n...', fn, batch.kappa)
     if isinstance(dist, CDist):
@@ -434,21 +419,20 @@ def _divergence_terms(dist, test, support, level, bulk=None):
         if dist.interface is None:
             return out
 
-    def run_surf(lv):
-        b = dist.interface.surface_quadrature(lv, support=support)
-        if len(b) == 0:
-            return 0.0
-        values = (None if isinstance(dist, BDist)
-                  else dist._values(b, lv, support))
-        a0, a1, a2 = interface_terms(dist, b, values)
-        integrand = _contract(a0, test.value(b.points))
+    def integrand(b):
+        a0, a1, a2 = interface_terms(dist, b)
+        out = _contract(a0, test.value(b.points))
         if a1 is not None:
-            integrand = integrand + _contract(a1, _normal_derivative(test, b))
+            out = out + _contract(a1, _normal_derivative(test, b))
         if a2 is not None:
             hnn = np.einsum('n...jk,nj,nk->n...', test.hessian(b.points),
                             b.normals, b.normals)
-            integrand = integrand + _contract(a2, hnn)
-        return blocked_sum(b.weights, None, integrand)
+            out = out + _contract(a2, hnn)
+        return out
+
+    def run_surf(lv):
+        return blocked_sum(
+            dist.interface.surface_quadrature(lv, support=support), integrand)
 
     surface = two_level(run_surf, level)
     return surface if out is None else out + surface
@@ -701,16 +685,18 @@ def cauchy_flux(dist, probe, rhos, domain=None, level=DEFAULT_SURFACE_LEVEL):
     limit = np.zeros(3)
     if dist.b is not None:
         f = dist.b.field
-        s = (f.interface.signed_distance(batch.points)
-             if f.interface is not None else np.ones(len(batch)))
-        on = np.abs(s) < 1e-12
-        vals = np.asarray(f.value(batch.points))
-        if np.any(on):
-            avg = 0.5 * (np.asarray(f.side_value(batch.points[on], 1))
-                         + np.asarray(f.side_value(batch.points[on], -1)))
-            vals[on] = avg
-        tr = np.einsum('nij,nj->ni', vals, batch.normals)
-        limit = blocked_sum(batch.weights, None, tr)
+
+        def bulk_traction(b):
+            s = (f.interface.signed_distance(b.points)
+                 if f.interface is not None else np.ones(len(b)))
+            on = np.abs(s) < 1e-12
+            vals = np.asarray(f.value(b.points))
+            if np.any(on):
+                avg = 0.5 * (np.asarray(f.side_value(b.points[on], 1))
+                             + np.asarray(f.side_value(b.points[on], -1)))
+                vals[on] = avg
+            return np.einsum('nij,nj->ni', vals, b.normals)
+        limit = blocked_sum(batch, bulk_traction)
 
     rr = sorted(rhos, reverse=True)
     fluxes = []
@@ -724,11 +710,12 @@ def cauchy_flux(dist, probe, rhos, domain=None, level=DEFAULT_SURFACE_LEVEL):
             active = w != 0.0
             if not np.any(active):
                 continue
-            proj = part.interface.project_batch(batch.points[active])
-            dens = part.density.value(proj)
-            tr = np.einsum('nij,nj->ni', dens, batch.normals[active])
-            total = total + blocked_sum(batch.weights[active] * w[active],
-                                        None, tr)
+            # the layer: the active probe nodes, weighed w g_rho
+            layer = batch.take(active)
+            layer.weights = layer.weights * w[active]
+            total = total + blocked_sum(layer, lambda b: np.einsum(
+                'nij,nj->ni', part.density.value(
+                    part.interface.project_batch(b.points)), b.normals))
         fluxes.append(total)
 
     scale = max(1.0, float(np.linalg.norm(limit)))

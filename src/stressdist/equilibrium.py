@@ -364,7 +364,7 @@ def _pairing_factor(scenario, tests):
                     + np.linalg.norm(t.gradient(p).reshape(len(p), -1), axis=1))
         total = blocked_sum(grid, lambda q: mass(q.points))
         if surface is not None:
-            total += blocked_sum(surface.weights, mass, surface.points)
+            total += blocked_sum(surface, lambda b: mass(b.points))
         worst = max(worst, total)
     return worst
 
@@ -422,10 +422,7 @@ def dipole_limit(domain, sigma0, h_values, tests=None, z0=0.0, n_tests=10,
     lv = refined(2 if level is None else level)
 
     def plane_int(itf, fn, support):
-        b = itf.surface_quadrature(lv, support=support)
-        if len(b) == 0:
-            return 0.0
-        return blocked_sum(b.weights, None, fn(b))
+        return blocked_sum(itf.surface_quadrature(lv, support=support), fn)
 
     def concentration(t):
         return lambda b: np.einsum('ij,nij->n', sigma0, t.value(b.points))

@@ -133,11 +133,6 @@ class Poly3:
     def __neg__(self):
         return self.with_coefs(-self.coefs)
 
-    def times_coordinate(self, axis):
-        e = self.exps.copy()
-        e[:, axis] += 1
-        return Poly3(e, self.coefs.copy())
-
     def scaled(self, a):
         return self.with_coefs(a * self.coefs)
 

@@ -29,7 +29,7 @@ import numpy as np
 from . import _pool
 from ._memo import LruMemo
 from ._tensor import I3, fibonacci_sphere, halton
-from .errors import EvaluationError, GeometryError
+from .errors import ConfigError, EvaluationError, GeometryError
 
 GAUSS_NODES_PER_CELL = 8          # polynomial exactness degree 15 per cell
 DEFAULT_VOLUME_LEVEL = 2
@@ -535,6 +535,17 @@ class SurfaceBatch:
     def __len__(self):
         return self.points.shape[0]
 
+    def nodes(self, lo, hi):
+        """Nodes lo..hi, as views."""
+        return self.take(slice(lo, hi))
+
+    def take(self, index):
+        """The batch of the nodes ``index`` selects (a slice gives views)."""
+        return SurfaceBatch(self.patch, self.U[index], self.V[index],
+                            self.points[index], self.normals[index],
+                            self.shape_ops[index], None if self.weights is None
+                            else self.weights[index])
+
 
 def make_surface_batch(patch, U, V, weights=None):
     U = np.asarray(U, dtype=float).ravel()
@@ -566,6 +577,11 @@ class CurveBatch:
 
     def __len__(self):
         return self.surface.points.shape[0]
+
+    def nodes(self, lo, hi):
+        """Nodes lo..hi, as views."""
+        return CurveBatch(self.component, self.surface.nodes(lo, hi),
+                          self.nu[lo:hi], self.weights[lo:hi])
 
 
 @dataclass
@@ -727,6 +743,12 @@ class _RecenteredDiskPatch(SurfacePatch):
         return np.zeros(shp + (3, 3))
 
 
+# Kept although golden work never hits it (0 hits in 38 lookups per pass):
+# deleting it slows golden through glibc's dynamic mmap/trim threshold
+# (ROADMAP item 13), not through rebuilt rules.  Without it, minor faults
+# per golden worker pass rose from about 190k-250k to about 360k-370k, and
+# golden wall time by 3-12% (two sets of alternating runs, 2-core host).
+# Delete it only once task temporaries no longer follow glibc's thresholds.
 _FIBER_CACHE = LruMemo(FIBER_MEMO_SIZE, budget=FIBER_MEMO_NODES)
 
 
@@ -1535,46 +1557,34 @@ def _task_size(n):
     return BLOCK * max(1, min(TASK_BLOCKS, blocks // (2 * lanes)))
 
 
-def blocked_sum(weights, integrand, *arrays):
-    """Sum over a quadrature rule of ``weights[n] * f[n]``, block by block.
+def blocked_sum(rule, integrand):
+    """Sum over a quadrature rule of ``w[n] * f[n]``, block by block.
 
-    The rule is summed in blocks of ``BLOCK`` nodes.  Each array in
-    ``arrays`` is cut into the same tasks as ``weights``, whole blocks at a
-    time (``_task_size``), and ``f = integrand(*chunks)`` is evaluated once
-    per task, so the integrand must be pointwise.  With ``integrand=None``
-    the one array is ``f`` itself, walked one block at a time.  ``f`` is
-    ``(N,)`` for a scalar sum (returned as a float) or ``(N, ...)`` for a
-    vector or tensor sum (returned as an array).  Each block of ``f`` is
-    reduced by ``np.add.reduce(w[:, None, ...] * f, axis=0)`` and the
-    partials are added in block order: the sum depends only on the rule and
-    ``BLOCK``, never on the task size, the BLAS thread count or the pool
-    width.
+    A rule is anything with ``len`` and ``nodes(lo, hi)``: a volume rule
+    (``GridRule``, ``FiberRule``), a surface or curve batch, or a
+    ``VolumeQuad`` of given nodes.  The rule is cut into pool tasks of whole
+    blocks of ``BLOCK`` nodes (``_task_size``); each task evaluates ``f =
+    integrand(nodes)`` once, on the nodes ``rule.nodes(lo, hi)`` gives it,
+    so the integrand must be pointwise and no rule's nodes are held whole.
+    ``f`` is ``(N,)`` for a scalar sum (returned as a float) or ``(N, ...)``
+    for a vector or tensor sum (returned as an array).  Each block of ``f``
+    is reduced by ``np.add.reduce(w[:, None, ...] * f, axis=0)`` with the
+    nodes' ``weights`` and the partials are added in block order: the sum
+    depends only on the rule and ``BLOCK``, never on the task size, the
+    BLAS thread count or the pool width.  A rule without nodes sums to 0.0.
 
-    The tasks of an integrand are evaluated on the bounded thread pool
+    The tasks are evaluated on the bounded thread pool
     (``_pool.map_blocks``), so the integrand must also be safe to call
     from several threads at once.  An integrand may return a tuple of
     arrays: each entry is then summed as its own column, bit-identical to
     a call of its own, and a tuple of sums is returned.
-
-    ``weights`` may instead be a volume rule (``GridRule``, ``FiberRule``
-    or a ``VolumeQuad`` of given nodes: anything with ``len`` and
-    ``nodes(lo, hi)``), with no arrays: each task then sums ``f =
-    integrand(nodes)`` on the nodes ``rule.nodes(lo, hi)`` builds for it,
-    so no rule's nodes are held whole.
     """
-    rule = weights if hasattr(weights, 'nodes') else None
-    size = BLOCK if integrand is None else _task_size(len(weights))
-    starts = range(0, len(weights), size)
+    size = _task_size(len(rule))
+    starts = range(0, len(rule), size)
 
     def partials(k):
-        lo = starts[k]
-        if rule is not None:
-            nodes = rule.nodes(lo, lo + size)
-            w, f = nodes.weights, integrand(nodes)
-        else:
-            chunks = [a[lo:lo + size] for a in arrays]
-            f = chunks[0] if integrand is None else integrand(*chunks)
-            w = weights[lo:lo + size]
+        nodes = rule.nodes(starts[k], starts[k] + size)
+        w, f = nodes.weights, integrand(nodes)
         blocks = range(0, len(w), BLOCK)
         if isinstance(f, tuple):
             return [tuple(_weighted_reduce(w[b:b + BLOCK], c[b:b + BLOCK])
@@ -1582,10 +1592,9 @@ def blocked_sum(weights, integrand, *arrays):
         return [_weighted_reduce(w[b:b + BLOCK], f[b:b + BLOCK])
                 for b in blocks]
 
-    tasks = (_pool.map_blocks(partials, len(starts)) if integrand is not None
-             else map(partials, range(len(starts))))
     total = 0.0
-    for p in itertools.chain.from_iterable(tasks):
+    for p in itertools.chain.from_iterable(
+            _pool.map_blocks(partials, len(starts))):
         if isinstance(p, tuple):
             total = tuple(t + q for t, q in zip(total or (0.0,) * len(p), p))
         else:
@@ -1626,23 +1635,26 @@ def integrate_volume(domain, interface, integrand, level=DEFAULT_VOLUME_LEVEL,
 def integrate_surface(interface, integrand, level=DEFAULT_SURFACE_LEVEL):
     """Quadrature of ``integrand(batch) -> (N,)`` over the interface."""
     def run(lv):
-        batch = interface.surface_quadrature(lv)
-        vals = _finite(integrand(batch), batch.points, "surface integrand")
-        return blocked_sum(batch.weights, None, vals)
+        return blocked_sum(interface.surface_quadrature(lv), lambda b: _finite(
+            integrand(b), b.points, "surface integrand"))
 
     return two_level(run, level)
 
 
 def integrate_curve(interface, component, integrand, n=DEFAULT_CURVE_NODES):
-    """Quadrature of ``integrand(curve_batch) -> (N,)`` along a boundary curve;
-    the error estimate is the difference against ``n // 2`` nodes."""
+    """Quadrature of ``integrand(curve_batch) -> (N,)`` along a boundary
+    curve, ``n >= 2`` nodes per curve; the error estimate is the difference
+    against ``n // 2`` nodes."""
+    if n < 2:
+        raise ConfigError(f"a curve rule needs at least 2 nodes, got {n!r}")
+
     def run(m):
-        curve = interface.curve_quadrature(component, m)
-        vals = _finite(integrand(curve), curve.points, "curve integrand")
-        return blocked_sum(curve.weights, None, vals)
+        return blocked_sum(interface.curve_quadrature(component, m),
+                           lambda c: _finite(integrand(c), c.points,
+                                             "curve integrand"))
 
     value = run(n)
-    return PairingValue(value, abs(value - run(max(n // 2, 8))))
+    return PairingValue(value, abs(value - run(n // 2)))
 
 
 def _surface_point_batch(interface, point):
@@ -1665,23 +1677,21 @@ def mean_curvature(interface, point):
     return float(np.trace(shape_operator(interface, point)))
 
 
-def _force_moment(weights, points, traction, origin):
-    """(sum of w t, sum of w (x - origin) x t) over one rule."""
-    return (blocked_sum(weights, None, traction),
-            blocked_sum(weights, lambda x, t: np.cross(x - origin, t),
-                        points, traction))
-
-
 def boundary_force_moment(domain, component, tensor_field,
                           level=DEFAULT_SURFACE_LEVEL, origin=(0.0, 0.0, 0.0)):
     """(integral of sigma n, integral of (x - origin) x (sigma n)) over one
-    boundary component, with the out-of-domain normal."""
+    boundary component, with the out-of-domain normal: force and moment
+    are two columns of one walk per boundary batch."""
     f = tensor_field if callable(tensor_field) else tensor_field.value
     origin = np.asarray(origin, dtype=float)
+
+    def columns(b):
+        t = np.einsum('nij,nj->ni', np.asarray(f(b.points)), b.normals)
+        return t, np.cross(b.points - origin, t)
+
     force, moment = np.zeros(3), np.zeros(3)
     for batch in domain.boundary_components[component].quadrature(level):
-        tr = np.einsum('nij,nj->ni', np.asarray(f(batch.points)), batch.normals)
-        fb, mb = _force_moment(batch.weights, batch.points, tr, origin)
+        fb, mb = blocked_sum(batch, columns)
         force += fb
         moment += mb
     return force, moment
@@ -1694,22 +1704,25 @@ def curve_force_moment(interface, component, sigma1=None, sigma2=None,
     interface's boundary curves on one boundary component.
 
     With nu the curve conormal, the traction is sigma1 nu - (sigma2 grad_S n)
-    nu, and the dipole adds the couple n x (sigma2 nu) to the moment.
-    Components the interface does not touch get zeros.
+    nu, and the dipole adds the couple n x (sigma2 nu) to the moment; force,
+    moment and couple are three columns of one walk.  Components the
+    interface does not touch get zeros.
     """
     origin = np.asarray(origin, dtype=float)
     if component not in interface.curve_components():
         return np.zeros(3), np.zeros(3)
-    curve = interface.curve_quadrature(component, n)
-    b = curve.surface
-    tr = np.zeros((len(curve), 3))
-    couple = np.zeros(3)
-    if sigma1 is not None:
-        tr += np.einsum('nij,nj->ni', sigma1.value(b), curve.nu)
-    if sigma2 is not None:
-        s2 = sigma2.value(b)
-        tr -= np.einsum('nij,njk,nk->ni', s2, b.shape_ops, curve.nu)
-        couple = blocked_sum(curve.weights, None, np.cross(
-            b.normals, np.einsum('nij,nj->ni', s2, curve.nu)))
-    force, moment = _force_moment(curve.weights, curve.points, tr, origin)
+
+    def columns(nodes):
+        b, nu = nodes.surface, nodes.nu
+        tr, couple = np.zeros((len(nodes), 3)), np.zeros((len(nodes), 3))
+        if sigma1 is not None:
+            tr += np.einsum('nij,nj->ni', sigma1.value(b), nu)
+        if sigma2 is not None:
+            s2 = sigma2.value(b)
+            tr -= np.einsum('nij,njk,nk->ni', s2, b.shape_ops, nu)
+            couple = np.cross(b.normals, np.einsum('nij,nj->ni', s2, nu))
+        return tr, np.cross(nodes.points - origin, tr), couple
+
+    force, moment, couple = blocked_sum(
+        interface.curve_quadrature(component, n), columns)
     return force, moment + couple

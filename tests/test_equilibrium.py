@@ -375,7 +375,7 @@ class TestDipoleLimit:
         # are evaluated once on the z0 plane, its value once per upper
         # plane; the report equals re-pairing z0 for every h
         from stressdist import equilibrium
-        from stressdist.geometry import blocked_sum
+        from stressdist.geometry import VolumeQuad, blocked_sum
         made, calls = [], []
 
         class Counting(equilibrium.BumpSymTensor):
@@ -404,7 +404,9 @@ class TestDipoleLimit:
         def plane(z, fn, t):
             b = plane_disk_interface(big_ball, z=z).surface_quadrature(
                 2, support=(t.center, t.radius))
-            return blocked_sum(b.weights, None, fn(b)) if len(b) else 0.0
+            # fn on the whole batch, summed as given values
+            return blocked_sum(VolumeQuad(points=fn(b), weights=b.weights),
+                               lambda q: q.points) if len(b) else 0.0
 
         for j, t in enumerate(made):
             exact = plane(0.0, lambda b: np.einsum(

@@ -67,12 +67,6 @@ class TestPoly3:
             assert one.shape == (1, rows)
             assert one[0].tobytes() == whole[i].tobytes(), i
 
-    def test_times_coordinate(self, rng):
-        p = Poly3.random(rng, 2)
-        q = p.times_coordinate(1)
-        pts = _rand_points(rng, 20)
-        assert np.allclose(q.value(pts), pts[:, 1] * p.value(pts), atol=1e-14)
-
 
 def _per_term(exps, coefs, pts):
     """Reference evaluator: powers per axis, one gathered monomial per term,

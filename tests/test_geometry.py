@@ -11,8 +11,10 @@ from scipy import integrate
 
 from stressdist import distributions, geometry
 from stressdist._memo import LruMemo
-from stressdist.errors import EvaluationError, GeometryError
-from stressdist.fields import KelvinStressField, PiecewiseField, PolyField
+from stressdist.errors import ConfigError, EvaluationError, GeometryError
+from stressdist.catalog import random_stress_function
+from stressdist.fields import (KelvinStressField, PiecewiseField, PolyField,
+                               surface_polynomial)
 from stressdist.geometry import (BLOCK, TASK_BLOCKS, Ball, Box,
                                  CylinderAnnulus, Interface, SphericalShell,
                                  blocked_sum,
@@ -23,6 +25,7 @@ from stressdist.geometry import (BLOCK, TASK_BLOCKS, Ball, Box,
                                  shape_operator, sphere_interface,
                                  support_volume_quad,
                                  cylinder_patch_interface, VolumeQuad)
+from stressdist.stressfn import extract_densities
 
 
 def _double_factorial(n):
@@ -250,6 +253,23 @@ class TestCurves:
         assert np.allclose(heights, cylinder.z_range, atol=1e-12)
         assert np.allclose(curve.nu[:, 2], np.sign(curve.points[:, 2]),
                            atol=1e-12)
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_error_compares_with_a_coarser_rule(self, annulus, n):
+        # the coarse rule has n // 2 nodes, so the estimate sees the error
+        # of a rule too small for exp(3x)
+        def f(cb):
+            return np.exp(3.0 * cb.points[:, 0])
+
+        got = integrate_curve(annulus, 0, f, n=n)
+        fine = integrate_curve(annulus, 0, f, n=64)
+        assert fine.error < 1e-9 * fine.value
+        assert got.error >= abs(got.value - fine.value) > 0.05
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_too_few_nodes_rejected(self, annulus, n):
+        with pytest.raises(ConfigError, match="at least 2 nodes"):
+            integrate_curve(annulus, 0, lambda cb: np.ones(len(cb)), n=n)
 
     def test_closed_interface_has_no_curves(self, unit_sphere):
         assert unit_sphere.boundary_curves == []
@@ -574,6 +594,84 @@ class TestGridRules:
                 assert got.dtype == ref.dtype
                 assert got.tobytes() == ref[lo:hi].tobytes()
             assert q.points.flags.c_contiguous
+
+
+def _node_arrays(nodes):
+    """Every per-node array of a rule's nodes by name, a curve's surface
+    batch flattened in; absent optional arrays (None) are left out."""
+    out = {}
+    for name, value in vars(nodes).items():
+        if isinstance(value, geometry.SurfaceBatch):
+            out.update({f"{name}.{k}": v
+                        for k, v in _node_arrays(value).items()})
+        elif isinstance(value, np.ndarray):
+            out[name] = value
+    return out
+
+
+# one case per rule kind, each built as the pairings build it
+_PROTOCOL_CASES = {
+    "grid-ball": lambda: Ball(1.0).volume_quadrature(sphere_interface(0.5), 0),
+    "grid-shell-breaks": lambda: SphericalShell(1.0, 2.0).volume_quadrature(
+        sphere_interface(1.45), 0, _SHELL_BREAKS),
+    "fiber-center": lambda: support_volume_quad(
+        sphere_interface(0.5), (0.45, 0.0, 0.1), 0.25, 0),
+    "fiber-normal": lambda: support_volume_quad(
+        _CYLINDER, (0.1, 1.05, 0.3), 0.3, 0),
+    "fiber-layer": lambda: support_volume_quad(
+        sphere_interface(0.5), (0.42, 0.1, 0.15), 0.2, 0, layer=0.01),
+    "given-nodes": lambda: VolumeQuad(
+        points=np.random.default_rng(3).uniform(-1.0, 1.0, (3 * BLOCK + 5, 3)),
+        weights=np.random.default_rng(4).uniform(0.0, 1.0, 3 * BLOCK + 5)),
+    "surface-full": lambda: sphere_interface(0.5).surface_quadrature(2),
+    "surface-cap": lambda: sphere_interface(0.5).surface_quadrature(
+        2, support=((0.45, 0.0, 0.1), 0.25)),
+    "surface-disk": lambda: plane_disk_interface(Ball(1.0)).surface_quadrature(
+        2, support=((0.1, 0.2, 0.05), 0.3)),
+    "surface-cylinder-rect": lambda: _CYLINDER.surface_quadrature(
+        2, support=((0.1, 1.05, 0.3), 0.3)),
+    "surface-empty": lambda: sphere_interface(0.5).surface_quadrature(
+        2, support=((0.0, 0.0, 0.0), 0.2)),
+    "curve-circle": lambda: equatorial_annulus_interface(
+        SphericalShell(1.0, 2.0)).curve_quadrature(0),
+    "curve-cylinder": lambda: _CYLINDER.curve_quadrature(0),
+}
+
+
+class TestRuleProtocol:
+    """Every rule kind serves ``len`` and ``nodes(lo, hi)``: the task
+    slices ``blocked_sum`` takes cover the rule in order and equal
+    ``nodes(0, len(rule))``."""
+
+    @pytest.mark.parametrize("width", ["1", "2"])
+    @pytest.mark.parametrize("block", ["default", "small"])
+    @pytest.mark.parametrize("case", list(_PROTOCOL_CASES))
+    def test_tasks_cover_the_rule(self, monkeypatch, case, block, width):
+        monkeypatch.setenv("STRESSDIST_THREADS", width)
+        monkeypatch.setattr(geometry, "_FIBER_CACHE",
+                            LruMemo(geometry.FIBER_MEMO_SIZE))
+        rule = _PROTOCOL_CASES[case]()
+        if block == "small":
+            # about ten blocks per rule, each of whole fiber cells
+            monkeypatch.setattr(geometry, "BLOCK",
+                                geometry.GAUSS_NODES_PER_CELL
+                                * max(1, len(rule) // 80))
+        assert (len(rule) == 0) == (case == "surface-empty")
+        whole = _node_arrays(rule.nodes(0, len(rule)))
+        tasks = _recorded_tasks(rule)
+        size = geometry._task_size(len(rule))
+        assert [(lo, hi) for lo, hi, _ in tasks] == [
+            (lo, lo + size) for lo in range(0, len(rule), size)]
+        assert [len(q) for *_, q in tasks] == [
+            min(size, len(rule) - lo) for lo, _, _ in tasks]
+        for name, ref in whole.items():
+            assert len(ref) == len(rule)
+            parts = [_node_arrays(q)[name] for *_, q in tasks]
+            got = np.concatenate(parts) if parts else ref[:0]
+            assert got.dtype == ref.dtype
+            assert got.tobytes() == ref.tobytes(), name
+        for *_, q in tasks:
+            assert _node_arrays(q).keys() == whole.keys()
 
 
 class TestFiberAssembly:
@@ -1016,12 +1114,34 @@ class TestBlockedSum:
         w = rng.uniform(0.0, 1.0, n)
         f = rng.uniform(-1.0, 1.0, n)
         g = rng.uniform(-1.0, 1.0, (n, 3))
-        direct = blocked_sum(w, None, f)
-        paired = blocked_sum(w, lambda a, b: a * b[:, 0], f, g)
-        assert direct == blocked_sum(w, lambda a: a, f)
+        # given values are the points of a rule of given nodes; values that
+        # carry extra columns are cut into the same blocks
+        direct = blocked_sum(VolumeQuad(points=f, weights=w),
+                             lambda q: q.points)
+        wide = VolumeQuad(points=np.column_stack([f, g]), weights=w)
+        paired = blocked_sum(wide, lambda q: q.points[:, 0] * q.points[:, 1])
+        assert direct == blocked_sum(wide, lambda q: q.points[:, 0])
         assert abs(direct - math.fsum(w * f)) <= 1e-13 * math.fsum(np.abs(w * f))
         assert abs(paired - math.fsum(w * f * g[:, 0])) <= 1e-13 * n
-        assert blocked_sum(np.zeros(0), None, np.zeros(0)) == 0.0
+        assert blocked_sum(VolumeQuad(points=np.zeros(0), weights=np.zeros(0)),
+                           lambda q: q.points) == 0.0
+
+
+def _surface_pairing_bits():
+    """Value and estimate bits of a C, an F and an extracted-density (C of
+    sigma1) pairing with a global rank-2 test: each walks the full level-4
+    sphere rule of 8 blocks, and 2 blocks at the coarse level."""
+    rng = np.random.default_rng(5)
+    itf = sphere_interface(0.5)
+    triple = extract_densities(random_stress_function(
+        rng, itf, None, degree=3, scale=0.3), itf)
+    test = PolyField.random_symmetric(rng, 2)
+    dists = (distributions.CDist(itf, surface_polynomial(rng, 2, itf)),
+             distributions.FDist(itf, surface_polynomial(rng, 2, itf)),
+             distributions.CDist(itf, triple.sigma1))
+    assert len(itf.surface_quadrature(4)) == 8 * BLOCK
+    return [(v.value.hex(), v.error.hex())
+            for v in (d.pair(test, level=4) for d in dists)]
 
 
 class TestBlockPool:
@@ -1032,10 +1152,17 @@ class TestBlockPool:
 
     def _rule(self, rng):
         n = self.N_BLOCKS * BLOCK - 5
-        return rng.uniform(0.0, 1.0, n), rng.uniform(-1.0, 1.0, (n, 3))
+        return VolumeQuad(points=rng.uniform(-1.0, 1.0, (n, 3)),
+                          weights=rng.uniform(0.0, 1.0, n))
+
+    def _indexed_rule(self, rng):
+        """``_rule`` with each node's block number as its z coordinate."""
+        rule = self._rule(rng)
+        rule.points[:, 2] = np.arange(len(rule)) // BLOCK
+        return rule
 
     def test_sum_bits_do_not_depend_on_width(self, rng, monkeypatch):
-        w, x = self._rule(rng)
+        rule = self._rule(rng)
         sums, threads = {}, {}
         for width in ("1", "2", "3"):
             monkeypatch.setenv("STRESSDIST_THREADS", width)
@@ -1046,36 +1173,40 @@ class TestBlockPool:
                 time.sleep(0.002)           # lets helpers claim blocks
                 return np.exp(p[:, 0]) * np.sin(p[:, 1]) + p[:, 2] ** 3
 
-            sums[width] = (blocked_sum(w, f, x),
-                           blocked_sum(w, lambda p: (f(p), p), x))
+            sums[width] = (blocked_sum(rule, lambda q: f(q.points)),
+                           blocked_sum(rule, lambda q: (f(q.points),
+                                                        q.points)),
+                           _surface_pairing_bits())
             threads[width] = len(seen)
         assert threads["1"] == 1 and threads["3"] > 1
         for width in ("2", "3"):
-            scalar, (col, vec) = sums[width]
+            scalar, (col, vec), surface = sums[width]
             assert scalar.hex() == sums["1"][0].hex()
             assert col.hex() == scalar.hex()
             assert vec.tobytes() == sums["1"][1][1].tobytes()
+            assert surface == sums["1"][2]
 
     def test_each_block_once_under_contention(self, rng, monkeypatch):
         # more helpers than cores and a short switch interval: a lost
         # update of the shared block counter would skip or repeat a block
         n = 40 * BLOCK
-        w, x = rng.uniform(0.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+        x = rng.uniform(-1.0, 1.0, n)
+        rule = VolumeQuad(points=x, weights=rng.uniform(0.0, 1.0, n))
         monkeypatch.setenv("STRESSDIST_THREADS", "1")
-        want = blocked_sum(w, np.sin, x)
+        want = blocked_sum(rule, lambda q: np.sin(q.points))
         monkeypatch.setenv("STRESSDIST_THREADS", "4")
         calls, got = [], []
 
-        def f(p):
-            calls.append(float(p[0]))
-            return np.sin(p)
+        def f(q):
+            calls.append(float(q.points[0]))
+            return np.sin(q.points)
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
                 t = threading.Thread(target=lambda: got.append(
-                    blocked_sum(w, f, x)))
+                    blocked_sum(rule, f)))
                 t.start()
                 t.join(timeout=60)
                 assert not t.is_alive()
@@ -1089,11 +1220,11 @@ class TestBlockPool:
 
     def test_lowest_failing_block_raises(self, rng, monkeypatch):
         monkeypatch.setenv("STRESSDIST_THREADS", "3")
-        w, x = self._rule(rng)
-        index = np.repeat(np.arange(self.N_BLOCKS), BLOCK)[:len(w)]
+        rule = self._indexed_rule(rng)
 
-        def f(p, k):
+        def f(q):
             # a task raises for the lowest failing block it holds
+            p, k = q.points, q.points[:, 2]
             held = np.unique(k)
             if 3 in held:
                 time.sleep(0.05)        # later blocks fail first
@@ -1104,29 +1235,31 @@ class TestBlockPool:
 
         for _ in range(3):
             with pytest.raises(EvaluationError, match="block 3"):
-                blocked_sum(w, f, x, index)
+                blocked_sum(rule, f)
 
     def test_nested_sum_in_an_integrand_completes(self, rng, monkeypatch):
-        w, x = self._rule(rng)
-        index = np.repeat(np.arange(self.N_BLOCKS), BLOCK)[:len(w)]
+        rule = self._indexed_rule(rng)
+        x = rule.points
 
         def inner(k):
-            return blocked_sum(np.ones(2 * BLOCK + 1), lambda q: q,
-                               np.full(2 * BLOCK + 1, x[k * BLOCK, 0]))
+            return blocked_sum(VolumeQuad(
+                points=np.full(2 * BLOCK + 1, x[int(k) * BLOCK, 0]),
+                weights=np.ones(2 * BLOCK + 1)), lambda q: q.points)
 
-        def outer(p, k):
+        def outer(q):
             # one nested sum per block the call holds: the integrand stays
             # pointwise in (p, k), whatever the task size
+            p, k = q.points, q.points[:, 2]
             held = np.unique(k)
             inners = np.array([inner(b) for b in held])
             return p[:, 0] * inners[np.searchsorted(held, k)]
 
         monkeypatch.setenv("STRESSDIST_THREADS", "1")
-        want = blocked_sum(w, outer, x, index)
+        want = blocked_sum(rule, outer)
         monkeypatch.setenv("STRESSDIST_THREADS", "3")
         got = []
         t = threading.Thread(target=lambda: got.append(
-            blocked_sum(w, outer, x, index)))
+            blocked_sum(rule, outer)))
         t.start()
         t.join(timeout=60)
         assert not t.is_alive()
@@ -1134,16 +1267,16 @@ class TestBlockPool:
 
     def test_helpers_see_the_callers_refinement(self, rng, monkeypatch):
         monkeypatch.setenv("STRESSDIST_THREADS", "2")
-        w, x = self._rule(rng)
+        rule = self._rule(rng)
         levels = {}
 
-        def f(p):
+        def f(q):
             time.sleep(0.005)
             levels[threading.get_ident()] = distributions._lv(None, False)
-            return p[:, 0]
+            return q.points[:, 0]
 
         with distributions.refinement(3):
-            blocked_sum(w, f, x)
+            blocked_sum(rule, f)
         assert len(levels) == 2
         assert set(levels.values()) == {distributions._lv(None, False) + 3}
 
@@ -1164,11 +1297,12 @@ class TestTaskSize:
         n = blocks * BLOCK - 5
         sizes = []
 
-        def f(p):
-            sizes.append(len(p))
-            return p
+        def f(q):
+            sizes.append(len(q))
+            return q.points
 
-        blocked_sum(np.ones(n), f, rng.uniform(-1.0, 1.0, n))
+        blocked_sum(VolumeQuad(points=rng.uniform(-1.0, 1.0, n),
+                               weights=np.ones(n)), f)
         assert len(sizes) == calls
 
     @pytest.mark.parametrize("task_blocks", [1, 3])
@@ -1176,18 +1310,24 @@ class TestTaskSize:
                                              task_blocks):
         monkeypatch.setenv("STRESSDIST_THREADS", "2")
         n = 12 * BLOCK - 5
-        w, x = rng.uniform(0.0, 1.0, n), rng.uniform(-1.0, 1.0, (n, 3))
+        rule = VolumeQuad(points=rng.uniform(-1.0, 1.0, (n, 3)),
+                          weights=rng.uniform(0.0, 1.0, n))
 
         def sums():
-            scalar = blocked_sum(w, lambda p: np.exp(p[:, 0]) * p[:, 1], x)
-            col, vec = blocked_sum(w, lambda p: (p[:, 2] ** 3, p), x)
-            tensor = blocked_sum(w, lambda p: p[:, :, None] * p[:, None, :],
-                                 x)
-            return (scalar.hex(), col.hex(), vec.tobytes(), tensor.tobytes())
+            scalar = blocked_sum(
+                rule, lambda q: np.exp(q.points[:, 0]) * q.points[:, 1])
+            col, vec = blocked_sum(rule, lambda q: (q.points[:, 2] ** 3,
+                                                    q.points))
+            tensor = blocked_sum(rule, lambda q: q.points[:, :, None]
+                                 * q.points[:, None, :])
+            return (scalar.hex(), col.hex(), vec.tobytes(), tensor.tobytes(),
+                    _surface_pairing_bits())
 
         want = sums()
         monkeypatch.setattr(geometry, "TASK_BLOCKS", task_blocks)
         assert geometry._task_size(n) == task_blocks * BLOCK
+        # the 8-block surface rules take 1-block tasks at TASK_BLOCKS 1
+        assert geometry._task_size(8 * BLOCK) == min(task_blocks, 2) * BLOCK
         assert sums() == want
 
     @pytest.mark.parametrize("task_blocks", [1, 3])
