@@ -228,10 +228,9 @@ def _random_gradient_field(domain, rng):
     for _ in range(1, domain.k):
         constants.append(rng.uniform(-1, 1, 3))
     if domain.k == 1:
-        lo, hi = domain.bounding_box()
+        center, radius = domain.interior_ball()
         return make_gradient_test_field(
-            domain, constants, rng=rng, center=0.5 * (lo + hi),
-            radius=0.2 * float(np.min(hi - lo)),
+            domain, constants, rng=rng, center=center, radius=radius,
             direction=rng.normal(size=3))
     return make_gradient_test_field(domain, constants)
 

@@ -84,8 +84,8 @@ def _test_layout(test):
 
 
 def _volume_quad(dist, lv, support, breaks):
-    """The fiber rule of a supported test, or the cached full-domain grid
-    (broken at the radial ``breaks`` a global test advertises)."""
+    """The fiber rule of a supported test, or the full-domain grid (broken
+    at the radial ``breaks`` a global test advertises)."""
     if support is not None:
         return support_volume_quad(dist.interface, support[0], support[1], lv)
     if breaks:

@@ -396,9 +396,9 @@ def dipole_limit(domain, sigma0, h_values, tests=None, z0=0.0, n_tests=10,
     sigma0 is a constant symmetric tensor; the carrier planes sit at z0 and
     z0+h inside the domain.  For each test the dipole pairing (sigma0 with
     the normal derivative) and the lower concentration, neither of which
-    depends on h, are paired once on one support rule of the z0 plane;
-    only the upper plane is paired per h.  Errors are listed per test in
-    descending h.
+    depends on h, are two columns of one walk over one support rule of the
+    z0 plane; only the upper plane is paired per h.  Errors are listed per
+    test in descending h.
     """
     sigma0 = np.asarray(sigma0, dtype=float)
     if np.max(np.abs(sigma0 - sigma0.T)) > 1e-12:
@@ -421,25 +421,29 @@ def dipole_limit(domain, sigma0, h_values, tests=None, z0=0.0, n_tests=10,
             tests.append(BumpSymTensor(c, r, polys))
     lv = refined(2 if level is None else level)
 
-    def plane_int(itf, fn, support):
-        return blocked_sum(itf.surface_quadrature(lv, support=support), fn)
+    def plane_int(itf, fn, t):
+        return blocked_sum(
+            itf.surface_quadrature(lv, support=(t.center, t.radius)), fn)
 
     def concentration(t):
         return lambda b: np.einsum('ij,nij->n', sigma0, t.value(b.points))
 
     exact, low = [], []
     for t in tests:
-        sup = (t.center, t.radius)
-        exact.append(plane_int(base, lambda b: np.einsum(
-            'ij,nij->n', sigma0,
-            np.einsum('nijk,nk->nij', t.gradient(b.points), b.normals)), sup))
-        low.append(plane_int(base, concentration(t), sup))
+        def dipole_and_low(b, t=t):
+            return (np.einsum('ij,nij->n', sigma0, np.einsum(
+                'nijk,nk->nij', t.gradient(b.points), b.normals)),
+                concentration(t)(b))
+        # a rule without nodes sums to 0.0, not to a pair of columns
+        e, c = plane_int(base, dipole_and_low, t) or (0.0, 0.0)
+        exact.append(e)
+        low.append(c)
     hs = sorted(h_values, reverse=True)
     errors = [[] for _ in tests]
     for h in hs:
         upper = plane_disk_interface(domain, z=z0 + h)
         for j, t in enumerate(tests):
-            highv = plane_int(upper, concentration(t), (t.center, t.radius))
+            highv = plane_int(upper, concentration(t), t)
             sh = (highv - low[j]) / h
             errors[j].append(abs(sh - exact[j]))
     orders = []

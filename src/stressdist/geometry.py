@@ -41,13 +41,12 @@ ON_SURFACE_TOL = 1e-8
 VOLUME_GRADE_OFFSET = 4
 SURFACE_GRADE_OFFSET = 8
 
-# entries kept by the support-quadrature memos: fiber rules are shared by
-# all interfaces and also capped in total nodes (an entry keeps 24 bytes of
+# entries kept by the fiber-rule memo (``_FIBER_CACHE``), shared by all
+# interfaces and also capped in total nodes (an entry keeps 24 bytes of
 # cells per 8 nodes; a refined rule has up to 1.2M), which bounds what one
-# scenario leaves resident for the next; support batches are per interface
+# scenario leaves resident for the next
 FIBER_MEMO_SIZE = 17
 FIBER_MEMO_NODES = 1_000_000
-SUPPORT_BATCH_MEMO_SIZE = 4
 
 # quadrature nodes per block of a streamed sum (``blocked_sum``), the unit
 # of summation: each block is reduced on its own and the partials are added
@@ -931,7 +930,9 @@ class Interface:
     Either closed, or with every boundary curve lying on a boundary
     component of the domain (partial surfaces crossing the interior are
     out of scope).  ``kind`` and ``params`` must fix the surface within its
-    domain: quadrature memos key interfaces by them (``interface_key``).
+    domain: the fiber-rule memo keys interfaces by them
+    (``interface_key``).  Nothing is kept after construction: each
+    quadrature call builds its rule.
     """
 
     def __init__(self, kind, patch, closed, coordinate, value, chart_coords,
@@ -949,8 +950,6 @@ class Interface:
         self.boundary_curves = list(boundary_curves)   # (component, builder)
         self.feature_size = float(feature_size)
         self.params = dict(params or {})
-        self._quad_cache = {}
-        self._support_batches = LruMemo(SUPPORT_BATCH_MEMO_SIZE)
         if self.closed and self.boundary_curves:
             raise GeometryError("closed interface cannot carry boundary curves")
 
@@ -1008,42 +1007,24 @@ class Interface:
         return self._chart_coords(np.asarray(pts, dtype=float))
 
     def surface_quadrature(self, level=DEFAULT_SURFACE_LEVEL, support=None):
-        """Gauss-Legendre batch over the surface.
+        """Gauss-Legendre batch over the surface, built on every call.
 
         ``support = (center, radius)`` gives the rule the patch builds for
         the part of the surface a compactly supported integrand can see
         (``SurfacePatch.support_batch``): support-aligned caps and disks,
         the cut's (phi, z) rectangle on a cylinder, the full rule when the
         support holds the whole surface, and a zero-node batch when it
-        misses it.  Full batches are kept per level, and the last few
-        support batches per (level, center, radius).  Batches are shared
-        and must not be modified.
+        misses it.
         """
-        if support is None:
-            return self._full_quad(level)
-        return self._support_batches.get(
-            (level, support_key(support)),
-            lambda: self._build_support_quad(level, support))
-
-    def _full_quad(self, level):
-        key = ('quad', level)
-        if key not in self._quad_cache:
-            self._quad_cache[key] = _full_batch(self.patch, level)
-        return self._quad_cache[key]
-
-    def _build_support_quad(self, level, support):
-        batch = self.patch.support_batch(np.asarray(support[0], dtype=float),
-                                         float(support[1]), level)
-        return self._full_quad(level) if batch is None else batch
+        if support is not None:
+            batch = self.patch.support_batch(
+                np.asarray(support[0], dtype=float), float(support[1]), level)
+            if batch is not None:
+                return batch
+        return _full_batch(self.patch, level)
 
     def samples(self, n):
         """Deterministic quasi-uniform surface samples (no weights)."""
-        key = ('samples', n)
-        if key not in self._quad_cache:
-            self._quad_cache[key] = self._make_samples(n)
-        return self._quad_cache[key]
-
-    def _make_samples(self, n):
         p = self.patch
         if isinstance(p, SpherePatch):
             U, V = fibonacci_sphere(n)
@@ -1140,8 +1121,15 @@ def plane_disk_interface(domain, z=0.0):
                      feature_size=rho_max, params={'z': z})
 
 
+def _require_domain(kind, domain, fits):
+    if domain.kind != fits:
+        raise GeometryError(f"a {kind} interface needs a {fits} domain, "
+                            f"not a {domain.kind}")
+
+
 def equatorial_annulus_interface(domain):
     """Flat annulus z = 0 inside a spherical shell, touching both boundaries."""
+    _require_domain('equatorial-annulus', domain, 'spherical-shell')
     r0, r1 = domain.inner_radius, domain.outer_radius
     patch = PlanePolarPatch(0.0, (r0, r1))
     curves = [
@@ -1157,6 +1145,7 @@ def equatorial_annulus_interface(domain):
 
 def cylinder_patch_interface(domain, radius):
     """Cylindrical surface rho = radius spanning a cylinder-annulus domain."""
+    _require_domain('cylinder-patch', domain, 'cylinder-annulus')
     z0, z1 = domain.z_range
     patch = CylinderPatch(radius, (z0, z1))
 
@@ -1196,13 +1185,10 @@ class BoundarySurface:
     def __init__(self, index, patches):
         self.index = index
         self.patches = list(patches)
-        self._cache = {}
 
     def quadrature(self, level=DEFAULT_SURFACE_LEVEL):
-        if level not in self._cache:
-            self._cache[level] = [_full_batch(p, level)
-                                  for p in self.patches]
-        return self._cache[level]
+        """One full Gauss-Legendre batch per patch, built on every call."""
+        return [_full_batch(p, level) for p in self.patches]
 
 
 class Domain:
@@ -1272,25 +1258,28 @@ class Domain:
     def cross_section_radius(self, z):
         raise GeometryError(f"{self.kind} has no plane-disk cross sections")
 
+    def plane_interface(self, z=0.0):
+        raise GeometryError(f"{self.kind} has no plane-rect cross sections")
+
+    def interior_ball(self):
+        """(center, radius) of a ball inside a single-component domain, for
+        interior test supports: the middle of the bounding box and a fifth
+        of its shortest side."""
+        lo, hi = self.bounding_box()
+        return 0.5 * (lo + hi), 0.2 * float(np.min(hi - lo))
+
     def volume_quadrature(self, interface=None, level=DEFAULT_VOLUME_LEVEL,
                           extra_breaks=None):
-        """Conforming tensor-product rule over the whole domain, kept per
-        (interface, level, extra breaks): a ``GridRule`` that holds the
-        three 1-D rules of its cell axes, so each sum task builds its own
-        nodes.  Supported integrands take ``support_volume_quad``."""
-        key = (interface_key(interface), level,
-               tuple(map(tuple, extra_breaks)) if extra_breaks else None)
-        cache = getattr(self, '_vq_cache', None)
-        if cache is None:
-            cache = self._vq_cache = {}
-        if key not in cache:
-            axes, to_xyz, jac = self._conforming_cells(interface)
-            if extra_breaks:
-                axes = [_merge_breaks(b, e, b[0], b[-1])
-                        for b, e in zip(axes, extra_breaks)]
-            cache[key] = GridRule(
-                tuple(_gauss_cells(b, level) for b in axes), to_xyz, jac)
-        return cache[key]
+        """Conforming tensor-product rule over the whole domain, built on
+        every call: a ``GridRule`` that holds the three 1-D rules of its cell
+        axes, so each sum task builds its own nodes.  Supported integrands
+        take ``support_volume_quad``."""
+        axes, to_xyz, jac = self._conforming_cells(interface)
+        if extra_breaks:
+            axes = [_merge_breaks(b, e, b[0], b[-1])
+                    for b, e in zip(axes, extra_breaks)]
+        return GridRule(tuple(_gauss_cells(b, level) for b in axes),
+                        to_xyz, jac)
 
     def interior_samples(self, n, interface=None, min_dist=0.0, max_tries=60):
         """Deterministic low-discrepancy interior points, kept off the interface."""
@@ -1504,6 +1493,13 @@ class CylinderAnnulus(Domain):
         r = self.outer_radius
         return (np.array([-r, -r, self.z_range[0]]),
                 np.array([r, r, self.z_range[1]]))
+
+    def interior_ball(self):
+        """``Domain.interior_ball`` in the wall at mid-height (the middle of
+        the bounding box is in the hole), filling 0.8 of the room there."""
+        r0, r1, (z0, z1) = self.inner_radius, self.outer_radius, self.z_range
+        return (np.array([0.5 * (r0 + r1), 0.0, 0.5 * (z0 + z1)]),
+                0.4 * min(r1 - r0, z1 - z0))
 
     def _cells(self):
         rb = [self.inner_radius,

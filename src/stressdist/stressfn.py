@@ -392,13 +392,11 @@ def default_lemma2_suite(domain, rng=None):
     suite = []
     if domain.k == 1:
         zeros = [np.zeros(3)]
-        lo, hi = domain.bounding_box()
         if domain.kind == 'ball':
             center = np.zeros(3)
             radius = 0.55 * domain.radius
         else:
-            center = 0.5 * (lo + hi)
-            radius = 0.2 * float(np.min(hi - lo))
+            center, radius = domain.interior_ball()
         for d in range(3):
             e = np.zeros(3)
             e[d] = 1.0

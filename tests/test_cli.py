@@ -832,6 +832,31 @@ class TestCatalogFields:
             assert np.array_equal(a.points, b.points)
             assert np.array_equal(a.weights, b.weights)
 
+    @pytest.mark.parametrize("operation, blocks", [
+        ("verify-identity", {"parameters": {"family": "B", "identity": 2},
+                             "suite": {"count": 1, "seed": 1}}),
+        ("stress-function", {"parameters": {"tol": 1e-6},
+                             "fields": {"potential": {
+                                 "kind": "piecewise-polynomial",
+                                 "degree": 4, "scale": 0.2, "seed": 41}}}),
+    ])
+    def test_interior_gradient_tests_fit_a_cylinder_annulus(
+            self, tmp_path, capsys, operation, blocks):
+        # the middle of the bounding box is in the hole; the interior
+        # gradient members sit in the wall instead
+        cfg = dict({"schema_version": 1, "operation": operation, "seed": 3,
+                    "geometry": {"domain": {"kind": "cylinder-annulus",
+                                            "inner_radius": 0.5,
+                                            "outer_radius": 1.5,
+                                            "height": 2.0},
+                                 "interface": {"kind": "cylinder-patch",
+                                               "radius": 0.8}}}, **blocks)
+        assert validate_scenario(cfg) == []
+        code, report = run(_write(tmp_path, "cyl.json", cfg),
+                           out=str(tmp_path / "r.json"))
+        assert code in (0, 1), capsys.readouterr().err
+        assert report["checks"]
+
     def test_explicit_blocks_reproduce_the_soap_film_preset(self):
         # the preset is these two blocks plus the normal and tangential
         # splits of 12b and 12c
@@ -967,6 +992,43 @@ class TestInterfaceInsideDomain:
             with pytest.raises(GeometryError,
                                match=r"\$\.parameters\.probe\.radius: "):
                 build_interface(block, box)
+
+    @pytest.mark.parametrize("domain", [
+        {"kind": "ball", "radius": 2.0},
+        {"kind": "spherical-shell", "inner_radius": 0.5, "outer_radius": 2.0},
+        {"kind": "box", "half_widths": [2.0, 2.0, 2.0]},
+        {"kind": "cylinder-annulus", "inner_radius": 0.5,
+         "outer_radius": 2.0, "height": 4.0},
+    ], ids=lambda d: d["kind"])
+    @pytest.mark.parametrize("kind", [
+        "sphere", "plane-disk", "plane-rect", "equatorial-annulus",
+        "cylinder-patch"])
+    def test_interface_in_a_domain_it_does_not_fit(self, kind, domain):
+        from stressdist.catalog import ConfigBlock, build_domain, build_interface
+        from stressdist.errors import GeometryError
+        fits = {("sphere", "ball"), ("sphere", "spherical-shell"),
+                ("sphere", "box"), ("plane-disk", "ball"),
+                ("plane-rect", "box"),
+                ("equatorial-annulus", "spherical-shell"),
+                ("cylinder-patch", "cylinder-annulus")}
+        cfg = {"kind": kind}
+        if kind in ("sphere", "cylinder-patch"):
+            cfg["radius"] = 1.0
+        block = ConfigBlock(cfg, "$.geometry.interface")
+        d = build_domain(domain)
+        if (kind, domain["kind"]) in fits:
+            assert build_interface(block, d).kind == kind
+        else:
+            with pytest.raises(GeometryError):
+                build_interface(block, d)
+
+    def test_probe_that_does_not_fit_exits_2(self, tmp_path, capsys):
+        code, report = _run_with(tmp_path, "cauchy-flux-disjoint",
+                                 ("parameters", "probe"),
+                                 {"kind": "cylinder-patch", "radius": 1.5})
+        assert code == 2 and report is None
+        err = capsys.readouterr().err
+        assert "cylinder-patch" in err and "Traceback" not in err
 
     def test_every_shipped_scenario_builds(self):
         from stressdist import cli

@@ -373,10 +373,18 @@ class TestDipoleLimit:
     def test_lower_plane_paired_once_per_test(self, big_ball, monkeypatch):
         # the z0 pairings do not depend on h: each test's value and gradient
         # are evaluated once on the z0 plane, its value once per upper
-        # plane; the report equals re-pairing z0 for every h
+        # plane, and each plane's support rule is built once per test; the
+        # report equals re-pairing z0 for every h
         from stressdist import equilibrium
-        from stressdist.geometry import VolumeQuad, blocked_sum
-        made, calls = [], []
+        from stressdist.geometry import Interface, VolumeQuad, blocked_sum
+        made, calls, rules = [], [], []
+        build = Interface.surface_quadrature
+
+        def counted(itf, *args, **kwargs):
+            rules.append(itf.value)
+            return build(itf, *args, **kwargs)
+
+        monkeypatch.setattr(Interface, "surface_quadrature", counted)
 
         class Counting(equilibrium.BumpSymTensor):
             def __init__(self, center, radius, polys):
@@ -396,6 +404,7 @@ class TestDipoleLimit:
         hs = [0.2, 0.1, 0.05]
         rep = dipole_limit(big_ball, sigma0, hs, n_tests=4, seed=3)
         assert len(made) == 4
+        assert sorted(rules) == sorted([0.0] * 4 + hs * 4)
         for t in made:
             mine = sorted((m, z) for u, m, z in calls if u is t)
             assert mine == sorted([('gradient', 0.0), ('value', 0.0)]

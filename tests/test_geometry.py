@@ -367,7 +367,9 @@ class TestSupportQuadrature:
     def test_support_holding_sphere_uses_full_rule(self, center):
         itf = sphere_interface(0.5)
         b = itf.surface_quadrature(1, support=(np.array(center), 0.8))
-        assert b is itf.surface_quadrature(1)
+        full = itf.surface_quadrature(1)
+        assert np.array_equal(b.points, full.points)
+        assert np.array_equal(b.weights, full.weights)
         assert abs(b.weights.sum() - np.pi) < 1e-12
 
     @pytest.mark.parametrize("make, center, radius", [
@@ -932,12 +934,42 @@ class TestQuadratureMemos:
                                       center, 0.2, 0)
         assert flipped is not q
 
-    def test_support_batches_reused_by_value(self):
+    def test_support_batches_equal_by_value(self):
         itf = sphere_interface(0.5)
         center = np.array([0.45, 0.1, 0.0])
         b = itf.surface_quadrature(1, support=(center, 0.2))
-        assert itf.surface_quadrature(1, support=(list(center), 0.2)) is b
-        assert itf.surface_quadrature(0, support=(center, 0.2)) is not b
+        c = itf.surface_quadrature(1, support=(list(center), 0.2))
+        assert np.array_equal(b.points, c.points)
+        assert np.array_equal(b.weights, c.weights)
+
+    @pytest.mark.parametrize("make_domain, make_interface", [
+        (lambda: Ball(2.0), lambda d: sphere_interface(1.0)),
+        (lambda: SphericalShell(1.0, 2.0), equatorial_annulus_interface),
+        (lambda: CylinderAnnulus(0.5, 1.5, 2.0),
+         lambda d: cylinder_patch_interface(d, 1.0)),
+    ], ids=["sphere", "annulus", "cylinder"])
+    def test_geometry_keeps_no_rules(self, make_domain, make_interface):
+        # interfaces, boundary components and domains are immutable after
+        # construction: a quadrature call adds no attribute and fills none
+        def state(obj):
+            return {k: (id(v), len(v) if isinstance(v, (dict, list, LruMemo))
+                        else None) for k, v in vars(obj).items()}
+
+        domain = make_domain()
+        itf = make_interface(domain)
+        objects = [domain, itf] + list(domain.boundary_components)
+        before = [state(o) for o in objects]
+        center = itf.patch.point(*itf.chart_coords(
+            np.array([[1.5, 0.2, 0.1]])))[0]
+        for _ in range(2):
+            itf.surface_quadrature(1)
+            itf.surface_quadrature(1, support=(center, 0.3))
+            itf.samples(50)
+            for comp in domain.boundary_components:
+                comp.quadrature(1)
+            domain.volume_quadrature(itf, 1)
+            domain.volume_quadrature(None, 0, extra_breaks=((), (), ()))
+        assert [state(o) for o in objects] == before
 
 
 class TestDomainValidation:
